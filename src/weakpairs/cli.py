@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import glob
 import hashlib
+import inspect
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,36 +31,17 @@ from .textproc import build_vocab
 
 BENCH_FOR_DATASET = {"qt": "dq", "rp": "dr", "coqt": "cq", "corp": "cr"}
 
+# Every setting is a config key, a flag and a manifest entry.  Training settings
+# are the TrainConfig fields (its seed is derived per stage, never set); encoder
+# settings take their defaults from init_model, plus the vocabulary size cap.
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(optim_mod.TrainConfig) if f.name != "seed"}
+_ENCODER_KEYS = ("dim", "use_block", "normalize_output", "max_len")
+_INIT_PARAMS = inspect.signature(encoder_mod.init_model).parameters
 CONFIG_DEFAULTS: dict[str, object] = {
-    # training
-    "loss": optim_mod.MULTIPLE_NEGATIVES,
-    "margin": 1.0,
-    "scale": 20.0,
-    "similarity": "cosine",
-    "batch_size": 50,
-    "learning_rate": 1e-3,
-    "warmup_fraction": 0.10,
-    "epochs": 1,
-    "weight_decay": 0.01,
-    # encoder
-    "dim": 64,
-    "use_block": True,
-    "normalize_output": False,
-    "max_len": 64,
+    **_TRAIN_DEFAULTS,
+    **{key: _INIT_PARAMS[key].default for key in _ENCODER_KEYS},
     "vocab_size": 2000,
 }
-
-_TRAIN_KEYS = (
-    "loss",
-    "margin",
-    "scale",
-    "similarity",
-    "batch_size",
-    "learning_rate",
-    "warmup_fraction",
-    "epochs",
-    "weight_decay",
-)
 
 
 def derive_seed(master_seed: int, stage: str) -> int:
@@ -144,8 +126,12 @@ def _coerce(key: str, raw: object, problems: list[str]):
 
 def resolve_settings(
     config_path: str | Path | None, overrides: dict[str, object], seed: int
-) -> dict[str, object]:
-    """Merge defaults, config file, and CLI overrides; report every problem at once."""
+) -> tuple[dict[str, object], optim_mod.TrainConfig]:
+    """Merge defaults, config file, and CLI overrides; report every problem at once.
+
+    Returns the settings (as written to manifests) and the validated training
+    config, seeded for the ``train`` stage.
+    """
     problems: list[str] = []
     settings = dict(CONFIG_DEFAULTS)
     if config_path is not None:
@@ -163,7 +149,7 @@ def resolve_settings(
         settings[key] = _coerce(key, value, problems)
 
     train_config = optim_mod.TrainConfig(
-        **{k: settings[k] for k in _TRAIN_KEYS}, seed=derive_seed(seed, "train")
+        **{k: settings[k] for k in _TRAIN_DEFAULTS}, seed=derive_seed(seed, "train")
     )
     problems.extend(train_config.validate())
     if settings["dim"] < 2:
@@ -174,8 +160,18 @@ def resolve_settings(
         problems.append(f"vocab_size must be >= 2; got {settings['vocab_size']}")
     if problems:
         raise UsageError("invalid configuration: " + "; ".join(problems))
-    settings["_train_config"] = train_config
-    return settings
+    return settings, train_config
+
+
+def _flag_overrides(args) -> dict[str, object]:
+    return {key: getattr(args, key) for key in CONFIG_DEFAULTS}
+
+
+def _init_encoder(pairs: list[corpus_mod.PairExample], settings: dict, seed: int) -> encoder_mod.EncoderModel:
+    """Fresh encoder over a vocabulary built from the pairs' texts."""
+    texts = [p.anchor_text for p in pairs] + [p.positive_text for p in pairs]
+    vocab = build_vocab(texts, max_size=settings["vocab_size"])
+    return encoder_mod.init_model(vocab, seed=seed, **{key: settings[key] for key in _ENCODER_KEYS})
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -215,11 +211,7 @@ def cmd_ingest(args) -> int:
     paths = sorted({p for pattern in args.inputs for p in glob.glob(pattern)})
     if not paths:
         raise UsageError(f"no input files match {args.inputs}")
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            parses = list(pool.map(lambda p: ingest_mod.parse_stream_file(p, args.lang), paths))
-    else:
-        parses = [ingest_mod.parse_stream_file(p, args.lang) for p in paths]
+    parses = [ingest_mod.parse_stream_file(p, args.lang) for p in paths]
     records, totals = ingest_mod.merge_runs(parses)
 
     out = Path(args.out)
@@ -235,7 +227,7 @@ def cmd_ingest(args) -> int:
     write_manifest(
         out.parent,
         "ingest",
-        {"lang": args.lang, "threads": args.threads},
+        {"lang": args.lang},
         inputs=paths,
         outputs=[out, stats_path],
         seed=args.seed,
@@ -325,40 +317,10 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _train_overrides(args) -> dict[str, object]:
-    return {
-        "loss": args.loss,
-        "margin": args.margin,
-        "scale": args.scale,
-        "similarity": args.similarity,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "warmup_fraction": args.warmup_fraction,
-        "epochs": args.epochs,
-        "weight_decay": args.weight_decay,
-        "dim": args.dim,
-        "use_block": args.use_block,
-        "normalize_output": args.normalize_output,
-        "max_len": args.max_len,
-        "vocab_size": args.vocab_size,
-    }
-
-
 def cmd_train(args) -> int:
-    settings = resolve_settings(args.config, _train_overrides(args), args.seed)
-    train_config: optim_mod.TrainConfig = settings["_train_config"]
-
+    settings, train_config = resolve_settings(args.config, _flag_overrides(args), args.seed)
     pairs = corpus_mod.read_pairs(args.pairs)
-    texts = [p.anchor_text for p in pairs] + [p.positive_text for p in pairs]
-    vocab = build_vocab(texts, max_size=settings["vocab_size"])
-    model = encoder_mod.init_model(
-        vocab,
-        dim=settings["dim"],
-        use_block=settings["use_block"],
-        seed=derive_seed(args.seed, "encoder-init"),
-        normalize_output=settings["normalize_output"],
-        max_len=settings["max_len"],
-    )
+    model = _init_encoder(pairs, settings, seed=derive_seed(args.seed, "encoder-init"))
     model, log = optim_mod.train(model, pairs, train_config)
 
     out = Path(args.out)
@@ -368,11 +330,10 @@ def cmd_train(args) -> int:
     with open(log_path, "w", encoding="utf-8") as handle:
         for entry in log:
             handle.write(json.dumps(entry) + "\n")
-    public = {k: v for k, v in settings.items() if not k.startswith("_")}
     write_manifest(
         out.parent,
         "train",
-        public,
+        settings,
         inputs=[args.pairs] + ([args.config] if args.config else []),
         outputs=[out, log_path],
         seed=args.seed,
@@ -454,8 +415,22 @@ def cmd_sweep(args) -> int:
     if values != sorted(values):
         raise UsageError(f"sweep values must be ascending: {values}")
 
-    settings = resolve_settings(args.config, _train_overrides(args), args.seed)
+    settings, train_config = resolve_settings(args.config, _flag_overrides(args), args.seed)
+    point_configs = {
+        value: dataclasses.replace(
+            train_config,
+            batch_size=value if args.axis == "batch_size" else train_config.batch_size,
+            seed=derive_seed(args.seed, f"sweep:{args.axis}:{value}:train"),
+        )
+        for value in values
+    }
+    problems = [f"value {v}: {p}" for v, config in point_configs.items() for p in config.validate()]
+    if problems:
+        raise UsageError("invalid sweep point: " + "; ".join(problems))
+
     pool = corpus_mod.read_pairs(args.pairs)
+    if args.axis == "corpus_size" and values[-1] > len(pool):
+        raise DataError(f"sweep value {values[-1]} exceeds pair pool of {len(pool)}")
     bench = corpus_mod.read_benchmark(args.benchmark)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -464,35 +439,14 @@ def cmd_sweep(args) -> int:
     order = random.Random(derive_seed(args.seed, "sweep-corpus-order")).sample(pool, len(pool))
 
     def run_point(value: int) -> tuple[float, float | None]:
-        if args.axis == "corpus_size":
-            if value > len(pool):
-                raise DataError(f"sweep value {value} exceeds pair pool of {len(pool)}")
-            subset = order[:value]
-            batch_size = settings["batch_size"]
-        else:
-            subset = pool
-            batch_size = value
+        subset = order[:value] if args.axis == "corpus_size" else pool
         # the untrained baseline row keeps the full-pool vocab so its
         # embeddings are not degenerate
-        vocab_source = subset if value > 0 else pool
-        texts = [p.anchor_text for p in vocab_source] + [p.positive_text for p in vocab_source]
-        vocab = build_vocab(texts, max_size=settings["vocab_size"])
-        model = encoder_mod.init_model(
-            vocab,
-            dim=settings["dim"],
-            use_block=settings["use_block"],
-            seed=derive_seed(args.seed, f"sweep:{args.axis}:{value}:init"),
-            normalize_output=settings["normalize_output"],
-            max_len=settings["max_len"],
-        )
+        init_seed = derive_seed(args.seed, f"sweep:{args.axis}:{value}:init")
+        model = _init_encoder(subset if value > 0 else pool, settings, seed=init_seed)
         final_loss = None
         if value > 0:
-            train_config = optim_mod.TrainConfig(
-                **{k: settings[k] for k in _TRAIN_KEYS},
-                seed=derive_seed(args.seed, f"sweep:{args.axis}:{value}:train"),
-            )
-            train_config.batch_size = batch_size
-            model, log = optim_mod.train(model, subset, train_config)
+            model, log = optim_mod.train(model, subset, point_configs[value])
             final_loss = log[-1]["loss"]
         report = eval_mod.eval_ranking(model, bench)
         report.meta["sweep"] = {"axis": args.axis, "value": value}
@@ -524,7 +478,7 @@ def cmd_sweep(args) -> int:
             "axis": args.axis,
             "values": values,
             "include_baseline": args.include_baseline,
-            **{k: v for k, v in settings.items() if not k.startswith("_")},
+            **settings,
         },
         inputs=[args.pairs, args.benchmark] + ([args.config] if args.config else []),
         outputs=[summary_path],
@@ -541,35 +495,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_train_flags(sub) -> None:
+def _add_settings_flags(sub) -> None:
+    """One flag per config key, spelled as the key with dashes; unset flags stay None."""
     sub.add_argument("--config", default=None, help="flat key = value config file")
-    sub.add_argument("--loss", default=None, choices=optim_mod.LOSS_NAMES)
-    sub.add_argument("--margin", default=None, type=float)
-    sub.add_argument("--scale", default=None, type=float)
-    sub.add_argument("--similarity", default=None, choices=optim_mod.SIMILARITY_MODES)
-    sub.add_argument("--batch-size", dest="batch_size", default=None, type=int)
-    sub.add_argument("--learning-rate", dest="learning_rate", default=None, type=float)
-    sub.add_argument("--warmup-fraction", dest="warmup_fraction", default=None, type=float)
-    sub.add_argument("--epochs", default=None, type=int)
-    sub.add_argument("--weight-decay", dest="weight_decay", default=None, type=float)
-    sub.add_argument("--dim", default=None, type=int)
-    sub.add_argument("--use-block", dest="use_block", action="store_true", default=None)
-    sub.add_argument("--no-block", dest="use_block", action="store_false")
-    sub.add_argument("--normalize-output", dest="normalize_output", action="store_true", default=None)
-    sub.add_argument("--max-len", dest="max_len", default=None, type=int)
-    sub.add_argument("--vocab-size", dest="vocab_size", default=None, type=int)
+    for key, default in CONFIG_DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            sub.add_argument(flag, dest=key, action="store_true", default=None)
+        else:
+            sub.add_argument(flag, dest=key, type=type(default), default=None, help=f"default {default}")
+    sub.add_argument("--no-block", dest="use_block", action="store_false", default=None)
+
+
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}; got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="weakpairs", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="master seed for every stage")
-    parser.add_argument("--threads", type=int, default=1, help="file-parse parallelism for ingest")
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        default=True,
-        help="single-threaded numerics (always on; flag kept for interface stability)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("synth", help="generate a synthetic tweet store")
@@ -599,11 +549,11 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--pairs-per-dataset",
         dest="pairs_per_dataset",
-        type=int,
+        type=_at_least(0),
         default=None,
         help="sample size per dataset; omit to keep every available pair",
     )
-    p.add_argument("--bench-queries", dest="bench_queries", type=int, default=0)
+    p.add_argument("--bench-queries", dest="bench_queries", type=_at_least(0), default=0)
     p.add_argument(
         "--edges-out",
         dest="edges_out",
@@ -616,19 +566,19 @@ def build_parser() -> _Parser:
     p = commands.add_parser("train", help="train an encoder on a pair file")
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    _add_settings_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("eval", help="evaluate a checkpoint on benchmarks/graded files")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--at-k", dest="at_k", type=int, default=None)
+    p.add_argument("--at-k", dest="at_k", type=_at_least(1), default=None)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = commands.add_parser("sweep", help="ablate corpus size or batch size")
     p.add_argument("--axis", required=True, choices=["corpus_size", "batch_size"])
-    p.add_argument("--values", type=int, nargs="+", required=True)
+    p.add_argument("--values", type=_at_least(1), nargs="+", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--benchmark", required=True)
     p.add_argument(
@@ -638,7 +588,7 @@ def build_parser() -> _Parser:
         help="also evaluate the untrained encoder (corpus_size axis only)",
     )
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    _add_train_flags(p)
+    _add_settings_flags(p)
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -9,11 +9,9 @@ idempotent even when stripping one pattern uncovers another (e.g.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 URL_RE = re.compile(r"https?://\S+")
@@ -69,21 +67,6 @@ class Vocabulary:
 
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
-
-    def to_json(self) -> str:
-        return json.dumps({"tokens": self.tokens, "max_size": self.max_size})
-
-    @classmethod
-    def from_json(cls, payload: str) -> "Vocabulary":
-        raw = json.loads(payload)
-        return cls(tokens=list(raw["tokens"]), max_size=int(raw["max_size"]))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def build_vocab(corpus: Iterable[str], max_size: int) -> Vocabulary:

@@ -1,13 +1,37 @@
 """CLI subcommand tests: exit codes, manifests, determinism, pipeline composition."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from weakpairs.cli import derive_seed, main, parse_config_file, resolve_settings
+from weakpairs.cli import CONFIG_DEFAULTS, derive_seed, main, parse_config_file, resolve_settings
+from weakpairs.corpus import PairExample, write_pairs
 from weakpairs.errors import UsageError
+from weakpairs.optim import TrainConfig
+
+# one non-default value per setting; a setting missing here fails the parity test
+NON_DEFAULT_SETTINGS = {
+    "loss": "triplet",
+    "margin": 0.5,
+    "scale": 10.0,
+    "similarity": "dot",
+    "batch_size": 4,
+    "learning_rate": 0.005,
+    "warmup_fraction": 0.25,
+    "epochs": 2,
+    "weight_decay": 0.0,
+    "dim": 8,
+    "use_block": False,
+    "normalize_output": True,
+    "max_len": 6,
+    "vocab_size": 30,
+}
+SETTING_KEYS = [f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed"] + [
+    "dim", "use_block", "normalize_output", "max_len", "vocab_size",
+]
 
 
 def run(*argv):
@@ -42,8 +66,8 @@ class TestConfigFile:
             "learning_rate = 0.005\n"
             "use_block = false\n"
         )
-        settings = resolve_settings(config, {}, seed=0)
-        assert settings["loss"] == "triplet"
+        settings, train_config = resolve_settings(config, {}, seed=0)
+        assert settings["loss"] == train_config.loss == "triplet"
         assert settings["batch_size"] == 16
         assert settings["use_block"] is False
         assert settings["warmup_fraction"] == pytest.approx(0.10)  # untouched default
@@ -51,7 +75,7 @@ class TestConfigFile:
     def test_overrides_beat_file(self, tmp_path):
         config = tmp_path / "train.conf"
         config.write_text("batch_size = 16\n")
-        settings = resolve_settings(config, {"batch_size": 8}, seed=0)
+        settings, _ = resolve_settings(config, {"batch_size": 8}, seed=0)
         assert settings["batch_size"] == 8
 
     def test_all_problems_listed_at_once(self, tmp_path):
@@ -67,6 +91,31 @@ class TestConfigFile:
         config.write_text("just words\n")
         with pytest.raises(UsageError, match="line 1"):
             parse_config_file(config)
+
+    @pytest.mark.parametrize("key", SETTING_KEYS)
+    def test_flag_and_config_line_resolve_alike(self, tmp_cwd, key):
+        value = NON_DEFAULT_SETTINGS[key]
+        assert value != CONFIG_DEFAULTS[key]
+        if key == "use_block":
+            flag = ["--no-block"]
+        elif isinstance(value, bool):
+            flag = ["--" + key.replace("_", "-")]
+        else:
+            flag = ["--" + key.replace("_", "-"), value]
+        Path("c.conf").write_text(f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n")
+        words = "granite lantern copper stream meadow harbor thunder silver ember quartz".split()
+        write_pairs(
+            [PairExample(f"{w} {i} alpha beta", f"{w} {i} gamma delta", "qt", f"a{i}{w}", f"p{i}{w}")
+             for i in range(6) for w in words],
+            "pairs.tsv",
+        )
+        assert run("train", "--pairs", "pairs.tsv", "--out", "flag/m.ckpt", *flag) == 0
+        assert run("train", "--pairs", "pairs.tsv", "--out", "conf/m.ckpt", "--config", "c.conf") == 0
+        for out in ("flag", "conf"):
+            settings = json.loads(Path(out, "manifest_train.json").read_text())["settings"]
+            assert settings.keys() == CONFIG_DEFAULTS.keys()
+            assert settings[key] == value and type(settings[key]) is type(value)
+        assert Path("flag/m.ckpt").read_bytes() == Path("conf/m.ckpt").read_bytes()
 
 
 class TestSynthIngest:
@@ -94,14 +143,6 @@ class TestSynthIngest:
         run("ingest", "--inputs", "s.jsonl", "--out", "r1.jsonl")
         run("ingest", "--inputs", "s.jsonl", "--out", "r2.jsonl")
         assert Path("r1.jsonl").read_bytes() == Path("r2.jsonl").read_bytes()
-
-    def test_parallel_parse_merges_deterministically(self, tmp_cwd):
-        for i in range(4):
-            run("--seed", i, "synth", "--topics", 2, "--pairs-per-topic", 3,
-                "--vocab-size", 110, "--out", f"f{i}.jsonl")
-        run("--threads", 1, "ingest", "--inputs", "f*.jsonl", "--out", "serial.out")
-        run("--threads", 4, "ingest", "--inputs", "f*.jsonl", "--out", "parallel.out")
-        assert Path("serial.out").read_bytes() == Path("parallel.out").read_bytes()
 
     def test_manifest_written_next_to_outputs(self, tmp_cwd):
         run("--seed", 2, "synth", "--topics", 2, "--pairs-per-topic", 3,
@@ -287,6 +328,26 @@ class TestSweep:
         with open("sweep/sweep_summary.csv") as handle:
             rows = list(csv.DictReader(handle))
         assert [int(r["value"]) for r in rows] == [4, 8]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--axis", "batch_size", "--values", 1, 4, "--pairs", "pairs.tsv",
+             "--benchmark", "bench.jsonl"],
+            ["sweep", "--axis", "corpus_size", "--values", -3, 8, "--pairs", "pairs.tsv",
+             "--benchmark", "bench.jsonl"],
+            ["eval", "--checkpoint", "model.ckpt", "--inputs", "bench.jsonl", "--at-k", 0],
+            ["build", "--records", "records.jsonl", "--pairs-per-dataset", -1],
+        ],
+        ids=["sweep-batch-1", "sweep-corpus-negative", "eval-at-k-0", "build-negative-sample"],
+    )
+    def test_rejected_before_any_stage_work(self, tmp_cwd, capsys, argv):
+        # the inputs do not exist: reading any of them would be a data error (exit 2)
+        assert run(*argv, "--out-dir", "out") == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert list(tmp_cwd.iterdir()) == []
 
 
 class TestPipelineComposition:

@@ -204,6 +204,7 @@ class TestCheckpoint:
         assert loaded.max_len == 32
         assert loaded.version == 17
         assert loaded.vocab.tokens == vocab.tokens
+        assert loaded.vocab.max_size == vocab.max_size
         for name in model.params:
             assert np.array_equal(loaded.params[name], model.params[name])
 

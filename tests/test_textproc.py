@@ -10,7 +10,6 @@ from weakpairs.textproc import (
     PAD_TOKEN,
     UNK_ID,
     UNK_TOKEN,
-    Vocabulary,
     build_vocab,
     clean,
     encode_ids,
@@ -119,14 +118,6 @@ class TestVocabulary:
         # '<', '>' and the names are tokenized apart, so 'pad' may appear,
         # but the exact special strings must not be duplicated
         assert vocab.id_for("word") >= 2
-
-    def test_json_roundtrip(self, tmp_path):
-        vocab = build_vocab(["alpha beta gamma alpha"], max_size=6)
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        loaded = Vocabulary.load(path)
-        assert loaded.tokens == vocab.tokens
-        assert loaded.max_size == vocab.max_size
 
 
 class TestEncodeIds:
