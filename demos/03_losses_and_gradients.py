@@ -33,8 +33,9 @@ model = init_model(vocab, dim=4, use_block=True, seed=1)
 ids = [2, 5, 7]
 grad_out = np.array([1.0, -0.5, 0.25, 2.0])
 
-vec, trace = encode_with_trace(model, ids)
-grads = backprop(model, trace, grad_out)
+# a batch of one sentence; longer batches are right-padded and masked
+vecs, trace = encode_with_trace(model, [ids])
+grads = backprop(model, trace, [grad_out])
 
 name = "w_q"
 param = model.params[name]

@@ -53,7 +53,6 @@ from .optim import (
     lr_at,
     mn_loss,
     train,
-    train_epoch,
     triplet_loss,
 )
 from .textproc import Vocabulary, build_vocab, clean, encode_ids, tokenize

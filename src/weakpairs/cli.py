@@ -415,7 +415,11 @@ def cmd_sweep(args) -> int:
     if values != sorted(values):
         raise UsageError(f"sweep values must be ascending: {values}")
 
-    settings, train_config = resolve_settings(args.config, _flag_overrides(args), args.seed)
+    overrides = _flag_overrides(args)
+    if args.axis == "batch_size":
+        # every point replaces the base batch size, so none but the points' sizes is checked
+        overrides["batch_size"] = values[0]
+    settings, train_config = resolve_settings(args.config, overrides, args.seed)
     point_configs = {
         value: dataclasses.replace(
             train_config,

@@ -13,6 +13,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +24,7 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT_VERSION = 1
 INIT_SCALE = 0.05
-
-# parameter serialization order; the block matrices are absent when use_block is off
-PARAM_ORDER = ("embedding", "w_q", "w_k", "w_v", "w_1", "w_2")
+_EMBED_CHUNK = 8  # texts per encode in embed_text; see CHANGES.md for the measurement
 
 
 @dataclass
@@ -37,9 +36,6 @@ class EncoderModel:
     max_len: int
     params: dict[str, np.ndarray]
     version: int = 0
-
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(name for name in PARAM_ORDER if name in self.params)
 
     def frozen_masks(self) -> dict[str, np.ndarray]:
         """Trainability masks per parameter; the PAD embedding row is frozen."""
@@ -53,23 +49,34 @@ class EncoderModel:
 
 @dataclass
 class ForwardTrace:
-    """Activations captured during encode, sufficient to backpropagate exactly."""
+    """Activations of one batched encode, sufficient to backpropagate exactly.
 
-    ids: tuple[int, ...]
-    x: np.ndarray
-    h2: np.ndarray
-    pooled: np.ndarray
+    Rows are right-padded with PAD_ID to the longest sentence of the batch.
+    """
+
+    ids: np.ndarray  # (B, L) token ids
+    pool: np.ndarray  # (B, L) mean-pool weights: 1 / length at real tokens, 0 at padding
+    pooled: np.ndarray  # (B, dim)
     model_version: int
     # block activations (None when the block is off)
+    x: np.ndarray | None = None
     attn: np.ndarray | None = None
     q: np.ndarray | None = None
     k: np.ndarray | None = None
     v: np.ndarray | None = None
     h1: np.ndarray | None = None
-    z: np.ndarray | None = None
-    # output normalization bookkeeping
-    norm: float | None = None
-    zero_norm: bool = False
+    relu: np.ndarray | None = None  # relu of the feed-forward pre-activation
+    # (B, 1) pooled norms when normalizing output, inf for a zero vector so it divides to zero
+    norm: np.ndarray | None = None
+
+
+def _param_shapes(vocab_size: int, dim: int, use_block: bool) -> list[tuple[str, tuple[int, int]]]:
+    """(name, shape) of every parameter, in init order; the block matrices only with use_block."""
+    shapes = [("embedding", (vocab_size, dim))]
+    if use_block:
+        shapes += [(name, (dim, dim)) for name in ("w_q", "w_k", "w_v")]
+        shapes += [("w_1", (dim, 2 * dim)), ("w_2", (2 * dim, dim))]
+    return shapes
 
 
 def init_model(
@@ -87,16 +94,10 @@ def init_model(
     if dim < 2:
         raise ValueError(f"embedding dimension must be >= 2, got {dim}")
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {
-        "embedding": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(vocab), dim))
+    params = {
+        name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+        for name, shape in _param_shapes(len(vocab), dim, use_block)
     }
-    if use_block:
-        hidden = 2 * dim
-        params["w_q"] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(dim, dim))
-        params["w_k"] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(dim, dim))
-        params["w_v"] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(dim, dim))
-        params["w_1"] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(dim, hidden))
-        params["w_2"] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden, dim))
     params["embedding"][PAD_ID, :] = 0.0
     return EncoderModel(
         vocab=vocab,
@@ -109,86 +110,93 @@ def init_model(
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=1, keepdims=True)
+    """Softmax over the last axis, in place."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
-def _forward(model: EncoderModel, ids, want_trace: bool):
-    ids = tuple(int(i) for i in ids)
-    if len(ids) == 0:
+def _rows(arr: np.ndarray) -> np.ndarray:
+    """A (B, L, n) array as (B * L, n), so weight gradients sum over every position in one matmul."""
+    return arr.reshape(-1, arr.shape[-1])
+
+
+def encode_with_trace(
+    model: EncoderModel, id_lists: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Embed a batch of id sequences, one (dim,) row each, keeping what backprop needs.
+
+    Sequences are right-padded to the longest one.  Padded positions are
+    masked out of the attention keys and the mean, so each row is the
+    embedding of its sentence alone.
+    """
+    lengths = np.array([len(ids) for ids in id_lists], dtype=np.intp)
+    if lengths.min() == 0:
         raise ValueError("cannot encode an empty id sequence")
-    if len(ids) > model.max_len:
-        raise ValueError(f"id sequence of length {len(ids)} exceeds max_len {model.max_len}")
+    if lengths.max() > model.max_len:
+        raise ValueError(f"id sequence of length {lengths.max()} exceeds max_len {model.max_len}")
+    real = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(real.shape, PAD_ID, dtype=np.intp)
+    ids[real] = np.concatenate(id_lists)  # row-major, so each row gets its own sequence
+    pool = real / lengths[:, None]
     p = model.params
-    x = p["embedding"][list(ids), :]
-    attn = q = k = v = h1 = z = None
+    x = p["embedding"][ids]
+    block = {}
     if model.use_block:
         q = x @ p["w_q"]
         k = x @ p["w_k"]
         v = x @ p["w_v"]
-        attn = _softmax_rows((q @ k.T) / np.sqrt(model.dim))
-        h1 = x + attn @ v
-        z = h1 @ p["w_1"]
-        h2 = h1 + np.maximum(z, 0.0) @ p["w_2"]
+        scores = q @ k.transpose(0, 2, 1)
+        scores /= np.sqrt(model.dim)
+        scores += np.where(real, 0.0, -np.inf)[:, None, :]  # no query attends to a padded key
+        attn = _softmax_rows(scores)
+        h1 = attn @ v
+        h1 += x
+        relu = h1 @ p["w_1"]
+        np.maximum(relu, 0.0, out=relu)
+        h2 = relu @ p["w_2"]
+        h2 += h1
+        block = {"x": x, "attn": attn, "q": q, "k": k, "v": v, "h1": h1, "relu": relu}
     else:
         h2 = x
-    pooled = h2.mean(axis=0)
-    norm = None
-    zero_norm = False
-    if model.normalize_output:
-        norm = float(np.linalg.norm(pooled))
-        if norm > 0.0:
-            out = pooled / norm
-        else:
-            zero_norm = True
-            out = pooled.copy()
-            logger.warning("normalize_output hit a zero-norm pooled vector; returning zeros")
-    else:
-        out = pooled
-    if not want_trace:
-        return out, None
-    trace = ForwardTrace(
-        ids=ids,
-        x=x,
-        h2=h2,
-        pooled=pooled,
-        model_version=model.version,
-        attn=attn,
-        q=q,
-        k=k,
-        v=v,
-        h1=h1,
-        z=z,
-        norm=norm,
-        zero_norm=zero_norm,
-    )
-    return out, trace
+    pooled = np.einsum("bl,bld->bd", pool, h2)
+    trace = ForwardTrace(ids=ids, pool=pool, pooled=pooled, model_version=model.version, **block)
+    if not model.normalize_output:
+        return pooled, trace
+    norm = np.linalg.norm(pooled, axis=1, keepdims=True)
+    if not norm.all():
+        logger.warning("normalize_output hit a zero-norm pooled vector; returning zeros")
+    trace.norm = np.where(norm > 0.0, norm, np.inf)
+    return pooled / trace.norm, trace
 
 
 def encode(model: EncoderModel, ids) -> np.ndarray:
     """Sentence embedding: mean over token positions of the last layer."""
-    out, _ = _forward(model, ids, want_trace=False)
-    return out
+    return encode_with_trace(model, [ids])[0][0]
 
 
-def encode_with_trace(model: EncoderModel, ids) -> tuple[np.ndarray, ForwardTrace]:
-    return _forward(model, ids, want_trace=True)
-
-
-def embed_text(model: EncoderModel, text: str) -> np.ndarray:
-    """Text in, sentence vector out: clean, map to ids under the model's vocab, encode.
+def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
+    """Texts in, one sentence vector per text out: clean, map to ids under the model's vocab, encode.
 
     Cleaning is idempotent, so already-cleaned pipeline text passes through
     unchanged while raw external text (e.g. graded pair files) gets the same
-    normalization the training corpus had.
+    normalization the training corpus had.  Texts are encoded in chunks of
+    similar length, so little of each chunk is padding.
     """
-    return encode(model, encode_ids(model.vocab, clean(text), model.max_len))
+    id_lists = [encode_ids(model.vocab, clean(text), model.max_len) for text in texts]
+    order = sorted(range(len(id_lists)), key=lambda i: len(id_lists[i]))
+    out = np.empty((len(id_lists), model.dim))
+    for start in range(0, len(order), _EMBED_CHUNK):
+        rows = order[start : start + _EMBED_CHUNK]
+        out[rows] = encode_with_trace(model, [id_lists[i] for i in rows])[0]
+    return out
 
 
 def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of <grad_out, embedding> with respect to every parameter.
+    """Exact gradients of sum_i <grad_out[i], embedding i> with respect to every parameter.
 
+    ``grad_out`` holds one (dim,) row per sentence of the traced batch.
     Untouched embedding rows get zero gradient and the PAD row is forced to
     zero.  The trace must come from the current parameter version.
     """
@@ -198,49 +206,51 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
             f"parameters now at version {model.version}"
         )
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (model.dim,):
-        raise ValueError(f"grad_out must have shape ({model.dim},), got {grad_out.shape}")
+    if grad_out.shape != trace.pooled.shape:
+        raise ValueError(f"grad_out must have shape {trace.pooled.shape}, got {grad_out.shape}")
 
     grads = model.zero_grads()
     p = model.params
-    n_tokens = len(trace.ids)
 
     if model.normalize_output:
-        if trace.zero_norm:
-            d_pooled = np.zeros_like(trace.pooled)
-        else:
-            unit = trace.pooled / trace.norm
-            d_pooled = (grad_out - np.dot(grad_out, unit) * unit) / trace.norm
+        unit = trace.pooled / trace.norm
+        d_pooled = (grad_out - (grad_out * unit).sum(axis=1, keepdims=True) * unit) / trace.norm
     else:
         d_pooled = grad_out
 
-    # mean pool spreads the gradient evenly over token positions
-    d_h2 = np.tile(d_pooled / n_tokens, (n_tokens, 1))
+    # mean pool spreads each row's gradient evenly over its real tokens
+    d_h2 = trace.pool[:, :, None] * d_pooled[:, None, :]
 
     if model.use_block:
-        relu = np.maximum(trace.z, 0.0)
-        grads["w_2"] += relu.T @ d_h2
-        d_relu = d_h2 @ p["w_2"].T
-        d_z = d_relu * (trace.z > 0.0)
-        grads["w_1"] += trace.h1.T @ d_z
-        d_h1 = d_h2 + d_z @ p["w_1"].T
+        grads["w_2"] += _rows(trace.relu).T @ _rows(d_h2)
+        d_z = d_h2 @ p["w_2"].T
+        d_z *= trace.relu > 0.0
+        grads["w_1"] += _rows(trace.h1).T @ _rows(d_z)
+        d_h1 = d_z @ p["w_1"].T
+        d_h1 += d_h2
+        del d_z, d_h2
 
-        d_attn_out = d_h1
-        d_attn = d_attn_out @ trace.v.T
-        d_v = trace.attn.T @ d_attn_out
-        # softmax backward, row-wise
-        d_scores = trace.attn * (d_attn - (d_attn * trace.attn).sum(axis=1, keepdims=True))
-        scale = 1.0 / np.sqrt(model.dim)
-        d_q = (d_scores @ trace.k) * scale
-        d_k = (d_scores.T @ trace.q) * scale
-        grads["w_q"] += trace.x.T @ d_q
-        grads["w_k"] += trace.x.T @ d_k
-        grads["w_v"] += trace.x.T @ d_v
-        d_x = d_h1 + d_q @ p["w_q"].T + d_k @ p["w_k"].T + d_v @ p["w_v"].T
+        d_v = trace.attn.transpose(0, 2, 1) @ d_h1
+        # softmax and score-scaling backward, row-wise, in place: d_attn becomes d_scores
+        d_attn = d_h1 @ trace.v.transpose(0, 2, 1)
+        d_attn -= (d_attn * trace.attn).sum(axis=-1, keepdims=True)
+        d_attn *= trace.attn
+        d_attn /= np.sqrt(model.dim)
+        d_q = d_attn @ trace.k
+        d_k = d_attn.transpose(0, 2, 1) @ trace.q
+        del d_attn
+        x = _rows(trace.x)
+        grads["w_q"] += x.T @ _rows(d_q)
+        grads["w_k"] += x.T @ _rows(d_k)
+        grads["w_v"] += x.T @ _rows(d_v)
+        d_x = d_h1
+        d_x += d_q @ p["w_q"].T
+        d_x += d_k @ p["w_k"].T
+        d_x += d_v @ p["w_v"].T
     else:
         d_x = d_h2
 
-    np.add.at(grads["embedding"], list(trace.ids), d_x)
+    np.add.at(grads["embedding"], trace.ids.ravel(), _rows(d_x))
     grads["embedding"][PAD_ID, :] = 0.0
     return grads
 
@@ -250,7 +260,6 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
 
 def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
     """Write a checkpoint: one JSON header line, then float64 little-endian payload."""
-    names = model.param_names()
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "dim": model.dim,
@@ -259,16 +268,17 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
         "max_len": model.max_len,
         "model_version": model.version,
         "vocab": {"tokens": model.vocab.tokens, "max_size": model.vocab.max_size},
-        "params": [{"name": name, "shape": list(model.params[name].shape)} for name in names],
+        "params": [{"name": name, "shape": list(arr.shape)} for name, arr in model.params.items()],
     }
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         handle.write(b"\n")
-        for name in names:
-            handle.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
+        for arr in model.params.values():
+            handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:
+    """Read a checkpoint, checking its parameter list against its vocab, dim and use_block."""
     path = Path(path)
     with open(path, "rb") as handle:
         header_line = handle.readline()
@@ -276,38 +286,43 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
     try:
         header = json.loads(header_line.decode("utf-8"))
         version = header["format_version"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, AttributeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a recognizable checkpoint (no format version header)") from exc
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint format version {version!r}, "
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
-    declared = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+    try:
+        declared = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+        model = EncoderModel(
+            vocab=Vocabulary(
+                tokens=list(header["vocab"]["tokens"]), max_size=int(header["vocab"]["max_size"])
+            ),
+            dim=int(header["dim"]),
+            use_block=bool(header["use_block"]),
+            normalize_output=bool(header["normalize_output"]),
+            max_len=int(header["max_len"]),
+            params={},
+            version=int(header.get("model_version", 0)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+    expected = _param_shapes(len(model.vocab), model.dim, model.use_block)
+    if sorted(declared) != sorted(expected):
+        raise DataError(
+            f"{path}: header declares parameters {declared}, but a vocab of {len(model.vocab)} "
+            f"tokens, dim {model.dim} and use_block {model.use_block} need {expected}"
+        )
     expected_bytes = sum(int(np.prod(shape)) * 8 for _, shape in declared)
     if len(payload) != expected_bytes:
         raise DataError(
             f"{path}: parameter payload is {len(payload)} bytes, header declares {expected_bytes}"
         )
-    try:
-        params: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in declared:
-            size = int(np.prod(shape))
-            flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-            params[name] = flat.astype(np.float64).reshape(shape).copy()
-            offset += size * 8
-        vocab = Vocabulary(
-            tokens=list(header["vocab"]["tokens"]), max_size=int(header["vocab"]["max_size"])
-        )
-        return EncoderModel(
-            vocab=vocab,
-            dim=int(header["dim"]),
-            use_block=bool(header["use_block"]),
-            normalize_output=bool(header["normalize_output"]),
-            max_len=int(header["max_len"]),
-            params=params,
-            version=int(header.get("model_version", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed checkpoint contents: {exc}") from exc
+    offset = 0
+    for name, shape in declared:
+        size = int(np.prod(shape))
+        flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
+        model.params[name] = flat.astype(np.float64).reshape(shape).copy()
+        offset += size * 8
+    return model

@@ -20,6 +20,8 @@ from .corpus import RankingBenchmark
 from .encoder import EncoderModel, embed_text
 from .errors import DataError, NumericError
 
+_GRADED_WINDOW = 512  # graded pairs embedded per embed_text call; see CHANGES.md for the measurement
+
 
 @dataclass
 class GradedPairDataset:
@@ -54,16 +56,17 @@ class EvalReport:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
+def cosine_similarity(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cosine of u and v along the last axis, broadcast over the leading axes."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
+    if u.shape[-1:] != v.shape[-1:]:
         raise ValueError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    norm_u = np.linalg.norm(u)
-    norm_v = np.linalg.norm(v)
-    if norm_u == 0.0 or norm_v == 0.0:
+    norm_u = np.linalg.norm(u, axis=-1)
+    norm_v = np.linalg.norm(v, axis=-1)
+    if not (norm_u.all() and norm_v.all()):
         raise NumericError("cosine similarity undefined for zero vectors")
-    return float(np.dot(u, v) / (norm_u * norm_v))
+    return np.einsum("...d,...d->...", u, v) / (norm_u * norm_v)
 
 
 def dcg(relevances: Sequence[float]) -> float:
@@ -118,9 +121,8 @@ def eval_ranking(model: EncoderModel, bench: RankingBenchmark, at_k: int | None 
     per_query = []
     for qi, query in enumerate(bench.queries):
         try:
-            query_vec = embed_text(model, query.query_text)
-            candidates = list(query.positives) + list(query.negatives)
-            sims = [cosine_similarity(query_vec, embed_text(model, text)) for text in candidates]
+            vecs = embed_text(model, [query.query_text, *query.positives, *query.negatives])
+            sims = cosine_similarity(vecs[0], vecs[1:])
         except (NumericError, ValueError) as exc:
             raise DataError(f"benchmark {bench.name}, query {qi}: {exc}") from exc
         order = rank_candidates(sims)
@@ -140,10 +142,11 @@ def eval_ranking(model: EncoderModel, bench: RankingBenchmark, at_k: int | None 
 def eval_graded(model: EncoderModel, data: GradedPairDataset) -> EvalReport:
     """Pearson's r between cosine similarities and the gold graded scores."""
     predicted = []
-    gold = []
-    for text1, text2, score in data.pairs:
-        predicted.append(cosine_similarity(embed_text(model, text1), embed_text(model, text2)))
-        gold.append(score)
+    for start in range(0, len(data.pairs), _GRADED_WINDOW):
+        window = data.pairs[start : start + _GRADED_WINDOW]
+        vecs = embed_text(model, [text1 for text1, _, _ in window] + [text2 for _, text2, _ in window])
+        predicted.extend(cosine_similarity(vecs[: len(window)], vecs[len(window) :]))
+    gold = [score for _, _, score in data.pairs]
     return EvalReport(
         benchmark=data.name,
         metric="pearson",

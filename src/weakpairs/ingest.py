@@ -232,6 +232,7 @@ def join_reply_targets(
 # --- on-disk formats ---------------------------------------------------------
 
 _RECORD_FIELDS = ("id", "text", "lang", "reply_to", "quoted_id", "quoted_text")
+_NULLABLE = ("reply_to", "quoted_id", "quoted_text")  # id, text and lang must be strings
 _UNESCAPE_RE = re.compile(r"\\[\\tnr]")
 _UNESCAPE_MAP = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
 
@@ -261,6 +262,7 @@ def write_records(records: Iterable[TweetRecord], path: str | Path) -> int:
 
 
 def read_records(path: str | Path) -> list[TweetRecord]:
+    """Read a record store; a line that is not a JSON object of record fields is a DataError."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -269,9 +271,15 @@ def read_records(path: str | Path) -> list[TweetRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(TweetRecord(**{k: obj.get(k) for k in _RECORD_FIELDS}))
-            except (json.JSONDecodeError, TypeError) as exc:
+            except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: bad record store line {lineno}: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}: record store line {lineno} is not a JSON object")
+            fields = {k: obj.get(k) for k in _RECORD_FIELDS}
+            bad = [k for k, v in fields.items() if not (isinstance(v, str) or v is None and k in _NULLABLE)]
+            if bad:
+                raise DataError(f"{path}: record store line {lineno}: {', '.join(bad)} must be strings")
+            records.append(TweetRecord(**fields))
     return records
 
 

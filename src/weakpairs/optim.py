@@ -1,4 +1,4 @@
-"""Training objectives, AdamW, the warm-up/decay schedule and the epoch loop.
+"""Training objectives, AdamW, the warm-up/decay schedule and the training loop.
 
 Two losses are provided.  The triplet loss hinges on Euclidean distances:
 ``max(||s_a - s_p|| - ||s_a - s_n|| + margin, 0)``.  The multiple-negatives
@@ -53,10 +53,8 @@ class TrainConfig:
             problems.append(f"margin must be >= 0; got {self.margin}")
         if self.scale <= 0:
             problems.append(f"scale must be > 0; got {self.scale}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1; got {self.batch_size}")
-        if self.loss == MULTIPLE_NEGATIVES and self.batch_size < 2:
-            problems.append("batch_size must be >= 2 for the multiple-negatives loss")
+        if self.batch_size < 2:
+            problems.append(f"batch_size must be >= 2 for in-batch negatives; got {self.batch_size}")
         if self.learning_rate <= 0:
             problems.append(f"learning_rate must be > 0; got {self.learning_rate}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
@@ -219,58 +217,41 @@ def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 
     return base_lr * (total_steps - step) / (total_steps - warmup_steps)
 
 
-def _encode_batch(model: EncoderModel, texts: Sequence[str]):
-    traces = []
-    vectors = np.empty((len(texts), model.dim))
-    for i, text in enumerate(texts):
-        ids = encode_ids(model.vocab, text, model.max_len)
-        vec, trace = encode_with_trace(model, ids)
-        vectors[i] = vec
-        traces.append(trace)
-    return vectors, traces
-
-
-def train_epoch(
-    model: EncoderModel,
-    pairs: Sequence[PairExample],
-    config: TrainConfig,
-    state: OptimizerState | None = None,
-    rng: np.random.Generator | None = None,
-    step_offset: int = 0,
-    total_steps: int | None = None,
+def train(
+    model: EncoderModel, pairs: Sequence[PairExample], config: TrainConfig
 ) -> tuple[EncoderModel, list[dict]]:
-    """One pass over the pairs: shuffle, batch, compute loss, backprop, AdamW step.
+    """``config.epochs`` passes over the pairs with one optimizer and one lr schedule.
 
-    The final partial batch is dropped so the in-batch negative distribution
-    stays fixed.  With a fresh default rng this is fully deterministic in
-    (pairs, config); ``state``/``rng``/``step_offset`` let a multi-epoch
-    driver keep one optimizer and one schedule across epochs.
+    Each epoch shuffles the pairs and cuts them into batches; each step
+    encodes the batch's anchors and positives in one call, computes the
+    loss, backpropagates it in one call and takes an AdamW step.  The final
+    partial batch of each epoch is dropped so the in-batch negative
+    distribution stays fixed.  Fully deterministic in (model, pairs, config).
     """
+    problems = config.validate()
+    if problems:
+        raise ValueError("invalid training config: " + "; ".join(problems))
     n = config.batch_size
-    if n < 2:
-        raise DataError("both losses draw negatives in-batch, so batch_size must be >= 2")
-    num_batches = len(pairs) // n
-    if num_batches < 1:
-        raise DataError(
-            f"need at least one full batch of {n} pairs, got only {len(pairs)}"
-        )
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    if state is None:
-        state = init_optimizer(model.params)
-    if total_steps is None:
-        total_steps = num_batches
+    batches_per_epoch = len(pairs) // n
+    if batches_per_epoch < 1:
+        raise DataError(f"need at least one full batch of {n} pairs, got only {len(pairs)}")
+    total_steps = batches_per_epoch * config.epochs
+    rng = np.random.default_rng(config.seed)
+    state = init_optimizer(model.params)
     masks = model.frozen_masks()
-    order = rng.permutation(len(pairs))
     log: list[dict] = []
 
-    for b in range(num_batches):
+    for step in range(total_steps):
+        b = step % batches_per_epoch
+        if b == 0:
+            order = rng.permutation(len(pairs))
         batch = [pairs[i] for i in order[b * n : (b + 1) * n]]
-        step = step_offset + b
         lr = lr_at(step, total_steps, config.learning_rate, config.warmup_fraction)
 
-        anchor_vecs, anchor_traces = _encode_batch(model, [p.anchor_text for p in batch])
-        pos_vecs, pos_traces = _encode_batch(model, [p.positive_text for p in batch])
+        texts = [p.anchor_text for p in batch] + [p.positive_text for p in batch]
+        id_lists = [encode_ids(model.vocab, text, model.max_len) for text in texts]
+        vecs, trace = encode_with_trace(model, id_lists)
+        anchor_vecs, pos_vecs = vecs[:n], vecs[n:]
 
         if config.loss == MULTIPLE_NEGATIVES:
             loss, grad_a, grad_p = mn_loss(
@@ -291,44 +272,8 @@ def train_epoch(
                 grad_p[i] += gp / n
                 grad_p[j] += gn / n
 
-        grads = model.zero_grads()
-        for vec_grads, traces in ((grad_a, anchor_traces), (grad_p, pos_traces)):
-            for i, trace in enumerate(traces):
-                contribution = backprop(model, trace, vec_grads[i])
-                for name in grads:
-                    grads[name] += contribution[name]
-
+        grads = backprop(model, trace, np.concatenate([grad_a, grad_p]))
         adamw_step(model.params, grads, state, lr=lr, weight_decay=config.weight_decay, masks=masks)
         model.version += 1
         log.append({"step": step, "lr": lr, "loss": float(loss)})
-    return model, log
-
-
-def train(
-    model: EncoderModel, pairs: Sequence[PairExample], config: TrainConfig
-) -> tuple[EncoderModel, list[dict]]:
-    """Run ``config.epochs`` epochs with one optimizer and one lr schedule throughout."""
-    problems = config.validate()
-    if problems:
-        raise ValueError("invalid training config: " + "; ".join(problems))
-    batches_per_epoch = len(pairs) // config.batch_size
-    if batches_per_epoch < 1:
-        raise DataError(
-            f"need at least one full batch of {config.batch_size} pairs, got only {len(pairs)}"
-        )
-    total_steps = batches_per_epoch * config.epochs
-    rng = np.random.default_rng(config.seed)
-    state = init_optimizer(model.params)
-    log: list[dict] = []
-    for epoch in range(config.epochs):
-        model, epoch_log = train_epoch(
-            model,
-            pairs,
-            config,
-            state=state,
-            rng=rng,
-            step_offset=epoch * batches_per_epoch,
-            total_steps=total_steps,
-        )
-        log.extend(epoch_log)
     return model, log

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from weakpairs.encoder import EncoderModel, encode, init_model
+from weakpairs.encoder import EncoderModel, encode, encode_with_trace, init_model
 from weakpairs.textproc import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 FD_STEP = 1e-5
@@ -18,6 +18,7 @@ FD_STEP = 1e-5
 # central differences are pure roundoff noise (~1e-12), from dominating.
 REL_FLOOR = 1e-6
 KINK_MARGIN = 1e-3  # min |pre-activation| so no +-1e-5 perturbation can cross a kink
+RAGGED_PARAM_SCALE = 1.0 / 0.05  # init parameters U(-0.05, 0.05) -> U(-1, 1)
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_FLOOR) -> float:
@@ -106,3 +107,26 @@ def sample_smooth_case(rng: np.random.Generator, **model_kwargs):
 
 def scalar_objective(model: EncoderModel, ids, grad_out: np.ndarray) -> float:
     return float(np.dot(grad_out, encode(model, ids)))
+
+
+def sample_ragged_case(rng: np.random.Generator, max_batch: int = 5, **model_kwargs):
+    """A (model, id_lists, grad_out) case: 1 to ``max_batch`` sentences of 1 to max_len tokens.
+
+    Parameters are scaled up to U(-1, 1): at the init scale the relu
+    pre-activations sit near 1e-3, so a long sentence almost never clears the
+    kink margin at every position.  Cases are resampled until every row
+    does; grad_out has one row per sentence.
+    """
+    while True:
+        model = random_model(rng, **model_kwargs)
+        for arr in model.params.values():
+            arr *= RAGGED_PARAM_SCALE
+        batch = int(rng.integers(1, max_batch + 1))
+        lengths = rng.integers(1, model.max_len + 1, size=batch)
+        id_lists = [[int(t) for t in rng.integers(1, len(model.vocab), size=n)] for n in lengths]
+        if min(_min_preactivation(model, ids) for ids in id_lists) > KINK_MARGIN:
+            return model, id_lists, rng.standard_normal((batch, model.dim))
+
+
+def batch_objective(model: EncoderModel, id_lists, grad_out: np.ndarray) -> float:
+    return float(np.sum(grad_out * encode_with_trace(model, id_lists)[0]))

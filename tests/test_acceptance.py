@@ -60,8 +60,8 @@ def test_criterion_1_gradient_oracle():
     triples = 0
     while triples < 100:
         model, ids, grad_out = sample_smooth_case(rng, vocab_tokens=20)
-        _, trace = encode_with_trace(model, ids)
-        analytic = backprop(model, trace, grad_out)
+        _, trace = encode_with_trace(model, [ids])
+        analytic = backprop(model, trace, [grad_out])
         for name, param in model.params.items():
             numeric = central_diff_grad(lambda: scalar_objective(model, ids, grad_out), param)
             worst = max(worst, max_rel_error(analytic[name], numeric))

@@ -192,6 +192,11 @@ class TestBuild:
         assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "qt",
                    "--pairs-per-dataset", 10_000, "--out-dir", "built") == 2
 
+    def test_non_record_store_line_is_exit_2(self, tmp_cwd, capsys):
+        Path("records.jsonl").write_text('{"id": "1", "text": "x", "lang": "en"}\n[1, 2]\n')
+        assert run("build", "--records", "records.jsonl", "--out-dir", "built") == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_edge_dump_option(self, store):
         assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "qt",
                    "--edges-out", "edges.tsv", "--out-dir", "built") == 0
@@ -328,6 +333,21 @@ class TestSweep:
         with open("sweep/sweep_summary.csv") as handle:
             rows = list(csv.DictReader(handle))
         assert [int(r["value"]) for r in rows] == [4, 8]
+
+
+    def test_base_batch_size_is_not_checked(self, store):
+        # every point replaces --batch-size 1, so it is never used and never refused
+        self.prepare(store)
+        assert run("--seed", 11, "sweep", "--axis", "batch_size", "--values", 4, 8, "--batch-size", 1,
+                   "--pairs", "built/pairs_qt.tsv", "--benchmark", "built/bench_dq.jsonl",
+                   "--dim", 16, "--vocab-size", 500, "--out-dir", "sweep") == 0
+
+    def test_point_batch_size_one_is_usage_error(self, store, capsys):
+        self.prepare(store)
+        assert run("sweep", "--axis", "batch_size", "--values", 1, 4,
+                   "--pairs", "built/pairs_qt.tsv", "--benchmark", "built/bench_dq.jsonl",
+                   "--out-dir", "sweep") == 1
+        assert "batch_size must be >= 2" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -1,12 +1,18 @@
 """Encoder forward/backward tests, anchored by a finite-difference oracle."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcheck import (
     FD_STEP,
+    batch_objective,
     central_diff_grad,
     max_rel_error,
+    sample_ragged_case,
     sample_smooth_case,
     scalar_objective,
     toy_vocab,
@@ -113,9 +119,9 @@ class TestEncode:
     def test_normalize_zero_vector_flagged_not_inf(self):
         model = init_model(toy_vocab(4), dim=3, use_block=False, seed=0, normalize_output=True)
         model.params["embedding"][2] = 0.0  # pooled vector is exactly zero
-        vec, trace = encode_with_trace(model, [2])
-        assert trace.zero_norm
-        np.testing.assert_array_equal(vec, np.zeros(3))
+        vecs, trace = encode_with_trace(model, [[2]])
+        assert trace.norm[0, 0] == np.inf  # the zero norm, as a divisor that gives zero
+        np.testing.assert_array_equal(vecs, np.zeros((1, 3)))
 
 
 class TestTrace:
@@ -125,23 +131,24 @@ class TestTrace:
             model = init_model(toy_vocab(15), dim=4, use_block=True, seed=int(rng.integers(1e6)))
             ids = list(rng.integers(1, 17, size=5))
             plain = encode(model, ids)
-            traced, trace = encode_with_trace(model, ids)
-            np.testing.assert_array_equal(plain, traced)
-            np.testing.assert_allclose(trace.h2.mean(axis=0), trace.pooled)
+            traced, trace = encode_with_trace(model, [ids])
+            np.testing.assert_array_equal(plain, traced[0])
+            h2 = trace.h1 + trace.relu @ model.params["w_2"]
+            np.testing.assert_allclose(h2.mean(axis=1), trace.pooled)
 
     def test_stale_trace_rejected(self):
         model = init_model(toy_vocab(5), dim=3, use_block=False, seed=0)
-        _, trace = encode_with_trace(model, [2, 3])
+        _, trace = encode_with_trace(model, [[2, 3]])
         model.version += 1  # simulate a parameter update
         with pytest.raises(ValueError, match="stale trace"):
-            backprop(model, trace, np.ones(3))
+            backprop(model, trace, np.ones((1, 3)))
 
 
 class TestBackprop:
     def test_zero_grad_out_gives_zero_gradients(self):
         model = init_model(toy_vocab(8), dim=4, use_block=True, seed=5)
-        _, trace = encode_with_trace(model, [2, 3, 4])
-        grads = backprop(model, trace, np.zeros(4))
+        _, trace = encode_with_trace(model, [[2, 3, 4]])
+        grads = backprop(model, trace, np.zeros((1, 4)))
         for arr in grads.values():
             assert np.all(arr == 0.0)
 
@@ -149,24 +156,24 @@ class TestBackprop:
         # without the block, d<g, mean>/d row_t = g / n_tokens per occurrence
         model = init_model(toy_vocab(6), dim=3, use_block=False, seed=0)
         g = np.array([1.0, -2.0, 0.5])
-        _, trace = encode_with_trace(model, [4, 4, 5])
-        grads = backprop(model, trace, g)
+        _, trace = encode_with_trace(model, [[4, 4, 5]])
+        grads = backprop(model, trace, [g])
         np.testing.assert_allclose(grads["embedding"][4], 2.0 * g / 3.0)
         np.testing.assert_allclose(grads["embedding"][5], g / 3.0)
 
     def test_untouched_rows_zero_and_pad_forced_zero(self):
         model = init_model(toy_vocab(8), dim=3, use_block=False, seed=1)
-        _, trace = encode_with_trace(model, [3])
-        grads = backprop(model, trace, np.ones(3))
+        _, trace = encode_with_trace(model, [[3]])
+        grads = backprop(model, trace, np.ones((1, 3)))
         assert np.all(grads["embedding"][PAD_ID] == 0.0)
         touched = np.any(grads["embedding"] != 0.0, axis=1)
         assert list(np.nonzero(touched)[0]) == [3]
 
     def test_grad_out_shape_checked(self):
         model = init_model(toy_vocab(5), dim=3, use_block=False, seed=0)
-        _, trace = encode_with_trace(model, [2])
+        _, trace = encode_with_trace(model, [[2]])
         with pytest.raises(ValueError):
-            backprop(model, trace, np.ones(4))
+            backprop(model, trace, np.ones((1, 4)))
 
     @pytest.mark.parametrize("use_block,normalize", [(False, False), (True, False), (True, True)])
     def test_gradients_match_finite_differences(self, use_block, normalize):
@@ -175,8 +182,8 @@ class TestBackprop:
             model, ids, grad_out = sample_smooth_case(
                 rng, vocab_tokens=12, use_block=use_block, normalize_output=normalize
             )
-            _, trace = encode_with_trace(model, ids)
-            analytic = backprop(model, trace, grad_out)
+            _, trace = encode_with_trace(model, [ids])
+            analytic = backprop(model, trace, [grad_out])
             for name, param in model.params.items():
                 numeric = central_diff_grad(
                     lambda: scalar_objective(model, ids, grad_out), param, FD_STEP
@@ -186,9 +193,91 @@ class TestBackprop:
     def test_repeated_token_gradient_accumulates(self):
         model = init_model(toy_vocab(6), dim=2, use_block=False, seed=0)
         g = np.array([1.0, 1.0])
-        _, trace = encode_with_trace(model, [2, 2, 2, 2])
-        grads = backprop(model, trace, g)
+        _, trace = encode_with_trace(model, [[2, 2, 2, 2]])
+        grads = backprop(model, trace, [g])
         np.testing.assert_allclose(grads["embedding"][2], g)  # 4 occurrences of g/4
+
+
+def _single_sentence_grads(model, id_lists, grad_out):
+    """The reference: one trace and one backprop per sentence, summed."""
+    total = model.zero_grads()
+    for ids, g in zip(id_lists, grad_out):
+        _, trace = encode_with_trace(model, [ids])
+        for name, grad in backprop(model, trace, [g]).items():
+            total[name] += grad
+    return total
+
+
+@st.composite
+def ragged_batches(draw):
+    """A random model, 1-7 sentences of 1-16 ids, a (B, dim) grad_out and a row permutation."""
+    dim = draw(st.integers(2, 6))
+    model = init_model(
+        toy_vocab(20),
+        dim=dim,
+        use_block=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**31 - 1)),
+        normalize_output=draw(st.booleans()),
+        max_len=16,
+    )
+    id_lists = draw(st.lists(st.lists(st.integers(1, 21), min_size=1, max_size=16), min_size=1, max_size=7))
+    grad_out = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).standard_normal((len(id_lists), dim))
+    return model, id_lists, grad_out, draw(st.permutations(range(len(id_lists))))
+
+
+class TestBatch:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ragged_batches())
+    def test_padding_changes_no_row_and_no_gradient(self, case):
+        model, id_lists, grad_out, perm = case
+        vecs, trace = encode_with_trace(model, id_lists)
+        for row, ids in zip(vecs, id_lists):
+            np.testing.assert_allclose(row, encode(model, ids), rtol=0, atol=1e-12)
+        permuted, _ = encode_with_trace(model, [id_lists[i] for i in perm])
+        np.testing.assert_allclose(permuted, vecs[perm], rtol=0, atol=1e-12)
+        batched = backprop(model, trace, grad_out)
+        for name, reference in _single_sentence_grads(model, id_lists, grad_out).items():
+            assert np.max(np.abs(batched[name] - reference)) <= 1e-12 * max(np.max(np.abs(reference)), 1e-300), name
+
+    @pytest.mark.parametrize("use_block", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_ragged_gradients_match_finite_differences(self, use_block, normalize):
+        rng = np.random.default_rng(1000 + 2 * use_block + normalize)
+        for _ in range(4):
+            model, id_lists, grad_out = sample_ragged_case(
+                rng, vocab_tokens=12, use_block=use_block, normalize_output=normalize
+            )
+            _, trace = encode_with_trace(model, id_lists)
+            analytic = backprop(model, trace, grad_out)
+            for name, param in model.params.items():
+                numeric = central_diff_grad(lambda: batch_objective(model, id_lists, grad_out), param)
+                assert max_rel_error(analytic[name], numeric) < 1e-4, name
+
+    def test_zero_norm_row_gets_zero_gradient_and_leaves_others_alone(self):
+        model = init_model(toy_vocab(8), dim=3, use_block=False, seed=4, normalize_output=True)
+        model.params["embedding"][2] = 0.0  # sentence [2] pools to the zero vector
+        id_lists = [[3, 4, 5], [2], [6, 7]]
+        grad_out = np.random.default_rng(0).standard_normal((3, 3))
+        vecs, trace = encode_with_trace(model, id_lists)
+        np.testing.assert_array_equal(vecs[1], np.zeros(3))
+        zero_row = backprop(model, trace, grad_out * [[0.0], [1.0], [0.0]])
+        for grad in zero_row.values():
+            assert np.all(grad == 0.0)
+        others = [id_lists[0], id_lists[2]]
+        _, trace_others = encode_with_trace(model, others)
+        alone = backprop(model, trace_others, grad_out[[0, 2]])
+        together = backprop(model, trace, grad_out)
+        np.testing.assert_allclose(together["embedding"], alone["embedding"], rtol=0, atol=1e-15)
+
+    def test_embed_text_keeps_row_order_across_chunks(self):
+        vocab = build_vocab(["w%d" % i for i in range(40)], max_size=50)
+        model = init_model(vocab, dim=5, use_block=True, seed=6)
+        rng = np.random.default_rng(2)
+        texts = [" ".join(f"w{t}" for t in rng.integers(0, 40, size=rng.integers(1, 20))) for _ in range(37)]
+        vecs = embed_text(model, texts)
+        assert vecs.shape == (37, 5)
+        for text, row in zip(texts, vecs):
+            np.testing.assert_allclose(row, embed_text(model, [text])[0], rtol=0, atol=1e-12)
 
 
 class TestCheckpoint:
@@ -215,7 +304,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(
-            embed_text(model, "alpha gamma"), embed_text(loaded, "alpha gamma")
+            embed_text(model, ["alpha gamma"]), embed_text(loaded, ["alpha gamma"])
         )
 
     def test_corrupt_file_reports_format_version(self, tmp_path):
@@ -238,4 +327,45 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(DataError, match="bytes"):
+            load_checkpoint(path)
+
+    def _write_with_header(self, path, model, **changes):
+        """Save ``model``, then rewrite header fields so they no longer match the payload."""
+        save_checkpoint(model, path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header.update(changes)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+    def test_vocab_longer_than_embedding_rejected(self, tmp_path):
+        vocab = build_vocab(["alpha beta"], max_size=10)
+        model = init_model(vocab, dim=4, use_block=False, seed=0)
+        path = tmp_path / "model.ckpt"
+        self._write_with_header(path, model, vocab={"tokens": vocab.tokens + ["extra"], "max_size": 10})
+        with pytest.raises(DataError, match="vocab of 5 tokens"):
+            load_checkpoint(path)
+
+    def test_block_checkpoint_without_w_q_rejected(self, tmp_path):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)
+        del model.params["w_q"]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(DataError, match="use_block True"):
+            load_checkpoint(path)
+
+    def test_block_params_in_blockless_checkpoint_rejected(self, tmp_path):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)
+        path = tmp_path / "model.ckpt"
+        self._write_with_header(path, model, use_block=False)
+        with pytest.raises(DataError, match="use_block False"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["embedding", "w_q", "w_k", "w_v", "w_1", "w_2"])
+    def test_shape_not_matching_dim_rejected(self, tmp_path, name):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)
+        rows, cols = model.params[name].shape
+        model.params[name] = np.zeros((rows, cols + 1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(DataError, match="dim 4"):
             load_checkpoint(path)

@@ -259,6 +259,24 @@ class TestOnDiskFormats:
         with pytest.raises(DataError, match="line 2"):
             read_records(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            '"just a string"',
+            '{"id": null, "text": "x", "lang": "en"}',
+            '{"id": "2", "text": 7, "lang": "en"}',
+            '{"id": "2", "lang": "en"}',
+            '{"id": "2", "text": "x", "lang": "en", "reply_to": 5}',
+        ],
+        ids=["array", "string", "null-id", "int-text", "missing-text", "int-reply-to"],
+    )
+    def test_line_that_is_not_a_record_is_data_error(self, tmp_path, line):
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"id": "1", "text": "x", "lang": "en"}\n' + line + "\n")
+        with pytest.raises(DataError, match=r"store\.jsonl.*line 2"):
+            read_records(path)
+
     def test_edge_tsv_roundtrip_with_tabs_and_newlines(self, tmp_path):
         edges = [
             RelationEdge(kind=QUOTE, target_id="t", response_id="r",

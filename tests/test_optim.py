@@ -19,7 +19,6 @@ from weakpairs.optim import (
     lr_at,
     mn_loss,
     train,
-    train_epoch,
     triplet_loss,
 )
 from weakpairs.textproc import PAD_ID
@@ -307,12 +306,12 @@ class TestTrainEpoch:
         pairs = topic_pairs(5)
         model = tiny_trainable_model(pairs)
         with pytest.raises(DataError):
-            train_epoch(model, pairs, TrainConfig(batch_size=10))
+            train(model, pairs, TrainConfig(batch_size=10))
 
     def test_partial_batch_dropped(self):
         pairs = topic_pairs(25)
         model = tiny_trainable_model(pairs)
-        _, log = train_epoch(model, pairs, TrainConfig(batch_size=10, seed=1))
+        _, log = train(model, pairs, TrainConfig(batch_size=10, seed=1))
         assert len(log) == 2  # 25 // 10 batches
 
     def test_determinism_bitwise(self):
@@ -337,7 +336,7 @@ class TestTrainEpoch:
         pairs = topic_pairs(40)
         model = tiny_trainable_model(pairs)
         config = TrainConfig(loss=TRIPLET, batch_size=10, seed=0)
-        _, log = train_epoch(model, pairs, config)
+        _, log = train(model, pairs, config)
         assert len(log) == 4
         assert log[0]["lr"] == 0.0  # warm-up starts at zero
         assert all(entry["loss"] >= 0.0 for entry in log)
@@ -346,14 +345,14 @@ class TestTrainEpoch:
         pairs = topic_pairs(20)
         model = tiny_trainable_model(pairs)
         before = model.params["embedding"][PAD_ID].copy()
-        train_epoch(model, pairs, TrainConfig(batch_size=10, weight_decay=0.1))
+        train(model, pairs, TrainConfig(batch_size=10, weight_decay=0.1))
         np.testing.assert_array_equal(model.params["embedding"][PAD_ID], before)
 
     def test_parameters_finite_after_every_update(self):
         pairs = topic_pairs(60)
         model = tiny_trainable_model(pairs)
         config = TrainConfig(batch_size=10, learning_rate=0.5, seed=2)  # aggressive lr
-        model, _ = train_epoch(model, pairs, config)
+        model, _ = train(model, pairs, config)
         for name, arr in model.params.items():
             assert np.all(np.isfinite(arr)), name
 
@@ -361,7 +360,7 @@ class TestTrainEpoch:
         pairs = topic_pairs(30)
         model = tiny_trainable_model(pairs)
         assert model.version == 0
-        train_epoch(model, pairs, TrainConfig(batch_size=10))
+        train(model, pairs, TrainConfig(batch_size=10))
         assert model.version == 3
 
     def test_multi_epoch_schedule_spans_all_steps(self):
