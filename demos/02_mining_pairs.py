@@ -9,7 +9,7 @@ Run: python demos/02_mining_pairs.py
 import tempfile
 from pathlib import Path
 
-from weakpairs import build_benchmark, build_co_pairs, build_pairs, exclude_ids
+from weakpairs import build_benchmark, build_co_pairs, build_pairs, clean_edges, exclude_ids
 from weakpairs.ingest import extract_relations, index_records, join_reply_targets, parse_stream_file
 from weakpairs.synth import generate_records, write_store
 
@@ -31,6 +31,10 @@ print(f"parsed {stats.parsed} records ({stats.malformed} malformed, "
 edges = extract_relations(records)
 edges, dropped = join_reply_targets(edges, index_records(records))
 print(f"{len(edges)} relation edges ({dropped} replies pointed outside the stream)")
+
+# each text is cleaned once; edges whose response is under 20 characters go
+edges, short = clean_edges(edges)
+print(f"{len(edges)} edges after cleaning ({short} responses too short)")
 
 # 3. the held-out benchmark comes first: 5 positives + 25 negatives per query
 bench = build_benchmark(edges, "dq", num_queries=3, seed=7)

@@ -16,6 +16,7 @@ from weakpairs import (
     build_benchmark,
     build_pairs,
     build_vocab,
+    clean_edges,
     eval_ranking,
     init_model,
     permutation_ndcg_baseline,
@@ -34,7 +35,7 @@ write_store(generate_records(topics=40, pairs_per_topic=50, vocab_size=600,
                              noise=0.3, seed=1), train_store)
 records, _ = parse_stream_file(train_store, "en")
 edges, _ = join_reply_targets(extract_relations(records), index_records(records))
-pairs = build_pairs(edges, "qt", seed=1)
+pairs = build_pairs(clean_edges(edges)[0], "qt", seed=1)
 
 # evaluation stream: an independent generation, so its tweets are held out
 # of training by construction; hub targets make benchmark queries possible
@@ -43,7 +44,7 @@ write_store(generate_records(topics=40, pairs_per_topic=50, vocab_size=600,
                              noise=0.3, seed=2, responses_per_target=5), eval_store)
 eval_records, _ = parse_stream_file(eval_store, "en")
 eval_edges, _ = join_reply_targets(extract_relations(eval_records), index_records(eval_records))
-bench = build_benchmark(eval_edges, "dq", num_queries=150, seed=2)
+bench = build_benchmark(clean_edges(eval_edges)[0], "dq", num_queries=150, seed=2)
 
 print(f"{len(pairs)} training pairs, {len(bench.queries)} benchmark queries")
 

@@ -13,6 +13,7 @@ from .corpus import (
     build_benchmark,
     build_co_pairs,
     build_pairs,
+    clean_edges,
     exclude_ids,
     sample_corpus,
 )

@@ -26,6 +26,7 @@ from . import evaluate as eval_mod
 from . import ingest as ingest_mod
 from . import optim as optim_mod
 from . import synth as synth_mod
+from .atomic import atomic_write
 from .errors import DataError, NumericError, UsageError
 from .textproc import build_vocab
 
@@ -58,6 +59,11 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_json(path: Path, obj) -> None:
+    with atomic_write(path, encoding="utf-8") as handle:
+        handle.write(json.dumps(obj, indent=2) + "\n")
+
+
 def write_manifest(
     directory: Path,
     subcommand: str,
@@ -77,7 +83,7 @@ def write_manifest(
         "created": datetime.now(timezone.utc).isoformat(),
     }
     path = directory / f"manifest_{subcommand}.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, manifest)
     return path
 
 
@@ -223,7 +229,7 @@ def cmd_ingest(args) -> int:
         "records_kept": len(records),
     }
     stats_path = out.with_suffix(out.suffix + ".stats.json")
-    stats_path.write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+    _write_json(stats_path, stats)
     write_manifest(
         out.parent,
         "ingest",
@@ -240,10 +246,15 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_build(args) -> int:
-    records = ingest_mod.read_records(args.records)
+def _joined_edges(records_path: str) -> tuple[list[ingest_mod.RelationEdge], int]:
+    """Relation edges of a record store, reply targets joined; the records are not kept."""
+    records = ingest_mod.read_records(records_path)
     edges = ingest_mod.extract_relations(records)
-    edges, dropped_replies = ingest_mod.join_reply_targets(edges, ingest_mod.index_records(records))
+    return ingest_mod.join_reply_targets(edges, ingest_mod.index_records(records))
+
+
+def cmd_build(args) -> int:
+    edges, dropped_replies = _joined_edges(args.records)
 
     datasets = list(corpus_mod.PAIR_DATASETS) if args.dataset == "all" else [args.dataset]
     out_dir = Path(args.out_dir)
@@ -256,6 +267,8 @@ def cmd_build(args) -> int:
         edges_path.parent.mkdir(parents=True, exist_ok=True)
         counts["edges_written"] = ingest_mod.write_edges(edges, edges_path)
         outputs.append(edges_path)
+    # every builder reads these cleaned edges, so each text is cleaned once per build
+    edges, counts["dropped_short_text"] = corpus_mod.clean_edges(edges)
 
     banned: set[str] = set()
     if args.bench_queries > 0:
@@ -299,7 +312,7 @@ def cmd_build(args) -> int:
         counts["all_written"] = len(all_pairs)
 
     counts_path = out_dir / "build_counts.json"
-    counts_path.write_text(json.dumps(counts, indent=2) + "\n", encoding="utf-8")
+    _write_json(counts_path, counts)
     outputs.append(counts_path)
     write_manifest(
         out_dir,
@@ -327,7 +340,7 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     encoder_mod.save_checkpoint(model, out)
     log_path = out.with_suffix(out.suffix + ".log.jsonl")
-    with open(log_path, "w", encoding="utf-8") as handle:
+    with atomic_write(log_path, encoding="utf-8") as handle:
         for entry in log:
             handle.write(json.dumps(entry) + "\n")
     write_manifest(
@@ -467,7 +480,7 @@ def cmd_sweep(args) -> int:
         results.append({"axis": args.axis, "value": value, "ndcg": ndcg_value, "final_loss": final_loss})
 
     summary_path = out_dir / "sweep_summary.csv"
-    with open(summary_path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_write(summary_path, newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=["axis", "value", "ndcg", "final_loss"])
         writer.writeheader()
         writer.writerows(results)

@@ -14,8 +14,9 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from .atomic import atomic_write
 from .errors import DataError
 from .ingest import QUOTE, REPLY, RelationEdge, escape_field, unescape_field
 from .textproc import clean
@@ -72,32 +73,58 @@ class RankingBenchmark:
         return ids
 
 
-def _valid_cleaned(text: str | None) -> str | None:
-    if not text:
-        return None
-    cleaned = clean(text)
-    return cleaned if len(cleaned) >= MIN_CHARS else None
+def clean_edges(edges: Iterable[RelationEdge]) -> tuple[list[RelationEdge], int]:
+    """Clean every edge text once and apply the minimum length; return (edges, dropped).
+
+    Each distinct text goes through ``clean`` exactly once, however many edges
+    share it.  A target text that cleans to under ``MIN_CHARS`` characters
+    becomes ``None``; an edge whose response does is dropped and counted.
+    The builders below expect edges cleaned here.
+    """
+    memo: dict[str, str | None] = {}
+
+    def valid(text: str) -> str | None:
+        if text not in memo:
+            cleaned = clean(text)
+            memo[text] = cleaned if len(cleaned) >= MIN_CHARS else None
+        return memo[text]
+
+    kept: list[RelationEdge] = []
+    dropped = 0
+    for edge in edges:
+        response = valid(edge.response_text)
+        if response is None:
+            dropped += 1
+            continue
+        kept.append(
+            RelationEdge(
+                kind=edge.kind,
+                target_id=edge.target_id,
+                response_id=edge.response_id,
+                target_text=valid(edge.target_text) if edge.target_text else None,
+                response_text=response,
+            )
+        )
+    return kept, dropped
 
 
 def build_pairs(edges: Iterable[RelationEdge], kind: str, seed: int) -> list[PairExample]:
     """Build direct pairs (anchor = target text, positive = response text).
 
-    Texts are cleaned first and pairs with either side shorter than 20
-    characters are dropped.  When several responses survive for one target,
-    exactly one is chosen uniformly at random under the seed.
+    ``edges`` come from ``clean_edges``; targets whose text it dropped yield
+    no pair.  When several responses remain for one target, exactly one is
+    chosen uniformly at random under the seed.
     """
     if kind not in ("qt", "rp"):
         raise ValueError(f"kind must be 'qt' or 'rp', got {kind!r}")
     relation = _RELATION_FOR[kind]
     by_target: dict[str, list[tuple[str, str, str]]] = {}
     for edge in edges:
-        if edge.kind != relation:
+        if edge.kind != relation or edge.target_text is None:
             continue
-        anchor = _valid_cleaned(edge.target_text)
-        positive = _valid_cleaned(edge.response_text)
-        if anchor is None or positive is None:
-            continue
-        by_target.setdefault(edge.target_id, []).append((edge.response_id, anchor, positive))
+        by_target.setdefault(edge.target_id, []).append(
+            (edge.response_id, edge.target_text, edge.response_text)
+        )
     rng = random.Random(seed)
     pairs = []
     for target_id in sorted(by_target):
@@ -118,8 +145,9 @@ def build_pairs(edges: Iterable[RelationEdge], kind: str, seed: int) -> list[Pai
 def build_co_pairs(edges: Iterable[RelationEdge], kind: str, seed: int) -> list[PairExample]:
     """Build co-response pairs: two distinct responses to the same target.
 
-    Only targets with at least two surviving responses yield a pair, and each
-    target yields exactly one; anchor/positive order is the draw order.
+    ``edges`` come from ``clean_edges``.  Only targets with at least two
+    responses yield a pair, and each target yields exactly one;
+    anchor/positive order is the draw order.
     """
     if kind not in ("coqt", "corp"):
         raise ValueError(f"kind must be 'coqt' or 'corp', got {kind!r}")
@@ -128,10 +156,7 @@ def build_co_pairs(edges: Iterable[RelationEdge], kind: str, seed: int) -> list[
     for edge in edges:
         if edge.kind != relation:
             continue
-        text = _valid_cleaned(edge.response_text)
-        if text is None:
-            continue
-        by_target.setdefault(edge.target_id, {}).setdefault(edge.response_id, text)
+        by_target.setdefault(edge.target_id, {}).setdefault(edge.response_id, edge.response_text)
     rng = random.Random(seed)
     pairs = []
     for target_id in sorted(by_target):
@@ -168,20 +193,15 @@ def exclude_ids(pairs: Iterable[PairExample], banned: set[str]) -> list[PairExam
 def _response_pools(
     edges: Iterable[RelationEdge], relation: str, banned: set[str]
 ) -> tuple[dict[str, list[tuple[str, str]]], dict[str, str]]:
-    """Per-target response candidates (text-deduplicated) plus cleaned target texts."""
+    """Per-target response candidates (text-deduplicated) plus target texts."""
     raw: dict[str, dict[str, str]] = {}
     target_texts: dict[str, str] = {}
     for edge in edges:
         if edge.kind != relation or edge.response_id in banned:
             continue
-        text = _valid_cleaned(edge.response_text)
-        if text is None:
-            continue
-        raw.setdefault(edge.target_id, {}).setdefault(edge.response_id, text)
-        if edge.target_id not in target_texts:
-            anchor = _valid_cleaned(edge.target_text)
-            if anchor is not None:
-                target_texts[edge.target_id] = anchor
+        raw.setdefault(edge.target_id, {}).setdefault(edge.response_id, edge.response_text)
+        if edge.target_id not in target_texts and edge.target_text is not None:
+            target_texts[edge.target_id] = edge.target_text
     pools: dict[str, list[tuple[str, str]]] = {}
     for target_id, responses in raw.items():
         seen_texts: set[str] = set()
@@ -192,6 +212,20 @@ def _response_pools(
                 unique.append((response_id, text))
         pools[target_id] = unique
     return pools, target_texts
+
+
+def _untried_indices(rng: random.Random, n: int) -> Iterator[int]:
+    """Indices 0..n-1 in random order: uniform draws, skipping any already tried.
+
+    A consumer that stops early pays only for the draws it took; one that
+    does not stops once every index has been tried.
+    """
+    tried: set[int] = set()
+    while len(tried) < n:
+        index = rng.randrange(n)
+        if index not in tried:
+            tried.add(index)
+            yield index
 
 
 def build_benchmark(
@@ -206,9 +240,11 @@ def build_benchmark(
     For ``dq``/``dr`` the query is a target tweet and positives are its own
     responses; for ``cq``/``cr`` the query is itself a response and positives
     are five co-responses of the same target.  Negatives always come from
-    responses of other targets.  Within one query no candidate text repeats
-    and no negative duplicates the query text.  Ids listed in ``banned``
-    (e.g. from previously built benchmarks) never appear.
+    responses of other targets, drawn one index at a time from the whole
+    pool, so a query costs the candidates it examines, not the pool size.
+    Within one query no candidate text repeats and no negative duplicates the
+    query text.  Ids listed in ``banned`` (e.g. from previously built
+    benchmarks) never appear.  ``edges`` come from ``clean_edges``.
     """
     if name not in BENCHMARK_NAMES:
         raise ValueError(f"benchmark name must be one of {BENCHMARK_NAMES}, got {name!r}")
@@ -254,13 +290,14 @@ def build_benchmark(
 
         used_texts = {text for _, text in positives} | {query_text}
         negatives: list[tuple[str, str]] = []
-        for cand_target, cand_id, cand_text in rng.sample(all_candidates, len(all_candidates)):
-            if len(negatives) == NEGATIVES_PER_QUERY:
-                break
+        for index in _untried_indices(rng, len(all_candidates)):
+            cand_target, cand_id, cand_text = all_candidates[index]
             if cand_target == target_id or cand_text in used_texts:
                 continue
             negatives.append((cand_id, cand_text))
             used_texts.add(cand_text)
+            if len(negatives) == NEGATIVES_PER_QUERY:
+                break
         if len(negatives) < NEGATIVES_PER_QUERY:
             raise DataError(
                 f"benchmark {name}: query target {target_id} found only "
@@ -286,7 +323,7 @@ def build_benchmark(
 def write_pairs(pairs: Iterable[PairExample], path: str | Path) -> int:
     """Pair file: TSV of anchor_id, positive_id, dataset, anchor_text, positive_text."""
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path, encoding="utf-8") as handle:
         for pair in pairs:
             row = (
                 pair.anchor_id,
@@ -325,7 +362,7 @@ def read_pairs(path: str | Path) -> list[PairExample]:
 
 def write_benchmark(bench: RankingBenchmark, path: str | Path) -> int:
     """Benchmark file: JSON-lines, one query object per line."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path, encoding="utf-8") as handle:
         for query in bench.queries:
             obj = {
                 "query": query.query_text,

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError
 from .textproc import PAD_ID, Vocabulary, clean, encode_ids
 
@@ -36,12 +37,6 @@ class EncoderModel:
     max_len: int
     params: dict[str, np.ndarray]
     version: int = 0
-
-    def frozen_masks(self) -> dict[str, np.ndarray]:
-        """Trainability masks per parameter; the PAD embedding row is frozen."""
-        mask = np.ones_like(self.params["embedding"], dtype=bool)
-        mask[PAD_ID, :] = False
-        return {"embedding": mask}
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}
@@ -270,7 +265,7 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
         "vocab": {"tokens": model.vocab.tokens, "max_size": model.vocab.max_size},
         "params": [{"name": name, "shape": list(arr.shape)} for name, arr in model.params.items()],
     }
-    with open(path, "wb") as handle:
+    with atomic_write(path, "wb") as handle:
         handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         handle.write(b"\n")
         for arr in model.params.values():

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .corpus import RankingBenchmark
 from .encoder import EncoderModel, embed_text
 from .errors import DataError, NumericError
@@ -53,7 +54,8 @@ class EvalReport:
         )
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        with atomic_write(path, encoding="utf-8") as handle:
+            handle.write(self.to_json() + "\n")
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> np.ndarray:

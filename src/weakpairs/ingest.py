@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .atomic import atomic_write
 from .errors import DataError
 
 QUOTE = "quote"
@@ -254,7 +255,7 @@ def unescape_field(value: str) -> str:
 def write_records(records: Iterable[TweetRecord], path: str | Path) -> int:
     """Write the intermediate record store: JSON-lines with exactly the six record fields."""
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path, encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(asdict(record), ensure_ascii=False) + "\n")
             count += 1
@@ -286,7 +287,7 @@ def read_records(path: str | Path) -> list[TweetRecord]:
 def write_edges(edges: Iterable[RelationEdge], path: str | Path) -> int:
     """Dump edges as TSV: kind, target_id, response_id, target_text, response_text."""
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path, encoding="utf-8") as handle:
         for edge in edges:
             row = (
                 edge.kind,

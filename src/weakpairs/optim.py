@@ -18,13 +18,15 @@ import numpy as np
 from .corpus import PairExample
 from .encoder import EncoderModel, backprop, encode_with_trace
 from .errors import DataError, NumericError
-from .textproc import encode_ids
+from .textproc import PAD_ID, encode_ids
 
 TRIPLET = "triplet"
 MULTIPLE_NEGATIVES = "multiple_negatives"
 LOSS_NAMES = (TRIPLET, MULTIPLE_NEGATIVES)
 
 SIMILARITY_MODES = ("cosine", "dot")
+
+ADAMW_BLOCK_ROWS = 512  # rows per AdamW block; see CHANGES.md for the measurement
 
 
 @dataclass
@@ -173,12 +175,15 @@ def adamw_step(
     state: OptimizerState,
     lr: float,
     weight_decay: float = 0.0,
-    masks: dict[str, np.ndarray] | None = None,
 ) -> OptimizerState:
     """One AdamW update in place: bias-corrected moments plus decoupled decay.
 
-    ``masks`` marks trainable entries per parameter (missing = all trainable);
-    masked-off entries, like the PAD embedding row, are left untouched.
+    Every entry of ``params`` trains; pass views to leave rows out (``train``
+    leaves out the PAD embedding row).  The update runs over blocks of
+    ``ADAMW_BLOCK_ROWS`` leading-axis rows with two block-sized scratch
+    buffers, so no full-size temporary is made; each entry sees the same
+    operations in the same order as an unblocked update, so results are
+    bitwise equal to it.
     """
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
@@ -187,20 +192,38 @@ def adamw_step(
     t = state.step
     bias1 = 1.0 - state.beta1**t
     bias2 = 1.0 - state.beta2**t
+    decay = lr * weight_decay
     for name, param in params.items():
-        grad = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(grad)
-        update = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-        update += lr * weight_decay * param
-        if masks is not None and name in masks:
-            update = np.where(masks[name], update, 0.0)
-        param -= update
+        grad, m, v = grads[name], state.m[name], state.v[name]
+        scratch_a = np.empty_like(param[:ADAMW_BLOCK_ROWS])
+        scratch_b = np.empty_like(scratch_a)
+        for start in range(0, len(param), ADAMW_BLOCK_ROWS):
+            rows = slice(start, start + ADAMW_BLOCK_ROWS)
+            p, g, mb, vb = param[rows], grad[rows], m[rows], v[rows]
+            a, b = scratch_a[: len(p)], scratch_b[: len(p)]
+            mb *= state.beta1
+            np.multiply(g, 1.0 - state.beta1, out=a)
+            mb += a
+            vb *= state.beta2
+            np.square(g, out=a)
+            a *= 1.0 - state.beta2
+            vb += a
+            # lr * (m / bias1) / (sqrt(v / bias2) + eps) + lr * weight_decay * param
+            np.divide(mb, bias1, out=a)
+            a *= lr
+            np.divide(vb, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            a /= b
+            np.multiply(p, decay, out=b)
+            a += b
+            p -= a
     return state
+
+
+def _without_pad_row(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of the arrays without the PAD embedding row, which stays frozen."""
+    return {name: arr[PAD_ID + 1 :] if name == "embedding" else arr for name, arr in arrays.items()}
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 0.10) -> float:
@@ -237,8 +260,8 @@ def train(
         raise DataError(f"need at least one full batch of {n} pairs, got only {len(pairs)}")
     total_steps = batches_per_epoch * config.epochs
     rng = np.random.default_rng(config.seed)
-    state = init_optimizer(model.params)
-    masks = model.frozen_masks()
+    trainable = _without_pad_row(model.params)
+    state = init_optimizer(trainable)
     log: list[dict] = []
 
     for step in range(total_steps):
@@ -273,7 +296,7 @@ def train(
                 grad_p[j] += gn / n
 
         grads = backprop(model, trace, np.concatenate([grad_a, grad_p]))
-        adamw_step(model.params, grads, state, lr=lr, weight_decay=config.weight_decay, masks=masks)
+        adamw_step(trainable, _without_pad_row(grads), state, lr=lr, weight_decay=config.weight_decay)
         model.version += 1
         log.append({"step": step, "lr": lr, "loss": float(loss)})
     return model, log

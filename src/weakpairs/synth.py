@@ -17,6 +17,7 @@ import json
 import random
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import UsageError
 
 TEXT_MIN_TOKENS = 6
@@ -124,7 +125,7 @@ def generate_records(
 
 
 def write_store(records: list[dict], path: str | Path) -> int:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path, encoding="utf-8") as handle:
         for obj in records:
             handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
     return len(records)

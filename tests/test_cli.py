@@ -156,14 +156,39 @@ class TestSynthIngest:
 
 class TestBuild:
     def test_all_builds_four_corpora_and_benchmarks(self, store):
+        # the sample size is what the smallest corpus holds after the benchmark ban
         assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",
-                   "--bench-queries", 2, "--pairs-per-dataset", 4, "--out-dir", "built") == 0
+                   "--bench-queries", 2, "--out-dir", "full") == 0
+        full = json.loads(Path("full/build_counts.json").read_text())
+        size = min(full[f"{name}_available"] for name in ("qt", "rp", "coqt", "corp"))
+        assert size >= 1
+        assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",
+                   "--bench-queries", 2, "--pairs-per-dataset", size, "--out-dir", "built") == 0
         for name in ("qt", "rp", "coqt", "corp"):
             assert Path(f"built/pairs_{name}.tsv").exists()
         for name in ("dq", "dr", "cq", "cr"):
             assert Path(f"built/bench_{name}.jsonl").exists()
         counts = json.loads(Path("built/build_counts.json").read_text())
-        assert counts["all_written"] == 4 * 4  # concatenation after per-dataset sampling
+        assert counts["all_written"] == 4 * size  # concatenation after per-dataset sampling
+
+    def test_counts_short_text_drops(self, tmp_cwd):
+        def record(tweet_id, text, reply_to=None, quoted_id=None, quoted_text=None):
+            return {"id": tweet_id, "text": text, "lang": "en", "reply_to": reply_to,
+                    "quoted_id": quoted_id, "quoted_text": quoted_text}
+
+        records = [record(f"t{i}", f"target tweet number {i} with words") for i in range(3)]
+        records += [record(f"r{i}", f"a long enough reply number {i}", reply_to=f"t{i % 3}")
+                    for i in range(4)]
+        records += [record("s1", "ok", reply_to="t0"),
+                    record("s2", "@someone https://t.co/x hi", reply_to="t1")]
+        records += [record("q1", "lol", quoted_id="x1", quoted_text="a quoted tweet long enough")]
+        records += [record("q2", "a quote long enough to keep", quoted_id="x2", quoted_text="tiny")]
+        Path("records.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run("build", "--records", "records.jsonl", "--out-dir", "built") == 0
+        counts = json.loads(Path("built/build_counts.json").read_text())
+        assert counts["dropped_short_text"] == 3  # s1, s2 and q1; q2 only loses its target text
+        assert counts["rp_available"] == 3
+        assert counts["qt_available"] == 0
 
     def test_benchmark_ids_disjoint_from_training_ids(self, store):
         run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",

@@ -4,13 +4,20 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import weakpairs.corpus as corpus_mod
 from conftest import make_edge
+from weakpairs.cli import main
 from weakpairs.corpus import (
+    MIN_CHARS,
+    NEGATIVES_PER_QUERY,
     PairExample,
     build_benchmark,
     build_co_pairs,
     build_pairs,
+    clean_edges,
     exclude_ids,
     read_benchmark,
     read_pairs,
@@ -19,7 +26,15 @@ from weakpairs.corpus import (
     write_pairs,
 )
 from weakpairs.errors import DataError
-from weakpairs.ingest import QUOTE, REPLY
+from weakpairs.ingest import (
+    QUOTE,
+    REPLY,
+    RelationEdge,
+    extract_relations,
+    index_records,
+    join_reply_targets,
+    read_records,
+)
 
 
 def quote_edges_for_targets(multiplicities: dict[str, int], words=None):
@@ -29,6 +44,60 @@ def quote_edges_for_targets(multiplicities: dict[str, int], words=None):
         for i in range(count):
             edges.append(make_edge(QUOTE, target, f"{target}resp{i}", response_words=words))
     return edges
+
+
+@pytest.fixture
+def clean_calls(monkeypatch):
+    """Counts the texts passed to ``corpus.clean``, the name ``clean_edges`` calls."""
+    calls = Counter()
+    real_clean = corpus_mod.clean
+
+    def counting_clean(text):
+        calls[text] += 1
+        return real_clean(text)
+
+    monkeypatch.setattr(corpus_mod, "clean", counting_clean)
+    return calls
+
+
+class TestCleanEdges:
+    def test_texts_cleaned_and_short_ones_handled(self):
+        edges = [
+            RelationEdge(QUOTE, "t1", "r1", "Quoted TEXT  https://t.co/x long enough",
+                         "A Response @someone of length"),
+            RelationEdge(QUOTE, "t2", "r2", "@who tiny", "another response long enough"),
+            RelationEdge(REPLY, "t3", "r3", "a target text long enough here", "@so short https://x.y"),
+            RelationEdge(REPLY, "t4", "r4", None, "reply with no target text yet"),
+        ]
+        cleaned, dropped = clean_edges(edges)
+        assert dropped == 1
+        assert [(e.target_id, e.target_text, e.response_text) for e in cleaned] == [
+            ("t1", "quoted text long enough", "a response of length"),
+            ("t2", None, "another response long enough"),
+            ("t4", None, "reply with no target text yet"),
+        ]
+        assert all(len(e.response_text) >= MIN_CHARS for e in cleaned)
+
+    def test_each_distinct_text_cleaned_once(self, clean_calls):
+        edges = [make_edge(QUOTE, "t1", f"r{i}") for i in range(4)]
+        shared = ("the same reply text each time",)
+        edges += [make_edge(REPLY, "t2", f"s{i}", response_words=shared) for i in range(3)]
+        edges += [make_edge(QUOTE, "t3", "r9", target_words=shared)]
+        clean_edges(edges)
+        distinct = {e.target_text for e in edges} | {e.response_text for e in edges}
+        assert clean_calls == Counter({text: 1 for text in distinct})
+
+    def test_full_build_cleans_each_distinct_text_once(self, tmp_cwd, clean_calls):
+        assert main(["--seed", "11", "synth", "--topics", "10", "--pairs-per-topic", "32",
+                     "--vocab-size", "260", "--noise", "0.2", "--responses-per-target", "8",
+                     "--out", "store.jsonl"]) == 0
+        assert main(["--seed", "11", "ingest", "--inputs", "store.jsonl", "--out", "records.jsonl"]) == 0
+        assert main(["--seed", "11", "build", "--records", "records.jsonl", "--dataset", "all",
+                     "--bench-queries", "2", "--out-dir", "built"]) == 0
+        records = read_records("records.jsonl")
+        edges, _ = join_reply_targets(extract_relations(records), index_records(records))
+        distinct = {e.response_text for e in edges} | {e.target_text for e in edges if e.target_text}
+        assert clean_calls == Counter({text: 1 for text in distinct})
 
 
 class TestBuildPairs:
@@ -49,14 +118,14 @@ class TestBuildPairs:
 
     def test_short_cleaned_target_filters_whole_target(self):
         edge = make_edge(QUOTE, "t1", "r1", target_words=("tiny",))
-        assert build_pairs([edge], "qt", seed=0) == []
+        assert build_pairs(clean_edges([edge])[0], "qt", seed=0) == []
 
     def test_short_cleaned_response_drops_that_edge_only(self):
         edges = [
             make_edge(QUOTE, "t1", "r1", response_words=("ok",)),
             make_edge(QUOTE, "t1", "r2"),
         ]
-        pairs = build_pairs(edges, "qt", seed=0)
+        pairs = build_pairs(clean_edges(edges)[0], "qt", seed=0)
         assert len(pairs) == 1
         assert pairs[0].positive_id == "r2"
 
@@ -66,7 +135,7 @@ class TestBuildPairs:
             QUOTE, "t1", "r1",
             target_words=("@mentionLongName", "https://t.co/abcdef", "hi"),
         )
-        assert build_pairs([edge], "qt", seed=0) == []
+        assert build_pairs(clean_edges([edge])[0], "qt", seed=0) == []
 
     def test_hundred_edges_forty_targets(self):
         rng = random.Random(5)
@@ -268,6 +337,66 @@ class TestBuildBenchmark:
         b2 = build_benchmark(edges, "dq", num_queries=3, seed=5)
         assert [q.query_text for q in b1.queries] == [q.query_text for q in b2.queries]
         assert [q.negatives for q in b1.queries] == [q.negatives for q in b2.queries]
+
+
+class TestNegativeDraw:
+    def test_pool_with_exactly_25_acceptable_negatives_yields_all(self):
+        edges = benchmark_fixture_edges(num_targets=6, responses_each=5)
+        bench = build_benchmark(edges, "dq", num_queries=6, seed=4)
+        for query in bench.queries:
+            target_tag = query.query_text.split()[-1].replace("number", "target")
+            others = {e.response_text for e in edges if target_tag not in e.response_text}
+            assert len(others) == NEGATIVES_PER_QUERY
+            assert set(query.negatives) == others
+
+    def test_pool_with_24_acceptable_negatives_raises(self):
+        # t00 has 5 responses and is the only eligible target; t01..t06 hold 24
+        edges = benchmark_fixture_edges(num_targets=1, responses_each=5)
+        edges += benchmark_fixture_edges(num_targets=7, responses_each=4)
+        with pytest.raises(DataError, match="found only 24 of 25 negatives"):
+            build_benchmark(edges, "dq", num_queries=1, seed=0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_negatives_are_valid_under_random_pools(self, data):
+        phrases = [f"candidate phrase number {k:03d}" for k in range(100)]
+        kind = data.draw(st.sampled_from([QUOTE, REPLY]))
+        edges = []
+        for t in range(data.draw(st.integers(2, 12))):
+            target_text = data.draw(st.sampled_from(phrases))
+            for r in range(data.draw(st.integers(1, 10))):
+                response_text = data.draw(st.sampled_from(phrases))
+                edges.append(RelationEdge(kind, f"T{t}", f"T{t}R{r}", target_text, response_text))
+        all_ids = sorted({e.target_id for e in edges} | {e.response_id for e in edges})
+        banned = data.draw(st.sets(st.sampled_from(all_ids), max_size=6))
+        name = data.draw(st.sampled_from(["dq", "cq"] if kind == QUOTE else ["dr", "cr"]))
+        num_queries = data.draw(st.integers(1, 3))
+        seed = data.draw(st.integers(0, 2**32))
+        edges, _ = clean_edges(edges)
+        try:
+            bench = build_benchmark(edges, name, num_queries=num_queries, seed=seed, banned=banned)
+        except DataError:
+            return
+        target_of = {e.response_id: e.target_id for e in edges}
+        text_of = {e.response_id: e.response_text for e in edges}
+        co_style = name in ("cq", "cr")
+        for query in bench.queries:
+            ids = query.involved_ids
+            assert not ids & banned
+            assert len(set(query.negatives)) == NEGATIVES_PER_QUERY
+            assert not set(query.negatives) & (set(query.positives) | {query.query_text})
+            if co_style:
+                [query_id] = [i for i in ids if text_of[i] == query.query_text]
+                target = target_of[query_id]
+            else:
+                [target] = [i for i in ids if i not in target_of]
+            own = {i for i in ids if target_of.get(i) == target}
+            others = ids - own - {target}
+            assert len(own) == len(query.positives) + co_style  # no negative from the query's target
+            assert len(ids) == 1 + len(query.positives) + NEGATIVES_PER_QUERY
+            assert {text_of[i] for i in others} == set(query.negatives)
+        again = build_benchmark(edges, name, num_queries=num_queries, seed=seed, banned=banned)
+        assert again == bench
 
 
 class TestCorpusProperties:

@@ -10,6 +10,7 @@ from weakpairs.corpus import PairExample
 from weakpairs.encoder import init_model
 from weakpairs.errors import DataError, NumericError
 from weakpairs.optim import (
+    ADAMW_BLOCK_ROWS,
     MULTIPLE_NEGATIVES,
     TRIPLET,
     OptimizerState,
@@ -188,6 +189,22 @@ class TestMnLoss:
             mn_loss(np.ones((2, 3)), np.ones((3, 3)))
 
 
+def unblocked_adamw_step(params, grads, state, lr, weight_decay):
+    """Reference AdamW: whole-array expressions, no blocks, no scratch buffers."""
+    state.step += 1
+    bias1 = 1.0 - state.beta1**state.step
+    bias2 = 1.0 - state.beta2**state.step
+    for name, param in params.items():
+        grad, m, v = grads[name], state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * grad
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(grad)
+        update = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        update += lr * weight_decay * param
+        param -= update
+
+
 class TestAdamW:
     def test_zero_grads_no_decay_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
@@ -214,17 +231,39 @@ class TestAdamW:
         with pytest.raises(NumericError):
             adamw_step(params, {"w": np.array([1.0, np.nan])}, state, lr=0.1)
 
-    def test_mask_freezes_entries(self):
-        params = {"emb": np.ones((3, 2))}
+    def test_nan_gradient_changes_nothing(self):
+        params = {"a": np.ones(3), "b": np.ones(2)}
         state = init_optimizer(params)
-        mask = np.ones((3, 2), dtype=bool)
-        mask[0] = False
-        adamw_step(
-            params, {"emb": np.ones((3, 2))}, state, lr=0.1, weight_decay=0.3,
-            masks={"emb": mask},
-        )
-        np.testing.assert_array_equal(params["emb"][0], [1.0, 1.0])
-        assert np.all(params["emb"][1:] != 1.0)
+        with pytest.raises(NumericError, match="'b'"):
+            adamw_step(params, {"a": np.ones(3), "b": np.array([1.0, np.inf])}, state, lr=0.1)
+        assert state.step == 0
+        for name in params:
+            np.testing.assert_array_equal(params[name], 1.0)
+            np.testing.assert_array_equal(state.m[name], 0.0)
+
+    def test_mask_freezes_entries(self):
+        # a row is frozen by passing views without it, as train does for PAD
+        emb = np.ones((3, 2))
+        trainable = {"emb": emb[1:]}
+        state = init_optimizer(trainable)
+        adamw_step(trainable, {"emb": np.ones((3, 2))[1:]}, state, lr=0.1, weight_decay=0.3)
+        np.testing.assert_array_equal(emb[0], [1.0, 1.0])
+        assert np.all(emb[1:] != 1.0)
+
+    @pytest.mark.parametrize("rows", [1, ADAMW_BLOCK_ROWS - 1, ADAMW_BLOCK_ROWS, 2 * ADAMW_BLOCK_ROWS + 37])
+    def test_blocked_update_bitwise_equals_unblocked(self, rows):
+        rng = np.random.default_rng(rows)
+        params = {"emb": rng.normal(size=(rows, 5)), "w": rng.normal(size=(5, 7)), "b": rng.normal(size=rows)}
+        reference = {name: arr.copy() for name, arr in params.items()}
+        state, ref_state = init_optimizer(params), init_optimizer(reference)
+        for step in range(5):
+            grads = {name: rng.normal(size=arr.shape) * 10.0**step for name, arr in params.items()}
+            adamw_step(params, grads, state, lr=0.01, weight_decay=0.1)
+            unblocked_adamw_step(reference, grads, ref_state, lr=0.01, weight_decay=0.1)
+            for name in params:
+                assert np.array_equal(params[name], reference[name]), name
+                assert np.array_equal(state.m[name], ref_state.m[name]), name
+                assert np.array_equal(state.v[name], ref_state.v[name]), name
 
     def test_step_counter_increases(self):
         params = {"w": np.zeros(1)}
