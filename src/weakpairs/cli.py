@@ -94,7 +94,11 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` config; '#' starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
     problems: list[str] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: config file is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -398,12 +398,17 @@ def read_benchmark(path: str | Path, name: str | None = None) -> RankingBenchmar
                 raise DataError(
                     f"{path}: benchmark line {lineno}: expected {NEGATIVES_PER_QUERY} negatives"
                 )
+            if not all(isinstance(text, str) for text in positives + negatives):
+                raise DataError(f"{path}: benchmark line {lineno}: positives and negatives must be strings")
+            ids = obj.get("ids", [])
+            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise DataError(f"{path}: benchmark line {lineno}: ids must be a list of strings")
             queries.append(
                 BenchmarkQuery(
                     query_text=obj["query"],
-                    positives=list(positives),
-                    negatives=list(negatives),
-                    involved_ids=set(obj.get("ids", [])),
+                    positives=positives,
+                    negatives=negatives,
+                    involved_ids=set(ids),
                 )
             )
     return RankingBenchmark(name=name or Path(path).stem, queries=queries)

@@ -289,7 +289,7 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             f"expected {CHECKPOINT_FORMAT_VERSION}"
         )
     try:
-        declared = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+        declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
         model = EncoderModel(
             vocab=Vocabulary(
                 tokens=list(header["vocab"]["tokens"]), max_size=int(header["vocab"]["max_size"])
@@ -303,6 +303,12 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+    if not all(
+        isinstance(name, str) and isinstance(shape, list) and all(type(d) is int for d in shape)
+        for name, shape in declared
+    ):
+        raise DataError(f"{path}: each checkpoint parameter needs a string name and a list of int shape")
+    declared = [(name, tuple(shape)) for name, shape in declared]
     expected = _param_shapes(len(model.vocab), model.dim, model.use_block)
     if sorted(declared) != sorted(expected):
         raise DataError(

@@ -9,8 +9,7 @@ discount over the full candidate list unless a cutoff is requested.
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -41,21 +40,9 @@ class EvalReport:
     per_query: list[float] | None = None
     meta: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "benchmark": self.benchmark,
-                "metric": self.metric,
-                "value": self.value,
-                "per_query": self.per_query,
-                "meta": self.meta,
-            },
-            ensure_ascii=False,
-        )
-
     def write(self, path: str | Path) -> None:
         with atomic_write(path, encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
+            handle.write(json.dumps(asdict(self), ensure_ascii=False) + "\n")
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -158,17 +145,17 @@ def eval_graded(model: EncoderModel, data: GradedPairDataset) -> EvalReport:
     )
 
 
-def permutation_ndcg_baseline(
-    num_positives: int = 5, num_negatives: int = 25, draws: int = 10_000, seed: int = 0
-) -> float:
-    """Monte-Carlo mean nDCG of uniformly random rankings of the benchmark shape."""
-    rng = random.Random(seed)
-    rel = [1.0] * num_positives + [0.0] * num_negatives
-    total = 0.0
-    for _ in range(draws):
-        rng.shuffle(rel)
-        total += ndcg(rel)
-    return total / draws
+def permutation_ndcg_baseline(num_positives: int = 5, num_negatives: int = 25) -> float:
+    """Exact mean nDCG of a uniformly random ranking of the benchmark shape.
+
+    Each of the N = positives + negatives ranks holds a positive with
+    probability positives / N, so the expected DCG is that fraction of the sum
+    of all N discounts; the ideal DCG is the sum of the first ``positives``.
+    """
+    if num_positives < 1 or num_negatives < 0:
+        raise ValueError(f"need >= 1 positive and >= 0 negatives, got {num_positives} and {num_negatives}")
+    discounts = 1.0 / np.log2(np.arange(2, num_positives + num_negatives + 2))
+    return float(num_positives / discounts.size * discounts.sum() / discounts[:num_positives].sum())
 
 
 def load_graded_tsv(

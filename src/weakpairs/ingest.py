@@ -14,7 +14,7 @@ import bz2
 import gzip
 import json
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -60,12 +60,8 @@ class ParseStats:
     duplicate_ids: int = 0
 
     def add(self, other: "ParseStats") -> None:
-        self.lines += other.lines
-        self.parsed += other.parsed
-        self.filtered_lang += other.filtered_lang
-        self.malformed += other.malformed
-        self.no_text += other.no_text
-        self.duplicate_ids += other.duplicate_ids
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -232,8 +228,8 @@ def join_reply_targets(
 
 # --- on-disk formats ---------------------------------------------------------
 
-_RECORD_FIELDS = ("id", "text", "lang", "reply_to", "quoted_id", "quoted_text")
-_NULLABLE = ("reply_to", "quoted_id", "quoted_text")  # id, text and lang must be strings
+_RECORD_FIELDS = tuple(f.name for f in fields(TweetRecord))
+_NULLABLE = tuple(f.name for f in fields(TweetRecord) if f.default is None)  # the rest must be strings
 _UNESCAPE_RE = re.compile(r"\\[\\tnr]")
 _UNESCAPE_MAP = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
 
@@ -257,7 +253,7 @@ def write_records(records: Iterable[TweetRecord], path: str | Path) -> int:
     count = 0
     with atomic_write(path, encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(asdict(record), ensure_ascii=False) + "\n")
+            handle.write(json.dumps(vars(record), ensure_ascii=False) + "\n")
             count += 1
     return count
 

@@ -89,11 +89,13 @@ def init_optimizer(params: dict[str, np.ndarray]) -> OptimizerState:
 
 def triplet_loss(
     s_a: np.ndarray, s_p: np.ndarray, s_n: np.ndarray, margin: float = 1.0
-) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[float | np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Euclidean triplet loss and its gradients w.r.t. the three embeddings.
 
-    The subgradient is zero exactly at the hinge point, and the direction of
-    a zero-length difference vector is taken as zero.
+    Works row-wise over ``(..., dim)`` arrays: the loss has one entry per row
+    (a float for 1-d input, which is one row) and each gradient has the
+    input's shape.  The subgradient is zero exactly at the hinge point, and
+    the direction of a zero-length difference vector is taken as zero.
     """
     s_a = np.asarray(s_a, dtype=np.float64)
     s_p = np.asarray(s_p, dtype=np.float64)
@@ -104,15 +106,13 @@ def triplet_loss(
         )
     diff_p = s_a - s_p
     diff_n = s_a - s_n
-    dist_p = float(np.linalg.norm(diff_p))
-    dist_n = float(np.linalg.norm(diff_n))
+    dist_p = np.linalg.norm(diff_p, axis=-1, keepdims=True)
+    dist_n = np.linalg.norm(diff_n, axis=-1, keepdims=True)
     hinge = dist_p - dist_n + margin
-    zeros = np.zeros_like(s_a)
-    if hinge <= 0.0:
-        return 0.0, (zeros, zeros.copy(), zeros.copy())
-    unit_p = diff_p / dist_p if dist_p > 0.0 else zeros.copy()
-    unit_n = diff_n / dist_n if dist_n > 0.0 else zeros.copy()
-    return hinge, (unit_p - unit_n, -unit_p, unit_n)
+    active = hinge > 0.0
+    unit_p = np.divide(diff_p, dist_p, out=np.zeros_like(diff_p), where=active & (dist_p > 0.0))
+    unit_n = np.divide(diff_n, dist_n, out=np.zeros_like(diff_n), where=active & (dist_n > 0.0))
+    return np.maximum(hinge[..., 0], 0.0), (unit_p - unit_n, -unit_p, unit_n)
 
 
 def mn_loss(
@@ -281,19 +281,15 @@ def train(
                 anchor_vecs, pos_vecs, scale=config.scale, similarity=config.similarity
             )
         else:
-            grad_a = np.zeros_like(anchor_vecs)
-            grad_p = np.zeros_like(pos_vecs)
-            loss = 0.0
-            for i in range(n):
-                # the negative is a positive text of a different anchor
-                j = int((i + 1 + rng.integers(0, n - 1)) % n)
-                li, (ga, gp, gn) = triplet_loss(
-                    anchor_vecs[i], pos_vecs[i], pos_vecs[j], margin=config.margin
-                )
-                loss += li / n
-                grad_a[i] += ga / n
-                grad_p[i] += gp / n
-                grad_p[j] += gn / n
+            # each row's negative is the positive text of another row of the batch
+            negatives = (np.arange(n) + 1 + rng.integers(0, n - 1, size=n)) % n
+            losses, (grad_a, grad_p, grad_n) = triplet_loss(
+                anchor_vecs, pos_vecs, pos_vecs[negatives], margin=config.margin
+            )
+            loss = losses.sum() / n
+            grad_a /= n
+            grad_p /= n
+            np.add.at(grad_p, negatives, grad_n / n)
 
         grads = backprop(model, trace, np.concatenate([grad_a, grad_p]))
         adamw_step(trainable, _without_pad_row(grads), state, lr=lr, weight_decay=config.weight_decay)

@@ -65,9 +65,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
 
 def build_vocab(corpus: Iterable[str], max_size: int) -> Vocabulary:
     """Build a vocabulary from cleaned training text.
@@ -96,5 +93,5 @@ def encode_ids(vocab: Vocabulary, text: str, max_len: int = 64) -> list[int]:
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.id_for(token) for token in tokenize(text)[:max_len]]
+    ids = [vocab.token_to_id.get(token, UNK_ID) for token in tokenize(text)[:max_len]]
     return ids if ids else [UNK_ID]

@@ -92,6 +92,12 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="line 1"):
             parse_config_file(config)
 
+    def test_non_utf8_file_is_usage_error(self, tmp_cwd, capsys):
+        Path("latin.conf").write_bytes(b"dim = \xff\xfe\n")
+        assert run("train", "--pairs", "pairs.tsv", "--out", "m.ckpt", "--config", "latin.conf") == 1
+        err = capsys.readouterr().err
+        assert "latin.conf" in err and "UTF-8" in err
+
     @pytest.mark.parametrize("key", SETTING_KEYS)
     def test_flag_and_config_line_resolve_alike(self, tmp_cwd, key):
         value = NON_DEFAULT_SETTINGS[key]

@@ -449,3 +449,22 @@ class TestPairAndBenchmarkFiles:
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(DataError, match="line 2"):
             read_benchmark(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"positives": [1, 2, 3, 4, 5]},
+            {"negatives": [None] * 25},
+            {"ids": 5},
+            {"ids": [[1]]},
+        ],
+        ids=["int-positives", "null-negatives", "int-ids", "nested-ids"],
+    )
+    def test_benchmark_non_string_texts_and_ids_rejected(self, tmp_path, change):
+        path = tmp_path / "typed.jsonl"
+        good = {"query": "q", "positives": ["p"] * 5, "negatives": ["n"] * 25, "ids": ["1"]}
+        import json
+
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n")
+        with pytest.raises(DataError, match=r"typed\.jsonl: benchmark line 2"):
+            read_benchmark(path)

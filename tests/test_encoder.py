@@ -360,6 +360,18 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="use_block False"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "change", [{"name": None}, {"name": 3}, {"shape": None}, {"shape": "ab"}, {"shape": [4.5, 4]}]
+    )
+    def test_param_entry_without_string_name_or_int_shape_rejected(self, tmp_path, change):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=False, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        params = json.loads(path.read_bytes().split(b"\n", 1)[0])["params"]
+        self._write_with_header(path, model, params=[{**params[0], **change}, *params[1:]])
+        with pytest.raises(DataError, match="model.ckpt: each checkpoint parameter needs a string name"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("name", ["embedding", "w_q", "w_k", "w_v", "w_1", "w_2"])
     def test_shape_not_matching_dim_rejected(self, tmp_path, name):
         model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)

@@ -113,6 +113,27 @@ class TestNdcg:
         )
 
 
+class TestPermutationBaseline:
+    @pytest.mark.parametrize("positives, negatives", [(1, 0), (1, 4), (2, 3), (3, 5), (4, 10)])
+    def test_matches_exhaustive_enumeration(self, positives, negatives):
+        # mean nDCG over every placement of the positives among all ranks, each equally likely
+        slots = positives + negatives
+        ideal = oracle_dcg([1] * positives)
+        values = [
+            oracle_dcg([1 if rank in placed else 0 for rank in range(slots)]) / ideal
+            for placed in itertools.combinations(range(slots), positives)
+        ]
+        expected = sum(values) / len(values)
+        assert permutation_ndcg_baseline(positives, negatives) == pytest.approx(expected, abs=1e-12)
+
+    def test_benchmark_shape_floor(self):
+        assert permutation_ndcg_baseline() == pytest.approx(0.5178739511302707, abs=1e-12)
+
+    def test_no_positives_rejected(self):
+        with pytest.raises(ValueError):
+            permutation_ndcg_baseline(0, 25)
+
+
 class TestPearson:
     def test_positive_affine(self):
         x = [1.0, 2.0, 5.0, 7.0]
@@ -188,9 +209,9 @@ class TestEvalRanking:
         rng = np.random.default_rng(0)
         model.params["embedding"][1:] = rng.uniform(-1, 1, size=model.params["embedding"][1:].shape)
         # force positives to embed opposite to the query
-        q_vec = model.params["embedding"][model.vocab.id_for("tok001")]
+        q_vec = model.params["embedding"][model.vocab.token_to_id["tok001"]]
         for tok in ("tok002", "tok003", "tok004", "tok005", "tok006"):
-            model.params["embedding"][model.vocab.id_for(tok)] = -q_vec + rng.uniform(
+            model.params["embedding"][model.vocab.token_to_id[tok]] = -q_vec + rng.uniform(
                 -0.01, 0.01, size=q_vec.shape
             )
         report = eval_ranking(model, tiny_benchmark([query]))
@@ -211,7 +232,7 @@ class TestEvalRanking:
     def test_random_model_close_to_permutation_baseline(self):
         # a random encoder induces near-uniform random rankings on unrelated
         # token soup; over >= 1000 queries its mean nDCG must sit within 0.02
-        # of the Monte-Carlo permutation baseline
+        # of the exact permutation baseline
         model = init_model(toy_vocab(1100), dim=8, use_block=False, seed=3)
         rng = random.Random(0)
         tokens = [f"tok{i:03d}" for i in range(1000)]
@@ -220,7 +241,7 @@ class TestEvalRanking:
             picks = rng.sample(tokens, 31)
             queries.append(make_query(picks[0], picks[1:6], picks[6:31]))
         report = eval_ranking(model, tiny_benchmark(queries))
-        baseline = permutation_ndcg_baseline(5, 25, draws=20_000, seed=1)
+        baseline = permutation_ndcg_baseline(5, 25)
         assert abs(report.value - baseline) < 0.02
 
     def test_error_names_query(self):

@@ -97,6 +97,24 @@ class TestTripletLoss:
                     numeric[i] = (up - down) / (2 * step)
                 assert max_rel_error(analytic, numeric) < 1e-4
 
+    def test_batched_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(4)
+        a, p, n = rng.standard_normal((3, 40, 5))
+        p[:5] = a[:5]  # zero-length positive difference
+        n[5:10] = a[5:10]  # zero-length negative difference
+        a[10], p[10], n[10] = np.zeros(5), np.eye(5)[0], 2.0 * np.eye(5)[0]  # exactly at the hinge
+        losses, grads = triplet_loss(a, p, n, 1.0)
+        assert losses.shape == (40,) and 0.0 < np.count_nonzero(losses) < 40
+        for i in range(40):
+            loss_i, grads_i = triplet_loss(a[i], p[i], n[i], 1.0)
+            assert abs(losses[i] - loss_i) <= 1e-15
+            for batched, single in zip(grads, grads_i):
+                np.testing.assert_allclose(batched[i], single, rtol=0.0, atol=1e-15)
+        losses_3d, grads_3d = triplet_loss(a.reshape(4, 10, 5), p.reshape(4, 10, 5), n.reshape(4, 10, 5), 1.0)
+        np.testing.assert_array_equal(losses_3d.reshape(40), losses)
+        for batched, flat in zip(grads_3d, grads):
+            np.testing.assert_array_equal(batched.reshape(40, 5), flat)
+
     def test_loss_nonnegative_property(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -340,6 +358,26 @@ def tiny_trainable_model(pairs, dim=8, seed=0):
     return init_model(vocab, dim=dim, use_block=True, seed=seed)
 
 
+def per_row_triplet_step(anchor_vecs, pos_vecs, rng, margin):
+    """Reference triplet step: one scalar negative draw and one 1-d triplet_loss call per row."""
+    n = len(anchor_vecs)
+    grad_a = np.zeros_like(anchor_vecs)
+    grad_p = np.zeros_like(pos_vecs)
+    loss = 0.0
+    for i in range(n):
+        j = int((i + 1 + rng.integers(0, n - 1)) % n)
+        li, (ga, gp, gn) = triplet_loss(anchor_vecs[i], pos_vecs[i], pos_vecs[j], margin=margin)
+        loss += li / n
+        grad_a[i] += ga / n
+        grad_p[i] += gp / n
+        grad_p[j] += gn / n
+    return loss, np.concatenate([grad_a, grad_p])
+
+
+def max_norm_rel_error(actual, reference):
+    return float(np.max(np.abs(actual - reference)) / max(np.max(np.abs(reference)), 1e-300))
+
+
 class TestTrainEpoch:
     def test_too_few_pairs_for_one_batch(self):
         pairs = topic_pairs(5)
@@ -379,6 +417,55 @@ class TestTrainEpoch:
         assert len(log) == 4
         assert log[0]["lr"] == 0.0  # warm-up starts at zero
         assert all(entry["loss"] >= 0.0 for entry in log)
+
+    def test_triplet_steps_match_per_row_reference(self, monkeypatch):
+        import weakpairs.optim as optim_mod
+
+        pairs = topic_pairs(30)
+        config = TrainConfig(loss=TRIPLET, batch_size=10, margin=0.005, seed=5)
+        ref_rng = np.random.default_rng(config.seed)
+        ref_rng.permutation(len(pairs))  # the epoch's shuffle comes first in the stream
+        real_encode, real_backprop, real_triplet = (
+            optim_mod.encode_with_trace, optim_mod.backprop, optim_mod.triplet_loss
+        )
+        steps, triplet_calls = [], []
+
+        def recording_encode(model, id_lists):
+            vecs, trace = real_encode(model, id_lists)
+            steps.append({"id_lists": id_lists, "vecs": vecs.copy()})
+            return vecs, trace
+
+        def recording_backprop(model, trace, grad_out):
+            step = steps[-1]
+            n = config.batch_size
+            step["ref_loss"], step["ref_grad_out"] = per_row_triplet_step(
+                step["vecs"][:n], step["vecs"][n:], ref_rng, config.margin
+            )
+            _, ref_trace = real_encode(model, step["id_lists"])
+            step["ref_grads"] = real_backprop(model, ref_trace, step["ref_grad_out"])
+            step["grad_out"] = grad_out.copy()
+            step["grads"] = {name: g.copy() for name, g in real_backprop(model, trace, grad_out).items()}
+            return step["grads"]
+
+        def counting_triplet(*args, **kwargs):
+            triplet_calls.append(args[0].shape)
+            return real_triplet(*args, **kwargs)
+
+        monkeypatch.setattr(optim_mod, "encode_with_trace", recording_encode)
+        monkeypatch.setattr(optim_mod, "backprop", recording_backprop)
+        monkeypatch.setattr(optim_mod, "triplet_loss", counting_triplet)
+        _, log = train(tiny_trainable_model(pairs), pairs, config)
+
+        assert len(log) == len(steps) == 3
+        assert triplet_calls == [(config.batch_size, 8)] * 3
+        hinged = 0
+        for entry, step in zip(log, steps):
+            assert abs(entry["loss"] - step["ref_loss"]) <= 1e-12 * step["ref_loss"]
+            assert max_norm_rel_error(step["grad_out"], step["ref_grad_out"]) <= 1e-12
+            for name, ref in step["ref_grads"].items():
+                assert max_norm_rel_error(step["grads"][name], ref) <= 1e-12, name
+            hinged += np.count_nonzero(np.abs(step["ref_grad_out"][: config.batch_size]).sum(axis=1))
+        assert 0 < hinged < 3 * config.batch_size  # active and inactive hinges both occur
 
     def test_pad_row_never_updated(self):
         pairs = topic_pairs(20)

@@ -99,8 +99,8 @@ class TestVocabulary:
         vocab = build_vocab(["b b a a c"], max_size=5)
         # a and b tie at 2, a wins lexicographically; c is cut by max_size
         assert vocab.tokens == [PAD_TOKEN, UNK_TOKEN, "a", "b", "c"][:5]
-        assert vocab.id_for("a") == 2
-        assert vocab.id_for("b") == 3
+        assert vocab.token_to_id["a"] == 2
+        assert vocab.token_to_id["b"] == 3
 
     def test_deterministic(self):
         corpus = ["x y z y", "z z q"]
@@ -117,7 +117,7 @@ class TestVocabulary:
         assert vocab.tokens.count(UNK_TOKEN) == 1
         # '<', '>' and the names are tokenized apart, so 'pad' may appear,
         # but the exact special strings must not be duplicated
-        assert vocab.id_for("word") >= 2
+        assert vocab.token_to_id["word"] >= 2
 
 
 class TestEncodeIds:
@@ -127,7 +127,7 @@ class TestEncodeIds:
 
     def test_known_tokens(self, vocab):
         ids = encode_ids(vocab, "alpha beta", max_len=8)
-        assert ids == [vocab.id_for("alpha"), vocab.id_for("beta")]
+        assert ids == [vocab.token_to_id["alpha"], vocab.token_to_id["beta"]]
         assert UNK_ID not in ids
 
     def test_oov_maps_to_unk(self, vocab):
