@@ -26,7 +26,7 @@ from . import evaluate as eval_mod
 from . import ingest as ingest_mod
 from . import optim as optim_mod
 from . import synth as synth_mod
-from .atomic import atomic_write
+from .atomic import atomic_write, write_jsonl
 from .errors import DataError, NumericError, UsageError
 from .textproc import build_vocab
 
@@ -98,6 +98,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: config file is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read config file ({exc.strerror or exc})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -262,15 +264,12 @@ def cmd_build(args) -> int:
 
     datasets = list(corpus_mod.PAIR_DATASETS) if args.dataset == "all" else [args.dataset]
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
     counts: dict[str, object] = {"dropped_unresolved_replies": dropped_replies}
+    files = []  # (path, writer, contents): nothing is written until every benchmark and corpus is built
 
     if args.edges_out:
-        edges_path = Path(args.edges_out)
-        edges_path.parent.mkdir(parents=True, exist_ok=True)
-        counts["edges_written"] = ingest_mod.write_edges(edges, edges_path)
-        outputs.append(edges_path)
+        files.append((Path(args.edges_out), ingest_mod.write_edges, edges))
+        counts["edges_written"] = len(edges)
     # every builder reads these cleaned edges, so each text is cleaned once per build
     edges, counts["dropped_short_text"] = corpus_mod.clean_edges(edges)
 
@@ -286,9 +285,7 @@ def cmd_build(args) -> int:
                 banned=banned,
             )
             banned |= bench.involved_ids()
-            bench_path = out_dir / f"bench_{name}.jsonl"
-            corpus_mod.write_benchmark(bench, bench_path)
-            outputs.append(bench_path)
+            files.append((out_dir / f"bench_{name}.jsonl", corpus_mod.write_benchmark, bench))
             counts[f"bench_{name}_queries"] = len(bench.queries)
 
     all_pairs: list[corpus_mod.PairExample] = []
@@ -303,21 +300,20 @@ def cmd_build(args) -> int:
             pairs = corpus_mod.sample_corpus(
                 pairs, args.pairs_per_dataset, seed=derive_seed(args.seed, f"sample:{dataset}")
             )
-        pair_path = out_dir / f"pairs_{dataset}.tsv"
-        corpus_mod.write_pairs(pairs, pair_path)
-        outputs.append(pair_path)
+        files.append((out_dir / f"pairs_{dataset}.tsv", corpus_mod.write_pairs, pairs))
         counts[f"{dataset}_written"] = len(pairs)
         all_pairs.extend(pairs)
 
     if args.dataset == "all":
-        all_path = out_dir / "pairs_all.tsv"
-        corpus_mod.write_pairs(all_pairs, all_path)
-        outputs.append(all_path)
+        files.append((out_dir / "pairs_all.tsv", corpus_mod.write_pairs, all_pairs))
         counts["all_written"] = len(all_pairs)
 
+    for path, write, contents in files:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(contents, path)
     counts_path = out_dir / "build_counts.json"
     _write_json(counts_path, counts)
-    outputs.append(counts_path)
+    outputs = [path for path, _, _ in files] + [counts_path]
     write_manifest(
         out_dir,
         "build",
@@ -344,9 +340,7 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     encoder_mod.save_checkpoint(model, out)
     log_path = out.with_suffix(out.suffix + ".log.jsonl")
-    with atomic_write(log_path, encoding="utf-8") as handle:
-        for entry in log:
-            handle.write(json.dumps(entry) + "\n")
+    write_jsonl(log_path, log)
     write_manifest(
         out.parent,
         "train",
@@ -378,25 +372,29 @@ def _config_hash(model: encoder_mod.EncoderModel) -> str:
 
 
 def cmd_eval(args) -> int:
+    unknown = [p for p in args.inputs if Path(p).suffix not in (".jsonl", ".tsv")]
+    if unknown:
+        raise UsageError(
+            f"{unknown[0]}: cannot infer input type; use .jsonl for ranking benchmarks "
+            f"or .tsv for graded pairs"
+        )
     model = encoder_mod.load_checkpoint(args.checkpoint)
     checkpoint_id = _sha256_file(Path(args.checkpoint))[:12]
+    # every input loads before any is evaluated, and every report is made before any is written
+    loaded = [
+        corpus_mod.read_benchmark(p) if Path(p).suffix == ".jsonl" else eval_mod.load_graded_tsv(p)
+        for p in args.inputs
+    ]
+    reports = [
+        eval_mod.eval_ranking(model, data, at_k=args.at_k)
+        if isinstance(data, corpus_mod.RankingBenchmark)
+        else eval_mod.eval_graded(model, data)
+        for data in loaded
+    ]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    rows = []
-    for input_path in args.inputs:
-        path = Path(input_path)
-        if path.suffix == ".jsonl":
-            bench = corpus_mod.read_benchmark(path)
-            report = eval_mod.eval_ranking(model, bench, at_k=args.at_k)
-        elif path.suffix == ".tsv":
-            data = eval_mod.load_graded_tsv(path)
-            report = eval_mod.eval_graded(model, data)
-        else:
-            raise UsageError(
-                f"{path}: cannot infer input type; use .jsonl for ranking benchmarks "
-                f"or .tsv for graded pairs"
-            )
+    for report in reports:
         report.meta.update(
             {
                 "checkpoint": checkpoint_id,
@@ -404,16 +402,14 @@ def cmd_eval(args) -> int:
                 "timestamp": datetime.now(timezone.utc).isoformat(),
             }
         )
-        report_path = out_dir / f"report_{report.benchmark}.json"
-        report.write(report_path)
-        outputs.append(report_path)
-        rows.append((report.benchmark, report.metric, report.value))
+        outputs.append(out_dir / f"report_{report.benchmark}.json")
+        report.write(outputs[-1])
 
     # table convention: scores reported x100
-    width = max(len("benchmark"), max(len(name) for name, _, _ in rows))
+    width = max(len("benchmark"), *(len(report.benchmark) for report in reports))
     print(f"{'benchmark'.ljust(width)}  metric   value x100")
-    for name, metric, value in rows:
-        print(f"{name.ljust(width)}  {metric:<8} {100.0 * value:10.1f}")
+    for report in reports:
+        print(f"{report.benchmark.ljust(width)}  {report.metric:<8} {100.0 * report.value:10.1f}")
     write_manifest(
         out_dir,
         "eval",
@@ -453,13 +449,11 @@ def cmd_sweep(args) -> int:
     if args.axis == "corpus_size" and values[-1] > len(pool):
         raise DataError(f"sweep value {values[-1]} exceeds pair pool of {len(pool)}")
     bench = corpus_mod.read_benchmark(args.benchmark)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # one shuffle, points take prefixes: corpus size stays the only variable
     order = random.Random(derive_seed(args.seed, "sweep-corpus-order")).sample(pool, len(pool))
 
-    def run_point(value: int) -> tuple[float, float | None]:
+    def run_point(value: int) -> tuple[eval_mod.EvalReport, float | None]:
         subset = order[:value] if args.axis == "corpus_size" else pool
         # the untrained baseline row keeps the full-pool vocab so its
         # embeddings are not degenerate
@@ -471,17 +465,20 @@ def cmd_sweep(args) -> int:
             final_loss = log[-1]["loss"]
         report = eval_mod.eval_ranking(model, bench)
         report.meta["sweep"] = {"axis": args.axis, "value": value}
-        report.write(out_dir / f"report_{args.axis}_{value}.json")
-        return report.value, final_loss
+        return report, final_loss
 
     points = list(values)
     if args.axis == "corpus_size" and args.include_baseline:
         points = [0] + points  # untrained encoder as the floor of the curve
 
+    # every point runs before any report is written
+    runs = {value: run_point(value) for value in points}
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = []
-    for value in points:
-        ndcg_value, final_loss = run_point(value)
-        results.append({"axis": args.axis, "value": value, "ndcg": ndcg_value, "final_loss": final_loss})
+    for value, (report, final_loss) in runs.items():
+        report.write(out_dir / f"report_{args.axis}_{value}.json")
+        results.append({"axis": args.axis, "value": value, "ndcg": report.value, "final_loss": final_loss})
 
     summary_path = out_dir / "sweep_summary.csv"
     with atomic_write(summary_path, newline="", encoding="utf-8") as handle:

@@ -10,13 +10,12 @@ keeps viral tweets from dominating.  The matching ranking benchmarks are
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .atomic import atomic_write
+from .atomic import read_jsonl, read_tsv, write_jsonl, write_tsv
 from .errors import DataError
 from .ingest import QUOTE, REPLY, RelationEdge, escape_field, unescape_field
 from .textproc import clean
@@ -322,93 +321,52 @@ def build_benchmark(
 
 def write_pairs(pairs: Iterable[PairExample], path: str | Path) -> int:
     """Pair file: TSV of anchor_id, positive_id, dataset, anchor_text, positive_text."""
-    count = 0
-    with atomic_write(path, encoding="utf-8") as handle:
-        for pair in pairs:
-            row = (
-                pair.anchor_id,
-                pair.positive_id,
-                pair.dataset,
-                escape_field(pair.anchor_text),
-                escape_field(pair.positive_text),
-            )
-            handle.write("\t".join(row) + "\n")
-            count += 1
-    return count
+    rows = (
+        (p.anchor_id, p.positive_id, p.dataset, escape_field(p.anchor_text), escape_field(p.positive_text))
+        for p in pairs
+    )
+    return write_tsv(path, rows)
 
 
 def read_pairs(path: str | Path) -> list[PairExample]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataError(f"{path}: pair line {lineno} has {len(parts)} fields, expected 5")
-            anchor_id, positive_id, dataset, anchor_text, positive_text = parts
-            pairs.append(
-                PairExample(
-                    anchor_text=unescape_field(anchor_text),
-                    positive_text=unescape_field(positive_text),
-                    dataset=dataset,
-                    anchor_id=anchor_id,
-                    positive_id=positive_id,
-                )
-            )
-    return pairs
+    return [
+        PairExample(
+            anchor_text=unescape_field(anchor_text),
+            positive_text=unescape_field(positive_text),
+            dataset=dataset,
+            anchor_id=anchor_id,
+            positive_id=positive_id,
+        )
+        for _, (anchor_id, positive_id, dataset, anchor_text, positive_text) in read_tsv(path, 5, "pair")
+    ]
 
 
 def write_benchmark(bench: RankingBenchmark, path: str | Path) -> int:
     """Benchmark file: JSON-lines, one query object per line."""
-    with atomic_write(path, encoding="utf-8") as handle:
-        for query in bench.queries:
-            obj = {
-                "query": query.query_text,
-                "positives": query.positives,
-                "negatives": query.negatives,
-                "ids": sorted(query.involved_ids),
-            }
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    return len(bench.queries)
+    objs = (
+        dict(query=q.query_text, positives=q.positives, negatives=q.negatives, ids=sorted(q.involved_ids))
+        for q in bench.queries
+    )
+    return write_jsonl(path, objs)
 
 
 def read_benchmark(path: str | Path, name: str | None = None) -> RankingBenchmark:
     """Load a benchmark file, validating the 5-positive / 25-negative shape per line."""
     queries = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: benchmark line {lineno}: {exc}") from exc
-            if not isinstance(obj, dict) or not isinstance(obj.get("query"), str):
-                raise DataError(f"{path}: benchmark line {lineno}: missing query text")
-            positives = obj.get("positives")
-            negatives = obj.get("negatives")
-            if not isinstance(positives, list) or len(positives) != POSITIVES_PER_QUERY:
-                raise DataError(
-                    f"{path}: benchmark line {lineno}: expected {POSITIVES_PER_QUERY} positives"
-                )
-            if not isinstance(negatives, list) or len(negatives) != NEGATIVES_PER_QUERY:
-                raise DataError(
-                    f"{path}: benchmark line {lineno}: expected {NEGATIVES_PER_QUERY} negatives"
-                )
-            if not all(isinstance(text, str) for text in positives + negatives):
-                raise DataError(f"{path}: benchmark line {lineno}: positives and negatives must be strings")
-            ids = obj.get("ids", [])
-            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-                raise DataError(f"{path}: benchmark line {lineno}: ids must be a list of strings")
-            queries.append(
-                BenchmarkQuery(
-                    query_text=obj["query"],
-                    positives=positives,
-                    negatives=negatives,
-                    involved_ids=set(ids),
-                )
-            )
+    for lineno, obj in read_jsonl(path, "benchmark"):
+        where = f"{path}: benchmark line {lineno}"
+        if not isinstance(obj.get("query"), str):
+            raise DataError(f"{where}: missing query text")
+        positives = obj.get("positives")
+        negatives = obj.get("negatives")
+        if not isinstance(positives, list) or len(positives) != POSITIVES_PER_QUERY:
+            raise DataError(f"{where}: expected {POSITIVES_PER_QUERY} positives")
+        if not isinstance(negatives, list) or len(negatives) != NEGATIVES_PER_QUERY:
+            raise DataError(f"{where}: expected {NEGATIVES_PER_QUERY} negatives")
+        if not all(isinstance(text, str) for text in positives + negatives):
+            raise DataError(f"{where}: positives and negatives must be strings")
+        ids = obj.get("ids", [])
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise DataError(f"{where}: ids must be a list of strings")
+        queries.append(BenchmarkQuery(obj["query"], positives, negatives, involved_ids=set(ids)))
     return RankingBenchmark(name=name or Path(path).stem, queries=queries)

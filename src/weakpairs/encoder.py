@@ -301,8 +301,10 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             params={},
             version=int(header.get("model_version", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+    if model.dim < 2 or model.max_len < 1:
+        raise DataError(f"{path}: checkpoint header needs dim >= 2 and max_len >= 1")
     if not all(
         isinstance(name, str) and isinstance(shape, list) and all(type(d) is int for d in shape)
         for name, shape in declared
@@ -324,6 +326,8 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
     for name, shape in declared:
         size = int(np.prod(shape))
         flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
+        if not np.isfinite(flat).all():
+            raise DataError(f"{path}: parameter {name} holds a NaN or infinite value")
         model.params[name] = flat.astype(np.float64).reshape(shape).copy()
         offset += size * 8
     return model

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_tsv
 from .corpus import RankingBenchmark
 from .encoder import EncoderModel, embed_text
 from .errors import DataError, NumericError
@@ -165,23 +165,16 @@ def load_graded_tsv(
     path = Path(path)
     lo, hi = score_range
     pairs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: graded line {lineno} has {len(parts)} fields, expected 3")
-            try:
-                score = float(parts[2])
-            except ValueError as exc:
-                raise DataError(f"{path}: graded line {lineno}: bad score {parts[2]!r}") from exc
-            if not lo <= score <= hi:
-                raise DataError(
-                    f"{path}: graded line {lineno}: score {score} outside declared range [{lo}, {hi}]"
-                )
-            pairs.append((parts[0], parts[1], score))
+    for lineno, (text1, text2, raw_score) in read_tsv(path, 3, "graded"):
+        try:
+            score = float(raw_score)
+        except ValueError as exc:
+            raise DataError(f"{path}: graded line {lineno}: bad score {raw_score!r}") from exc
+        if not lo <= score <= hi:
+            raise DataError(
+                f"{path}: graded line {lineno}: score {score} outside declared range [{lo}, {hi}]"
+            )
+        pairs.append((text1, text2, score))
     if len(pairs) < 2:
         raise DataError(f"{path}: need at least 2 graded pairs, got {len(pairs)}")
     if len({score for _, _, score in pairs}) < 2:

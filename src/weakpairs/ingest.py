@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .atomic import atomic_write
+from .atomic import has_lone_surrogate, read_jsonl, read_tsv, write_jsonl, write_tsv
 from .errors import DataError
 
 QUOTE = "quote"
@@ -109,8 +109,9 @@ def _record_from_obj(obj: dict) -> TweetRecord | None:
 def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[TweetRecord], ParseStats]:
     """Parse one stream file, keeping records whose ``lang`` equals the filter.
 
-    Line-level JSON errors are counted in the returned stats; an unreadable
-    file raises the underlying OSError (which names the path).
+    Line-level JSON errors, and record text that a ``\\u`` escape leaves as a
+    lone surrogate, are counted in the returned stats; an unreadable file
+    raises the underlying OSError (which names the path).
     """
     path = Path(path)
     records: list[TweetRecord] = []
@@ -126,6 +127,8 @@ def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[T
                 if not isinstance(obj, dict):
                     raise ValueError("line is not a JSON object")
                 record = _record_from_obj(obj)
+                if record is not None and "\\u" in line and has_lone_surrogate(vars(record)):
+                    raise ValueError("record text holds a lone surrogate")
             except (json.JSONDecodeError, ValueError):
                 stats.malformed += 1
                 continue
@@ -250,71 +253,38 @@ def unescape_field(value: str) -> str:
 
 def write_records(records: Iterable[TweetRecord], path: str | Path) -> int:
     """Write the intermediate record store: JSON-lines with exactly the six record fields."""
-    count = 0
-    with atomic_write(path, encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(vars(record), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    return write_jsonl(path, (vars(record) for record in records))
 
 
 def read_records(path: str | Path) -> list[TweetRecord]:
     """Read a record store; a line that is not a JSON object of record fields is a DataError."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: bad record store line {lineno}: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: record store line {lineno} is not a JSON object")
-            fields = {k: obj.get(k) for k in _RECORD_FIELDS}
-            bad = [k for k, v in fields.items() if not (isinstance(v, str) or v is None and k in _NULLABLE)]
-            if bad:
-                raise DataError(f"{path}: record store line {lineno}: {', '.join(bad)} must be strings")
-            records.append(TweetRecord(**fields))
+    for lineno, obj in read_jsonl(path, "record store"):
+        fields = {k: obj.get(k) for k in _RECORD_FIELDS}
+        bad = [k for k, v in fields.items() if not (isinstance(v, str) or v is None and k in _NULLABLE)]
+        if bad:
+            raise DataError(f"{path}: record store line {lineno}: {', '.join(bad)} must be strings")
+        records.append(TweetRecord(**fields))
     return records
 
 
 def write_edges(edges: Iterable[RelationEdge], path: str | Path) -> int:
     """Dump edges as TSV: kind, target_id, response_id, target_text, response_text."""
-    count = 0
-    with atomic_write(path, encoding="utf-8") as handle:
-        for edge in edges:
-            row = (
-                edge.kind,
-                edge.target_id,
-                edge.response_id,
-                escape_field(edge.target_text or ""),
-                escape_field(edge.response_text),
-            )
-            handle.write("\t".join(row) + "\n")
-            count += 1
-    return count
+    rows = (
+        (e.kind, e.target_id, e.response_id, escape_field(e.target_text or ""), escape_field(e.response_text))
+        for e in edges
+    )
+    return write_tsv(path, rows)
 
 
 def read_edges(path: str | Path) -> list[RelationEdge]:
-    edges = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataError(f"{path}: edge line {lineno} has {len(parts)} fields, expected 5")
-            kind, target_id, response_id, target_text, response_text = parts
-            edges.append(
-                RelationEdge(
-                    kind=kind,
-                    target_id=target_id,
-                    response_id=response_id,
-                    target_text=unescape_field(target_text) or None,
-                    response_text=unescape_field(response_text),
-                )
-            )
-    return edges
+    return [
+        RelationEdge(
+            kind=kind,
+            target_id=target_id,
+            response_id=response_id,
+            target_text=unescape_field(target_text) or None,
+            response_text=unescape_field(response_text),
+        )
+        for _, (kind, target_id, response_id, target_text, response_text) in read_tsv(path, 5, "edge")
+    ]

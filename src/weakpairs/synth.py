@@ -13,11 +13,10 @@ archive JSONL schema, so the regular ingest path consumes them unmodified.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from pathlib import Path
 
-from .atomic import atomic_write
+from .atomic import write_jsonl
 from .errors import UsageError
 
 TEXT_MIN_TOKENS = 6
@@ -125,7 +124,4 @@ def generate_records(
 
 
 def write_store(records: list[dict], path: str | Path) -> int:
-    with atomic_write(path, encoding="utf-8") as handle:
-        for obj in records:
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    return len(records)
+    return write_jsonl(path, records)

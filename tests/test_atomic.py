@@ -1,9 +1,10 @@
-"""Atomic output files: a failed write keeps the old file and leaves no temp file."""
+"""Line files: atomic writes keep the old file on failure; readers locate every bad line."""
 
 import pytest
 
-from weakpairs.atomic import atomic_write
+from weakpairs.atomic import atomic_write, read_jsonl, read_tsv, write_jsonl, write_tsv
 from weakpairs.corpus import PairExample, read_pairs, write_pairs
+from weakpairs.errors import DataError
 
 
 def test_completed_write_replaces_file(tmp_path):
@@ -46,3 +47,45 @@ def test_binary_mode(tmp_path):
     with atomic_write(path, "wb") as handle:
         handle.write(b"\x00\x01")
     assert path.read_bytes() == b"\x00\x01"
+
+
+def test_line_writers_return_counts_and_write_utf8(tmp_path):
+    assert write_jsonl(tmp_path / "a.jsonl", [{"text": "café"}, {"n": 1}]) == 2
+    assert (tmp_path / "a.jsonl").read_bytes() == '{"text": "café"}\n{"n": 1}\n'.encode("utf-8")
+    assert write_tsv(tmp_path / "a.tsv", [("x", "ü"), ("y", "")]) == 2
+    assert (tmp_path / "a.tsv").read_bytes() == "x\tü\ny\t\n".encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "a.tsv"]
+
+
+def test_readers_number_every_line_and_skip_blank_ones(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_bytes(b'{"a": 1}\r\n\n   \t\n  {"a": 2}  \n{"a": 3}')
+    assert list(read_jsonl(path, "thing")) == [(1, {"a": 1}), (4, {"a": 2}), (5, {"a": 3})]
+    path = tmp_path / "a.tsv"
+    path.write_bytes(b"a\tb\r\n\n \t \nc\td\r")
+    assert list(read_tsv(path, 2, "thing")) == [(1, ["a", "b"]), (3, [" ", " "]), (4, ["c", "d"])]
+
+
+def test_lone_carriage_return_does_not_split_a_line(tmp_path):
+    path = tmp_path / "a.tsv"
+    path.write_bytes(b"a\rb\tc\nd\te\n")
+    assert list(read_tsv(path, 2, "thing")) == [(1, ["a\rb", "c"]), (2, ["d", "e"])]
+
+
+@pytest.mark.parametrize(
+    "content,reader,message",
+    [
+        (b'{"a": 1}\n{"a": 2}\n{"a": "\xff"}\n', "jsonl", r"not UTF-8 \(invalid start byte at byte 7\)"),
+        (b'{"a": 1}\n{"a": 2}\n{"a": \n', "jsonl", "Expecting value at column 6"),
+        (b'{"a": 1}\n{"a": 2}\n[1, 2]\n', "jsonl", "not a JSON object"),
+        (b'{"a": 1}\n{"a": 2}\n{"a": "\\ud83d"}\n', "jsonl", "lone surrogate"),
+        (b"a\tb\nc\td\n\xe2\x82\tf\n", "tsv", "not UTF-8"),
+        (b"a\tb\nc\td\ne\tf\tg\n", "tsv", "has 3 fields, expected 2"),
+    ],
+)
+def test_bad_line_is_data_error_naming_file_and_line(tmp_path, content, reader, message):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    rows = read_jsonl(path, "thing") if reader == "jsonl" else read_tsv(path, 2, "thing")
+    with pytest.raises(DataError, match=rf"input\.txt: thing line 3\b.*{message}"):
+        list(rows)

@@ -98,6 +98,13 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "latin.conf" in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("config", ["nope.conf", "."], ids=["missing", "directory"])
+    def test_unreadable_file_is_usage_error(self, tmp_cwd, capsys, config):
+        assert run("train", "--pairs", "pairs.tsv", "--out", "m.ckpt", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {config}: cannot read config file")
+        assert list(tmp_cwd.iterdir()) == []
+
     @pytest.mark.parametrize("key", SETTING_KEYS)
     def test_flag_and_config_line_resolve_alike(self, tmp_cwd, key):
         value = NON_DEFAULT_SETTINGS[key]
@@ -228,6 +235,28 @@ class TestBuild:
         assert run("build", "--records", "records.jsonl", "--out-dir", "built") == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_failed_build_writes_nothing(self, store, capsys):
+        # the benchmark builds, then sampling asks for more pairs than there are
+        assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",
+                   "--bench-queries", 2, "--pairs-per-dataset", 10_000, "--edges-out", "built/edges.tsv",
+                   "--out-dir", "built") == 2
+        assert "requested 10000 pairs" in capsys.readouterr().err
+        assert not Path("built").exists()
+
+    def test_lone_surrogate_is_counted_by_ingest_and_rejected_by_build(self, tmp_cwd, capsys):
+        Path("stream.jsonl").write_text(
+            '{"id_str":"8","text":"hello there friend","lang":"en"}\n'
+            '{"id_str":"9","text":"hi there friend \\ud83d","lang":"en"}\n'
+        )
+        assert run("ingest", "--inputs", "stream.jsonl", "--out", "records.jsonl") == 0
+        assert json.loads(Path("records.jsonl.stats.json").read_text())["totals"]["malformed"] == 1
+        Path("store.jsonl").write_text(
+            '{"id": "8", "text": "x", "lang": "en"}\n{"id": "9", "text": "\\udc00", "lang": "en"}\n'
+        )
+        assert run("build", "--records", "store.jsonl", "--out-dir", "built") == 2
+        assert "store.jsonl: record store line 2" in capsys.readouterr().err
+        assert not Path("built").exists()
+
     def test_edge_dump_option(self, store):
         assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "qt",
                    "--edges-out", "edges.tsv", "--out-dir", "built") == 0
@@ -319,6 +348,16 @@ class TestTrainEval:
                    "--out-dir", "reports")
         assert code == 2
         assert "format version" in capsys.readouterr().err
+
+    def test_bad_second_input_leaves_no_report(self, store, capsys):
+        self.prepare(store)
+        run("--seed", 11, "train", "--pairs", "built/pairs_qt.tsv", "--batch-size", 8,
+            "--dim", 16, "--vocab-size", 500, "--out", "model.ckpt")
+        Path("bad.jsonl").write_text("{}\n")
+        assert run("eval", "--checkpoint", "model.ckpt", "--inputs", "built/bench_dq.jsonl", "bad.jsonl",
+                   "--out-dir", "reports") == 2
+        assert "bad.jsonl: benchmark line 1" in capsys.readouterr().err
+        assert not Path("reports").exists()
 
     def test_rerun_same_seed_bitwise_checkpoint(self, store):
         self.prepare(store)

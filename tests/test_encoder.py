@@ -372,6 +372,39 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="model.ckpt: each checkpoint parameter needs a string name"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "text", ['"dim": Infinity', '"dim": 1e999', '"model_version": -Infinity', '"max_len": 0']
+    )
+    def test_header_number_out_of_range_rejected(self, tmp_path, text):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=False, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        key = text.split(":")[0]
+        start = header_line.index(key.encode())
+        end = header_line.index(b",", start)
+        path.write_bytes(header_line[:start] + text.encode() + header_line[end:] + b"\n" + payload)
+        with pytest.raises(DataError, match="model.ckpt"):
+            load_checkpoint(path)
+
+    def test_dim_below_two_rejected(self, tmp_path):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=False, seed=0)
+        model.dim, model.params["embedding"] = 1, model.params["embedding"][:, :1]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(DataError, match="needs dim >= 2"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        # an all-NaN model ties every candidate, and ties rank positives first: nDCG would read 1.0
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)
+        model.params["w_2"][1, 2] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(DataError, match="parameter w_2 holds a NaN or infinite value"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("name", ["embedding", "w_q", "w_k", "w_v", "w_1", "w_2"])
     def test_shape_not_matching_dim_rejected(self, tmp_path, name):
         model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)

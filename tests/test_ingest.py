@@ -92,6 +92,18 @@ class TestParseStreamFile:
         assert records == []
         assert stats.malformed == 1
 
+    def test_lone_surrogate_escape_in_record_text_is_malformed(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [
+            '{"id_str":"9","text":"hi there friend \\ud83d","lang":"en"}',
+            '{"id_str":"10","text":"a pair \\ud83d\\ude00 is fine","lang":"en"}',
+            '{"id_str":"11","text":"only an unused field","lang":"en","user":{"name":"\\udc00"}}',
+        ])
+        records, stats = parse_stream_file(path, "en")
+        assert [r.id for r in records] == ["10", "11"]
+        assert records[0].text == "a pair \U0001f600 is fine"
+        assert stats.malformed == 1 and stats.lines == 3
+
     def test_quote_and_reply_fields_parsed(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [tweet_obj(3, reply_to=1, quoted=(2, "original words"))])
@@ -275,6 +287,12 @@ class TestOnDiskFormats:
         path = tmp_path / "store.jsonl"
         path.write_text('{"id": "1", "text": "x", "lang": "en"}\n' + line + "\n")
         with pytest.raises(DataError, match=r"store\.jsonl.*line 2"):
+            read_records(path)
+
+    def test_lone_surrogate_in_store_is_data_error(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"id": "1", "text": "x", "lang": "en"}\n{"id": "2", "text": "x \\ud83d", "lang": "en"}\n')
+        with pytest.raises(DataError, match=r"store\.jsonl: record store line 2: .*surrogate"):
             read_records(path)
 
     def test_edge_tsv_roundtrip_with_tabs_and_newlines(self, tmp_path):
