@@ -30,8 +30,6 @@ from .atomic import atomic_write, write_jsonl
 from .errors import DataError, NumericError, UsageError
 from .textproc import build_vocab
 
-BENCH_FOR_DATASET = {"qt": "dq", "rp": "dr", "coqt": "cq", "corp": "cr"}
-
 # Every setting is a config key, a flag and a manifest entry.  Training settings
 # are the TrainConfig fields (its seed is derived per stage, never set); encoder
 # settings take their defaults from init_model, plus the vocabulary size cap.
@@ -276,7 +274,7 @@ def cmd_build(args) -> int:
     banned: set[str] = set()
     if args.bench_queries > 0:
         for dataset in datasets:
-            name = BENCH_FOR_DATASET[dataset]
+            name = corpus_mod.BENCH_FOR_DATASET[dataset]
             bench = corpus_mod.build_benchmark(
                 edges,
                 name,
@@ -290,10 +288,8 @@ def cmd_build(args) -> int:
 
     all_pairs: list[corpus_mod.PairExample] = []
     for dataset in datasets:
-        if dataset in ("qt", "rp"):
-            pairs = corpus_mod.build_pairs(edges, dataset, seed=derive_seed(args.seed, f"pairs:{dataset}"))
-        else:
-            pairs = corpus_mod.build_co_pairs(edges, dataset, seed=derive_seed(args.seed, f"pairs:{dataset}"))
+        build = corpus_mod.build_co_pairs if dataset in corpus_mod.CO_DATASETS else corpus_mod.build_pairs
+        pairs = build(edges, dataset, seed=derive_seed(args.seed, f"pairs:{dataset}"))
         pairs = corpus_mod.exclude_ids(pairs, banned)
         counts[f"{dataset}_available"] = len(pairs)
         if args.pairs_per_dataset is not None:
@@ -358,16 +354,8 @@ def cmd_train(args) -> int:
 
 
 def _config_hash(model: encoder_mod.EncoderModel) -> str:
-    blob = json.dumps(
-        {
-            "dim": model.dim,
-            "use_block": model.use_block,
-            "normalize_output": model.normalize_output,
-            "max_len": model.max_len,
-            "vocab": len(model.vocab),
-        },
-        sort_keys=True,
-    )
+    encoder_settings = {key: getattr(model, key) for key in _ENCODER_KEYS}
+    blob = json.dumps({**encoder_settings, "vocab": len(model.vocab)}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -378,6 +366,15 @@ def cmd_eval(args) -> int:
             f"{unknown[0]}: cannot infer input type; use .jsonl for ranking benchmarks "
             f"or .tsv for graded pairs"
         )
+    first_with_stem: dict[str, str] = {}
+    for path in args.inputs:
+        stem = Path(path).stem
+        if stem in first_with_stem:
+            raise UsageError(
+                f"{first_with_stem[stem]} and {path} would both write report_{stem}.json; "
+                f"give each input a different file name"
+            )
+        first_with_stem[stem] = path
     model = encoder_mod.load_checkpoint(args.checkpoint)
     checkpoint_id = _sha256_file(Path(args.checkpoint))[:12]
     # every input loads before any is evaluated, and every report is made before any is written
@@ -422,6 +419,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.include_baseline and args.axis != "corpus_size":
+        raise UsageError("--include-baseline applies to the corpus_size axis only")
     values = args.values
     if len(values) != len(set(values)):
         raise UsageError(f"duplicate sweep values: {values}")
@@ -468,7 +467,7 @@ def cmd_sweep(args) -> int:
         return report, final_loss
 
     points = list(values)
-    if args.axis == "corpus_size" and args.include_baseline:
+    if args.include_baseline:
         points = [0] + points  # untrained encoder as the floor of the curve
 
     # every point runs before any report is written

@@ -22,20 +22,16 @@ from .textproc import clean
 
 MIN_CHARS = 20
 
-PAIR_DATASETS = ("qt", "rp", "coqt", "corp")
-BENCHMARK_NAMES = ("dq", "dr", "cq", "cr")
+# Each pair corpus draws on one relation and has one benchmark built beside it.
+# A direct corpus pairs a target with one of its responses; a co corpus pairs two
+# responses of one target, and its benchmark's queries are responses too.
+_RELATION_FOR = {"qt": QUOTE, "rp": REPLY, "coqt": QUOTE, "corp": REPLY}
+BENCH_FOR_DATASET = {"qt": "dq", "rp": "dr", "coqt": "cq", "corp": "cr"}
+CO_DATASETS = ("coqt", "corp")
 
-# each pair corpus / benchmark draws on one underlying relation kind
-_RELATION_FOR = {
-    "qt": QUOTE,
-    "rp": REPLY,
-    "coqt": QUOTE,
-    "corp": REPLY,
-    "dq": QUOTE,
-    "dr": REPLY,
-    "cq": QUOTE,
-    "cr": REPLY,
-}
+PAIR_DATASETS = tuple(_RELATION_FOR)
+BENCHMARK_NAMES = tuple(BENCH_FOR_DATASET.values())
+_DATASET_FOR_BENCH = {bench: dataset for dataset, bench in BENCH_FOR_DATASET.items()}
 
 POSITIVES_PER_QUERY = 5
 NEGATIVES_PER_QUERY = 25
@@ -107,37 +103,45 @@ def clean_edges(edges: Iterable[RelationEdge]) -> tuple[list[RelationEdge], int]
     return kept, dropped
 
 
+def _responses_by_target(
+    edges: Iterable[RelationEdge], relation: str
+) -> Iterator[tuple[str, str | None, list[tuple[str, str]]]]:
+    """(target id, target text, [(response id, response text)] sorted by id) per target, in id order.
+
+    Only edges of ``relation`` count.  A target's text is the first
+    non-``None`` one in edge order; a response id counts once per target,
+    with the text of its first edge.  Each target's list is made as it is
+    reached, so a builder that keeps none of them holds one at a time;
+    holding all of them at once more than doubled the time ``build`` spent
+    in garbage collection.
+    """
+    texts: dict[str, str | None] = {}
+    responses: dict[str, dict[str, str]] = {}
+    for edge in edges:
+        if edge.kind != relation:
+            continue
+        if texts.get(edge.target_id) is None:
+            texts[edge.target_id] = edge.target_text
+        responses.setdefault(edge.target_id, {}).setdefault(edge.response_id, edge.response_text)
+    for target_id in sorted(responses):
+        yield target_id, texts[target_id], sorted(responses[target_id].items())
+
+
 def build_pairs(edges: Iterable[RelationEdge], kind: str, seed: int) -> list[PairExample]:
     """Build direct pairs (anchor = target text, positive = response text).
 
-    ``edges`` come from ``clean_edges``; targets whose text it dropped yield
+    ``edges`` come from ``clean_edges``; a target with no text left yields
     no pair.  When several responses remain for one target, exactly one is
     chosen uniformly at random under the seed.
     """
-    if kind not in ("qt", "rp"):
-        raise ValueError(f"kind must be 'qt' or 'rp', got {kind!r}")
-    relation = _RELATION_FOR[kind]
-    by_target: dict[str, list[tuple[str, str, str]]] = {}
-    for edge in edges:
-        if edge.kind != relation or edge.target_text is None:
-            continue
-        by_target.setdefault(edge.target_id, []).append(
-            (edge.response_id, edge.target_text, edge.response_text)
-        )
+    if kind not in PAIR_DATASETS or kind in CO_DATASETS:
+        raise ValueError(f"kind must be a direct pair corpus, got {kind!r}")
     rng = random.Random(seed)
     pairs = []
-    for target_id in sorted(by_target):
-        candidates = sorted(by_target[target_id])
-        response_id, anchor, positive = candidates[rng.randrange(len(candidates))]
-        pairs.append(
-            PairExample(
-                anchor_text=anchor,
-                positive_text=positive,
-                dataset=kind,
-                anchor_id=target_id,
-                positive_id=response_id,
-            )
-        )
+    for target_id, target_text, responses in _responses_by_target(edges, _RELATION_FOR[kind]):
+        if target_text is not None:
+            response_id, response_text = responses[rng.randrange(len(responses))]
+            pairs.append(PairExample(target_text, response_text, kind, target_id, response_id))
     return pairs
 
 
@@ -148,30 +152,14 @@ def build_co_pairs(edges: Iterable[RelationEdge], kind: str, seed: int) -> list[
     responses yield a pair, and each target yields exactly one;
     anchor/positive order is the draw order.
     """
-    if kind not in ("coqt", "corp"):
-        raise ValueError(f"kind must be 'coqt' or 'corp', got {kind!r}")
-    relation = _RELATION_FOR[kind]
-    by_target: dict[str, dict[str, str]] = {}
-    for edge in edges:
-        if edge.kind != relation:
-            continue
-        by_target.setdefault(edge.target_id, {}).setdefault(edge.response_id, edge.response_text)
+    if kind not in CO_DATASETS:
+        raise ValueError(f"kind must be one of {CO_DATASETS}, got {kind!r}")
     rng = random.Random(seed)
     pairs = []
-    for target_id in sorted(by_target):
-        responses = sorted(by_target[target_id].items())
-        if len(responses) < 2:
-            continue
-        (a_id, a_text), (p_id, p_text) = rng.sample(responses, 2)
-        pairs.append(
-            PairExample(
-                anchor_text=a_text,
-                positive_text=p_text,
-                dataset=kind,
-                anchor_id=a_id,
-                positive_id=p_id,
-            )
-        )
+    for _, _, responses in _responses_by_target(edges, _RELATION_FOR[kind]):
+        if len(responses) >= 2:
+            (a_id, a_text), (p_id, p_text) = rng.sample(responses, 2)
+            pairs.append(PairExample(a_text, p_text, kind, a_id, p_id))
     return pairs
 
 
@@ -187,30 +175,6 @@ def sample_corpus(pairs: Sequence[PairExample], n: int, seed: int) -> list[PairE
 def exclude_ids(pairs: Iterable[PairExample], banned: set[str]) -> list[PairExample]:
     """Drop every pair that touches a banned tweet id on either side."""
     return [p for p in pairs if p.anchor_id not in banned and p.positive_id not in banned]
-
-
-def _response_pools(
-    edges: Iterable[RelationEdge], relation: str, banned: set[str]
-) -> tuple[dict[str, list[tuple[str, str]]], dict[str, str]]:
-    """Per-target response candidates (text-deduplicated) plus target texts."""
-    raw: dict[str, dict[str, str]] = {}
-    target_texts: dict[str, str] = {}
-    for edge in edges:
-        if edge.kind != relation or edge.response_id in banned:
-            continue
-        raw.setdefault(edge.target_id, {}).setdefault(edge.response_id, edge.response_text)
-        if edge.target_id not in target_texts and edge.target_text is not None:
-            target_texts[edge.target_id] = edge.target_text
-    pools: dict[str, list[tuple[str, str]]] = {}
-    for target_id, responses in raw.items():
-        seen_texts: set[str] = set()
-        unique: list[tuple[str, str]] = []
-        for response_id, text in sorted(responses.items()):
-            if text not in seen_texts:
-                seen_texts.add(text)
-                unique.append((response_id, text))
-        pools[target_id] = unique
-    return pools, target_texts
 
 
 def _untried_indices(rng: random.Random, n: int) -> Iterator[int]:
@@ -248,18 +212,22 @@ def build_benchmark(
     if name not in BENCHMARK_NAMES:
         raise ValueError(f"benchmark name must be one of {BENCHMARK_NAMES}, got {name!r}")
     banned = set(banned)
-    relation = _RELATION_FOR[name]
-    co_style = name in ("cq", "cr")
+    dataset = _DATASET_FOR_BENCH[name]
+    co_style = dataset in CO_DATASETS
     need = POSITIVES_PER_QUERY + (1 if co_style else 0)
 
-    pools, target_texts = _response_pools(edges, relation, banned)
-    eligible = []
-    for target_id in sorted(pools):
-        if len(pools[target_id]) < need:
-            continue
-        if not co_style and (target_id in banned or target_id not in target_texts):
-            continue
-        eligible.append(target_id)
+    pools: dict[str, list[tuple[str, str]]] = {}  # responses not banned, each text once
+    eligible = []  # (target id, target text)
+    for target_id, target_text, responses in _responses_by_target(edges, _RELATION_FOR[dataset]):
+        texts: set[str] = set()
+        pool = pools[target_id] = []
+        for response in responses:
+            response_id, text = response
+            if response_id not in banned and text not in texts:
+                texts.add(text)
+                pool.append(response)
+        if len(pool) >= need and (co_style or (target_id not in banned and target_text is not None)):
+            eligible.append((target_id, target_text))
     if len(eligible) < num_queries:
         raise DataError(
             f"benchmark {name}: need {num_queries} queries but only {len(eligible)} "
@@ -269,13 +237,11 @@ def build_benchmark(
     rng = random.Random(seed)
     chosen = rng.sample(eligible, num_queries)
     all_candidates = [
-        (target_id, response_id, text)
-        for target_id in sorted(pools)
-        for response_id, text in pools[target_id]
+        (target_id, response_id, text) for target_id, pool in pools.items() for response_id, text in pool
     ]
 
     queries = []
-    for target_id in chosen:
+    for target_id, target_text in chosen:
         involved: set[str] = set()
         if co_style:
             picks = rng.sample(pools[target_id], need)
@@ -283,7 +249,7 @@ def build_benchmark(
             positives = picks[1:]
             involved.add(query_id)
         else:
-            query_text = target_texts[target_id]
+            query_text = target_text
             positives = rng.sample(pools[target_id], POSITIVES_PER_QUERY)
             involved.add(target_id)
 

@@ -192,8 +192,10 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
     """Exact gradients of sum_i <grad_out[i], embedding i> with respect to every parameter.
 
     ``grad_out`` holds one (dim,) row per sentence of the traced batch.
-    Untouched embedding rows get zero gradient and the PAD row is forced to
-    zero.  The trace must come from the current parameter version.
+    Untouched embedding rows get zero gradient.  So does the PAD row: padded
+    keys are masked and padded positions have pool weight 0, so nothing
+    flows back to them.  The trace must come from the current parameter
+    version.
     """
     if trace.model_version != model.version:
         raise ValueError(
@@ -246,7 +248,6 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
         d_x = d_h2
 
     np.add.at(grads["embedding"], trace.ids.ravel(), _rows(d_x))
-    grads["embedding"][PAD_ID, :] = 0.0
     return grads
 
 

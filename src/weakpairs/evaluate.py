@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .atomic import atomic_write, read_tsv
-from .corpus import RankingBenchmark
+from .corpus import NEGATIVES_PER_QUERY, POSITIVES_PER_QUERY, RankingBenchmark
 from .encoder import EncoderModel, embed_text
 from .errors import DataError, NumericError
 
@@ -145,7 +145,9 @@ def eval_graded(model: EncoderModel, data: GradedPairDataset) -> EvalReport:
     )
 
 
-def permutation_ndcg_baseline(num_positives: int = 5, num_negatives: int = 25) -> float:
+def permutation_ndcg_baseline(
+    num_positives: int = POSITIVES_PER_QUERY, num_negatives: int = NEGATIVES_PER_QUERY
+) -> float:
     """Exact mean nDCG of a uniformly random ranking of the benchmark shape.
 
     Each of the N = positives + negatives ranks holds a positive with

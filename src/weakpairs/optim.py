@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import PairExample
 from .encoder import EncoderModel, backprop, encode_with_trace
 from .errors import DataError, NumericError
-from .textproc import PAD_ID, encode_ids
+from .textproc import encode_ids
 
 TRIPLET = "triplet"
 MULTIPLE_NEGATIVES = "multiple_negatives"
@@ -51,6 +51,9 @@ class TrainConfig:
             problems.append(
                 f"similarity must be one of {', '.join(SIMILARITY_MODES)}; got {self.similarity!r}"
             )
+        for name in ("margin", "scale", "learning_rate", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                problems.append(f"{name} must be finite; got {getattr(self, name)}")
         if self.margin < 0:
             problems.append(f"margin must be >= 0; got {self.margin}")
         if self.scale <= 0:
@@ -178,12 +181,11 @@ def adamw_step(
 ) -> OptimizerState:
     """One AdamW update in place: bias-corrected moments plus decoupled decay.
 
-    Every entry of ``params`` trains; pass views to leave rows out (``train``
-    leaves out the PAD embedding row).  The update runs over blocks of
-    ``ADAMW_BLOCK_ROWS`` leading-axis rows with two block-sized scratch
-    buffers, so no full-size temporary is made; each entry sees the same
-    operations in the same order as an unblocked update, so results are
-    bitwise equal to it.
+    A row that is zero with a zero gradient, such as the PAD embedding row,
+    stays zero.  The update runs over blocks of ``ADAMW_BLOCK_ROWS``
+    leading-axis rows with two block-sized scratch buffers, so no full-size
+    temporary is made; each entry sees the same operations in the same order
+    as an unblocked update, so results are bitwise equal to it.
     """
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
@@ -221,11 +223,6 @@ def adamw_step(
     return state
 
 
-def _without_pad_row(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Views of the arrays without the PAD embedding row, which stays frozen."""
-    return {name: arr[PAD_ID + 1 :] if name == "embedding" else arr for name, arr in arrays.items()}
-
-
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 0.10) -> float:
     """Linear warm-up to base_lr, then linear decay to zero at total_steps."""
     if total_steps < 1:
@@ -260,8 +257,7 @@ def train(
         raise DataError(f"need at least one full batch of {n} pairs, got only {len(pairs)}")
     total_steps = batches_per_epoch * config.epochs
     rng = np.random.default_rng(config.seed)
-    trainable = _without_pad_row(model.params)
-    state = init_optimizer(trainable)
+    state = init_optimizer(model.params)
     log: list[dict] = []
 
     for step in range(total_steps):
@@ -292,7 +288,7 @@ def train(
             np.add.at(grad_p, negatives, grad_n / n)
 
         grads = backprop(model, trace, np.concatenate([grad_a, grad_p]))
-        adamw_step(trainable, _without_pad_row(grads), state, lr=lr, weight_decay=config.weight_decay)
+        adamw_step(model.params, grads, state, lr=lr, weight_decay=config.weight_decay)
         model.version += 1
         log.append({"step": step, "lr": lr, "loss": float(loss)})
     return model, log

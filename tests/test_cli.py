@@ -359,6 +359,24 @@ class TestTrainEval:
         assert "bad.jsonl: benchmark line 1" in capsys.readouterr().err
         assert not Path("reports").exists()
 
+    def test_inputs_with_one_stem_are_usage_error_before_checkpoint_loads(self, tmp_cwd, capsys):
+        # neither the checkpoint nor the inputs exist: loading any of them would be exit 2
+        code = run("eval", "--checkpoint", "model.ckpt", "--inputs", "x/bench.jsonl", "y/bench.jsonl",
+                   "--out-dir", "reports")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "x/bench.jsonl" in err and "y/bench.jsonl" in err
+        assert list(tmp_cwd.iterdir()) == []
+
+    def test_config_hash_pinned(self):
+        from weakpairs.cli import _config_hash
+        from weakpairs.encoder import init_model
+        from weakpairs.textproc import build_vocab
+
+        vocab = build_vocab(["alpha beta gamma delta epsilon zeta"], max_size=50)
+        model = init_model(vocab, dim=8, use_block=False, normalize_output=True, max_len=16)
+        assert _config_hash(model) == "eb415b6b539d"
+
     def test_rerun_same_seed_bitwise_checkpoint(self, store):
         self.prepare(store)
         for out in ("m1.ckpt", "m2.ckpt"):
@@ -420,6 +438,14 @@ class TestSweep:
         assert "batch_size must be >= 2" in capsys.readouterr().err
 
 
+    def test_include_baseline_on_batch_size_axis_is_usage_error(self, tmp_cwd, capsys):
+        assert run("sweep", "--axis", "batch_size", "--values", 4, 8, "--include-baseline",
+                   "--pairs", "pairs.tsv", "--benchmark", "bench.jsonl", "--out-dir", "sweep") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--include-baseline" in err
+        assert list(tmp_cwd.iterdir()) == []
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -438,6 +464,30 @@ class TestUsageErrors:
         assert run(*argv, "--out-dir", "out") == 1
         assert capsys.readouterr().err.startswith("usage error: ")
         assert list(tmp_cwd.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--loss", "triplet", "--margin", "nan"],
+            ["--learning-rate", "nan"],
+            ["--scale", "inf"],
+            ["--weight-decay", "inf"],
+        ],
+        ids=["margin-nan", "learning-rate-nan", "scale-inf", "weight-decay-inf"],
+    )
+    def test_non_finite_setting_rejected_before_any_stage_work(self, tmp_cwd, capsys, flags):
+        # the pair file does not exist: reading it would be a data error (exit 2)
+        assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "must be finite" in err
+        assert "Traceback" not in err
+        assert list(tmp_cwd.iterdir()) == []
+
+    def test_non_finite_config_value_rejected(self, tmp_cwd, capsys):
+        Path("run.conf").write_text("margin = nan\n")
+        assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", "--config", "run.conf") == 1
+        assert "margin must be finite" in capsys.readouterr().err
+        assert [p.name for p in tmp_cwd.iterdir()] == ["run.conf"]
 
 
 class TestPipelineComposition:

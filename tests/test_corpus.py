@@ -415,6 +415,156 @@ class TestCorpusProperties:
                 assert all(v == 1 for v in counts.values())
 
 
+# --- the three edge groupings the builders used before sharing _responses_by_target ---
+
+
+def reference_build_pairs(edges, kind, seed):
+    """Per-edge candidates of targets with a text; each edge keeps its own target text."""
+    relation = {"qt": QUOTE, "rp": REPLY}[kind]
+    by_target = {}
+    for edge in edges:
+        if edge.kind == relation and edge.target_text is not None:
+            by_target.setdefault(edge.target_id, []).append(
+                (edge.response_id, edge.target_text, edge.response_text)
+            )
+    rng = random.Random(seed)
+    pairs = []
+    for target_id in sorted(by_target):
+        candidates = sorted(by_target[target_id])
+        response_id, anchor, positive = candidates[rng.randrange(len(candidates))]
+        pairs.append(PairExample(anchor, positive, kind, target_id, response_id))
+    return pairs
+
+
+def reference_build_co_pairs(edges, kind, seed):
+    """Per-target response id -> text dicts; targets with two responses give one pair."""
+    relation = {"coqt": QUOTE, "corp": REPLY}[kind]
+    by_target = {}
+    for edge in edges:
+        if edge.kind == relation:
+            by_target.setdefault(edge.target_id, {}).setdefault(edge.response_id, edge.response_text)
+    rng = random.Random(seed)
+    pairs = []
+    for target_id in sorted(by_target):
+        responses = sorted(by_target[target_id].items())
+        if len(responses) >= 2:
+            (a_id, a_text), (p_id, p_text) = rng.sample(responses, 2)
+            pairs.append(PairExample(a_text, p_text, kind, a_id, p_id))
+    return pairs
+
+
+def reference_build_benchmark(edges, name, num_queries, seed, banned=frozenset()):
+    """Response pools without banned ids or repeated texts; target texts from non-banned edges only."""
+    relation = {"dq": QUOTE, "dr": REPLY, "cq": QUOTE, "cr": REPLY}[name]
+    co_style = name in ("cq", "cr")
+    need = corpus_mod.POSITIVES_PER_QUERY + co_style
+    raw, target_texts = {}, {}
+    for edge in edges:
+        if edge.kind != relation or edge.response_id in banned:
+            continue
+        raw.setdefault(edge.target_id, {}).setdefault(edge.response_id, edge.response_text)
+        if edge.target_id not in target_texts and edge.target_text is not None:
+            target_texts[edge.target_id] = edge.target_text
+    pools = {}
+    for target_id, responses in raw.items():
+        seen = set()
+        pools[target_id] = []
+        for response_id, text in sorted(responses.items()):
+            if text not in seen:
+                seen.add(text)
+                pools[target_id].append((response_id, text))
+    eligible = [
+        t for t in sorted(pools)
+        if len(pools[t]) >= need and (co_style or (t not in banned and t in target_texts))
+    ]
+    if len(eligible) < num_queries:
+        raise DataError(f"benchmark {name}: only {len(eligible)} eligible targets")
+    rng = random.Random(seed)
+    chosen = rng.sample(eligible, num_queries)
+    all_candidates = [(t, rid, text) for t in sorted(pools) for rid, text in pools[t]]
+    queries = []
+    for target_id in chosen:
+        if co_style:
+            picks = rng.sample(pools[target_id], need)
+            (query_id, query_text), positives = picks[0], picks[1:]
+        else:
+            query_id, query_text = target_id, target_texts[target_id]
+            positives = rng.sample(pools[target_id], corpus_mod.POSITIVES_PER_QUERY)
+        used = {text for _, text in positives} | {query_text}
+        negatives = []
+        for index in corpus_mod._untried_indices(rng, len(all_candidates)):
+            cand_target, cand_id, cand_text = all_candidates[index]
+            if cand_target != target_id and cand_text not in used:
+                negatives.append((cand_id, cand_text))
+                used.add(cand_text)
+                if len(negatives) == NEGATIVES_PER_QUERY:
+                    break
+        if len(negatives) < NEGATIVES_PER_QUERY:
+            raise DataError(f"benchmark {name}: too few negatives")
+        queries.append(corpus_mod.BenchmarkQuery(
+            query_text,
+            [text for _, text in positives],
+            [text for _, text in negatives],
+            {query_id} | {rid for rid, _ in positives + negatives},
+        ))
+    return corpus_mod.RankingBenchmark(name, queries)
+
+
+class TestOneGroupingPerRelation:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_builders_equal_reference_when_targets_agree_on_their_text(self, data):
+        phrases = [f"shared candidate phrase {k:03d}" for k in range(150)]
+        edges = []
+        for t in range(data.draw(st.integers(1, 24))):
+            kind = data.draw(st.sampled_from([QUOTE, REPLY]))
+            target_text = data.draw(st.none() | st.sampled_from(phrases))  # one text per target
+            for r in range(data.draw(st.integers(1, 10))):
+                response_text = data.draw(st.sampled_from(phrases))
+                edges.append(RelationEdge(kind, f"T{t}", f"T{t}R{r}", target_text, response_text))
+        edges = data.draw(st.permutations(edges))
+        seed = data.draw(st.integers(0, 2**32))
+        for kind in ("qt", "rp"):
+            assert build_pairs(edges, kind, seed) == reference_build_pairs(edges, kind, seed)
+        for kind in ("coqt", "corp"):
+            assert build_co_pairs(edges, kind, seed) == reference_build_co_pairs(edges, kind, seed)
+        all_ids = sorted({e.target_id for e in edges} | {e.response_id for e in edges})
+        banned = data.draw(st.sets(st.sampled_from(all_ids), max_size=8))
+        num_queries = data.draw(st.integers(1, 2))
+        for name in corpus_mod.BENCHMARK_NAMES:
+            try:
+                expected = reference_build_benchmark(edges, name, num_queries, seed, banned)
+            except DataError:
+                with pytest.raises(DataError):
+                    build_benchmark(edges, name, num_queries, seed, banned)
+                continue
+            assert build_benchmark(edges, name, num_queries, seed, banned) == expected
+
+    def test_target_text_is_the_first_one_in_edge_order(self):
+        first = "first quoted text of target"
+        edges = [RelationEdge(QUOTE, "t1", "r1", None, "a response with no quoted text")]
+        edges += [RelationEdge(QUOTE, "t1", f"r{i}", text, f"response number {i} to the target")
+                  for i, text in ((2, first), (3, "a later quoted text that differs"))]
+        pairs = [build_pairs(edges, "qt", seed=seed)[0] for seed in range(40)]
+        assert {p.anchor_text for p in pairs} == {first}
+        assert {p.positive_id for p in pairs} == {"r1", "r2", "r3"}
+
+    def test_query_text_comes_from_banned_edges_too(self):
+        first = "query text seen on a banned edge"
+        edges = [RelationEdge(QUOTE, "t00", "t00r0", None, "response words target00 reply0 content")]
+        edges.append(RelationEdge(QUOTE, "t00", "t00r1", first, "response words target00 reply1 content"))
+        edges += [RelationEdge(QUOTE, "t00", f"t00r{r}", "a later query text that differs",
+                               f"response words target00 reply{r} content") for r in range(2, 8)]
+        edges += benchmark_fixture_edges(num_targets=8, responses_each=4)[4:]  # t01..t07: negatives only
+        bench = build_benchmark(edges, "dq", num_queries=1, seed=0, banned={"t00r1"})
+        assert [q.query_text for q in bench.queries] == [first]
+
+    def test_response_id_counts_once_per_target(self):
+        edges = [make_edge(QUOTE, "t1", "r1")] * 30 + [make_edge(QUOTE, "t1", "r2")]
+        chosen = Counter(build_pairs(edges, "qt", seed=seed)[0].positive_id for seed in range(200))
+        assert 60 < chosen["r2"] < 140
+
+
 class TestPairAndBenchmarkFiles:
     def test_pair_tsv_roundtrip(self, tmp_path):
         pairs = [

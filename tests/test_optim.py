@@ -474,6 +474,38 @@ class TestTrainEpoch:
         train(model, pairs, TrainConfig(batch_size=10, weight_decay=0.1))
         np.testing.assert_array_equal(model.params["embedding"][PAD_ID], before)
 
+    @pytest.mark.parametrize("use_block", [True, False], ids=["block", "no-block"])
+    @pytest.mark.parametrize("normalize_output", [False, True], ids=["raw", "normalized"])
+    def test_pad_gradient_exactly_zero_on_ragged_batches(self, monkeypatch, use_block, normalize_output):
+        # anchors of 2-5 tokens and positives of 7 pad every batch; nothing zeroes the
+        # PAD row on the way: backprop's gradient and the full parameters reach AdamW
+        from weakpairs import optim as optim_mod
+        from weakpairs.textproc import build_vocab
+
+        pairs = [
+            PairExample(" ".join(f"a{(i + k) % 9}" for k in range(2 + i % 4)),
+                        " ".join(f"p{(i + k) % 9}" for k in range(7)), "qt", f"a{i}", f"p{i}")
+            for i in range(20)
+        ]
+        vocab = build_vocab([p.anchor_text for p in pairs] + [p.positive_text for p in pairs], max_size=50)
+        model = init_model(vocab, dim=6, use_block=use_block, normalize_output=normalize_output, seed=3)
+        real_adamw = optim_mod.adamw_step
+        pad_grads = []
+
+        def recording_adamw(params, grads, state, lr, weight_decay):
+            assert params is model.params
+            assert grads["embedding"].shape == model.params["embedding"].shape
+            assert np.any(grads["embedding"] != 0.0)
+            pad_grads.append(grads["embedding"][PAD_ID].copy())
+            return real_adamw(params, grads, state, lr, weight_decay)
+
+        monkeypatch.setattr(optim_mod, "adamw_step", recording_adamw)
+        train(model, pairs, TrainConfig(batch_size=5, epochs=2, weight_decay=0.1))
+        assert len(pad_grads) == 8
+        for grad in pad_grads:
+            np.testing.assert_array_equal(grad, np.zeros(6))
+        np.testing.assert_array_equal(model.params["embedding"][PAD_ID], np.zeros(6))
+
     def test_parameters_finite_after_every_update(self):
         pairs = topic_pairs(60)
         model = tiny_trainable_model(pairs)
@@ -511,6 +543,12 @@ class TestConfigValidation:
         config = TrainConfig(loss="bad", batch_size=0, learning_rate=-1.0, warmup_fraction=2.0)
         problems = config.validate()
         assert len(problems) >= 4
+
+    @pytest.mark.parametrize("field", ["margin", "scale", "learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(self, field, value):
+        problems = TrainConfig(**{field: value}).validate()
+        assert f"{field} must be finite; got {value}" in problems
 
     def test_default_config_valid(self):
         assert TrainConfig().validate() == []
