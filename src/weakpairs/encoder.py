@@ -5,6 +5,11 @@ feed-forward block (single head, residual connections, no positional
 encodings), then a MEAN pool over token positions.  Everything is plain
 float64 numpy so gradients can be derived by hand and checked against
 central finite differences.
+
+The block's output at each position is ``relu @ w_2 + h1``.  Mean pooling is
+linear and ``w_2`` acts on each position alone, so the pooled embedding is
+computed as ``pool(h1) + pool(relu) @ w_2``: ``w_2`` multiplies one pooled
+row per sentence instead of every position, forward and backward.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ class ForwardTrace:
     k: np.ndarray | None = None
     v: np.ndarray | None = None
     h1: np.ndarray | None = None
-    relu: np.ndarray | None = None  # relu of the feed-forward pre-activation
+    relu: np.ndarray | None = None  # (B, L, 2 * dim) relu of the feed-forward pre-activation
+    pooled_relu: np.ndarray | None = None  # (B, 2 * dim) relu mean-pooled, the input w_2 sees
     # (B, 1) pooled norms when normalizing output, inf for a zero vector so it divides to zero
     norm: np.ndarray | None = None
 
@@ -117,6 +123,11 @@ def _rows(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1, arr.shape[-1])
 
 
+def _pool(pool: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Mean pool a (B, L, n) array with (B, L) weights into (B, n)."""
+    return (pool[:, None, :] @ arr)[:, 0]
+
+
 def encode_with_trace(
     model: EncoderModel, id_lists: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -150,12 +161,14 @@ def encode_with_trace(
         h1 += x
         relu = h1 @ p["w_1"]
         np.maximum(relu, 0.0, out=relu)
-        h2 = relu @ p["w_2"]
-        h2 += h1
-        block = {"x": x, "attn": attn, "q": q, "k": k, "v": v, "h1": h1, "relu": relu}
+        # pool(relu @ w_2 + h1), with w_2 applied after the pool (see the module docstring)
+        pooled_relu = _pool(pool, relu)
+        pooled = _pool(pool, h1)
+        pooled += pooled_relu @ p["w_2"]
+        block = {"x": x, "attn": attn, "q": q, "k": k, "v": v, "h1": h1, "relu": relu,
+                 "pooled_relu": pooled_relu}
     else:
-        h2 = x
-    pooled = np.einsum("bl,bld->bd", pool, h2)
+        pooled = _pool(pool, x)
     trace = ForwardTrace(ids=ids, pool=pool, pooled=pooled, model_version=model.version, **block)
     if not model.normalize_output:
         return pooled, trace
@@ -176,16 +189,18 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
 
     Cleaning is idempotent, so already-cleaned pipeline text passes through
     unchanged while raw external text (e.g. graded pair files) gets the same
-    normalization the training corpus had.  Texts are encoded in chunks of
+    normalization the training corpus had.  Each distinct text is encoded
+    once and its row copied to every repeat.  Texts are encoded in chunks of
     similar length, so little of each chunk is padding.
     """
-    id_lists = [encode_ids(model.vocab, clean(text), model.max_len) for text in texts]
+    slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    id_lists = [encode_ids(model.vocab, clean(text), model.max_len) for text in slot]
     order = sorted(range(len(id_lists)), key=lambda i: len(id_lists[i]))
-    out = np.empty((len(id_lists), model.dim))
+    distinct = np.empty((len(id_lists), model.dim))
     for start in range(0, len(order), _EMBED_CHUNK):
         rows = order[start : start + _EMBED_CHUNK]
-        out[rows] = encode_with_trace(model, [id_lists[i] for i in rows])[0]
-    return out
+        distinct[rows] = encode_with_trace(model, [id_lists[i] for i in rows])[0]
+    return distinct[[slot[text] for text in texts]]
 
 
 def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> dict[str, np.ndarray]:
@@ -216,16 +231,16 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
         d_pooled = grad_out
 
     # mean pool spreads each row's gradient evenly over its real tokens
-    d_h2 = trace.pool[:, :, None] * d_pooled[:, None, :]
+    d_tokens = trace.pool[:, :, None] * d_pooled[:, None, :]
 
     if model.use_block:
-        grads["w_2"] += _rows(trace.relu).T @ _rows(d_h2)
-        d_z = d_h2 @ p["w_2"].T
+        grads["w_2"] += trace.pooled_relu.T @ d_pooled
+        d_z = trace.pool[:, :, None] * (d_pooled @ p["w_2"].T)[:, None, :]
         d_z *= trace.relu > 0.0
         grads["w_1"] += _rows(trace.h1).T @ _rows(d_z)
         d_h1 = d_z @ p["w_1"].T
-        d_h1 += d_h2
-        del d_z, d_h2
+        d_h1 += d_tokens  # the residual path around the feed-forward
+        del d_z, d_tokens
 
         d_v = trace.attn.transpose(0, 2, 1) @ d_h1
         # softmax and score-scaling backward, row-wise, in place: d_attn becomes d_scores
@@ -245,7 +260,7 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
         d_x += d_k @ p["w_k"].T
         d_x += d_v @ p["w_v"].T
     else:
-        d_x = d_h2
+        d_x = d_tokens
 
     np.add.at(grads["embedding"], trace.ids.ravel(), _rows(d_x))
     return grads

@@ -106,19 +106,28 @@ def rank_candidates(similarities: Sequence[float]) -> list[int]:
 
 
 def eval_ranking(model: EncoderModel, bench: RankingBenchmark, at_k: int | None = None) -> EvalReport:
-    """Mean nDCG over a benchmark: candidates ranked by cosine to the query embedding."""
+    """Mean nDCG over a benchmark: candidates ranked by cosine to the query embedding.
+
+    The whole benchmark is embedded in one call, so a text shared by several
+    queries is encoded once.
+    """
+    if not bench.queries:
+        raise DataError(f"benchmark {bench.name} has no queries")
+    vecs = embed_text(
+        model, [text for query in bench.queries for text in (query.query_text, *query.positives, *query.negatives)]
+    )
     per_query = []
+    start = 0
     for qi, query in enumerate(bench.queries):
+        end = start + 1 + len(query.positives) + len(query.negatives)
         try:
-            vecs = embed_text(model, [query.query_text, *query.positives, *query.negatives])
-            sims = cosine_similarity(vecs[0], vecs[1:])
-        except (NumericError, ValueError) as exc:
+            sims = cosine_similarity(vecs[start], vecs[start + 1 : end])
+        except NumericError as exc:
             raise DataError(f"benchmark {bench.name}, query {qi}: {exc}") from exc
+        start = end
         order = rank_candidates(sims)
         relevances = [1.0 if idx < len(query.positives) else 0.0 for idx in order]
         per_query.append(ndcg(relevances, at_k=at_k))
-    if not per_query:
-        raise DataError(f"benchmark {bench.name} has no queries")
     return EvalReport(
         benchmark=bench.name,
         metric="ndcg",
@@ -134,7 +143,11 @@ def eval_graded(model: EncoderModel, data: GradedPairDataset) -> EvalReport:
     for start in range(0, len(data.pairs), _GRADED_WINDOW):
         window = data.pairs[start : start + _GRADED_WINDOW]
         vecs = embed_text(model, [text1 for text1, _, _ in window] + [text2 for _, text2, _ in window])
-        predicted.extend(cosine_similarity(vecs[: len(window)], vecs[len(window) :]))
+        try:
+            predicted.extend(cosine_similarity(vecs[: len(window)], vecs[len(window) :]))
+        except NumericError as exc:
+            zero_pair = np.flatnonzero(~np.linalg.norm(vecs, axis=-1).reshape(2, -1).all(axis=0))[0]
+            raise DataError(f"graded pairs {data.name}, pair {start + zero_pair}: {exc}") from exc
     gold = [score for _, _, score in data.pairs]
     return EvalReport(
         benchmark=data.name,

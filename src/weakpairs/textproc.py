@@ -30,7 +30,8 @@ def clean(text: str) -> str:
     """Normalize raw tweet text for pairing and encoding."""
     text = text.lower()
     previous = None
-    while previous != text:
+    # every URL match contains "http" and every mention "@"; without them the loop is a no-op
+    while previous != text and ("http" in text or "@" in text):
         previous = text
         text = URL_RE.sub("", text)
         text = MENTION_RE.sub("", text)

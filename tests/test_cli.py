@@ -342,6 +342,29 @@ class TestTrainEval:
                    "--out-dir", "reports") == 0
         assert "100.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name, line, located",
+        [
+            ("tiny.jsonl", json.dumps({"query": "alpha beta", "positives": ["gamma"] * 5,
+                                       "negatives": ["delta"] * 25, "ids": []}),
+             "benchmark tiny, query 0: cosine similarity undefined"),
+            ("graded.tsv", "alpha beta\tgamma\t4\ndelta\tepsilon\t1",
+             "graded pairs graded, pair 0: cosine similarity undefined"),
+        ],
+    )
+    def test_zero_norm_embedding_is_located_data_error(self, tmp_cwd, capsys, name, line, located):
+        from weakpairs.encoder import init_model, save_checkpoint
+        from weakpairs.textproc import build_vocab
+
+        model = init_model(build_vocab(["alpha beta gamma delta epsilon"], max_size=50), dim=8, seed=0)
+        for param in model.params.values():
+            param[:] = 0.0
+        save_checkpoint(model, "zero.ckpt")
+        Path(name).write_text(line + "\n")
+        assert run("eval", "--checkpoint", "zero.ckpt", "--inputs", name, "--out-dir", "reports") == 2
+        assert located in capsys.readouterr().err
+        assert not Path("reports").exists()
+
     def test_corrupt_checkpoint_is_exit_2_with_format_error(self, store, capsys):
         Path("bad.ckpt").write_bytes(b"\x00\xffgarbage")
         code = run("eval", "--checkpoint", "bad.ckpt", "--inputs", "x.jsonl",

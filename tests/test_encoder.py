@@ -225,7 +225,39 @@ def ragged_batches(draw):
     return model, id_lists, grad_out, draw(st.permutations(range(len(id_lists))))
 
 
+def _reference_forward(model, ids):
+    """One sentence, no padding: h2 = relu @ w_2 + h1 at every position, then the mean over positions."""
+    p = model.params
+    x = p["embedding"][ids]
+    if model.use_block:
+        scores = (x @ p["w_q"]) @ (x @ p["w_k"]).T / np.sqrt(model.dim)
+        attn = np.exp(scores - scores.max(axis=1, keepdims=True))
+        attn /= attn.sum(axis=1, keepdims=True)
+        h1 = attn @ (x @ p["w_v"]) + x
+        h2 = np.maximum(h1 @ p["w_1"], 0.0) @ p["w_2"] + h1
+    else:
+        h2 = x
+    pooled = h2.mean(axis=0)
+    norm = np.linalg.norm(pooled)
+    return pooled / norm if model.normalize_output and norm > 0.0 else pooled
+
+
 class TestBatch:
+    @pytest.mark.parametrize("use_block", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_forward_matches_per_position_reference(self, use_block, normalize):
+        rng = np.random.default_rng(70 + 2 * use_block + normalize)
+        for _ in range(20):
+            model = init_model(
+                toy_vocab(20), dim=int(rng.integers(2, 9)), use_block=use_block,
+                seed=int(rng.integers(2**31)), normalize_output=normalize, max_len=16,
+            )
+            lengths = [1, *rng.integers(1, 17, size=rng.integers(0, 7))]
+            id_lists = [list(rng.integers(1, 22, size=n)) for n in rng.permutation(lengths)]
+            vecs, _ = encode_with_trace(model, id_lists)
+            reference = np.array([_reference_forward(model, ids) for ids in id_lists])
+            assert np.max(np.abs(vecs - reference)) <= 1e-12 * np.max(np.abs(reference))
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(ragged_batches())
     def test_padding_changes_no_row_and_no_gradient(self, case):
@@ -273,10 +305,12 @@ class TestBatch:
         vocab = build_vocab(["w%d" % i for i in range(40)], max_size=50)
         model = init_model(vocab, dim=5, use_block=True, seed=6)
         rng = np.random.default_rng(2)
-        texts = [" ".join(f"w{t}" for t in rng.integers(0, 40, size=rng.integers(1, 20))) for _ in range(37)]
+        distinct = [" ".join(f"w{t}" for t in rng.integers(0, 40, size=rng.integers(1, 20))) for _ in range(20)]
+        texts = [distinct[i] for i in rng.integers(0, 20, size=37)]  # 37 draws of 20 texts: some repeat
         vecs = embed_text(model, texts)
         assert vecs.shape == (37, 5)
         for text, row in zip(texts, vecs):
+            np.testing.assert_array_equal(row, vecs[texts.index(text)])  # a repeat copies its first row
             np.testing.assert_allclose(row, embed_text(model, [text])[0], rtol=0, atol=1e-12)
 
 

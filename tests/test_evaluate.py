@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from fdcheck import toy_vocab
+from weakpairs import evaluate
 from weakpairs.corpus import BenchmarkQuery, RankingBenchmark
-from weakpairs.encoder import init_model
+from weakpairs.encoder import embed_text, init_model
 from weakpairs.errors import DataError, NumericError
 from weakpairs.evaluate import (
     EvalReport,
@@ -251,6 +252,31 @@ class TestEvalRanking:
         with pytest.raises(DataError, match="query 0"):
             eval_ranking(model, bench)
 
+    def test_shared_candidates_score_as_per_query_embedding(self, monkeypatch):
+        # candidates recur across queries, and the benchmark is embedded in one call; scores and
+        # rankings must equal embedding each query's 31 texts on their own
+        model = init_model(toy_vocab(30), dim=8, use_block=True, seed=5)
+        rng = random.Random(8)
+        texts = [" ".join(f"tok{rng.randrange(30):03d}" for _ in range(rng.randint(1, 9))) for _ in range(40)]
+        queries = []
+        for _ in range(12):
+            picks = rng.choices(texts, k=31)
+            queries.append(make_query(picks[0], picks[1:6], picks[6:]))
+        bench = tiny_benchmark(queries)
+        rankings = []
+
+        def recording_rank_candidates(sims):
+            rankings.append(rank_candidates(sims))
+            return rankings[-1]
+
+        monkeypatch.setattr(evaluate, "rank_candidates", recording_rank_candidates)
+        report = eval_ranking(model, bench)
+        for query, score, ranking in zip(bench.queries, report.per_query, rankings, strict=True):
+            vecs = embed_text(model, [query.query_text, *query.positives, *query.negatives])
+            reference = rank_candidates(cosine_similarity(vecs[0], vecs[1:]))
+            assert ranking == reference
+            assert abs(score - ndcg([1.0 if idx < 5 else 0.0 for idx in reference])) <= 1e-12
+
     def test_report_fields(self):
         model = self.vocab_model()
         bench = tiny_benchmark(
@@ -285,6 +311,14 @@ class TestEvalGraded:
         pairs = [("tok001", "tok002", 5.0), ("tok003", "tok004", 1.0)]
         with pytest.raises(NumericError):
             eval_graded(model, GradedPairDataset(pairs=pairs))
+
+    def test_zero_norm_embedding_names_pair(self):
+        # pair 530 sits in the second embedding window; its second text embeds to zero
+        model = init_model(toy_vocab(20), dim=6, use_block=False, seed=2)
+        model.params["embedding"][model.vocab.token_to_id["tok009"]] = 0.0
+        pairs = [("tok001", "tok009" if i == 530 else f"tok00{i % 8}", float(i % 5)) for i in range(600)]
+        with pytest.raises(DataError, match="graded pairs toy, pair 530: cosine similarity undefined"):
+            eval_graded(model, GradedPairDataset(pairs=pairs, name="toy"))
 
     def test_hand_built_fixture_matches_hand_pearson(self):
         model = init_model(toy_vocab(10), dim=2, use_block=False, seed=0)

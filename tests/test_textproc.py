@@ -4,17 +4,41 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakpairs.textproc import (
+    MENTION_RE,
     PAD_ID,
     PAD_TOKEN,
     UNK_ID,
     UNK_TOKEN,
+    URL_RE,
+    WHITESPACE_RE,
     build_vocab,
     clean,
     encode_ids,
     tokenize,
 )
+
+
+# weighted towards what the URL and mention patterns need, so strings on both sides of "http"/"@" occur
+CLEAN_FRAGMENTS = (
+    ["http", "HTTP", "https", "://", "@", "@"]
+    + ["x", "Bob", "_9", "é", "t.co/a"]
+    + [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000"]
+)
+
+
+def _clean_reference(text):
+    """The reference: clean with its URL/mention fixpoint loop run on every text, no early exit."""
+    text = text.lower()
+    previous = None
+    while previous != text:
+        previous = text
+        text = URL_RE.sub("", text)
+        text = MENTION_RE.sub("", text)
+    return WHITESPACE_RE.sub(" ", text).strip()
 
 
 class TestClean:
@@ -56,6 +80,14 @@ class TestClean:
                 rng.choice(string.printable) for _ in range(rng.randrange(0, 60))
             )
             assert len(clean(text)) <= len(text)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(CLEAN_FRAGMENTS) | st.text(max_size=4), max_size=12).map("".join))
+    def test_equals_unconditional_fixpoint_loop(self, text):
+        assert clean(text) == _clean_reference(text)
+
+    def test_match_only_after_lowercasing(self):
+        assert clean("HTTPS://x @Bob") == _clean_reference("HTTPS://x @Bob") == ""
 
     def test_uncovered_pattern_still_removed(self):
         # stripping the mention uncovers an http:// prefix; cleaning must not
