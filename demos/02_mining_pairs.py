@@ -9,7 +9,7 @@ Run: python demos/02_mining_pairs.py
 import tempfile
 from pathlib import Path
 
-from weakpairs import build_benchmark, build_co_pairs, build_pairs, clean_edges, exclude_ids
+from weakpairs import build_benchmark, build_co_pairs, build_pairs, exclude_ids, index_responses
 from weakpairs.ingest import extract_relations, index_records, join_reply_targets, parse_stream_file
 from weakpairs.synth import generate_records, write_store
 
@@ -32,12 +32,14 @@ edges = extract_relations(records)
 edges, dropped = join_reply_targets(edges, index_records(records))
 print(f"{len(edges)} relation edges ({dropped} replies pointed outside the stream)")
 
-# each text is cleaned once; edges whose response is under 20 characters go
-edges, short = clean_edges(edges)
-print(f"{len(edges)} edges after cleaning ({short} responses too short)")
+# one pass cleans each text once, drops edges whose response is under 20
+# characters, and groups the rest by target: every corpus and benchmark reads it
+index, short = index_responses(edges)
+print(f"{sum(len(targets) for targets in index.values())} targets after cleaning "
+      f"({short} responses too short)")
 
 # 3. the held-out benchmark comes first: 5 positives + 25 negatives per query
-bench = build_benchmark(edges, "dq", num_queries=3, seed=7)
+bench = build_benchmark(index, "dq", num_queries=3, seed=7)
 query = bench.queries[0]
 print(f"\nbenchmark query: {query.query_text[:60]}...")
 print(f"  positive: {query.positives[0][:60]}...")
@@ -47,9 +49,9 @@ print(f"  negative: {query.negatives[0][:60]}...")
 banned = bench.involved_ids()
 for kind, builder in (("qt", build_pairs), ("rp", build_pairs),
                       ("coqt", build_co_pairs), ("corp", build_co_pairs)):
-    pairs = exclude_ids(builder(edges, kind, seed=7), banned)
+    pairs = exclude_ids(builder(index, kind, seed=7), banned)
     print(f"{kind:5s}: {len(pairs)} pairs after banning {len(banned)} benchmark ids")
 
-pair = exclude_ids(build_pairs(edges, "qt", seed=7), banned)[0]
+pair = exclude_ids(build_pairs(index, "qt", seed=7), banned)[0]
 print(f"\nsample qt pair:\n  anchor:   {pair.anchor_text[:70]}\n  positive: {pair.positive_text[:70]}")
 print("(one pair per quoted tweet, so viral tweets cannot dominate)")

@@ -13,8 +13,8 @@ from .corpus import (
     build_benchmark,
     build_co_pairs,
     build_pairs,
-    clean_edges,
     exclude_ids,
+    index_responses,
     sample_corpus,
 )
 from .encoder import (

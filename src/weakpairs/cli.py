@@ -258,56 +258,65 @@ def _joined_edges(records_path: str) -> tuple[list[ingest_mod.RelationEdge], int
 
 
 def cmd_build(args) -> int:
-    edges, dropped_replies = _joined_edges(args.records)
-
     datasets = list(corpus_mod.PAIR_DATASETS) if args.dataset == "all" else [args.dataset]
     out_dir = Path(args.out_dir)
+    benches = [corpus_mod.BENCH_FOR_DATASET[d] for d in datasets] if args.bench_queries > 0 else []
+    bench_paths = {name: out_dir / f"bench_{name}.jsonl" for name in benches}
+    corpora = datasets + (["all"] if args.dataset == "all" else [])
+    pairs_paths = {name: out_dir / f"pairs_{name}.tsv" for name in corpora}
+    counts_path = out_dir / "build_counts.json"
+    if args.edges_out:
+        written = [*bench_paths.values(), *pairs_paths.values(), counts_path, out_dir / "manifest_build.json"]
+        for path in written:
+            if Path(args.edges_out).resolve() == path.resolve():
+                raise UsageError(f"--edges-out {args.edges_out} is {path}, which build also writes")
+
+    edges, dropped_replies = _joined_edges(args.records)
     counts: dict[str, object] = {"dropped_unresolved_replies": dropped_replies}
     files = []  # (path, writer, contents): nothing is written until every benchmark and corpus is built
-
     if args.edges_out:
         files.append((Path(args.edges_out), ingest_mod.write_edges, edges))
         counts["edges_written"] = len(edges)
-    # every builder reads these cleaned edges, so each text is cleaned once per build
-    edges, counts["dropped_short_text"] = corpus_mod.clean_edges(edges)
+    # every builder reads this one index, so each text is cleaned and each relation grouped once per build
+    index, counts["dropped_short_text"] = corpus_mod.index_responses(edges)
 
     banned: set[str] = set()
-    if args.bench_queries > 0:
-        for dataset in datasets:
-            name = corpus_mod.BENCH_FOR_DATASET[dataset]
-            bench = corpus_mod.build_benchmark(
-                edges,
-                name,
-                num_queries=args.bench_queries,
-                seed=derive_seed(args.seed, f"bench:{name}"),
-                banned=banned,
-            )
-            banned |= bench.involved_ids()
-            files.append((out_dir / f"bench_{name}.jsonl", corpus_mod.write_benchmark, bench))
-            counts[f"bench_{name}_queries"] = len(bench.queries)
+    for name, path in bench_paths.items():
+        bench = corpus_mod.build_benchmark(
+            index,
+            name,
+            num_queries=args.bench_queries,
+            seed=derive_seed(args.seed, f"bench:{name}"),
+            banned=banned,
+        )
+        banned |= bench.involved_ids()
+        files.append((path, corpus_mod.write_benchmark, bench))
+        counts[f"bench_{name}_queries"] = len(bench.queries)
 
     all_pairs: list[corpus_mod.PairExample] = []
     for dataset in datasets:
         build = corpus_mod.build_co_pairs if dataset in corpus_mod.CO_DATASETS else corpus_mod.build_pairs
-        pairs = build(edges, dataset, seed=derive_seed(args.seed, f"pairs:{dataset}"))
+        pairs = build(index, dataset, seed=derive_seed(args.seed, f"pairs:{dataset}"))
         pairs = corpus_mod.exclude_ids(pairs, banned)
         counts[f"{dataset}_available"] = len(pairs)
         if args.pairs_per_dataset is not None:
-            pairs = corpus_mod.sample_corpus(
-                pairs, args.pairs_per_dataset, seed=derive_seed(args.seed, f"sample:{dataset}")
-            )
-        files.append((out_dir / f"pairs_{dataset}.tsv", corpus_mod.write_pairs, pairs))
+            try:
+                pairs = corpus_mod.sample_corpus(
+                    pairs, args.pairs_per_dataset, seed=derive_seed(args.seed, f"sample:{dataset}")
+                )
+            except DataError as exc:
+                raise DataError(f"corpus {dataset}: {exc}") from exc
+        files.append((pairs_paths[dataset], corpus_mod.write_pairs, pairs))
         counts[f"{dataset}_written"] = len(pairs)
         all_pairs.extend(pairs)
 
     if args.dataset == "all":
-        files.append((out_dir / "pairs_all.tsv", corpus_mod.write_pairs, all_pairs))
+        files.append((pairs_paths["all"], corpus_mod.write_pairs, all_pairs))
         counts["all_written"] = len(all_pairs)
 
     for path, write, contents in files:
         path.parent.mkdir(parents=True, exist_ok=True)
         write(contents, path)
-    counts_path = out_dir / "build_counts.json"
     _write_json(counts_path, counts)
     outputs = [path for path, _, _ in files] + [counts_path]
     write_manifest(
@@ -549,7 +558,8 @@ def build_parser() -> _Parser:
         dest="responses_per_target",
         type=int,
         default=1,
-        help="responses per target tweet; >= 6 makes all four benchmarks constructible",
+        help="responses per target tweet; all four benchmarks need >= 6, but that is not enough "
+        "on its own: each benchmark query bans 31 tweet ids, so there must also be enough targets",
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

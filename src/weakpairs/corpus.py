@@ -33,6 +33,9 @@ PAIR_DATASETS = tuple(_RELATION_FOR)
 BENCHMARK_NAMES = tuple(BENCH_FOR_DATASET.values())
 _DATASET_FOR_BENCH = {bench: dataset for dataset, bench in BENCH_FOR_DATASET.items()}
 
+# relation -> [(target id, target text or None, [(response id, response text)])]
+ResponseIndex = dict[str, list[tuple[str, str | None, list[tuple[str, str]]]]]
+
 POSITIVES_PER_QUERY = 5
 NEGATIVES_PER_QUERY = 25
 
@@ -68,13 +71,17 @@ class RankingBenchmark:
         return ids
 
 
-def clean_edges(edges: Iterable[RelationEdge]) -> tuple[list[RelationEdge], int]:
-    """Clean every edge text once and apply the minimum length; return (edges, dropped).
+def index_responses(edges: Iterable[RelationEdge]) -> tuple[ResponseIndex, int]:
+    """Clean every edge text once and group the edges by target; return (index, dropped).
 
     Each distinct text goes through ``clean`` exactly once, however many edges
-    share it.  A target text that cleans to under ``MIN_CHARS`` characters
-    becomes ``None``; an edge whose response does is dropped and counted.
-    The builders below expect edges cleaned here.
+    share it.  An edge whose response cleans to under ``MIN_CHARS``
+    characters is dropped and counted; a target text that does counts as
+    missing.  The index holds, per relation, one entry per target in id
+    order: (target id, target text, [(response id, response text)] sorted by
+    id).  A target's text is the first non-missing one in edge order; a
+    response id counts once per target, with the text of its first edge.
+    Every corpus and benchmark of a build reads this one index.
     """
     memo: dict[str, str | None] = {}
 
@@ -84,71 +91,50 @@ def clean_edges(edges: Iterable[RelationEdge]) -> tuple[list[RelationEdge], int]
             memo[text] = cleaned if len(cleaned) >= MIN_CHARS else None
         return memo[text]
 
-    kept: list[RelationEdge] = []
+    texts: dict[tuple[str, str], str | None] = {}
+    responses: dict[str, dict[str, dict[str, str]]] = {QUOTE: {}, REPLY: {}}
     dropped = 0
     for edge in edges:
-        response = valid(edge.response_text)
-        if response is None:
+        response_text = valid(edge.response_text)
+        if response_text is None:
             dropped += 1
             continue
-        kept.append(
-            RelationEdge(
-                kind=edge.kind,
-                target_id=edge.target_id,
-                response_id=edge.response_id,
-                target_text=valid(edge.target_text) if edge.target_text else None,
-                response_text=response,
-            )
-        )
-    return kept, dropped
+        target_text = valid(edge.target_text) if edge.target_text else None
+        if texts.get((edge.kind, edge.target_id)) is None:
+            texts[edge.kind, edge.target_id] = target_text
+        responses[edge.kind].setdefault(edge.target_id, {}).setdefault(edge.response_id, response_text)
+    index = {
+        relation: [
+            (target_id, texts[relation, target_id], sorted(by_target[target_id].items()))
+            for target_id in sorted(by_target)
+        ]
+        for relation, by_target in responses.items()
+    }
+    return index, dropped
 
 
-def _responses_by_target(
-    edges: Iterable[RelationEdge], relation: str
-) -> Iterator[tuple[str, str | None, list[tuple[str, str]]]]:
-    """(target id, target text, [(response id, response text)] sorted by id) per target, in id order.
-
-    Only edges of ``relation`` count.  A target's text is the first
-    non-``None`` one in edge order; a response id counts once per target,
-    with the text of its first edge.  Each target's list is made as it is
-    reached, so a builder that keeps none of them holds one at a time;
-    holding all of them at once more than doubled the time ``build`` spent
-    in garbage collection.
-    """
-    texts: dict[str, str | None] = {}
-    responses: dict[str, dict[str, str]] = {}
-    for edge in edges:
-        if edge.kind != relation:
-            continue
-        if texts.get(edge.target_id) is None:
-            texts[edge.target_id] = edge.target_text
-        responses.setdefault(edge.target_id, {}).setdefault(edge.response_id, edge.response_text)
-    for target_id in sorted(responses):
-        yield target_id, texts[target_id], sorted(responses[target_id].items())
-
-
-def build_pairs(edges: Iterable[RelationEdge], kind: str, seed: int) -> list[PairExample]:
+def build_pairs(index: ResponseIndex, kind: str, seed: int) -> list[PairExample]:
     """Build direct pairs (anchor = target text, positive = response text).
 
-    ``edges`` come from ``clean_edges``; a target with no text left yields
-    no pair.  When several responses remain for one target, exactly one is
-    chosen uniformly at random under the seed.
+    ``index`` comes from ``index_responses``; a target with no text left
+    yields no pair.  When several responses remain for one target, exactly
+    one is chosen uniformly at random under the seed.
     """
     if kind not in PAIR_DATASETS or kind in CO_DATASETS:
         raise ValueError(f"kind must be a direct pair corpus, got {kind!r}")
     rng = random.Random(seed)
     pairs = []
-    for target_id, target_text, responses in _responses_by_target(edges, _RELATION_FOR[kind]):
+    for target_id, target_text, responses in index[_RELATION_FOR[kind]]:
         if target_text is not None:
             response_id, response_text = responses[rng.randrange(len(responses))]
             pairs.append(PairExample(target_text, response_text, kind, target_id, response_id))
     return pairs
 
 
-def build_co_pairs(edges: Iterable[RelationEdge], kind: str, seed: int) -> list[PairExample]:
+def build_co_pairs(index: ResponseIndex, kind: str, seed: int) -> list[PairExample]:
     """Build co-response pairs: two distinct responses to the same target.
 
-    ``edges`` come from ``clean_edges``.  Only targets with at least two
+    ``index`` comes from ``index_responses``.  Only targets with at least two
     responses yield a pair, and each target yields exactly one;
     anchor/positive order is the draw order.
     """
@@ -156,7 +142,7 @@ def build_co_pairs(edges: Iterable[RelationEdge], kind: str, seed: int) -> list[
         raise ValueError(f"kind must be one of {CO_DATASETS}, got {kind!r}")
     rng = random.Random(seed)
     pairs = []
-    for _, _, responses in _responses_by_target(edges, _RELATION_FOR[kind]):
+    for _, _, responses in index[_RELATION_FOR[kind]]:
         if len(responses) >= 2:
             (a_id, a_text), (p_id, p_text) = rng.sample(responses, 2)
             pairs.append(PairExample(a_text, p_text, kind, a_id, p_id))
@@ -192,7 +178,7 @@ def _untried_indices(rng: random.Random, n: int) -> Iterator[int]:
 
 
 def build_benchmark(
-    edges: Iterable[RelationEdge],
+    index: ResponseIndex,
     name: str,
     num_queries: int,
     seed: int,
@@ -207,7 +193,7 @@ def build_benchmark(
     pool, so a query costs the candidates it examines, not the pool size.
     Within one query no candidate text repeats and no negative duplicates the
     query text.  Ids listed in ``banned`` (e.g. from previously built
-    benchmarks) never appear.  ``edges`` come from ``clean_edges``.
+    benchmarks) never appear.  ``index`` comes from ``index_responses``.
     """
     if name not in BENCHMARK_NAMES:
         raise ValueError(f"benchmark name must be one of {BENCHMARK_NAMES}, got {name!r}")
@@ -218,7 +204,7 @@ def build_benchmark(
 
     pools: dict[str, list[tuple[str, str]]] = {}  # responses not banned, each text once
     eligible = []  # (target id, target text)
-    for target_id, target_text, responses in _responses_by_target(edges, _RELATION_FOR[dataset]):
+    for target_id, target_text, responses in index[_RELATION_FOR[dataset]]:
         texts: set[str] = set()
         pool = pools[target_id] = []
         for response in responses:

@@ -26,6 +26,7 @@ from weakpairs.corpus import (
     build_co_pairs,
     build_pairs,
     exclude_ids,
+    index_responses,
     read_benchmark,
     read_pairs,
 )
@@ -185,10 +186,10 @@ def test_criterion_4_pipeline_properties():
 
     one_per_target = True
     for trial in range(15):
-        edges = _random_edges(rnd, rnd.randrange(3, 25))
+        index = index_responses(_random_edges(rnd, rnd.randrange(3, 25)))[0]
         for kind, builder in (("qt", build_pairs), ("rp", build_pairs),
                               ("coqt", build_co_pairs), ("corp", build_co_pairs)):
-            pairs = builder(edges, kind, seed=trial)
+            pairs = builder(index, kind, seed=trial)
             if kind in ("qt", "rp"):
                 targets = [p.anchor_id for p in pairs]
             else:
@@ -207,11 +208,12 @@ def test_criterion_4_pipeline_properties():
                     response_text=f"bench response words {t} {r} copper stream beacon",
                 )
             )
-    bench = build_benchmark(bench_edges, "dq", num_queries=5, seed=1)
+    bench_index = index_responses(bench_edges)[0]
+    bench = build_benchmark(bench_index, "dq", num_queries=5, seed=1)
     shape_ok = all(
         len(q.positives) == 5 and len(q.negatives) == 25 for q in bench.queries
     )
-    pairs = exclude_ids(build_pairs(bench_edges, "qt", seed=2), bench.involved_ids())
+    pairs = exclude_ids(build_pairs(bench_index, "qt", seed=2), bench.involved_ids())
     train_ids = {p.anchor_id for p in pairs} | {p.positive_id for p in pairs}
     disjoint = not (train_ids & bench.involved_ids())
 

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -267,6 +269,44 @@ class TestBuild:
         assert all(e.kind in ("quote", "reply") for e in edges)
         assert all(e.target_text and e.response_text for e in edges)
 
+    def test_output_bytes_pinned(self, store):
+        # sha256 prefixes computed before the builders shared one response index
+        assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",
+                   "--bench-queries", 2, "--edges-out", "built/edges.tsv", "--out-dir", "built") == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                   for path in Path("built").iterdir() if path.name != "manifest_build.json"}
+        assert digests == {
+            "bench_cq.jsonl": "d9ad7a131202d124",
+            "bench_cr.jsonl": "c8365c6d1587a249",
+            "bench_dq.jsonl": "c5eae40f8e0ccbae",
+            "bench_dr.jsonl": "c9f12bc8e5015d26",
+            "build_counts.json": "952d001bea7bce0d",
+            "edges.tsv": "a72982777d032d7c",
+            "pairs_all.tsv": "8e275d28e740881b",
+            "pairs_coqt.tsv": "609aec409f25cb32",
+            "pairs_corp.tsv": "23766445818fd6d0",
+            "pairs_qt.tsv": "a1e027be165ae307",
+            "pairs_rp.tsv": "9033a8eeab08b797",
+        }
+
+    @pytest.mark.parametrize("edges_out", ["built/pairs_qt.tsv", "built/../built/build_counts.json",
+                                           "built/bench_dq.jsonl", "built/manifest_build.json"])
+    def test_edges_out_naming_a_build_output_is_usage_error(self, tmp_cwd, capsys, edges_out):
+        # the record store does not exist: reading it would be a data error (exit 2)
+        assert run("build", "--records", "records.jsonl", "--dataset", "qt", "--bench-queries", 1,
+                   "--edges-out", edges_out, "--out-dir", "built") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and edges_out in err
+        assert list(tmp_cwd.iterdir()) == []
+
+    def test_short_corpus_is_named(self, store, capsys):
+        # after the benchmark ban qt and rp keep 8 pairs each, coqt and corp 2
+        assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",
+                   "--bench-queries", 2, "--pairs-per-dataset", 3, "--out-dir", "built") == 2
+        err = capsys.readouterr().err
+        assert "coqt" in err and "requested 3 pairs but only 2 are available" in err
+        assert not Path("built").exists()
+
 
 class TestTrainEval:
     def prepare(self, store):
@@ -529,3 +569,12 @@ class TestPipelineComposition:
                    "--out-dir", "reports") == 0
         assert Path("reports/report_bench_dq.json").exists()
         assert Path("reports/report_bench_cr.json").exists()
+
+    def test_readme_walkthrough_runs_as_written(self, tmp_cwd):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line", 1)[1]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("weakpairs ")]
+        assert [argv[2] for argv in commands] == ["synth", "ingest", "build", "train", "eval", "sweep"]
+        for argv in commands:
+            assert main(argv) == 0, argv

@@ -17,8 +17,8 @@ from weakpairs.corpus import (
     build_benchmark,
     build_co_pairs,
     build_pairs,
-    clean_edges,
     exclude_ids,
+    index_responses,
     read_benchmark,
     read_pairs,
     sample_corpus,
@@ -48,7 +48,7 @@ def quote_edges_for_targets(multiplicities: dict[str, int], words=None):
 
 @pytest.fixture
 def clean_calls(monkeypatch):
-    """Counts the texts passed to ``corpus.clean``, the name ``clean_edges`` calls."""
+    """Counts the texts passed to ``corpus.clean``, the name ``index_responses`` calls."""
     calls = Counter()
     real_clean = corpus_mod.clean
 
@@ -69,21 +69,22 @@ class TestCleanEdges:
             RelationEdge(REPLY, "t3", "r3", "a target text long enough here", "@so short https://x.y"),
             RelationEdge(REPLY, "t4", "r4", None, "reply with no target text yet"),
         ]
-        cleaned, dropped = clean_edges(edges)
+        index, dropped = index_responses(edges)
         assert dropped == 1
-        assert [(e.target_id, e.target_text, e.response_text) for e in cleaned] == [
-            ("t1", "quoted text long enough", "a response of length"),
-            ("t2", None, "another response long enough"),
-            ("t4", None, "reply with no target text yet"),
-        ]
-        assert all(len(e.response_text) >= MIN_CHARS for e in cleaned)
+        assert index == {
+            QUOTE: [("t1", "quoted text long enough", [("r1", "a response of length")]),
+                    ("t2", None, [("r2", "another response long enough")])],
+            REPLY: [("t4", None, [("r4", "reply with no target text yet")])],
+        }
+        assert all(len(text) >= MIN_CHARS
+                   for targets in index.values() for _, _, responses in targets for _, text in responses)
 
     def test_each_distinct_text_cleaned_once(self, clean_calls):
         edges = [make_edge(QUOTE, "t1", f"r{i}") for i in range(4)]
         shared = ("the same reply text each time",)
         edges += [make_edge(REPLY, "t2", f"s{i}", response_words=shared) for i in range(3)]
         edges += [make_edge(QUOTE, "t3", "r9", target_words=shared)]
-        clean_edges(edges)
+        index_responses(edges)
         distinct = {e.target_text for e in edges} | {e.response_text for e in edges}
         assert clean_calls == Counter({text: 1 for text in distinct})
 
@@ -103,7 +104,7 @@ class TestCleanEdges:
 class TestBuildPairs:
     def test_one_pair_per_target(self):
         edges = quote_edges_for_targets({"t1": 3})
-        pairs = build_pairs(edges, "qt", seed=0)
+        pairs = build_pairs(index_responses(edges)[0], "qt", seed=0)
         assert len(pairs) == 1
         assert pairs[0].anchor_id == "t1"
         assert pairs[0].dataset == "qt"
@@ -112,20 +113,20 @@ class TestBuildPairs:
         edge = make_edge(QUOTE, "tgt", "rsp",
                          target_words=("quoted", "granite", "lantern", "words"),
                          response_words=("quoting", "copper", "stream", "words"))
-        pair = build_pairs([edge], "qt", seed=0)[0]
+        pair = build_pairs(index_responses([edge])[0], "qt", seed=0)[0]
         assert pair.anchor_text == "quoted granite lantern words"
         assert pair.positive_text == "quoting copper stream words"
 
     def test_short_cleaned_target_filters_whole_target(self):
         edge = make_edge(QUOTE, "t1", "r1", target_words=("tiny",))
-        assert build_pairs(clean_edges([edge])[0], "qt", seed=0) == []
+        assert build_pairs(index_responses([edge])[0], "qt", seed=0) == []
 
     def test_short_cleaned_response_drops_that_edge_only(self):
         edges = [
             make_edge(QUOTE, "t1", "r1", response_words=("ok",)),
             make_edge(QUOTE, "t1", "r2"),
         ]
-        pairs = build_pairs(clean_edges(edges)[0], "qt", seed=0)
+        pairs = build_pairs(index_responses(edges)[0], "qt", seed=0)
         assert len(pairs) == 1
         assert pairs[0].positive_id == "r2"
 
@@ -135,7 +136,7 @@ class TestBuildPairs:
             QUOTE, "t1", "r1",
             target_words=("@mentionLongName", "https://t.co/abcdef", "hi"),
         )
-        assert build_pairs(clean_edges([edge])[0], "qt", seed=0) == []
+        assert build_pairs(index_responses([edge])[0], "qt", seed=0) == []
 
     def test_hundred_edges_forty_targets(self):
         rng = random.Random(5)
@@ -145,53 +146,56 @@ class TestBuildPairs:
             multiplicities[t] += 1
         assert sum(multiplicities.values()) == 100
         edges = quote_edges_for_targets(multiplicities)
-        pairs = build_pairs(edges, "qt", seed=1)
+        pairs = build_pairs(index_responses(edges)[0], "qt", seed=1)
         assert len(pairs) == 40
 
     def test_kind_selects_relation(self):
         edges = [make_edge(QUOTE, "a", "b"), make_edge(REPLY, "c", "d")]
-        assert [p.dataset for p in build_pairs(edges, "rp", seed=0)] == ["rp"]
-        assert build_pairs(edges, "rp", seed=0)[0].anchor_id == "c"
+        index = index_responses(edges)[0]
+        assert [p.dataset for p in build_pairs(index, "rp", seed=0)] == ["rp"]
+        assert build_pairs(index, "rp", seed=0)[0].anchor_id == "c"
 
     def test_deterministic_under_seed(self):
         edges = quote_edges_for_targets({"t1": 5, "t2": 4, "t3": 3})
-        assert build_pairs(edges, "qt", seed=9) == build_pairs(edges, "qt", seed=9)
+        index = index_responses(edges)[0]
+        assert build_pairs(index, "qt", seed=9) == build_pairs(index, "qt", seed=9)
 
     def test_seed_changes_choice(self):
         edges = quote_edges_for_targets({"t1": 30})
-        chosen = {build_pairs(edges, "qt", seed=s)[0].positive_id for s in range(8)}
+        index = index_responses(edges)[0]
+        chosen = {build_pairs(index, "qt", seed=s)[0].positive_id for s in range(8)}
         assert len(chosen) > 1
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
-            build_pairs([], "coqt", seed=0)
+            build_pairs(index_responses([])[0], "coqt", seed=0)
 
 
 class TestBuildCoPairs:
     def test_single_response_target_yields_nothing(self):
         edges = quote_edges_for_targets({"t1": 1})
-        assert build_co_pairs(edges, "coqt", seed=0) == []
+        assert build_co_pairs(index_responses(edges)[0], "coqt", seed=0) == []
 
     def test_five_responses_yield_exactly_one_pair(self):
         edges = quote_edges_for_targets({"t1": 5})
-        pairs = build_co_pairs(edges, "coqt", seed=0)
+        pairs = build_co_pairs(index_responses(edges)[0], "coqt", seed=0)
         assert len(pairs) == 1
         assert pairs[0].anchor_id != pairs[0].positive_id
 
     def test_multiplicities_1_2_4_give_two_pairs(self):
         edges = quote_edges_for_targets({"a": 1, "b": 2, "c": 4})
-        pairs = build_co_pairs(edges, "coqt", seed=0)
+        pairs = build_co_pairs(index_responses(edges)[0], "coqt", seed=0)
         assert len(pairs) == 2
 
     def test_pair_sides_are_responses_of_same_target(self):
         edges = quote_edges_for_targets({"t1": 4, "t2": 4})
-        for pair in build_co_pairs(edges, "coqt", seed=3):
+        for pair in build_co_pairs(index_responses(edges)[0], "coqt", seed=3):
             prefix = pair.anchor_id[:2]
             assert pair.positive_id.startswith(prefix)
 
     def test_reply_kind(self):
         edges = [make_edge(REPLY, "t", f"r{i}") for i in range(3)]
-        pairs = build_co_pairs(edges, "corp", seed=0)
+        pairs = build_co_pairs(index_responses(edges)[0], "corp", seed=0)
         assert len(pairs) == 1
         assert pairs[0].dataset == "corp"
 
@@ -202,7 +206,7 @@ class TestBuildCoPairs:
         ]
         for e in edges:
             e.target_text = None  # co pairs must not require the target text
-        assert len(build_co_pairs(edges, "coqt", seed=0)) == 1
+        assert len(build_co_pairs(index_responses(edges)[0], "coqt", seed=0)) == 1
 
 
 class TestSampleCorpus:
@@ -265,14 +269,14 @@ def benchmark_fixture_edges(num_targets=20, responses_each=8, kind=QUOTE):
 
 class TestBuildBenchmark:
     def test_shape_five_positives_twentyfive_negatives(self):
-        bench = build_benchmark(benchmark_fixture_edges(), "dq", num_queries=3, seed=0)
+        bench = build_benchmark(index_responses(benchmark_fixture_edges())[0], "dq", num_queries=3, seed=0)
         assert len(bench.queries) == 3
         for query in bench.queries:
             assert len(query.positives) == 5
             assert len(query.negatives) == 25
 
     def test_positives_come_from_own_target_negatives_do_not(self):
-        bench = build_benchmark(benchmark_fixture_edges(), "dq", num_queries=2, seed=1)
+        bench = build_benchmark(index_responses(benchmark_fixture_edges())[0], "dq", num_queries=2, seed=1)
         for query in bench.queries:
             target_tag = query.query_text.split()[-1].replace("number", "target")
             for text in query.positives:
@@ -281,7 +285,7 @@ class TestBuildBenchmark:
                 assert target_tag not in text
 
     def test_no_candidate_text_repeats_within_query(self):
-        bench = build_benchmark(benchmark_fixture_edges(), "dq", num_queries=4, seed=2)
+        bench = build_benchmark(index_responses(benchmark_fixture_edges())[0], "dq", num_queries=4, seed=2)
         for query in bench.queries:
             candidates = query.positives + query.negatives
             assert len(set(candidates)) == len(candidates)
@@ -291,14 +295,14 @@ class TestBuildBenchmark:
         edges = benchmark_fixture_edges(num_targets=1, responses_each=5)
         edges += benchmark_fixture_edges(num_targets=10, responses_each=4)
         # only t00 of the first group has >= 5 responses; negatives come from the rest
-        bench = build_benchmark(edges[:5] + edges[5:], "dq", num_queries=1, seed=0)
+        bench = build_benchmark(index_responses(edges[:5] + edges[5:])[0], "dq", num_queries=1, seed=0)
         [query] = bench.queries
         assert sorted(query.positives) == sorted(
             f"response words target00 reply{r} content" for r in range(5)
         )
 
     def test_co_benchmark_query_is_a_response(self):
-        bench = build_benchmark(benchmark_fixture_edges(), "cq", num_queries=3, seed=0)
+        bench = build_benchmark(index_responses(benchmark_fixture_edges())[0], "cq", num_queries=3, seed=0)
         for query in bench.queries:
             assert query.query_text.startswith("response words")
             assert len(query.positives) == 5
@@ -306,35 +310,35 @@ class TestBuildBenchmark:
     def test_co_needs_six_responses(self):
         edges = benchmark_fixture_edges(num_targets=12, responses_each=5)
         with pytest.raises(DataError, match="0 eligible"):
-            build_benchmark(edges, "cq", num_queries=1, seed=0)
+            build_benchmark(index_responses(edges)[0], "cq", num_queries=1, seed=0)
 
     def test_insufficient_queries_error_names_counts(self):
         with pytest.raises(DataError, match="need 50 queries but only 20"):
-            build_benchmark(benchmark_fixture_edges(), "dq", num_queries=50, seed=0)
+            build_benchmark(index_responses(benchmark_fixture_edges())[0], "dq", num_queries=50, seed=0)
 
     def test_involved_ids_cover_query_and_candidates(self):
-        bench = build_benchmark(benchmark_fixture_edges(), "dq", num_queries=2, seed=3)
+        bench = build_benchmark(index_responses(benchmark_fixture_edges())[0], "dq", num_queries=2, seed=3)
         for query in bench.queries:
             assert len(query.involved_ids) == 31  # target + 5 positives + 25 negatives
 
     def test_banned_ids_never_appear(self):
-        edges = benchmark_fixture_edges()
-        first = build_benchmark(edges, "dq", num_queries=2, seed=0)
-        second = build_benchmark(edges, "dq", num_queries=2, seed=0, banned=first.involved_ids())
+        index = index_responses(benchmark_fixture_edges())[0]
+        first = build_benchmark(index, "dq", num_queries=2, seed=0)
+        second = build_benchmark(index, "dq", num_queries=2, seed=0, banned=first.involved_ids())
         assert not (first.involved_ids() & second.involved_ids())
 
     def test_training_exclusion_gives_empty_intersection(self):
-        edges = benchmark_fixture_edges()
-        bench = build_benchmark(edges, "dq", num_queries=3, seed=0)
-        pairs = build_pairs(edges, "qt", seed=1)
+        index = index_responses(benchmark_fixture_edges())[0]
+        bench = build_benchmark(index, "dq", num_queries=3, seed=0)
+        pairs = build_pairs(index, "qt", seed=1)
         surviving = exclude_ids(pairs, bench.involved_ids())
         training_ids = {p.anchor_id for p in surviving} | {p.positive_id for p in surviving}
         assert not (training_ids & bench.involved_ids())
 
     def test_deterministic(self):
-        edges = benchmark_fixture_edges()
-        b1 = build_benchmark(edges, "dq", num_queries=3, seed=5)
-        b2 = build_benchmark(edges, "dq", num_queries=3, seed=5)
+        index = index_responses(benchmark_fixture_edges())[0]
+        b1 = build_benchmark(index, "dq", num_queries=3, seed=5)
+        b2 = build_benchmark(index, "dq", num_queries=3, seed=5)
         assert [q.query_text for q in b1.queries] == [q.query_text for q in b2.queries]
         assert [q.negatives for q in b1.queries] == [q.negatives for q in b2.queries]
 
@@ -342,7 +346,7 @@ class TestBuildBenchmark:
 class TestNegativeDraw:
     def test_pool_with_exactly_25_acceptable_negatives_yields_all(self):
         edges = benchmark_fixture_edges(num_targets=6, responses_each=5)
-        bench = build_benchmark(edges, "dq", num_queries=6, seed=4)
+        bench = build_benchmark(index_responses(edges)[0], "dq", num_queries=6, seed=4)
         for query in bench.queries:
             target_tag = query.query_text.split()[-1].replace("number", "target")
             others = {e.response_text for e in edges if target_tag not in e.response_text}
@@ -354,7 +358,7 @@ class TestNegativeDraw:
         edges = benchmark_fixture_edges(num_targets=1, responses_each=5)
         edges += benchmark_fixture_edges(num_targets=7, responses_each=4)
         with pytest.raises(DataError, match="found only 24 of 25 negatives"):
-            build_benchmark(edges, "dq", num_queries=1, seed=0)
+            build_benchmark(index_responses(edges)[0], "dq", num_queries=1, seed=0)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -372,9 +376,9 @@ class TestNegativeDraw:
         name = data.draw(st.sampled_from(["dq", "cq"] if kind == QUOTE else ["dr", "cr"]))
         num_queries = data.draw(st.integers(1, 3))
         seed = data.draw(st.integers(0, 2**32))
-        edges, _ = clean_edges(edges)
+        index = index_responses(edges)[0]
         try:
-            bench = build_benchmark(edges, name, num_queries=num_queries, seed=seed, banned=banned)
+            bench = build_benchmark(index, name, num_queries=num_queries, seed=seed, banned=banned)
         except DataError:
             return
         target_of = {e.response_id: e.target_id for e in edges}
@@ -395,7 +399,7 @@ class TestNegativeDraw:
             assert len(own) == len(query.positives) + co_style  # no negative from the query's target
             assert len(ids) == 1 + len(query.positives) + NEGATIVES_PER_QUERY
             assert {text_of[i] for i in others} == set(query.negatives)
-        again = build_benchmark(edges, name, num_queries=num_queries, seed=seed, banned=banned)
+        again = build_benchmark(index, name, num_queries=num_queries, seed=seed, banned=banned)
         assert again == bench
 
 
@@ -405,8 +409,9 @@ class TestCorpusProperties:
         for trial in range(20):
             multiplicities = {f"t{i}": rng.randrange(1, 6) for i in range(rng.randrange(2, 30))}
             edges = quote_edges_for_targets(multiplicities)
+            index = index_responses(edges)[0]
             for kind, builder in (("qt", build_pairs), ("coqt", build_co_pairs)):
-                pairs = builder(edges, kind, seed=trial)
+                pairs = builder(index, kind, seed=trial)
                 if kind == "qt":
                     targets = [p.anchor_id for p in pairs]
                 else:
@@ -415,7 +420,7 @@ class TestCorpusProperties:
                 assert all(v == 1 for v in counts.values())
 
 
-# --- the three edge groupings the builders used before sharing _responses_by_target ---
+# --- the three edge groupings the builders used before sharing one response index ---
 
 
 def reference_build_pairs(edges, kind, seed):
@@ -524,10 +529,11 @@ class TestOneGroupingPerRelation:
                 edges.append(RelationEdge(kind, f"T{t}", f"T{t}R{r}", target_text, response_text))
         edges = data.draw(st.permutations(edges))
         seed = data.draw(st.integers(0, 2**32))
+        index = index_responses(edges)[0]
         for kind in ("qt", "rp"):
-            assert build_pairs(edges, kind, seed) == reference_build_pairs(edges, kind, seed)
+            assert build_pairs(index, kind, seed) == reference_build_pairs(edges, kind, seed)
         for kind in ("coqt", "corp"):
-            assert build_co_pairs(edges, kind, seed) == reference_build_co_pairs(edges, kind, seed)
+            assert build_co_pairs(index, kind, seed) == reference_build_co_pairs(edges, kind, seed)
         all_ids = sorted({e.target_id for e in edges} | {e.response_id for e in edges})
         banned = data.draw(st.sets(st.sampled_from(all_ids), max_size=8))
         num_queries = data.draw(st.integers(1, 2))
@@ -536,16 +542,17 @@ class TestOneGroupingPerRelation:
                 expected = reference_build_benchmark(edges, name, num_queries, seed, banned)
             except DataError:
                 with pytest.raises(DataError):
-                    build_benchmark(edges, name, num_queries, seed, banned)
+                    build_benchmark(index, name, num_queries, seed, banned)
                 continue
-            assert build_benchmark(edges, name, num_queries, seed, banned) == expected
+            assert build_benchmark(index, name, num_queries, seed, banned) == expected
 
     def test_target_text_is_the_first_one_in_edge_order(self):
         first = "first quoted text of target"
         edges = [RelationEdge(QUOTE, "t1", "r1", None, "a response with no quoted text")]
         edges += [RelationEdge(QUOTE, "t1", f"r{i}", text, f"response number {i} to the target")
                   for i, text in ((2, first), (3, "a later quoted text that differs"))]
-        pairs = [build_pairs(edges, "qt", seed=seed)[0] for seed in range(40)]
+        index = index_responses(edges)[0]
+        pairs = [build_pairs(index, "qt", seed=seed)[0] for seed in range(40)]
         assert {p.anchor_text for p in pairs} == {first}
         assert {p.positive_id for p in pairs} == {"r1", "r2", "r3"}
 
@@ -556,12 +563,13 @@ class TestOneGroupingPerRelation:
         edges += [RelationEdge(QUOTE, "t00", f"t00r{r}", "a later query text that differs",
                                f"response words target00 reply{r} content") for r in range(2, 8)]
         edges += benchmark_fixture_edges(num_targets=8, responses_each=4)[4:]  # t01..t07: negatives only
-        bench = build_benchmark(edges, "dq", num_queries=1, seed=0, banned={"t00r1"})
+        bench = build_benchmark(index_responses(edges)[0], "dq", num_queries=1, seed=0, banned={"t00r1"})
         assert [q.query_text for q in bench.queries] == [first]
 
     def test_response_id_counts_once_per_target(self):
         edges = [make_edge(QUOTE, "t1", "r1")] * 30 + [make_edge(QUOTE, "t1", "r2")]
-        chosen = Counter(build_pairs(edges, "qt", seed=seed)[0].positive_id for seed in range(200))
+        index = index_responses(edges)[0]
+        chosen = Counter(build_pairs(index, "qt", seed=seed)[0].positive_id for seed in range(200))
         assert 60 < chosen["r2"] < 140
 
 
@@ -582,7 +590,7 @@ class TestPairAndBenchmarkFiles:
             read_pairs(path)
 
     def test_benchmark_jsonl_roundtrip(self, tmp_path):
-        bench = build_benchmark(benchmark_fixture_edges(), "dq", num_queries=2, seed=0)
+        bench = build_benchmark(index_responses(benchmark_fixture_edges())[0], "dq", num_queries=2, seed=0)
         path = tmp_path / "dq.jsonl"
         write_benchmark(bench, path)
         loaded = read_benchmark(path, name="dq")

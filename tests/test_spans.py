@@ -1,27 +1,32 @@
-"""The benchmark's span table resolves against the package.
+"""The benchmark's names and constants agree with the package.
 
 ``perfbench/spans.py`` wraps functions by module and attribute name, and a
-name it cannot find only drops that span from the benchmark.  This test loads
-that module from its file, without changing it, so a renamed or deleted
-wrapped function fails here instead.
+name it cannot find only drops that span from the benchmark;
+``perfbench/run.py`` keeps its own copies of the benchmark names and query
+shape.  These tests load both modules from their files, without changing
+them, so a renamed function or a changed constant fails here instead of only
+in a benchmark run.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from weakpairs import corpus
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(stem):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", PERFBENCH / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_wrapped_function_resolves_and_uninstall_restores_it():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     targets = [
         (importlib.import_module(module_name), attribute)
         for entries in spans.WRAP_TABLE.values()
@@ -38,3 +43,17 @@ def test_every_wrapped_function_resolves_and_uninstall_restores_it():
         tracer.uninstall()
     assert all(getattr(module, attribute, None) is original
                for (module, attribute), original in zip(targets, originals))
+
+
+def test_run_copies_the_benchmark_names_and_query_shape():
+    # run.py puts its own directory first on sys.path and imports these siblings by bare name
+    siblings = [name for name in ("calibrate", "gen", "spans") if name not in sys.modules]
+    path = list(sys.path)
+    try:
+        run = load_perfbench("run")
+    finally:
+        sys.path[:] = path
+        for name in siblings:
+            sys.modules.pop(name, None)
+    assert run.BENCH_NAMES == corpus.BENCHMARK_NAMES
+    assert (run.POSITIVES, run.NEGATIVES) == (corpus.POSITIVES_PER_QUERY, corpus.NEGATIVES_PER_QUERY)
