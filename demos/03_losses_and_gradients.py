@@ -36,22 +36,26 @@ grad_out = np.array([1.0, -0.5, 0.25, 2.0])
 # a batch of one sentence; longer batches are right-padded and masked
 vecs, trace = encode_with_trace(model, [ids])
 grads = backprop(model, trace, [grad_out])
+# the embedding gradient is compact: one summed row per distinct token of the batch
+print(f"embedding gradient rows: {grads['embedding'].ids.tolist()} of {len(vocab)}")
 
-name = "w_q"
-param = model.params[name]
-step = 1e-5
-i, j = 1, 2
-original = param[i, j]
-param[i, j] = original + step
-up = float(grad_out @ encode(model, ids))
-param[i, j] = original - step
-down = float(grad_out @ encode(model, ids))
-param[i, j] = original
 
-numeric = (up - down) / (2 * step)
-analytic = grads[name][i, j]
-print(f"d<g, embedding>/d {name}[{i},{j}]")
-print(f"  analytic:          {analytic:+.12f}")
-print(f"  central difference:{numeric:+.12f}")
-print(f"  relative error:    {abs(analytic - numeric) / max(abs(analytic), 1e-12):.2e}")
+def check(name, i, j, analytic):
+    param = model.params[name]
+    step = 1e-5
+    original = param[i, j]
+    param[i, j] = original + step
+    up = float(grad_out @ encode(model, ids))
+    param[i, j] = original - step
+    down = float(grad_out @ encode(model, ids))
+    param[i, j] = original
+    numeric = (up - down) / (2 * step)
+    print(f"d<g, embedding>/d {name}[{i},{j}]")
+    print(f"  analytic:          {analytic:+.12f}")
+    print(f"  central difference:{numeric:+.12f}")
+    print(f"  relative error:    {abs(analytic - numeric) / max(abs(analytic), 1e-12):.2e}")
+
+
+check("w_q", 1, 2, grads["w_q"][1, 2])
+check("embedding", 5, 2, grads["embedding"].dense(len(vocab))[5, 2])
 print("\n(the test suite repeats this over every parameter of 100 random models)")

@@ -20,6 +20,7 @@ from .corpus import (
 from .encoder import (
     EncoderModel,
     ForwardTrace,
+    RowGrad,
     backprop,
     embed_text,
     encode,

@@ -18,7 +18,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,8 +43,22 @@ class EncoderModel:
     params: dict[str, np.ndarray]
     version: int = 0
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.params.items()}
+
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside a few leading-axis rows.
+
+    ``rows[i]`` is the gradient of row ``ids[i]``; ``ids`` is sorted and
+    holds no row twice.
+    """
+
+    ids: np.ndarray  # (U,) row indices
+    rows: np.ndarray  # (U, ...) their gradients
+
+    def dense(self, num_rows: int) -> np.ndarray:
+        """The full gradient of a parameter with ``num_rows`` rows, zero at every untouched row."""
+        full = np.zeros((num_rows, *self.rows.shape[1:]))
+        full[self.ids] = self.rows
+        return full
 
 
 @dataclass
@@ -203,14 +217,19 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     return distinct[[slot[text] for text in texts]]
 
 
-def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+def backprop(
+    model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray
+) -> dict[str, np.ndarray | RowGrad]:
     """Exact gradients of sum_i <grad_out[i], embedding i> with respect to every parameter.
 
-    ``grad_out`` holds one (dim,) row per sentence of the traced batch.
-    Untouched embedding rows get zero gradient.  So does the PAD row: padded
-    keys are masked and padded positions have pool weight 0, so nothing
-    flows back to them.  The trace must come from the current parameter
-    version.
+    ``grad_out`` holds one (dim,) row per sentence of the traced batch.  The
+    embedding gradient is a ``RowGrad`` over the batch's distinct non-PAD
+    ids, each row summed over its positions in position order, so it holds
+    the same bits as a dense V x dim buffer would at those rows; every other
+    row's gradient is zero.  The PAD row is never among the ids: padded keys
+    are masked and padded positions have pool weight 0, so nothing flows
+    back to it.  The other parameters get dense gradients.  The trace must
+    come from the current parameter version.
     """
     if trace.model_version != model.version:
         raise ValueError(
@@ -221,7 +240,7 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
     if grad_out.shape != trace.pooled.shape:
         raise ValueError(f"grad_out must have shape {trace.pooled.shape}, got {grad_out.shape}")
 
-    grads = model.zero_grads()
+    grads = {}
     p = model.params
 
     if model.normalize_output:
@@ -234,10 +253,10 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
     d_tokens = trace.pool[:, :, None] * d_pooled[:, None, :]
 
     if model.use_block:
-        grads["w_2"] += trace.pooled_relu.T @ d_pooled
+        grads["w_2"] = trace.pooled_relu.T @ d_pooled
         d_z = trace.pool[:, :, None] * (d_pooled @ p["w_2"].T)[:, None, :]
         d_z *= trace.relu > 0.0
-        grads["w_1"] += _rows(trace.h1).T @ _rows(d_z)
+        grads["w_1"] = _rows(trace.h1).T @ _rows(d_z)
         d_h1 = d_z @ p["w_1"].T
         d_h1 += d_tokens  # the residual path around the feed-forward
         del d_z, d_tokens
@@ -252,9 +271,9 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
         d_k = d_attn.transpose(0, 2, 1) @ trace.q
         del d_attn
         x = _rows(trace.x)
-        grads["w_q"] += x.T @ _rows(d_q)
-        grads["w_k"] += x.T @ _rows(d_k)
-        grads["w_v"] += x.T @ _rows(d_v)
+        grads["w_q"] = x.T @ _rows(d_q)
+        grads["w_k"] = x.T @ _rows(d_k)
+        grads["w_v"] = x.T @ _rows(d_v)
         d_x = d_h1
         d_x += d_q @ p["w_q"].T
         d_x += d_k @ p["w_k"].T
@@ -262,8 +281,20 @@ def backprop(model: EncoderModel, trace: ForwardTrace, grad_out: np.ndarray) -> 
     else:
         d_x = d_tokens
 
-    np.add.at(grads["embedding"], trace.ids.ravel(), _rows(d_x))
-    return grads
+    return {"embedding": _sum_rows_by_id(trace.ids.ravel(), _rows(d_x)), **grads}
+
+
+def _sum_rows_by_id(ids: np.ndarray, values: np.ndarray) -> RowGrad:
+    """``values[i]`` summed per distinct ``ids[i]``, PAD left out.
+
+    Each id's terms are added in position order starting from zero, as an
+    ``np.add.at`` into a dense buffer would add them.
+    """
+    real = ids != PAD_ID
+    unique, slots = np.unique(ids[real], return_inverse=True)
+    sums = np.zeros((len(unique), values.shape[1]))
+    np.add.at(sums, slots, values[real])
+    return RowGrad(unique, sums)
 
 
 # --- checkpoint format --------------------------------------------------------

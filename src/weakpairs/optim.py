@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PairExample
-from .encoder import EncoderModel, backprop, encode_with_trace
+from .encoder import EncoderModel, RowGrad, backprop, encode_with_trace
 from .errors import DataError, NumericError
 from .textproc import encode_ids
 
@@ -174,21 +174,38 @@ def mn_loss(
 
 def adamw_step(
     params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | RowGrad],
     state: OptimizerState,
     lr: float,
     weight_decay: float = 0.0,
 ) -> OptimizerState:
     """One AdamW update in place: bias-corrected moments plus decoupled decay.
 
-    A row that is zero with a zero gradient, such as the PAD embedding row,
-    stays zero.  The update runs over blocks of ``ADAMW_BLOCK_ROWS``
+    A gradient is either a full array or a ``RowGrad``, which is zero outside
+    its rows; a full array is the case where every row is touched.  This is
+    still AdamW, not LazyAdam: every row's moments decay and every row gets
+    the update and the weight decay each step, touched or not.  Only the
+    gradient terms, which are exact zeros elsewhere, are added to the
+    touched rows alone.  The update runs over blocks of ``ADAMW_BLOCK_ROWS``
     leading-axis rows with two block-sized scratch buffers, so no full-size
-    temporary is made; each entry sees the same operations in the same order
-    as an unblocked update, so results are bitwise equal to it.
+    temporary is made.
+
+    Each entry sees the same operations in the same order as an unblocked
+    update on the full gradient, so results are bitwise equal to it, with
+    one exception in the sign of zero: adding a zero gradient term turns a
+    first moment of ``-0.0`` into ``+0.0``, and skipping it does not.  So a
+    moment that has decayed to ``-0.0`` on an untouched row stays ``-0.0``,
+    and a parameter differs from the full-gradient update only where such a
+    moment meets a parameter that is itself ``-0.0`` (it ends ``+0.0``
+    instead of ``-0.0``).  A row that is zero with a zero gradient, such as
+    the PAD embedding row, stays zero.
     """
+    grads = {
+        name: grad if isinstance(grad, RowGrad) else RowGrad(np.arange(len(grad)), grad)
+        for name, grad in grads.items()
+    }
     for name, grad in grads.items():
-        if not np.all(np.isfinite(grad)):
+        if not np.all(np.isfinite(grad.rows)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
@@ -196,20 +213,24 @@ def adamw_step(
     bias2 = 1.0 - state.beta2**t
     decay = lr * weight_decay
     for name, param in params.items():
-        grad, m, v = grads[name], state.m[name], state.v[name]
+        (ids, rows), m, v = grads[name], state.m[name], state.v[name]
         scratch_a = np.empty_like(param[:ADAMW_BLOCK_ROWS])
         scratch_b = np.empty_like(scratch_a)
         for start in range(0, len(param), ADAMW_BLOCK_ROWS):
-            rows = slice(start, start + ADAMW_BLOCK_ROWS)
-            p, g, mb, vb = param[rows], grad[rows], m[rows], v[rows]
+            block = slice(start, start + ADAMW_BLOCK_ROWS)
+            p, mb, vb = param[block], m[block], v[block]
             a, b = scratch_a[: len(p)], scratch_b[: len(p)]
+            lo, hi = np.searchsorted(ids, (start, start + len(p)))
+            # the block's touched rows, as a slice when that is all of them
+            touched = slice(None) if hi - lo == len(p) else ids[lo:hi] - start
+            g, ga = rows[lo:hi], a[: hi - lo]
             mb *= state.beta1
-            np.multiply(g, 1.0 - state.beta1, out=a)
-            mb += a
+            np.multiply(g, 1.0 - state.beta1, out=ga)
+            mb[touched] += ga
             vb *= state.beta2
-            np.square(g, out=a)
-            a *= 1.0 - state.beta2
-            vb += a
+            np.square(g, out=ga)
+            ga *= 1.0 - state.beta2
+            vb[touched] += ga
             # lr * (m / bias1) / (sqrt(v / bias2) + eps) + lr * weight_decay * param
             np.divide(mb, bias1, out=a)
             a *= lr

@@ -71,19 +71,18 @@ def build_vocab(corpus: Iterable[str], max_size: int) -> Vocabulary:
     """Build a vocabulary from cleaned training text.
 
     The ``max_size - 2`` most frequent tokens get ids 2 upward; frequency ties
-    break lexicographically so the result is deterministic.  Texts equal to
-    the special token strings are never counted.
+    break lexicographically so the result is deterministic.  No token can
+    equal a special: ``tokenize`` splits ``<pad>`` into ``<``, ``pad`` and
+    ``>``.
     """
     if max_size < 2:
         raise ValueError(f"max_size must be >= 2, got {max_size}")
     counts: Counter[str] = Counter()
     for text in corpus:
-        for token in tokenize(text):
-            if token not in (PAD_TOKEN, UNK_TOKEN):
-                counts[token] += 1
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    kept = [token for token, _ in ranked[: max_size - 2]]
-    return Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN] + kept, max_size=max_size)
+        counts.update(tokenize(text))
+    # a stable sort by descending count over the lexicographic order keeps ties lexicographic
+    ranked = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+    return Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN] + ranked[: max_size - 2], max_size=max_size)
 
 
 def encode_ids(vocab: Vocabulary, text: str, max_len: int = 64) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from weakpairs.encoder import EncoderModel, encode, encode_with_trace, init_model
+from weakpairs.encoder import EncoderModel, RowGrad, encode, encode_with_trace, init_model
 from weakpairs.textproc import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 FD_STEP = 1e-5
@@ -26,6 +26,14 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def dense_grads(model: EncoderModel, grads: dict) -> dict[str, np.ndarray]:
+    """Every gradient as a full array of its parameter's shape, densifying compact ones."""
+    return {
+        name: grad.dense(len(model.params[name])) if isinstance(grad, RowGrad) else grad
+        for name, grad in grads.items()
+    }
 
 
 def central_diff_grad(func, array: np.ndarray, step: float = FD_STEP) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdcheck import central_diff_grad, max_rel_error, sample_smooth_case, scalar_objective
+from fdcheck import central_diff_grad, dense_grads, max_rel_error, sample_smooth_case, scalar_objective
 from test_optim import brute_force_mn_loss
 from weakpairs.cli import derive_seed, main
 from weakpairs.corpus import (
@@ -62,7 +62,7 @@ def test_criterion_1_gradient_oracle():
     while triples < 100:
         model, ids, grad_out = sample_smooth_case(rng, vocab_tokens=20)
         _, trace = encode_with_trace(model, [ids])
-        analytic = backprop(model, trace, [grad_out])
+        analytic = dense_grads(model, backprop(model, trace, [grad_out]))
         for name, param in model.params.items():
             numeric = central_diff_grad(lambda: scalar_objective(model, ids, grad_out), param)
             worst = max(worst, max_rel_error(analytic[name], numeric))

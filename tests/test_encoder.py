@@ -1,6 +1,7 @@
 """Encoder forward/backward tests, anchored by a finite-difference oracle."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fdcheck import (
     FD_STEP,
     batch_objective,
     central_diff_grad,
+    dense_grads,
     max_rel_error,
     sample_ragged_case,
     sample_smooth_case,
@@ -19,6 +21,7 @@ from fdcheck import (
 )
 from weakpairs.encoder import (
     EncoderModel,
+    RowGrad,
     backprop,
     embed_text,
     encode,
@@ -27,6 +30,7 @@ from weakpairs.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
+from weakpairs import encoder as encoder_mod
 from weakpairs.errors import DataError
 from weakpairs.textproc import PAD_ID, build_vocab
 
@@ -148,7 +152,7 @@ class TestBackprop:
     def test_zero_grad_out_gives_zero_gradients(self):
         model = init_model(toy_vocab(8), dim=4, use_block=True, seed=5)
         _, trace = encode_with_trace(model, [[2, 3, 4]])
-        grads = backprop(model, trace, np.zeros((1, 4)))
+        grads = dense_grads(model, backprop(model, trace, np.zeros((1, 4))))
         for arr in grads.values():
             assert np.all(arr == 0.0)
 
@@ -157,14 +161,14 @@ class TestBackprop:
         model = init_model(toy_vocab(6), dim=3, use_block=False, seed=0)
         g = np.array([1.0, -2.0, 0.5])
         _, trace = encode_with_trace(model, [[4, 4, 5]])
-        grads = backprop(model, trace, [g])
+        grads = dense_grads(model, backprop(model, trace, [g]))
         np.testing.assert_allclose(grads["embedding"][4], 2.0 * g / 3.0)
         np.testing.assert_allclose(grads["embedding"][5], g / 3.0)
 
     def test_untouched_rows_zero_and_pad_forced_zero(self):
         model = init_model(toy_vocab(8), dim=3, use_block=False, seed=1)
         _, trace = encode_with_trace(model, [[3]])
-        grads = backprop(model, trace, np.ones((1, 3)))
+        grads = dense_grads(model, backprop(model, trace, np.ones((1, 3))))
         assert np.all(grads["embedding"][PAD_ID] == 0.0)
         touched = np.any(grads["embedding"] != 0.0, axis=1)
         assert list(np.nonzero(touched)[0]) == [3]
@@ -183,7 +187,7 @@ class TestBackprop:
                 rng, vocab_tokens=12, use_block=use_block, normalize_output=normalize
             )
             _, trace = encode_with_trace(model, [ids])
-            analytic = backprop(model, trace, [grad_out])
+            analytic = dense_grads(model, backprop(model, trace, [grad_out]))
             for name, param in model.params.items():
                 numeric = central_diff_grad(
                     lambda: scalar_objective(model, ids, grad_out), param, FD_STEP
@@ -194,16 +198,16 @@ class TestBackprop:
         model = init_model(toy_vocab(6), dim=2, use_block=False, seed=0)
         g = np.array([1.0, 1.0])
         _, trace = encode_with_trace(model, [[2, 2, 2, 2]])
-        grads = backprop(model, trace, [g])
+        grads = dense_grads(model, backprop(model, trace, [g]))
         np.testing.assert_allclose(grads["embedding"][2], g)  # 4 occurrences of g/4
 
 
 def _single_sentence_grads(model, id_lists, grad_out):
     """The reference: one trace and one backprop per sentence, summed."""
-    total = model.zero_grads()
+    total = {name: np.zeros_like(param) for name, param in model.params.items()}
     for ids, g in zip(id_lists, grad_out):
         _, trace = encode_with_trace(model, [ids])
-        for name, grad in backprop(model, trace, [g]).items():
+        for name, grad in dense_grads(model, backprop(model, trace, [g])).items():
             total[name] += grad
     return total
 
@@ -267,9 +271,34 @@ class TestBatch:
             np.testing.assert_allclose(row, encode(model, ids), rtol=0, atol=1e-12)
         permuted, _ = encode_with_trace(model, [id_lists[i] for i in perm])
         np.testing.assert_allclose(permuted, vecs[perm], rtol=0, atol=1e-12)
-        batched = backprop(model, trace, grad_out)
+        batched = dense_grads(model, backprop(model, trace, grad_out))
         for name, reference in _single_sentence_grads(model, id_lists, grad_out).items():
             assert np.max(np.abs(batched[name] - reference)) <= 1e-12 * max(np.max(np.abs(reference)), 1e-300), name
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ragged_batches())
+    def test_embedding_gradient_is_compact_and_bitwise_the_dense_sum(self, case):
+        model, id_lists, grad_out, _ = case
+        _, trace = encode_with_trace(model, id_lists)
+        seen = []
+
+        def recording(ids, values):
+            seen.append((ids.copy(), values.copy()))
+            return real_sum(ids, values)
+
+        real_sum = encoder_mod._sum_rows_by_id
+        with mock.patch.object(encoder_mod, "_sum_rows_by_id", recording):
+            grad = backprop(model, trace, grad_out)["embedding"]
+        ((ids, values),) = seen
+        np.testing.assert_array_equal(ids, trace.ids.ravel())  # padded positions included
+        assert isinstance(grad, RowGrad)
+        assert np.all(np.diff(grad.ids) > 0)  # sorted and unique
+        assert PAD_ID not in grad.ids
+        assert set(grad.ids.tolist()) == {i for sentence in id_lists for i in sentence}
+        # the dense buffer backprop used to fill: padded positions add only zeros to the PAD row
+        reference = np.zeros_like(model.params["embedding"])
+        np.add.at(reference, ids, values)
+        assert grad.dense(len(model.vocab)).tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("use_block", [False, True])
     @pytest.mark.parametrize("normalize", [False, True])
@@ -280,7 +309,7 @@ class TestBatch:
                 rng, vocab_tokens=12, use_block=use_block, normalize_output=normalize
             )
             _, trace = encode_with_trace(model, id_lists)
-            analytic = backprop(model, trace, grad_out)
+            analytic = dense_grads(model, backprop(model, trace, grad_out))
             for name, param in model.params.items():
                 numeric = central_diff_grad(lambda: batch_objective(model, id_lists, grad_out), param)
                 assert max_rel_error(analytic[name], numeric) < 1e-4, name
@@ -292,13 +321,13 @@ class TestBatch:
         grad_out = np.random.default_rng(0).standard_normal((3, 3))
         vecs, trace = encode_with_trace(model, id_lists)
         np.testing.assert_array_equal(vecs[1], np.zeros(3))
-        zero_row = backprop(model, trace, grad_out * [[0.0], [1.0], [0.0]])
+        zero_row = dense_grads(model, backprop(model, trace, grad_out * [[0.0], [1.0], [0.0]]))
         for grad in zero_row.values():
             assert np.all(grad == 0.0)
         others = [id_lists[0], id_lists[2]]
         _, trace_others = encode_with_trace(model, others)
-        alone = backprop(model, trace_others, grad_out[[0, 2]])
-        together = backprop(model, trace, grad_out)
+        alone = dense_grads(model, backprop(model, trace_others, grad_out[[0, 2]]))
+        together = dense_grads(model, backprop(model, trace, grad_out))
         np.testing.assert_allclose(together["embedding"], alone["embedding"], rtol=0, atol=1e-15)
 
     def test_embed_text_keeps_row_order_across_chunks(self):

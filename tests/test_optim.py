@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from fdcheck import max_rel_error, toy_vocab
+from fdcheck import dense_grads, max_rel_error, toy_vocab
 from weakpairs.corpus import PairExample
-from weakpairs.encoder import init_model
+from weakpairs.encoder import RowGrad, backprop, encode_with_trace, init_model
 from weakpairs.errors import DataError, NumericError
 from weakpairs.optim import (
     ADAMW_BLOCK_ROWS,
@@ -258,6 +258,14 @@ class TestAdamW:
         for name in params:
             np.testing.assert_array_equal(params[name], 1.0)
             np.testing.assert_array_equal(state.m[name], 0.0)
+        # a NaN among a compact gradient's rows is caught the same way, before anything moves
+        compact = RowGrad(np.array([0, 2]), np.array([1.0, np.nan]))
+        with pytest.raises(NumericError, match="'a'"):
+            adamw_step(params, {"a": compact, "b": np.ones(2)}, state, lr=0.1)
+        assert state.step == 0
+        for name in params:
+            np.testing.assert_array_equal(params[name], 1.0)
+            np.testing.assert_array_equal(state.m[name], 0.0)
 
     def test_mask_freezes_entries(self):
         # a row is frozen by passing views without it, as train does for PAD
@@ -282,6 +290,63 @@ class TestAdamW:
                 assert np.array_equal(params[name], reference[name]), name
                 assert np.array_equal(state.m[name], ref_state.m[name]), name
                 assert np.array_equal(state.v[name], ref_state.v[name]), name
+
+    @pytest.mark.parametrize(
+        "touched",
+        [
+            [0, 3, 511, 512, 513, 1000, 4 * ADAMW_BLOCK_ROWS + 36],  # block edges, the last row, an empty block
+            "all",
+            [],
+            "random",
+        ],
+        ids=["edges", "all", "none", "random"],
+    )
+    def test_compact_update_bitwise_equals_unblocked(self, touched):
+        rows = 4 * ADAMW_BLOCK_ROWS + 37
+        rng = np.random.default_rng(17)
+        params = {"emb": rng.normal(size=(rows, 5)), "b": rng.normal(size=rows), "w": rng.normal(size=(5, 7))}
+        reference = {name: arr.copy() for name, arr in params.items()}
+        state, ref_state = init_optimizer(params), init_optimizer(reference)
+        for step in range(5):
+            if touched == "all":
+                ids = np.arange(rows)
+            elif touched == "random":
+                ids = np.unique(rng.integers(0, rows, size=300))
+            else:  # a row touched at one step and not the next keeps a nonzero moment to decay
+                ids = np.array(touched[step % 2 :], dtype=np.intp)
+            emb_rows = rng.normal(size=(len(ids), 5)) * 10.0**step
+            emb_rows[::3, 1] = 0.0  # exact zeros of both signs inside touched rows
+            emb_rows[1::3, 2] = -0.0
+            grads = {
+                "emb": RowGrad(ids, emb_rows),
+                "b": RowGrad(ids, rng.normal(size=len(ids))),
+                "w": rng.normal(size=(5, 7)),
+            }
+            adamw_step(params, grads, state, lr=0.01, weight_decay=0.1)
+            dense = {name: g.dense(rows) if isinstance(g, RowGrad) else g for name, g in grads.items()}
+            unblocked_adamw_step(reference, dense, ref_state, lr=0.01, weight_decay=0.1)
+            for name in params:
+                assert params[name].tobytes() == reference[name].tobytes(), name
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_negative_zero_moment_is_the_one_sign_difference(self, weight_decay):
+        # a first moment at -0.0 on an untouched row stays -0.0, where a full zero
+        # gradient would turn it +0.0; the parameter differs only where it is itself -0.0
+        params = {"emb": np.array([[-0.0, 0.0, 1.0, -1.0], [2.0, 3.0, 4.0, 5.0]])}
+        reference = {"emb": params["emb"].copy()}
+        state, ref_state = init_optimizer(params), init_optimizer(reference)
+        for s in (state, ref_state):
+            s.m["emb"][0] = -0.0
+            s.v["emb"][0] = 1e-6
+        grad = RowGrad(np.array([1]), np.ones((1, 4)))
+        adamw_step(params, {"emb": grad}, state, lr=0.01, weight_decay=weight_decay)
+        unblocked_adamw_step(reference, {"emb": grad.dense(2)}, ref_state, lr=0.01, weight_decay=weight_decay)
+        assert np.array_equal(params["emb"], reference["emb"])  # equal as numbers everywhere
+        assert np.signbit(state.m["emb"][0]).all() and not np.signbit(ref_state.m["emb"][0]).any()
+        sign_differs = np.signbit(params["emb"]) != np.signbit(reference["emb"])
+        np.testing.assert_array_equal(sign_differs, [[True, False, False, False], [False] * 4])
 
     def test_step_counter_increases(self):
         params = {"w": np.zeros(1)}
@@ -442,10 +507,11 @@ class TestTrainEpoch:
                 step["vecs"][:n], step["vecs"][n:], ref_rng, config.margin
             )
             _, ref_trace = real_encode(model, step["id_lists"])
-            step["ref_grads"] = real_backprop(model, ref_trace, step["ref_grad_out"])
+            step["ref_grads"] = dense_grads(model, real_backprop(model, ref_trace, step["ref_grad_out"]))
             step["grad_out"] = grad_out.copy()
-            step["grads"] = {name: g.copy() for name, g in real_backprop(model, trace, grad_out).items()}
-            return step["grads"]
+            grads = real_backprop(model, trace, grad_out)
+            step["grads"] = dense_grads(model, grads)
+            return grads
 
         def counting_triplet(*args, **kwargs):
             triplet_calls.append(args[0].shape)
@@ -478,7 +544,8 @@ class TestTrainEpoch:
     @pytest.mark.parametrize("normalize_output", [False, True], ids=["raw", "normalized"])
     def test_pad_gradient_exactly_zero_on_ragged_batches(self, monkeypatch, use_block, normalize_output):
         # anchors of 2-5 tokens and positives of 7 pad every batch; nothing zeroes the
-        # PAD row on the way: backprop's gradient and the full parameters reach AdamW
+        # PAD row on the way: backprop's gradient and the full parameters reach AdamW,
+        # and the compact embedding gradient never names the PAD row
         from weakpairs import optim as optim_mod
         from weakpairs.textproc import build_vocab
 
@@ -490,21 +557,66 @@ class TestTrainEpoch:
         vocab = build_vocab([p.anchor_text for p in pairs] + [p.positive_text for p in pairs], max_size=50)
         model = init_model(vocab, dim=6, use_block=use_block, normalize_output=normalize_output, seed=3)
         real_adamw = optim_mod.adamw_step
-        pad_grads = []
+        touched_ids = []
 
         def recording_adamw(params, grads, state, lr, weight_decay):
             assert params is model.params
-            assert grads["embedding"].shape == model.params["embedding"].shape
-            assert np.any(grads["embedding"] != 0.0)
-            pad_grads.append(grads["embedding"][PAD_ID].copy())
+            assert isinstance(grads["embedding"], RowGrad)
+            assert np.any(grads["embedding"].rows != 0.0)
+            touched_ids.append(grads["embedding"].ids.copy())
             return real_adamw(params, grads, state, lr, weight_decay)
 
         monkeypatch.setattr(optim_mod, "adamw_step", recording_adamw)
         train(model, pairs, TrainConfig(batch_size=5, epochs=2, weight_decay=0.1))
-        assert len(pad_grads) == 8
-        for grad in pad_grads:
-            np.testing.assert_array_equal(grad, np.zeros(6))
+        assert len(touched_ids) == 8
+        for ids in touched_ids:
+            assert PAD_ID not in ids
         np.testing.assert_array_equal(model.params["embedding"][PAD_ID], np.zeros(6))
+
+    def test_train_matches_dense_reference_loop_bitwise(self, monkeypatch):
+        # a vocabulary of three AdamW blocks; each batch touches a few rows of each
+        import weakpairs.optim as optim_mod
+        from weakpairs.textproc import build_vocab, encode_ids
+
+        rng = np.random.default_rng(4)
+        words = [f"w{i:04d}" for i in range(3 * ADAMW_BLOCK_ROWS)]
+
+        def sentence():
+            return " ".join(rng.choice(words, size=rng.integers(2, 12)))
+
+        pairs = [PairExample(sentence(), sentence(), "qt", f"a{i}", f"p{i}") for i in range(40)]
+        vocab = build_vocab([" ".join(words)], max_size=len(words) + 2)
+        config = TrainConfig(batch_size=10, epochs=2, learning_rate=0.01, weight_decay=0.1, seed=3)
+        real_adamw = optim_mod.adamw_step
+        snapshots = []
+
+        def recording_adamw(params, grads, state, lr, weight_decay):
+            real_adamw(params, grads, state, lr, weight_decay)
+            snapshots.append({name: arr.tobytes() for name, arr in params.items()})
+            return state
+
+        monkeypatch.setattr(optim_mod, "adamw_step", recording_adamw)
+        train(init_model(vocab, dim=8, seed=5), pairs, config)
+
+        # the reference: the same loop with full gradients and the unblocked AdamW
+        model = init_model(vocab, dim=8, seed=5)
+        state = init_optimizer(model.params)
+        order_rng = np.random.default_rng(config.seed)
+        n, per_epoch = config.batch_size, len(pairs) // config.batch_size
+        total = per_epoch * config.epochs
+        for step in range(total):
+            if step % per_epoch == 0:
+                order = order_rng.permutation(len(pairs))
+            batch = [pairs[i] for i in order[step % per_epoch * n : (step % per_epoch + 1) * n]]
+            texts = [p.anchor_text for p in batch] + [p.positive_text for p in batch]
+            vecs, trace = encode_with_trace(model, [encode_ids(vocab, t, model.max_len) for t in texts])
+            _, grad_a, grad_p = mn_loss(vecs[:n], vecs[n:], scale=config.scale, similarity=config.similarity)
+            grads = dense_grads(model, backprop(model, trace, np.concatenate([grad_a, grad_p])))
+            lr = lr_at(step, total, config.learning_rate, config.warmup_fraction)
+            unblocked_adamw_step(model.params, grads, state, lr, config.weight_decay)
+            model.version += 1
+            assert {name: arr.tobytes() for name, arr in model.params.items()} == snapshots[step], step
+        assert len(snapshots) == total == 8
 
     def test_parameters_finite_after_every_update(self):
         pairs = topic_pairs(60)

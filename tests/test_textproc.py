@@ -2,6 +2,7 @@
 
 import random
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,27 @@ class TestVocabulary:
     def test_deterministic(self):
         corpus = ["x y z y", "z z q"]
         assert build_vocab(corpus, 20).tokens == build_vocab(corpus, 20).tokens
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b", "ab", "ba", "c", "<pad>", "<unk>", "!", "é"]), max_size=12)
+                 .map(" ".join), max_size=8),
+        st.integers(2, 12),
+    )
+    def test_ranking_is_descending_count_then_token(self, corpus, max_size):
+        counts = Counter(token for text in corpus for token in tokenize(text))
+        ranked = [token for token, _ in sorted(counts.items(), key=lambda item: (-item[1], item[0]))]
+        assert build_vocab(corpus, max_size).tokens == [PAD_TOKEN, UNK_TOKEN] + ranked[: max_size - 2]
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([PAD_TOKEN, UNK_TOKEN, "<", ">", " "]) | st.text(max_size=4), max_size=8)
+           .map("".join))
+    def test_tokenize_never_yields_a_special(self, text):
+        # build_vocab relies on this instead of filtering the specials out
+        assert not {PAD_TOKEN, UNK_TOKEN} & set(tokenize(text))
+
+    def test_specials_split_apart(self):
+        assert tokenize(PAD_TOKEN + " " + UNK_TOKEN) == ["<", "pad", ">", "<", "unk", ">"]
 
     def test_ids_are_contiguous_bijection(self):
         vocab = build_vocab(["one two three two"], max_size=50)
