@@ -267,9 +267,9 @@ def cmd_build(args) -> int:
     counts_path = out_dir / "build_counts.json"
     if args.edges_out:
         written = [*bench_paths.values(), *pairs_paths.values(), counts_path, out_dir / "manifest_build.json"]
-        for path in written:
+        for path in [Path(args.records), *written]:
             if Path(args.edges_out).resolve() == path.resolve():
-                raise UsageError(f"--edges-out {args.edges_out} is {path}, which build also writes")
+                raise UsageError(f"--edges-out {args.edges_out} is {path}, which build also reads or writes")
 
     edges, dropped_replies = _joined_edges(args.records)
     counts: dict[str, object] = {"dropped_unresolved_replies": dropped_replies}

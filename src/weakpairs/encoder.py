@@ -10,6 +10,19 @@ The block's output at each position is ``relu @ w_2 + h1``.  Mean pooling is
 linear and ``w_2`` acts on each position alone, so the pooled embedding is
 computed as ``pool(h1) + pool(relu) @ w_2``: ``w_2`` multiplies one pooled
 row per sentence instead of every position, forward and backward.
+
+With no positional encodings, a token's embedding row and its q, k and v
+rows depend on its id alone.  ``embed_text`` runs this token layer
+(``_token_rows``) once per call, over the call's distinct ids, and each
+chunk gathers its rows from that table, so eval projects each distinct
+token once instead of once per position.  Training runs it per padded
+position, because a training batch repeats few ids: on the benchmark's
+large-vocabulary workload a batch of 3,200 padded positions held 2,251
+distinct ids, and a table of them made a forward plus backward step slower,
+30.6 to 32.2 ms, while on its archive workload (261 ids in 1,200 positions)
+it saved only 9.04 to 8.91 ms (median of 15 rounds, one BLAS thread, 2-vCPU
+x86-64 VM).  Both paths share one attention, feed-forward and pool body
+(``_encode``).
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -142,15 +156,21 @@ def _pool(pool: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return (pool[:, None, :] @ arr)[:, 0]
 
 
-def encode_with_trace(
-    model: EncoderModel, id_lists: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Embed a batch of id sequences, one (dim,) row each, keeping what backprop needs.
+def _token_rows(model: EncoderModel, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The per-token layer: ``(x,)``, or ``(x, x @ w_q, x @ w_k, x @ w_v)`` with the block.
 
-    Sequences are right-padded to the longest one.  Padded positions are
-    masked out of the attention keys and the mean, so each row is the
-    embedding of its sentence alone.
+    ``x`` holds the embedding rows of ``ids``, which may have any shape.
+    Every row depends on its id alone (see the module docstring).
     """
+    p = model.params
+    x = p["embedding"][ids]
+    if not model.use_block:
+        return (x,)
+    return x, x @ p["w_q"], x @ p["w_k"], x @ p["w_v"]
+
+
+def _pad(model: EncoderModel, id_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, L) ids right-padded with PAD_ID to the longest sequence, and the (B, L) real-token mask."""
     lengths = np.array([len(ids) for ids in id_lists], dtype=np.intp)
     if lengths.min() == 0:
         raise ValueError("cannot encode an empty id sequence")
@@ -159,14 +179,22 @@ def encode_with_trace(
     real = np.arange(lengths.max()) < lengths[:, None]
     ids = np.full(real.shape, PAD_ID, dtype=np.intp)
     ids[real] = np.concatenate(id_lists)  # row-major, so each row gets its own sequence
-    pool = real / lengths[:, None]
+    return ids, real
+
+
+def _encode(
+    model: EncoderModel, ids: np.ndarray, real: np.ndarray, rows: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Attention, feed-forward, pool and normalization over padded ids whose token rows are given.
+
+    ``rows`` is ``_token_rows(model, ids)`` with (B, L, dim) arrays, computed
+    per position or gathered from a table of distinct ids.
+    """
+    pool = real / real.sum(axis=1, keepdims=True)
     p = model.params
-    x = p["embedding"][ids]
     block = {}
     if model.use_block:
-        q = x @ p["w_q"]
-        k = x @ p["w_k"]
-        v = x @ p["w_v"]
+        x, q, k, v = rows
         scores = q @ k.transpose(0, 2, 1)
         scores /= np.sqrt(model.dim)
         scores += np.where(real, 0.0, -np.inf)[:, None, :]  # no query attends to a padded key
@@ -182,7 +210,7 @@ def encode_with_trace(
         block = {"x": x, "attn": attn, "q": q, "k": k, "v": v, "h1": h1, "relu": relu,
                  "pooled_relu": pooled_relu}
     else:
-        pooled = _pool(pool, x)
+        pooled = _pool(pool, rows[0])
     trace = ForwardTrace(ids=ids, pool=pool, pooled=pooled, model_version=model.version, **block)
     if not model.normalize_output:
         return pooled, trace
@@ -191,6 +219,21 @@ def encode_with_trace(
         logger.warning("normalize_output hit a zero-norm pooled vector; returning zeros")
     trace.norm = np.where(norm > 0.0, norm, np.inf)
     return pooled / trace.norm, trace
+
+
+def encode_with_trace(
+    model: EncoderModel, id_lists: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Embed a batch of id sequences, one (dim,) row each, keeping what backprop needs.
+
+    Sequences are right-padded to the longest one.  Padded positions are
+    masked out of the attention keys and the mean, so each row is the
+    embedding of its sentence alone.  The token layer runs once per padded
+    position: in a training batch most ids are distinct (see the module
+    docstring), so a table of distinct ids would not pay for itself.
+    """
+    ids, real = _pad(model, id_lists)
+    return _encode(model, ids, real, _token_rows(model, ids))
 
 
 def encode(model: EncoderModel, ids) -> np.ndarray:
@@ -206,14 +249,35 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     normalization the training corpus had.  Each distinct text is encoded
     once and its row copied to every repeat.  Texts are encoded in chunks of
     similar length, so little of each chunk is padding.
+
+    The token layer runs once over the call's distinct ids, PAD included,
+    and each chunk gathers its rows from that table, which is freed when the
+    call returns.  Those rows are the ones a per-position forward computes,
+    save for how the BLAS rounds one large product against many small ones.
+    With OpenBLAS on x86-64 the output is bit for bit the per-position one at
+    the default width (64) and at every multiple of 8 tried; at some other
+    widths, such as 33, its last bits can differ.
     """
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     id_lists = [encode_ids(model.vocab, clean(text), model.max_len) for text in slot]
+    seen = np.zeros(len(model.vocab), dtype=bool)
+    seen[PAD_ID] = True
+    seen[np.fromiter(chain.from_iterable(id_lists), dtype=np.intp)] = True
+    table_ids = np.flatnonzero(seen)
+    table = _token_rows(model, table_ids)
+    table_row = np.empty(len(seen), dtype=np.intp)  # id -> its row of the table, for ids in the table
+    table_row[table_ids] = np.arange(len(table_ids))
     order = sorted(range(len(id_lists)), key=lambda i: len(id_lists[i]))
     distinct = np.empty((len(id_lists), model.dim))
     for start in range(0, len(order), _EMBED_CHUNK):
         rows = order[start : start + _EMBED_CHUNK]
-        distinct[rows] = encode_with_trace(model, [id_lists[i] for i in rows])[0]
+        ids, real = _pad(model, [id_lists[i] for i in rows])
+        if ids.shape[1] == 1:
+            # numpy multiplies one-row matrices as vectors (BLAS gemv), which rounds unlike the table's gemm
+            token_rows = _token_rows(model, ids)
+        else:
+            token_rows = tuple(arr[table_row[ids]] for arr in table)
+        distinct[rows] = _encode(model, ids, real, token_rows)[0]
     return distinct[[slot[text] for text in texts]]
 
 

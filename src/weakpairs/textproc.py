@@ -4,7 +4,9 @@ Cleaning lowercases, strips URLs (``https?://\\S+``) and @-mentions
 (``@\\w+``), collapses every run of unicode whitespace to a single space and
 trims the ends.  Removal is iterated to a fixpoint so that cleaning is
 idempotent even when stripping one pattern uncovers another (e.g.
-``http@x://y``).
+``http@x://y``).  Whitespace is collapsed by ``str.split``, whose whitespace
+(``str.isspace``) is the set a ``\\s`` in a ``str`` pattern matches, so it
+agrees with ``re.sub(r"\\s+", " ", text).strip()`` at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Iterable, Sequence
 
 URL_RE = re.compile(r"https?://\S+")
 MENTION_RE = re.compile(r"@\w+")
-WHITESPACE_RE = re.compile(r"\s+")
 # a token is a run of word characters, or a single punctuation character
 TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -35,8 +36,7 @@ def clean(text: str) -> str:
         previous = text
         text = URL_RE.sub("", text)
         text = MENTION_RE.sub("", text)
-    text = WHITESPACE_RE.sub(" ", text)
-    return text.strip()
+    return " ".join(text.split())
 
 
 def tokenize(text: str) -> list[str]:

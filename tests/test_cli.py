@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import random
 import shlex
 from pathlib import Path
 
@@ -269,6 +270,25 @@ class TestBuild:
         assert all(e.kind in ("quote", "reply") for e in edges)
         assert all(e.target_text and e.response_text for e in edges)
 
+    @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
+    def test_outputs_invariant_to_stream_order(self, store, shuffle_seed):
+        lines = Path("store.jsonl").read_bytes().splitlines(keepends=True)
+        random.Random(shuffle_seed).shuffle(lines)
+        Path("shuffled.jsonl").write_bytes(b"".join(lines))
+        outputs = {}
+        for stream in ("store.jsonl", "shuffled.jsonl"):
+            stem = Path(stream).stem
+            assert run("--seed", 11, "ingest", "--inputs", stream, "--out", f"{stem}/records.jsonl") == 0
+            assert run("--seed", 11, "build", "--records", f"{stem}/records.jsonl", "--dataset", "all",
+                       "--bench-queries", 2, "--edges-out", f"{stem}/built/edges.tsv",
+                       "--out-dir", f"{stem}/built") == 0
+            outputs[stem] = {path.name: path.read_bytes() for path in Path(stem, "built").iterdir()
+                             if path.name != "manifest_build.json"}
+            # the edge dump lists edges in stream order; only its set of lines is invariant
+            outputs[stem]["edges.tsv"] = sorted(outputs[stem]["edges.tsv"].splitlines())
+        assert len(outputs["store"]) == 11
+        assert outputs["shuffled"] == outputs["store"]
+
     def test_output_bytes_pinned(self, store):
         # sha256 prefixes computed before the builders shared one response index
         assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",
@@ -298,6 +318,15 @@ class TestBuild:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and edges_out in err
         assert list(tmp_cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("edges_out", ["records.jsonl", "./records.jsonl", "built/../records.jsonl"])
+    def test_edges_out_naming_the_record_store_is_usage_error(self, store, capsys, edges_out):
+        before = {path: path.read_bytes() for path in store.iterdir()}
+        assert run("build", "--records", "records.jsonl", "--dataset", "qt", "--bench-queries", 1,
+                   "--edges-out", edges_out, "--out-dir", "built") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and edges_out in err
+        assert {path: path.read_bytes() for path in store.iterdir()} == before
 
     def test_short_corpus_is_named(self, store, capsys):
         # after the benchmark ban qt and rp keep 8 pairs each, coqt and corp 2

@@ -31,8 +31,10 @@ from weakpairs.encoder import (
     save_checkpoint,
 )
 from weakpairs import encoder as encoder_mod
+from weakpairs.corpus import PairExample
 from weakpairs.errors import DataError
-from weakpairs.textproc import PAD_ID, build_vocab
+from weakpairs.optim import TrainConfig, train
+from weakpairs.textproc import PAD_ID, build_vocab, clean, encode_ids
 
 
 class TestInit:
@@ -246,6 +248,31 @@ def _reference_forward(model, ids):
     return pooled / norm if model.normalize_output and norm > 0.0 else pooled
 
 
+def _embed_text_per_position(model, texts):
+    """The reference: embed_text's length-sorted chunks, each encoded with the token layer per position."""
+    slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    id_lists = [encode_ids(model.vocab, clean(text), model.max_len) for text in slot]
+    order = sorted(range(len(id_lists)), key=lambda i: len(id_lists[i]))
+    distinct = np.empty((len(id_lists), model.dim))
+    for start in range(0, len(order), encoder_mod._EMBED_CHUNK):
+        rows = order[start : start + encoder_mod._EMBED_CHUNK]
+        distinct[rows] = encode_with_trace(model, [id_lists[i] for i in rows])[0]
+    return distinct[[slot[text] for text in texts]]
+
+
+# 2,002 tokens, of which the texts below use at most 40 and UNK
+TABLE_VOCAB = build_vocab(["w%d" % i for i in range(2000)], max_size=2002)
+
+
+def _table_texts(seed, one_token_texts):
+    """40 ragged texts sharing some ids, plus an all-UNK, an empty and an over-long text and one-token texts."""
+    rng = np.random.default_rng(seed)
+    texts = [" ".join(f"w{t}" for t in rng.integers(0, 40, size=rng.integers(2, 30))) for _ in range(40)]
+    texts += ["zz qq zz", "", " ".join(f"w{t}" for t in rng.integers(0, 40, size=70))]
+    texts += [f"w{t}" for t in range(one_token_texts)]
+    return [texts[i] for i in rng.permutation(len(texts))]
+
+
 class TestBatch:
     @pytest.mark.parametrize("use_block", [False, True])
     @pytest.mark.parametrize("normalize", [False, True])
@@ -329,6 +356,52 @@ class TestBatch:
         alone = dense_grads(model, backprop(model, trace_others, grad_out[[0, 2]]))
         together = dense_grads(model, backprop(model, trace, grad_out))
         np.testing.assert_allclose(together["embedding"], alone["embedding"], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("use_block", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_embed_text_token_table_is_bitwise_the_per_position_forward(self, use_block, normalize):
+        # the default width; 9 one-token texts fill a chunk whose longest text has one token
+        model = init_model(TABLE_VOCAB, use_block=use_block, seed=8, normalize_output=normalize)
+        for one_token_texts in (2, 9):
+            texts = _table_texts(one_token_texts, one_token_texts)
+            assert embed_text(model, texts).tobytes() == _embed_text_per_position(model, texts).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 17, 33, 65])
+    def test_embed_text_token_table_matches_the_per_position_forward_at_any_width(self, dim):
+        # OpenBLAS may round a matrix product by its row count at some widths (17, 33, 65 here),
+        # so the table's one product and the per-chunk ones agree only to rounding
+        model = init_model(TABLE_VOCAB, dim=dim, use_block=True, seed=dim)
+        texts = _table_texts(dim, 9)
+        reference = _embed_text_per_position(model, texts)
+        assert np.max(np.abs(embed_text(model, texts) - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_token_layer_runs_once_per_call_in_eval_and_per_position_in_training(self):
+        model = init_model(TABLE_VOCAB, dim=8, use_block=True, seed=9)
+        calls = []
+
+        def recording(model, ids):
+            calls.append(ids.copy())
+            return real_token_rows(model, ids)
+
+        real_token_rows = encoder_mod._token_rows
+        texts = _table_texts(1, 2)
+        with mock.patch.object(encoder_mod, "_token_rows", recording):
+            embed_text(model, texts)
+            (table_ids,) = calls
+            distinct = {i for text in texts for i in encode_ids(model.vocab, clean(text), model.max_len)}
+            assert table_ids.tolist() == sorted(distinct | {PAD_ID})
+            assert len(table_ids) <= 42  # 40 words, UNK and PAD, of 2,002 tokens
+
+            calls.clear()
+            embed_text(model, texts + [f"w{t}" for t in range(8)])  # a chunk of one-token texts
+            assert [ids.ndim for ids in calls] == [1, 2] and calls[1].shape == (8, 1)
+
+            calls.clear()
+            pairs = [PairExample(texts[i], texts[i + 1], "qt", f"a{i}", f"p{i}") for i in range(4)]
+            train(model, pairs, TrainConfig(batch_size=4, epochs=1))
+            (step_ids,) = calls
+            lengths = [len(encode_ids(model.vocab, text, model.max_len)) for text in texts[:5]]
+            assert step_ids.shape == (8, max(lengths))
 
     def test_embed_text_keeps_row_order_across_chunks(self):
         vocab = build_vocab(["w%d" % i for i in range(40)], max_size=50)

@@ -13,7 +13,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from weakpairs import corpus
+from weakpairs import corpus, evaluate
+from weakpairs.encoder import init_model
+from weakpairs.textproc import build_vocab
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,6 +45,20 @@ def test_every_wrapped_function_resolves_and_uninstall_restores_it():
         tracer.uninstall()
     assert all(getattr(module, attribute, None) is original
                for (module, attribute), original in zip(targets, originals))
+
+
+def test_eval_text_preparation_is_traced_inside_the_encode_span():
+    spans = load_perfbench("spans")
+    model = init_model(build_vocab(["alpha beta gamma"], max_size=10), dim=4, seed=0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        evaluate.embed_text(model, ["Alpha beta @bob", "gamma https://t.co/x", "Alpha beta @bob"])
+    finally:
+        tracer.uninstall()
+    (encode,) = [i for i, node in enumerate(tracer.nodes) if node["name"] == "encoder.encode"]
+    children = {node["name"]: node["count"] for node in tracer.nodes if node["parent"] == encode}
+    assert children == {"textproc.clean": 2, "textproc.encode_ids": 2}
 
 
 def test_run_copies_the_benchmark_names_and_query_shape():

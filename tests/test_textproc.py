@@ -1,7 +1,9 @@
 """Cleaning, tokenization and vocabulary tests."""
 
 import random
+import re
 import string
+import sys
 from collections import Counter
 
 import pytest
@@ -15,7 +17,6 @@ from weakpairs.textproc import (
     UNK_ID,
     UNK_TOKEN,
     URL_RE,
-    WHITESPACE_RE,
     build_vocab,
     clean,
     encode_ids,
@@ -28,7 +29,10 @@ CLEAN_FRAGMENTS = (
     ["http", "HTTP", "https", "://", "@", "@"]
     + ["x", "Bob", "_9", "é", "t.co/a"]
     + [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000"]
+    + ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u200b"]  # \u200b is not whitespace
 )
+# the reference collapses whitespace by regex, apart from clean's str.split
+WHITESPACE_RE = re.compile(r"\s+")
 
 
 def _clean_reference(text):
@@ -86,6 +90,11 @@ class TestClean:
     @given(st.lists(st.sampled_from(CLEAN_FRAGMENTS) | st.text(max_size=4), max_size=12).map("".join))
     def test_equals_unconditional_fixpoint_loop(self, text):
         assert clean(text) == _clean_reference(text)
+
+    def test_whitespace_collapse_equals_the_regex_at_every_code_point(self):
+        for c in map(chr, range(sys.maxunicode + 1)):
+            for text in (f"a{c}{c}b{c}", f"{c}x"):
+                assert clean(text) == _clean_reference(text), (hex(ord(c)), text)
 
     def test_match_only_after_lowercasing(self):
         assert clean("HTTPS://x @Bob") == _clean_reference("HTTPS://x @Bob") == ""
