@@ -16,6 +16,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError
 
+# json.dumps(obj, ensure_ascii=False) builds a new encoder per call; one shared encoder writes the same bytes
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False)
+
 
 @contextlib.contextmanager
 def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
@@ -90,7 +93,7 @@ def read_tsv(path: str | Path, fields: int, what: str) -> Iterator[tuple[int, li
 
 def write_jsonl(path: str | Path, objs: Iterable[object]) -> int:
     """One JSON value per line, non-ASCII kept as UTF-8; returns the line count."""
-    return _write_lines(path, (json.dumps(obj, ensure_ascii=False) for obj in objs))
+    return _write_lines(path, map(_JSON_LINE.encode, objs))
 
 
 def write_tsv(path: str | Path, rows: Iterable[Sequence[str]]) -> int:

@@ -22,7 +22,9 @@ distinct ids, and a table of them made a forward plus backward step slower,
 30.6 to 32.2 ms, while on its archive workload (261 ids in 1,200 positions)
 it saved only 9.04 to 8.91 ms (median of 15 rounds, one BLAS thread, 2-vCPU
 x86-64 VM).  Both paths share one attention, feed-forward and pool body
-(``_encode``).
+(``_encode``).  That body adds the attention's padding mask only to a batch
+that has padding: length-sorted eval chunks mostly have none, training
+batches mostly do, and the mask of an unpadded batch would change no bit.
 """
 
 from __future__ import annotations
@@ -183,21 +185,26 @@ def _pad(model: EncoderModel, id_lists: Sequence[Sequence[int]]) -> tuple[np.nda
 
 
 def _encode(
-    model: EncoderModel, ids: np.ndarray, real: np.ndarray, rows: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Attention, feed-forward, pool and normalization over padded ids whose token rows are given.
+    model: EncoderModel, real: np.ndarray, rows: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Attention, feed-forward, pool and normalization over padded positions whose token rows are given.
 
-    ``rows`` is ``_token_rows(model, ids)`` with (B, L, dim) arrays, computed
-    per position or gathered from a table of distinct ids.
+    ``real`` is the (B, L) real-token mask and ``rows`` is ``_token_rows``
+    of the padded ids, with (B, L, dim) arrays computed per position or
+    gathered from a table of distinct ids.  Returns the embeddings and the
+    activations backprop needs, as ``ForwardTrace`` fields by name.
     """
     pool = real / real.sum(axis=1, keepdims=True)
     p = model.params
-    block = {}
+    acts = {"pool": pool}
     if model.use_block:
         x, q, k, v = rows
         scores = q @ k.transpose(0, 2, 1)
         scores /= np.sqrt(model.dim)
-        scores += np.where(real, 0.0, -np.inf)[:, None, :]  # no query attends to a padded key
+        # no query attends to a padded key; without padding the mask would add only +0.0,
+        # which can flip the sign of a zero score but not its exp
+        if not real.all():
+            scores += np.where(real, 0.0, -np.inf)[:, None, :]
         attn = _softmax_rows(scores)
         h1 = attn @ v
         h1 += x
@@ -207,18 +214,17 @@ def _encode(
         pooled_relu = _pool(pool, relu)
         pooled = _pool(pool, h1)
         pooled += pooled_relu @ p["w_2"]
-        block = {"x": x, "attn": attn, "q": q, "k": k, "v": v, "h1": h1, "relu": relu,
-                 "pooled_relu": pooled_relu}
+        acts.update(x=x, attn=attn, q=q, k=k, v=v, h1=h1, relu=relu, pooled_relu=pooled_relu)
     else:
         pooled = _pool(pool, rows[0])
-    trace = ForwardTrace(ids=ids, pool=pool, pooled=pooled, model_version=model.version, **block)
+    acts["pooled"] = pooled
     if not model.normalize_output:
-        return pooled, trace
+        return pooled, acts
     norm = np.linalg.norm(pooled, axis=1, keepdims=True)
     if not norm.all():
         logger.warning("normalize_output hit a zero-norm pooled vector; returning zeros")
-    trace.norm = np.where(norm > 0.0, norm, np.inf)
-    return pooled / trace.norm, trace
+    acts["norm"] = np.where(norm > 0.0, norm, np.inf)
+    return pooled / acts["norm"], acts
 
 
 def encode_with_trace(
@@ -233,7 +239,8 @@ def encode_with_trace(
     docstring), so a table of distinct ids would not pay for itself.
     """
     ids, real = _pad(model, id_lists)
-    return _encode(model, ids, real, _token_rows(model, ids))
+    out, acts = _encode(model, real, _token_rows(model, ids))
+    return out, ForwardTrace(ids=ids, model_version=model.version, **acts)
 
 
 def encode(model: EncoderModel, ids) -> np.ndarray:
@@ -250,34 +257,43 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     once and its row copied to every repeat.  Texts are encoded in chunks of
     similar length, so little of each chunk is padding.
 
-    The token layer runs once over the call's distinct ids, PAD included,
-    and each chunk gathers its rows from that table, which is freed when the
-    call returns.  Those rows are the ones a per-position forward computes,
-    save for how the BLAS rounds one large product against many small ones.
-    With OpenBLAS on x86-64 the output is bit for bit the per-position one at
-    the default width (64) and at every multiple of 8 tried; at some other
-    widths, such as 33, its last bits can differ.
+    The call's ids are kept in one flat array, text after text.  The token
+    layer runs once over its distinct ids, PAD included, and each chunk
+    gathers its rows from that table through one (B, L) index into the flat
+    array; the table is freed when the call returns.  Those rows are the
+    ones a per-position forward computes, save for how the BLAS rounds one
+    large product against many small ones.  With OpenBLAS on x86-64 the
+    output is bit for bit the per-position one at the default width (64)
+    and at every multiple of 8 tried; at some other widths, such as 33, its
+    last bits can differ.
     """
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     id_lists = [encode_ids(model.vocab, clean(text), model.max_len) for text in slot]
+    lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(id_lists))
+    flat = np.fromiter(chain.from_iterable(id_lists), dtype=np.intp, count=lengths.sum())
+    starts = np.cumsum(lengths) - lengths  # text i's ids are flat[starts[i] : starts[i] + lengths[i]]
     seen = np.zeros(len(model.vocab), dtype=bool)
     seen[PAD_ID] = True
-    seen[np.fromiter(chain.from_iterable(id_lists), dtype=np.intp)] = True
+    seen[flat] = True
     table_ids = np.flatnonzero(seen)
     table = _token_rows(model, table_ids)
     table_row = np.empty(len(seen), dtype=np.intp)  # id -> its row of the table, for ids in the table
     table_row[table_ids] = np.arange(len(table_ids))
-    order = sorted(range(len(id_lists)), key=lambda i: len(id_lists[i]))
+    # the table row of every position of every text, end to end, then one PAD row for padding
+    slots = np.append(table_row[flat], table_row[PAD_ID])
+    order = np.argsort(lengths, kind="stable")
     distinct = np.empty((len(id_lists), model.dim))
     for start in range(0, len(order), _EMBED_CHUNK):
         rows = order[start : start + _EMBED_CHUNK]
-        ids, real = _pad(model, [id_lists[i] for i in rows])
-        if ids.shape[1] == 1:
+        positions = np.arange(lengths[rows[-1]])  # the chunk's longest text is its last
+        real = positions < lengths[rows, None]
+        if len(positions) == 1:
             # numpy multiplies one-row matrices as vectors (BLAS gemv), which rounds unlike the table's gemm
-            token_rows = _token_rows(model, ids)
+            token_rows = _token_rows(model, flat[starts[rows, None]])
         else:
-            token_rows = tuple(arr[table_row[ids]] for arr in table)
-        distinct[rows] = _encode(model, ids, real, token_rows)[0]
+            chunk_slots = slots[np.where(real, starts[rows, None] + positions, len(flat))]
+            token_rows = tuple(arr.take(chunk_slots, axis=0) for arr in table)
+        distinct[rows] = _encode(model, real, token_rows)[0]
     return distinct[[slot[text] for text in texts]]
 
 
@@ -439,6 +455,6 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
         if not np.isfinite(flat).all():
             raise DataError(f"{path}: parameter {name} holds a NaN or infinite value")
-        model.params[name] = flat.astype(np.float64).reshape(shape).copy()
+        model.params[name] = flat.astype(np.float64).reshape(shape)  # astype copies the payload
         offset += size * 8
     return model

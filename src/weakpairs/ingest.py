@@ -14,9 +14,10 @@ import bz2
 import gzip
 import json
 import re
+import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atomic import has_lone_surrogate, read_jsonl, read_tsv, write_jsonl, write_tsv
 from .errors import DataError
@@ -76,6 +77,22 @@ def _open_stream(path: Path):
     return open(path, "r", encoding="utf-8", errors="replace")
 
 
+def _stream_lines(path: Path) -> Iterator[str]:
+    """The lines of a stream file; a stream that breaks off or is damaged part way is a DataError.
+
+    The error names the file and the last line read whole.  A truncated
+    ``.gz`` or ``.bz2`` raises EOFError, a corrupt deflate block zlib.error
+    and a bad header, CRC or bzip2 block OSError.
+    """
+    lineno = 0
+    with _open_stream(path) as handle:
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                yield line
+        except (EOFError, zlib.error, OSError) as exc:
+            raise DataError(f"{path}: stream is damaged after line {lineno}: {exc}") from exc
+
+
 def _record_from_obj(obj: dict) -> TweetRecord | None:
     """Build a TweetRecord from a raw archive object; None for deletion notices."""
     text = obj.get("text")
@@ -110,36 +127,36 @@ def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[T
     """Parse one stream file, keeping records whose ``lang`` equals the filter.
 
     Line-level JSON errors, and record text that a ``\\u`` escape leaves as a
-    lone surrogate, are counted in the returned stats; an unreadable file
-    raises the underlying OSError (which names the path).
+    lone surrogate, are counted in the returned stats.  A file that cannot be
+    opened raises the underlying OSError (which names the path); a damaged
+    compressed stream is a DataError (see ``_stream_lines``).
     """
     path = Path(path)
     records: list[TweetRecord] = []
     stats = ParseStats()
-    with _open_stream(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            stats.lines += 1
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("line is not a JSON object")
-                record = _record_from_obj(obj)
-                if record is not None and "\\u" in line and has_lone_surrogate(vars(record)):
-                    raise ValueError("record text holds a lone surrogate")
-            except (json.JSONDecodeError, ValueError):
-                stats.malformed += 1
-                continue
-            if record is None:
-                stats.no_text += 1
-                continue
-            if record.lang != lang_filter:
-                stats.filtered_lang += 1
-                continue
-            stats.parsed += 1
-            records.append(record)
+    for line in _stream_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        stats.lines += 1
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError("line is not a JSON object")
+            record = _record_from_obj(obj)
+            if record is not None and "\\u" in line and has_lone_surrogate(vars(record)):
+                raise ValueError("record text holds a lone surrogate")
+        except (json.JSONDecodeError, ValueError):
+            stats.malformed += 1
+            continue
+        if record is None:
+            stats.no_text += 1
+            continue
+        if record.lang != lang_filter:
+            stats.filtered_lang += 1
+            continue
+        stats.parsed += 1
+        records.append(record)
     return records, stats
 
 

@@ -7,12 +7,20 @@ idempotent even when stripping one pattern uncovers another (e.g.
 ``http@x://y``).  Whitespace is collapsed by ``str.split``, whose whitespace
 (``str.isspace``) is the set a ``\\s`` in a ``str`` pattern matches, so it
 agrees with ``re.sub(r"\\s+", " ", text).strip()`` at a fraction of its cost.
+
+Tokenizing splits the same way.  A token is a run of word characters or one
+other non-space character (``TOKEN_RE``), and no token spans whitespace, so
+``tokenize`` splits on whitespace first and runs ``TOKEN_RE`` only over the
+words that are not all alphanumeric.  A word that is all alphanumeric is one
+token as it stands, because ``\\w`` matches exactly the characters for which
+``str.isalnum()`` holds, plus ``_``.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -40,8 +48,20 @@ def clean(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split cleaned text into word tokens, peeling punctuation off as single-char tokens."""
-    return TOKEN_RE.findall(text)
+    """Split cleaned text into word tokens, peeling punctuation off as single-char tokens.
+
+    Equal to ``TOKEN_RE.findall(text)`` (see the module docstring).
+    """
+    words = text.split()
+    if all(map(str.isalnum, words)):
+        return words
+    tokens: list[str] = []
+    for word in words:
+        if word.isalnum():
+            tokens.append(word)
+        else:
+            tokens.extend(TOKEN_RE.findall(word))
+    return tokens
 
 
 @dataclass
@@ -93,5 +113,5 @@ def encode_ids(vocab: Vocabulary, text: str, max_len: int = 64) -> list[int]:
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.token_to_id.get(token, UNK_ID) for token in tokenize(text)[:max_len]]
+    ids = list(map(vocab.token_to_id.get, tokenize(text)[:max_len], repeat(UNK_ID)))
     return ids if ids else [UNK_ID]

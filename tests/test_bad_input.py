@@ -5,7 +5,9 @@ it fails the test), stderr must hold no traceback, and a failed run must leave
 no output file behind.
 """
 
+import bz2
 import contextlib
+import gzip
 import io
 import json
 import shutil
@@ -101,6 +103,39 @@ def test_every_command_succeeds_on_the_clean_inputs(inputs):
         code, err, written = run_on(inputs, fmt, inputs[target])
         assert code == 0, (fmt, err)
         assert written
+
+
+def _with_byte(data: bytes, at: int, value: int) -> bytes:
+    return data[:at] + bytes([value]) + data[at + 1:]
+
+
+# damaged stream file name -> the damage done to the compressed stream
+DAMAGED_STREAMS = {
+    "truncated.jsonl.gz": lambda packed: packed[: len(packed) // 2],
+    "truncated.jsonl.bz2": lambda packed: packed[: len(packed) // 2],
+    # gzip.compress writes a 10-byte header; setting both type bits makes the first deflate block reserved
+    "bad-deflate-block.jsonl.gz": lambda packed: _with_byte(packed, 10, packed[10] | 0b110),
+    # the gzip trailer is CRC-32, then the length, 4 bytes each
+    "bad-crc.jsonl.gz": lambda packed: _with_byte(packed, len(packed) - 8, packed[-8] ^ 0xFF),
+    "bad-block.jsonl.bz2": lambda packed: _with_byte(packed, 20, packed[20] ^ 0x55),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGED_STREAMS))
+def test_damaged_compressed_stream_is_located_data_error(inputs, name):
+    plain = inputs["stream.jsonl"]
+    packed = gzip.compress(plain, mtime=0) if name.endswith(".gz") else bz2.compress(plain)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / name).write_bytes(DAMAGED_STREAMS[name](packed))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["ingest", "--inputs", str(work / name), "--out", str(work / "out" / "records.jsonl")])
+        assert not (work / "out").exists()
+    err = stderr.getvalue()
+    assert code == 2
+    assert name in err and "after line" in err
+    assert "Traceback" not in err
 
 
 # --- fuzzing: truncate, flip a byte, or retype a field --------------------------

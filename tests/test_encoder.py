@@ -248,15 +248,32 @@ def _reference_forward(model, ids):
     return pooled / norm if model.normalize_output and norm > 0.0 else pooled
 
 
+class _Padded(np.ndarray):
+    """A real-token mask that reports padding even where it has none, so ``_encode`` adds the key mask."""
+
+    def all(self, *args, **kwargs):
+        return False
+
+
+def _masked_encode(model, id_lists):
+    """The reference: ``encode_with_trace`` with the key mask added whether or not the batch has padding.
+
+    Returns the embeddings and the activations by ``ForwardTrace`` field name.
+    """
+    ids, real = encoder_mod._pad(model, id_lists)
+    return encoder_mod._encode(model, real.view(_Padded), encoder_mod._token_rows(model, ids))
+
+
 def _embed_text_per_position(model, texts):
-    """The reference: embed_text's length-sorted chunks, each encoded with the token layer per position."""
+    """The reference: embed_text's length-sorted chunks, each padded from lists, its token layer run
+    per position and the key mask always added."""
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     id_lists = [encode_ids(model.vocab, clean(text), model.max_len) for text in slot]
     order = sorted(range(len(id_lists)), key=lambda i: len(id_lists[i]))
     distinct = np.empty((len(id_lists), model.dim))
     for start in range(0, len(order), encoder_mod._EMBED_CHUNK):
         rows = order[start : start + encoder_mod._EMBED_CHUNK]
-        distinct[rows] = encode_with_trace(model, [id_lists[i] for i in rows])[0]
+        distinct[rows] = _masked_encode(model, [id_lists[i] for i in rows])[0]
     return distinct[[slot[text] for text in texts]]
 
 
@@ -265,9 +282,11 @@ TABLE_VOCAB = build_vocab(["w%d" % i for i in range(2000)], max_size=2002)
 
 
 def _table_texts(seed, one_token_texts):
-    """40 ragged texts sharing some ids, plus an all-UNK, an empty and an over-long text and one-token texts."""
+    """40 ragged and 16 equal-length texts sharing some ids, plus an all-UNK, an empty and an over-long
+    text and one-token texts."""
     rng = np.random.default_rng(seed)
     texts = [" ".join(f"w{t}" for t in rng.integers(0, 40, size=rng.integers(2, 30))) for _ in range(40)]
+    texts += [" ".join(f"w{t}" for t in rng.integers(0, 40, size=31)) for _ in range(16)]
     texts += ["zz qq zz", "", " ".join(f"w{t}" for t in rng.integers(0, 40, size=70))]
     texts += [f"w{t}" for t in range(one_token_texts)]
     return [texts[i] for i in rng.permutation(len(texts))]
@@ -362,9 +381,22 @@ class TestBatch:
     def test_embed_text_token_table_is_bitwise_the_per_position_forward(self, use_block, normalize):
         # the default width; 9 one-token texts fill a chunk whose longest text has one token
         model = init_model(TABLE_VOCAB, use_block=use_block, seed=8, normalize_output=normalize)
+        chunks = []
+
+        def recording(model, real, rows):
+            chunks.append((real.shape[1], bool(real.all())))
+            return real_encode(model, real, rows)
+
+        real_encode = encoder_mod._encode
         for one_token_texts in (2, 9):
             texts = _table_texts(one_token_texts, one_token_texts)
-            assert embed_text(model, texts).tobytes() == _embed_text_per_position(model, texts).tobytes()
+            with mock.patch.object(encoder_mod, "_encode", recording):
+                vecs = embed_text(model, texts)
+            assert vecs.tobytes() == _embed_text_per_position(model, texts).tobytes()
+        # unpadded chunks of one token and of the 31-token texts, padded ones, and the over-long text cut
+        assert {(1, True), (31, True)} <= set(chunks)
+        assert any(not unpadded for _, unpadded in chunks)
+        assert max(chunks)[0] == model.max_len
 
     @pytest.mark.parametrize("dim", [2, 17, 33, 65])
     def test_embed_text_token_table_matches_the_per_position_forward_at_any_width(self, dim):
@@ -374,6 +406,21 @@ class TestBatch:
         texts = _table_texts(dim, 9)
         reference = _embed_text_per_position(model, texts)
         assert np.max(np.abs(embed_text(model, texts) - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("use_block", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_unpadded_batch_traces_the_same_bits_as_with_the_key_mask(self, use_block, normalize):
+        model = init_model(TABLE_VOCAB, dim=8, use_block=use_block, seed=11, normalize_output=normalize)
+        model.params["embedding"][5] = 0.0  # token 5 scores exactly zero against every key
+        rng = np.random.default_rng(3)
+        id_lists = [[5, *rng.integers(2, 42, size=5)] for _ in range(4)]
+        vecs, trace = encode_with_trace(model, id_lists)
+        masked, acts = _masked_encode(model, id_lists)
+        assert vecs.tobytes() == masked.tobytes()
+        assert sorted(acts) == sorted(name for name in vars(trace)
+                                      if getattr(trace, name) is not None and name not in ("ids", "model_version"))
+        for name, arr in acts.items():
+            assert getattr(trace, name).tobytes() == arr.tobytes(), name
 
     def test_token_layer_runs_once_per_call_in_eval_and_per_position_in_training(self):
         model = init_model(TABLE_VOCAB, dim=8, use_block=True, seed=9)

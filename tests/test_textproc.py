@@ -14,6 +14,7 @@ from weakpairs.textproc import (
     MENTION_RE,
     PAD_ID,
     PAD_TOKEN,
+    TOKEN_RE,
     UNK_ID,
     UNK_TOKEN,
     URL_RE,
@@ -44,6 +45,21 @@ def _clean_reference(text):
         text = URL_RE.sub("", text)
         text = MENTION_RE.sub("", text)
     return WHITESPACE_RE.sub(" ", text).strip()
+
+
+# letters, "_", Unicode digits and numerals, punctuation, emoji with their joiners and modifiers, whitespace
+TOKEN_FRAGMENTS = (
+    ["a", "Zz", "é", "ß", "x1", "_", "a_b", "\u0663", "\u00b2", "\u216b", "\u00bd", "\U0001d7d8", "\u3007"]
+    + ["!", ".", ",", "'", "-", "#", "\u2026", "\u00bf", "\u00ab", "~"]
+    + ["\U0001f600", "\U0001f44d\U0001f3fd", "\U0001f1eb\U0001f1f7", "\u2764\ufe0f", "\u200d", "\u0301"]
+    + [" ", "  ", "\t", "\u00a0", "\u3000"]
+)
+
+
+def _encode_ids_reference(vocab, text, max_len):
+    """The reference: a list comprehension over the regex's tokens."""
+    ids = [vocab.token_to_id.get(token, UNK_ID) for token in TOKEN_RE.findall(text)[:max_len]]
+    return ids if ids else [UNK_ID]
 
 
 class TestClean:
@@ -117,6 +133,22 @@ class TestTokenize:
 
     def test_interior_punctuation(self):
         assert tokenize("don't stop") == ["don", "'", "t", "stop"]
+
+    def test_equals_the_regex_at_every_code_point(self):
+        # a text of one word takes the whole-text fast path exactly when its code point is alphanumeric
+        for c in map(chr, range(sys.maxunicode + 1)):
+            assert tokenize(f"a{c}b") == TOKEN_RE.findall(f"a{c}b"), hex(ord(c))
+        # each code point alone, doubled and next to "_", through the per-word loop:
+        # a block of them joined by spaces tokenizes as its words do one by one
+        for start in range(0, sys.maxunicode + 1, 4096):
+            points = map(chr, range(start, min(start + 4096, sys.maxunicode + 1)))
+            text = " ".join(f"{c} {c}{c}x_y{c}" for c in points)
+            assert tokenize(text) == TOKEN_RE.findall(text), hex(start)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(TOKEN_FRAGMENTS), max_size=16).map("".join))
+    def test_equals_the_regex_on_mixed_text(self, text):
+        assert tokenize(text) == TOKEN_RE.findall(text)
 
 
 class TestVocabulary:
@@ -209,6 +241,19 @@ class TestEncodeIds:
             text = " ".join(rng.choice(["alpha", "beta", "zzz"]) for _ in range(rng.randrange(0, 30)))
             out = encode_ids(vocab, text, max_len=7)
             assert 1 <= len(out) <= 7
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5, 6, 64])
+    def test_equals_the_regex_reference_when_truncating_inside_a_punctuation_word(self, vocab, max_len):
+        # "beta!?!gamma" is one word of five tokens; max_len 2 to 5 cuts it after each of them
+        text = "alpha beta!?!gamma zzz"
+        assert encode_ids(vocab, text, max_len) == _encode_ids_reference(vocab, text, max_len)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(TOKEN_FRAGMENTS + ["alpha", "beta", "gamma"]), max_size=16).map("".join),
+           st.integers(1, 8))
+    def test_equals_the_regex_reference(self, text, max_len):
+        vocab = build_vocab(["alpha beta gamma ! ."], max_size=10)
+        assert encode_ids(vocab, text, max_len) == _encode_ids_reference(vocab, text, max_len)
 
     def test_max_len_precondition(self, vocab):
         with pytest.raises(ValueError):
