@@ -3,7 +3,9 @@
 Every subcommand is deterministic under ``--seed``: stage-level seeds are
 derived from the master seed by stable hashing of stage names, and each run
 writes a manifest (resolved settings, inputs, output hashes) next to its
-outputs.  Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
+outputs.  Each output, the manifest included, must name a file of its own
+that is none of the stage's inputs.  Exit codes: 0 success, 1 usage, 2 data
+error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_json(obj, path: Path) -> None:
     with atomic_write(path, encoding="utf-8") as handle:
         handle.write(json.dumps(obj, indent=2) + "\n")
 
@@ -81,8 +83,32 @@ def write_manifest(
         "created": datetime.now(timezone.utc).isoformat(),
     }
     path = directory / f"manifest_{subcommand}.json"
-    _write_json(path, manifest)
+    _write_json(manifest, path)
     return path
+
+
+def _check_outputs(subcommand: str, directory: Path, inputs: list[str], outputs: list[Path]) -> None:
+    """The output-path rule, checked before a stage reads any input.
+
+    Each output, and the manifest in ``directory``, must resolve to a file of
+    its own that is none of the inputs; otherwise nothing is written.
+    """
+    uses = {Path(p).resolve(): f"reads {p}" for p in inputs}
+    manifest = directory / f"manifest_{subcommand}.json"
+    for path, use in [*((p, f"writes {p}") for p in outputs), (manifest, f"writes its manifest to {manifest}")]:
+        key = path.resolve()
+        if key in uses:
+            raise UsageError(f"{subcommand} {use}, but it also {uses[key]}; give each output its own path")
+        uses[key] = use
+
+
+def _publish(subcommand: str, directory: Path, files: list, settings: dict, inputs: list[str], seed: int) -> None:
+    """Write each (path, write, contents) entry as ``write(contents, path)``, then the manifest over them."""
+    for path, write, contents in files:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(contents, path)
+    outputs = [path for path, _, _ in files]
+    write_manifest(directory, subcommand, settings, inputs=inputs, outputs=outputs, seed=seed)
 
 
 # --- config handling ----------------------------------------------------------
@@ -188,6 +214,8 @@ def _init_encoder(pairs: list[corpus_mod.PairExample], settings: dict, seed: int
 
 
 def cmd_synth(args) -> int:
+    out = Path(args.out)
+    _check_outputs("synth", out.parent, [], [out])
     records = synth_mod.generate_records(
         topics=args.topics,
         pairs_per_topic=args.pairs_per_topic,
@@ -196,24 +224,15 @@ def cmd_synth(args) -> int:
         seed=derive_seed(args.seed, "synth"),
         responses_per_target=args.responses_per_target,
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    count = synth_mod.write_store(records, out)
-    write_manifest(
-        out.parent,
-        "synth",
-        {
-            "topics": args.topics,
-            "pairs_per_topic": args.pairs_per_topic,
-            "vocab_size": args.vocab_size,
-            "noise": args.noise,
-            "responses_per_target": args.responses_per_target,
-        },
-        inputs=[],
-        outputs=[out],
-        seed=args.seed,
-    )
-    print(f"synth: wrote {count} records to {out}")
+    settings = {
+        "topics": args.topics,
+        "pairs_per_topic": args.pairs_per_topic,
+        "vocab_size": args.vocab_size,
+        "noise": args.noise,
+        "responses_per_target": args.responses_per_target,
+    }
+    _publish("synth", out.parent, [(out, synth_mod.write_store, records)], settings, [], args.seed)
+    print(f"synth: wrote {len(records)} records to {out}")
     return 0
 
 
@@ -221,27 +240,19 @@ def cmd_ingest(args) -> int:
     paths = sorted({p for pattern in args.inputs for p in glob.glob(pattern)})
     if not paths:
         raise UsageError(f"no input files match {args.inputs}")
+    out = Path(args.out)
+    stats_path = out.with_suffix(out.suffix + ".stats.json")
+    _check_outputs("ingest", out.parent, paths, [out, stats_path])
     parses = [ingest_mod.parse_stream_file(p, args.lang) for p in paths]
     records, totals = ingest_mod.merge_runs(parses)
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    ingest_mod.write_records(records, out)
     stats = {
         "per_file": {path: parse[1].as_dict() for path, parse in zip(paths, parses)},
         "totals": totals.as_dict(),
         "records_kept": len(records),
     }
-    stats_path = out.with_suffix(out.suffix + ".stats.json")
-    _write_json(stats_path, stats)
-    write_manifest(
-        out.parent,
-        "ingest",
-        {"lang": args.lang},
-        inputs=paths,
-        outputs=[out, stats_path],
-        seed=args.seed,
-    )
+    files = [(out, ingest_mod.write_records, records), (stats_path, _write_json, stats)]
+    _publish("ingest", out.parent, files, {"lang": args.lang}, paths, args.seed)
     print(
         f"ingest: {len(records)} records from {len(paths)} files "
         f"(malformed {totals.malformed}, filtered {totals.filtered_lang}, "
@@ -250,11 +261,14 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _joined_edges(records_path: str) -> tuple[list[ingest_mod.RelationEdge], int]:
-    """Relation edges of a record store, reply targets joined; the records are not kept."""
+def _response_index(records_path: str) -> tuple[corpus_mod.ResponseIndex, dict[str, int]]:
+    """The response index of a record store, and its drop counts; neither records nor edges outlive it."""
     records = ingest_mod.read_records(records_path)
     edges = ingest_mod.extract_relations(records)
-    return ingest_mod.join_reply_targets(edges, ingest_mod.index_records(records))
+    edges, dropped_replies = ingest_mod.join_reply_targets(edges, ingest_mod.index_records(records))
+    del records
+    index, dropped_short = corpus_mod.index_responses(edges)
+    return index, {"dropped_unresolved_replies": dropped_replies, "dropped_short_text": dropped_short}
 
 
 def cmd_build(args) -> int:
@@ -265,20 +279,11 @@ def cmd_build(args) -> int:
     corpora = datasets + (["all"] if args.dataset == "all" else [])
     pairs_paths = {name: out_dir / f"pairs_{name}.tsv" for name in corpora}
     counts_path = out_dir / "build_counts.json"
-    if args.edges_out:
-        written = [*bench_paths.values(), *pairs_paths.values(), counts_path, out_dir / "manifest_build.json"]
-        for path in [Path(args.records), *written]:
-            if Path(args.edges_out).resolve() == path.resolve():
-                raise UsageError(f"--edges-out {args.edges_out} is {path}, which build also reads or writes")
+    _check_outputs("build", out_dir, [args.records], [*bench_paths.values(), *pairs_paths.values(), counts_path])
 
-    edges, dropped_replies = _joined_edges(args.records)
-    counts: dict[str, object] = {"dropped_unresolved_replies": dropped_replies}
-    files = []  # (path, writer, contents): nothing is written until every benchmark and corpus is built
-    if args.edges_out:
-        files.append((Path(args.edges_out), ingest_mod.write_edges, edges))
-        counts["edges_written"] = len(edges)
     # every builder reads this one index, so each text is cleaned and each relation grouped once per build
-    index, counts["dropped_short_text"] = corpus_mod.index_responses(edges)
+    index, counts = _response_index(args.records)
+    files = []  # (path, writer, contents): nothing is written until every benchmark and corpus is built
 
     banned: set[str] = set()
     for name, path in bench_paths.items():
@@ -314,46 +319,32 @@ def cmd_build(args) -> int:
         files.append((pairs_paths["all"], corpus_mod.write_pairs, all_pairs))
         counts["all_written"] = len(all_pairs)
 
-    for path, write, contents in files:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write(contents, path)
-    _write_json(counts_path, counts)
-    outputs = [path for path, _, _ in files] + [counts_path]
-    write_manifest(
-        out_dir,
-        "build",
-        {
-            "dataset": args.dataset,
-            "pairs_per_dataset": args.pairs_per_dataset,
-            "bench_queries": args.bench_queries,
-        },
-        inputs=[args.records],
-        outputs=outputs,
-        seed=args.seed,
-    )
+    files.append((counts_path, _write_json, counts))
+    settings = {
+        "dataset": args.dataset,
+        "pairs_per_dataset": args.pairs_per_dataset,
+        "bench_queries": args.bench_queries,
+    }
+    _publish("build", out_dir, files, settings, [args.records], args.seed)
     print(f"build: {json.dumps(counts)}")
     return 0
 
 
 def cmd_train(args) -> int:
+    out = Path(args.out)
+    log_path = out.with_suffix(out.suffix + ".log.jsonl")
+    inputs = [args.pairs] + ([args.config] if args.config else [])
+    _check_outputs("train", out.parent, inputs, [out, log_path])
     settings, train_config = resolve_settings(args.config, _flag_overrides(args), args.seed)
     pairs = corpus_mod.read_pairs(args.pairs)
     model = _init_encoder(pairs, settings, seed=derive_seed(args.seed, "encoder-init"))
     model, log = optim_mod.train(model, pairs, train_config)
 
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    encoder_mod.save_checkpoint(model, out)
-    log_path = out.with_suffix(out.suffix + ".log.jsonl")
-    write_jsonl(log_path, log)
-    write_manifest(
-        out.parent,
-        "train",
-        settings,
-        inputs=[args.pairs] + ([args.config] if args.config else []),
-        outputs=[out, log_path],
-        seed=args.seed,
-    )
+    files = [
+        (out, encoder_mod.save_checkpoint, model),
+        (log_path, lambda entries, path: write_jsonl(path, entries), log),
+    ]
+    _publish("train", out.parent, files, settings, inputs, args.seed)
     losses = [entry["loss"] for entry in log]
     print(
         f"train: {len(log)} steps on {len(pairs)} pairs; "
@@ -384,6 +375,10 @@ def cmd_eval(args) -> int:
                 f"give each input a different file name"
             )
         first_with_stem[stem] = path
+    out_dir = Path(args.out_dir)
+    report_paths = [out_dir / f"report_{Path(p).stem}.json" for p in args.inputs]
+    inputs = [str(args.checkpoint)] + list(args.inputs)
+    _check_outputs("eval", out_dir, inputs, report_paths)
     model = encoder_mod.load_checkpoint(args.checkpoint)
     checkpoint_id = _sha256_file(Path(args.checkpoint))[:12]
     # every input loads before any is evaluated, and every report is made before any is written
@@ -397,9 +392,6 @@ def cmd_eval(args) -> int:
         else eval_mod.eval_graded(model, data)
         for data in loaded
     ]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     for report in reports:
         report.meta.update(
             {
@@ -408,22 +400,14 @@ def cmd_eval(args) -> int:
                 "timestamp": datetime.now(timezone.utc).isoformat(),
             }
         )
-        outputs.append(out_dir / f"report_{report.benchmark}.json")
-        report.write(outputs[-1])
+    files = [(path, eval_mod.EvalReport.write, report) for path, report in zip(report_paths, reports)]
+    _publish("eval", out_dir, files, {"at_k": args.at_k, "checkpoint": str(args.checkpoint)}, inputs, args.seed)
 
     # table convention: scores reported x100
     width = max(len("benchmark"), *(len(report.benchmark) for report in reports))
     print(f"{'benchmark'.ljust(width)}  metric   value x100")
     for report in reports:
         print(f"{report.benchmark.ljust(width)}  {report.metric:<8} {100.0 * report.value:10.1f}")
-    write_manifest(
-        out_dir,
-        "eval",
-        {"at_k": args.at_k, "checkpoint": str(args.checkpoint)},
-        inputs=[str(args.checkpoint)] + list(args.inputs),
-        outputs=outputs,
-        seed=args.seed,
-    )
     return 0
 
 
@@ -452,6 +436,12 @@ def cmd_sweep(args) -> int:
     problems = [f"value {v}: {p}" for v, config in point_configs.items() for p in config.validate()]
     if problems:
         raise UsageError("invalid sweep point: " + "; ".join(problems))
+    points = [0] + values if args.include_baseline else values  # point 0: the untrained encoder, the floor
+    out_dir = Path(args.out_dir)
+    report_paths = {value: out_dir / f"report_{args.axis}_{value}.json" for value in points}
+    summary_path = out_dir / "sweep_summary.csv"
+    inputs = [args.pairs, args.benchmark] + ([args.config] if args.config else [])
+    _check_outputs("sweep", out_dir, inputs, [*report_paths.values(), summary_path])
 
     pool = corpus_mod.read_pairs(args.pairs)
     if args.axis == "corpus_size" and values[-1] > len(pool):
@@ -475,42 +465,28 @@ def cmd_sweep(args) -> int:
         report.meta["sweep"] = {"axis": args.axis, "value": value}
         return report, final_loss
 
-    points = list(values)
-    if args.include_baseline:
-        points = [0] + points  # untrained encoder as the floor of the curve
-
     # every point runs before any report is written
     runs = {value: run_point(value) for value in points}
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    for value, (report, final_loss) in runs.items():
-        report.write(out_dir / f"report_{args.axis}_{value}.json")
-        results.append({"axis": args.axis, "value": value, "ndcg": report.value, "final_loss": final_loss})
-
-    summary_path = out_dir / "sweep_summary.csv"
-    with atomic_write(summary_path, newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=["axis", "value", "ndcg", "final_loss"])
-        writer.writeheader()
-        writer.writerows(results)
+    files = [(report_paths[value], eval_mod.EvalReport.write, report) for value, (report, _) in runs.items()]
+    results = [
+        {"axis": args.axis, "value": value, "ndcg": report.value, "final_loss": final_loss}
+        for value, (report, final_loss) in runs.items()
+    ]
+    files.append((summary_path, _write_summary, results))
+    recorded = {"axis": args.axis, "values": values, "include_baseline": args.include_baseline, **settings}
+    _publish("sweep", out_dir, files, recorded, inputs, args.seed)
 
     print(f"{'value':>8}  ndcg x100")
     for row in results:
         print(f"{row['value']:>8}  {100.0 * row['ndcg']:9.1f}")
-    write_manifest(
-        out_dir,
-        "sweep",
-        {
-            "axis": args.axis,
-            "values": values,
-            "include_baseline": args.include_baseline,
-            **settings,
-        },
-        inputs=[args.pairs, args.benchmark] + ([args.config] if args.config else []),
-        outputs=[summary_path],
-        seed=args.seed,
-    )
     return 0
+
+
+def _write_summary(rows: list[dict], path: Path) -> None:
+    with atomic_write(path, newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=["axis", "value", "ndcg", "final_loss"])
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -581,12 +557,6 @@ def build_parser() -> _Parser:
         help="sample size per dataset; omit to keep every available pair",
     )
     p.add_argument("--bench-queries", dest="bench_queries", type=_at_least(0), default=0)
-    p.add_argument(
-        "--edges-out",
-        dest="edges_out",
-        default=None,
-        help="also dump the joined relation edges as a TSV",
-    )
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_build)
 

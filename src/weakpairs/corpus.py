@@ -11,13 +11,14 @@ keeps viral tweets from dominating.  The matching ranking benchmarks are
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .atomic import read_jsonl, read_tsv, write_jsonl, write_tsv
 from .errors import DataError
-from .ingest import QUOTE, REPLY, RelationEdge, escape_field, unescape_field
+from .ingest import QUOTE, REPLY, RelationEdge
 from .textproc import clean
 
 MIN_CHARS = 20
@@ -269,6 +270,23 @@ def build_benchmark(
 
 
 # --- on-disk formats ---------------------------------------------------------
+
+_UNESCAPE_RE = re.compile(r"\\[\\tnr]")
+_UNESCAPE_MAP = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
+
+
+def escape_field(value: str) -> str:
+    """Escape backslashes, tabs and newlines so text survives a TSV round trip."""
+    return (
+        value.replace("\\", "\\\\")
+        .replace("\t", "\\t")
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+    )
+
+
+def unescape_field(value: str) -> str:
+    return _UNESCAPE_RE.sub(lambda m: _UNESCAPE_MAP[m.group(0)], value)
 
 
 def write_pairs(pairs: Iterable[PairExample], path: str | Path) -> int:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import bz2
 import gzip
 import json
-import re
 import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .atomic import has_lone_surrogate, read_jsonl, read_tsv, write_jsonl, write_tsv
+from .atomic import has_lone_surrogate, read_jsonl, write_jsonl
 from .errors import DataError
 
 QUOTE = "quote"
@@ -250,22 +249,6 @@ def join_reply_targets(
 
 _RECORD_FIELDS = tuple(f.name for f in fields(TweetRecord))
 _NULLABLE = tuple(f.name for f in fields(TweetRecord) if f.default is None)  # the rest must be strings
-_UNESCAPE_RE = re.compile(r"\\[\\tnr]")
-_UNESCAPE_MAP = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
-
-
-def escape_field(value: str) -> str:
-    """Escape backslashes, tabs and newlines so text survives a TSV round trip."""
-    return (
-        value.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
-
-
-def unescape_field(value: str) -> str:
-    return _UNESCAPE_RE.sub(lambda m: _UNESCAPE_MAP[m.group(0)], value)
 
 
 def write_records(records: Iterable[TweetRecord], path: str | Path) -> int:
@@ -283,25 +266,3 @@ def read_records(path: str | Path) -> list[TweetRecord]:
             raise DataError(f"{path}: record store line {lineno}: {', '.join(bad)} must be strings")
         records.append(TweetRecord(**fields))
     return records
-
-
-def write_edges(edges: Iterable[RelationEdge], path: str | Path) -> int:
-    """Dump edges as TSV: kind, target_id, response_id, target_text, response_text."""
-    rows = (
-        (e.kind, e.target_id, e.response_id, escape_field(e.target_text or ""), escape_field(e.response_text))
-        for e in edges
-    )
-    return write_tsv(path, rows)
-
-
-def read_edges(path: str | Path) -> list[RelationEdge]:
-    return [
-        RelationEdge(
-            kind=kind,
-            target_id=target_id,
-            response_id=response_id,
-            target_text=unescape_field(target_text) or None,
-            response_text=unescape_field(response_text),
-        )
-        for _, (kind, target_id, response_id, target_text, response_text) in read_tsv(path, 5, "edge")
-    ]

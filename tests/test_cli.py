@@ -119,12 +119,7 @@ class TestConfigFile:
         else:
             flag = ["--" + key.replace("_", "-"), value]
         Path("c.conf").write_text(f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n")
-        words = "granite lantern copper stream meadow harbor thunder silver ember quartz".split()
-        write_pairs(
-            [PairExample(f"{w} {i} alpha beta", f"{w} {i} gamma delta", "qt", f"a{i}{w}", f"p{i}{w}")
-             for i in range(6) for w in words],
-            "pairs.tsv",
-        )
+        write_small_pairs("pairs.tsv")
         assert run("train", "--pairs", "pairs.tsv", "--out", "flag/m.ckpt", *flag) == 0
         assert run("train", "--pairs", "pairs.tsv", "--out", "conf/m.ckpt", "--config", "c.conf") == 0
         for out in ("flag", "conf"):
@@ -241,8 +236,7 @@ class TestBuild:
     def test_failed_build_writes_nothing(self, store, capsys):
         # the benchmark builds, then sampling asks for more pairs than there are
         assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",
-                   "--bench-queries", 2, "--pairs-per-dataset", 10_000, "--edges-out", "built/edges.tsv",
-                   "--out-dir", "built") == 2
+                   "--bench-queries", 2, "--pairs-per-dataset", 10_000, "--out-dir", "built") == 2
         assert "requested 10000 pairs" in capsys.readouterr().err
         assert not Path("built").exists()
 
@@ -260,16 +254,6 @@ class TestBuild:
         assert "store.jsonl: record store line 2" in capsys.readouterr().err
         assert not Path("built").exists()
 
-    def test_edge_dump_option(self, store):
-        assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "qt",
-                   "--edges-out", "edges.tsv", "--out-dir", "built") == 0
-        from weakpairs.ingest import read_edges
-
-        edges = read_edges("edges.tsv")
-        assert edges
-        assert all(e.kind in ("quote", "reply") for e in edges)
-        assert all(e.target_text and e.response_text for e in edges)
-
     @pytest.mark.parametrize("shuffle_seed", [0, 1, 2])
     def test_outputs_invariant_to_stream_order(self, store, shuffle_seed):
         lines = Path("store.jsonl").read_bytes().splitlines(keepends=True)
@@ -280,19 +264,17 @@ class TestBuild:
             stem = Path(stream).stem
             assert run("--seed", 11, "ingest", "--inputs", stream, "--out", f"{stem}/records.jsonl") == 0
             assert run("--seed", 11, "build", "--records", f"{stem}/records.jsonl", "--dataset", "all",
-                       "--bench-queries", 2, "--edges-out", f"{stem}/built/edges.tsv",
-                       "--out-dir", f"{stem}/built") == 0
+                       "--bench-queries", 2, "--out-dir", f"{stem}/built") == 0
             outputs[stem] = {path.name: path.read_bytes() for path in Path(stem, "built").iterdir()
                              if path.name != "manifest_build.json"}
-            # the edge dump lists edges in stream order; only its set of lines is invariant
-            outputs[stem]["edges.tsv"] = sorted(outputs[stem]["edges.tsv"].splitlines())
-        assert len(outputs["store"]) == 11
+        assert len(outputs["store"]) == 10
         assert outputs["shuffled"] == outputs["store"]
 
     def test_output_bytes_pinned(self, store):
-        # sha256 prefixes computed before the builders shared one response index
+        # sha256 prefixes computed before the builders shared one response index; build_counts.json's
+        # is that of a build without the edge dump, so it has no edges_written count
         assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",
-                   "--bench-queries", 2, "--edges-out", "built/edges.tsv", "--out-dir", "built") == 0
+                   "--bench-queries", 2, "--out-dir", "built") == 0
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
                    for path in Path("built").iterdir() if path.name != "manifest_build.json"}
         assert digests == {
@@ -300,33 +282,13 @@ class TestBuild:
             "bench_cr.jsonl": "c8365c6d1587a249",
             "bench_dq.jsonl": "c5eae40f8e0ccbae",
             "bench_dr.jsonl": "c9f12bc8e5015d26",
-            "build_counts.json": "952d001bea7bce0d",
-            "edges.tsv": "a72982777d032d7c",
+            "build_counts.json": "15977d3becf9302a",
             "pairs_all.tsv": "8e275d28e740881b",
             "pairs_coqt.tsv": "609aec409f25cb32",
             "pairs_corp.tsv": "23766445818fd6d0",
             "pairs_qt.tsv": "a1e027be165ae307",
             "pairs_rp.tsv": "9033a8eeab08b797",
         }
-
-    @pytest.mark.parametrize("edges_out", ["built/pairs_qt.tsv", "built/../built/build_counts.json",
-                                           "built/bench_dq.jsonl", "built/manifest_build.json"])
-    def test_edges_out_naming_a_build_output_is_usage_error(self, tmp_cwd, capsys, edges_out):
-        # the record store does not exist: reading it would be a data error (exit 2)
-        assert run("build", "--records", "records.jsonl", "--dataset", "qt", "--bench-queries", 1,
-                   "--edges-out", edges_out, "--out-dir", "built") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and edges_out in err
-        assert list(tmp_cwd.iterdir()) == []
-
-    @pytest.mark.parametrize("edges_out", ["records.jsonl", "./records.jsonl", "built/../records.jsonl"])
-    def test_edges_out_naming_the_record_store_is_usage_error(self, store, capsys, edges_out):
-        before = {path: path.read_bytes() for path in store.iterdir()}
-        assert run("build", "--records", "records.jsonl", "--dataset", "qt", "--bench-queries", 1,
-                   "--edges-out", edges_out, "--out-dir", "built") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and edges_out in err
-        assert {path: path.read_bytes() for path in store.iterdir()} == before
 
     def test_short_corpus_is_named(self, store, capsys):
         # after the benchmark ban qt and rp keep 8 pairs each, coqt and corp 2
@@ -580,6 +542,106 @@ class TestUsageErrors:
         assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", "--config", "run.conf") == 1
         assert "margin must be finite" in capsys.readouterr().err
         assert [p.name for p in tmp_cwd.iterdir()] == ["run.conf"]
+
+
+def write_small_pairs(path):
+    words = "granite lantern copper stream meadow harbor thunder silver ember quartz".split()
+    write_pairs(
+        [PairExample(f"{w} {i} alpha beta", f"{w} {i} gamma delta", "qt", f"a{i}{w}", f"p{i}{w}")
+         for i in range(6) for w in words],
+        path,
+    )
+
+
+def snapshot(root):
+    """Every file under ``root``, by its path relative to ``root``, with its bytes."""
+    return {path.relative_to(root): path.read_bytes() for path in Path(root).rglob("*") if path.is_file()}
+
+
+class TestOutputPaths:
+    SETUPS = {
+        "pairs": lambda: write_small_pairs("pairs.tsv"),
+        "stream": lambda: Path("stream.jsonl").write_text(
+            '{"id_str": "1", "text": "hello there friend", "lang": "en"}\n'
+            '{"id_str": "2", "text": "a reply to hello", "lang": "en", "in_reply_to_status_id_str": "1"}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "setup, argv, named",
+        [
+            ("pairs", ["train", "--pairs", "pairs.tsv", "--out", "manifest_train.json"], "manifest_train.json"),
+            ("stream", ["ingest", "--inputs", "stream.jsonl", "--out", "manifest_ingest.json"],
+             "manifest_ingest.json"),
+            (None, ["synth", "--topics", 2, "--pairs-per-topic", 3, "--vocab-size", 110,
+                    "--out", "manifest_synth.json"], "manifest_synth.json"),
+            # the inputs below do not exist: reading any of them would be a data error (exit 2)
+            (None, ["train", "--pairs", "pairs.tsv", "--out", "pairs.tsv"], "pairs.tsv"),
+            (None, ["eval", "--checkpoint", "reports/report_bench_dq.json", "--inputs", "bench_dq.jsonl",
+                    "--out-dir", "reports"], "reports/report_bench_dq.json"),
+            (None, ["build", "--records", "built/../built/build_counts.json", "--out-dir", "built"],
+             "built/../built/build_counts.json"),
+            (None, ["sweep", "--axis", "corpus_size", "--values", 4, "--pairs", "pairs.tsv",
+                    "--benchmark", "sweep/report_corpus_size_4.json", "--out-dir", "sweep"],
+             "sweep/report_corpus_size_4.json"),
+            (None, ["sweep", "--axis", "corpus_size", "--values", 4, "--include-baseline", "--pairs", "pairs.tsv",
+                    "--benchmark", "sweep/report_corpus_size_0.json", "--out-dir", "sweep"],
+             "sweep/report_corpus_size_0.json"),
+            # a glob that matches the store an earlier run wrote
+            ("stream", ["ingest", "--inputs", "*.jsonl", "--out", "stream.jsonl"], "stream.jsonl"),
+        ],
+        ids=["train-manifest", "ingest-manifest", "synth-manifest", "train-out-is-pairs",
+             "eval-checkpoint-is-report", "build-records-is-counts", "sweep-benchmark-is-report",
+             "sweep-benchmark-is-baseline-report", "ingest-glob-matches-out"],
+    )
+    def test_output_naming_another_file_of_the_stage_is_usage_error(self, tmp_cwd, capsys, setup, argv, named):
+        if setup:
+            self.SETUPS[setup]()
+        before = snapshot(tmp_cwd)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and named in err
+        assert snapshot(tmp_cwd) == before
+
+
+class TestManifestContract:
+    STAGES = {
+        "synth": (".", ["synth", "--topics", 10, "--pairs-per-topic", 32, "--vocab-size", 260,
+                        "--noise", 0.2, "--responses-per-target", 8, "--out", "store.jsonl"]),
+        "ingest": (".", ["ingest", "--inputs", "store.jsonl", "--out", "records.jsonl"]),
+        "build": ("built", ["build", "--records", "records.jsonl", "--dataset", "all",
+                            "--bench-queries", 2, "--out-dir", "built"]),
+        "train": ("model", ["train", "--pairs", "built/pairs_qt.tsv", "--batch-size", 8, "--dim", 16,
+                            "--vocab-size", 500, "--out", "model/model.ckpt"]),
+        "eval": ("reports", ["eval", "--checkpoint", "model/model.ckpt", "--inputs", "built/bench_dq.jsonl",
+                             "built/bench_cr.jsonl", "--out-dir", "reports"]),
+        "sweep": ("sweep", ["sweep", "--axis", "corpus_size", "--values", 8, "--pairs", "built/pairs_qt.tsv",
+                            "--benchmark", "built/bench_dq.jsonl", "--batch-size", 4, "--dim", 16,
+                            "--vocab-size", 500, "--include-baseline", "--out-dir", "sweep"]),
+    }
+
+    @pytest.fixture(scope="class")
+    def published(self, tmp_path_factory):
+        """Run the stages in order in one directory; per stage, its manifest and the files it created."""
+        root = tmp_path_factory.mktemp("pipeline")
+        published = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(root)
+            for stage, (directory, argv) in self.STAGES.items():
+                before = snapshot(root)
+                assert run("--seed", 11, *argv) == 0, stage
+                manifest_path = Path(directory, f"manifest_{stage}.json")
+                created = {path: hashlib.sha256(data).hexdigest()
+                           for path, data in snapshot(root).items() if path not in before}
+                assert created.pop(manifest_path, None) is not None, stage
+                published[stage] = json.loads((root / manifest_path).read_text()), created
+        return published
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_manifest_lists_exactly_the_files_its_stage_wrote(self, published, stage):
+        manifest, created = published[stage]
+        assert set(manifest) == {"subcommand", "seed", "settings", "inputs", "outputs", "created"}
+        assert {Path(o["path"]): o["sha256"] for o in manifest["outputs"]} == created
 
 
 class TestPipelineComposition:

@@ -17,11 +17,13 @@ from weakpairs.corpus import (
     build_benchmark,
     build_co_pairs,
     build_pairs,
+    escape_field,
     exclude_ids,
     index_responses,
     read_benchmark,
     read_pairs,
     sample_corpus,
+    unescape_field,
     write_benchmark,
     write_pairs,
 )
@@ -582,6 +584,14 @@ class TestPairAndBenchmarkFiles:
         path = tmp_path / "pairs.tsv"
         assert write_pairs(pairs, path) == 2
         assert read_pairs(path) == pairs
+        # escaping keeps the file strictly 5 columns per line
+        assert all(line.count("\t") == 4 for line in path.read_text().splitlines())
+
+    def test_escape_roundtrip(self):
+        nasty = "tabs\there\nnewlines\\and\\\tbackslashes\r"
+        assert unescape_field(escape_field(nasty)) == nasty
+        assert "\t" not in escape_field(nasty)
+        assert "\n" not in escape_field(nasty)
 
     def test_pair_tsv_bad_line(self, tmp_path):
         path = tmp_path / "pairs.tsv"

@@ -13,16 +13,12 @@ from weakpairs.ingest import (
     REPLY,
     RelationEdge,
     TweetRecord,
-    escape_field,
     extract_relations,
     index_records,
     join_reply_targets,
     merge_runs,
     parse_stream_file,
-    read_edges,
     read_records,
-    unescape_field,
-    write_edges,
     write_records,
 )
 
@@ -243,12 +239,6 @@ class TestJoinReplyTargets:
 
 
 class TestOnDiskFormats:
-    def test_escape_roundtrip(self):
-        nasty = "tabs\there\nnewlines\\and\\\tbackslashes\r"
-        assert unescape_field(escape_field(nasty)) == nasty
-        assert "\t" not in escape_field(nasty)
-        assert "\n" not in escape_field(nasty)
-
     def test_record_store_roundtrip(self, tmp_path):
         records = [
             TweetRecord(id="1", text="plain", lang="en"),
@@ -294,23 +284,3 @@ class TestOnDiskFormats:
         path.write_text('{"id": "1", "text": "x", "lang": "en"}\n{"id": "2", "text": "x \\ud83d", "lang": "en"}\n')
         with pytest.raises(DataError, match=r"store\.jsonl: record store line 2: .*surrogate"):
             read_records(path)
-
-    def test_edge_tsv_roundtrip_with_tabs_and_newlines(self, tmp_path):
-        edges = [
-            RelationEdge(kind=QUOTE, target_id="t", response_id="r",
-                         target_text="has\ttab", response_text="has\nnewline"),
-            RelationEdge(kind=REPLY, target_id="t2", response_id="r2",
-                         target_text=None, response_text="plain"),
-        ]
-        path = tmp_path / "edges.tsv"
-        write_edges(edges, path)
-        assert read_edges(path) == edges
-        # the file itself must stay strictly 5 columns per line
-        for line in path.read_text().splitlines():
-            assert line.count("\t") == 4
-
-    def test_edge_tsv_bad_column_count(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("quote\tonly\tthree\n")
-        with pytest.raises(DataError, match="line 1"):
-            read_edges(path)
