@@ -34,13 +34,11 @@ from .textproc import build_vocab
 
 # Every setting is a config key, a flag and a manifest entry.  Training settings
 # are the TrainConfig fields (its seed is derived per stage, never set); encoder
-# settings take their defaults from init_model, plus the vocabulary size cap.
+# settings are the encoder's ENCODER_SETTINGS, plus the vocabulary size cap.
 _TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(optim_mod.TrainConfig) if f.name != "seed"}
-_ENCODER_KEYS = ("dim", "use_block", "normalize_output", "max_len")
-_INIT_PARAMS = inspect.signature(encoder_mod.init_model).parameters
 CONFIG_DEFAULTS: dict[str, object] = {
     **_TRAIN_DEFAULTS,
-    **{key: _INIT_PARAMS[key].default for key in _ENCODER_KEYS},
+    **{key: getattr(encoder_mod.EncoderModel, key) for key in encoder_mod.ENCODER_SETTINGS},
     "vocab_size": 2000,
 }
 
@@ -87,15 +85,16 @@ def write_manifest(
     return path
 
 
-def _check_outputs(subcommand: str, directory: Path, inputs: list[str], outputs: list[Path]) -> None:
+def _check_outputs(subcommand: str, directory: Path, inputs: list[str], outputs: list[tuple[Path, str]]) -> None:
     """The output-path rule, checked before a stage reads any input.
 
-    Each output, and the manifest in ``directory``, must resolve to a file of
-    its own that is none of the inputs; otherwise nothing is written.
+    ``outputs`` holds a (path, what it holds) entry per output.  Each output,
+    and the manifest in ``directory``, must resolve to a file of its own that
+    is none of the inputs; otherwise nothing is written.
     """
     uses = {Path(p).resolve(): f"reads {p}" for p in inputs}
-    manifest = directory / f"manifest_{subcommand}.json"
-    for path, use in [*((p, f"writes {p}") for p in outputs), (manifest, f"writes its manifest to {manifest}")]:
+    for path, what in [*outputs, (directory / f"manifest_{subcommand}.json", "its manifest")]:
+        use = f"writes {what} to {path}"
         key = path.resolve()
         if key in uses:
             raise UsageError(f"{subcommand} {use}, but it also {uses[key]}; give each output its own path")
@@ -138,25 +137,24 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, raw: object, problems: list[str]):
+def _coerce(key: str, raw: str, problems: list[str]):
+    """A config file value as its key's type; a value that does not parse is a problem and keeps the default."""
     default = CONFIG_DEFAULTS[key]
-    if isinstance(raw, str):
-        try:
-            if isinstance(default, bool):
-                lowered = raw.lower()
-                if lowered in ("true", "1", "yes", "on"):
-                    return True
-                if lowered in ("false", "0", "no", "off"):
-                    return False
-                raise ValueError(f"not a boolean: {raw!r}")
-            if isinstance(default, int):
-                return int(raw)
-            if isinstance(default, float):
-                return float(raw)
-        except ValueError as exc:
-            problems.append(f"{key}: {exc}")
-            return default
-        return raw
+    try:
+        if isinstance(default, bool):
+            lowered = raw.lower()
+            if lowered in ("true", "1", "yes", "on"):
+                return True
+            if lowered in ("false", "0", "no", "off"):
+                return False
+            raise ValueError(f"not a boolean: {raw!r}")
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return float(raw)
+    except ValueError as exc:
+        problems.append(f"{key}: {exc}")
+        return default
     return raw
 
 
@@ -176,22 +174,14 @@ def resolve_settings(
                 problems.append(f"unknown config key {key!r} (valid: {', '.join(sorted(CONFIG_DEFAULTS))})")
                 continue
             settings[key] = _coerce(key, raw, problems)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in CONFIG_DEFAULTS:
-            problems.append(f"unknown override {key!r}")
-            continue
-        settings[key] = _coerce(key, value, problems)
+    # flags are parsed to their key's type already
+    settings.update((key, value) for key, value in overrides.items() if value is not None)
 
     train_config = optim_mod.TrainConfig(
         **{k: settings[k] for k in _TRAIN_DEFAULTS}, seed=derive_seed(seed, "train")
     )
     problems.extend(train_config.validate())
-    if settings["dim"] < 2:
-        problems.append(f"dim must be >= 2; got {settings['dim']}")
-    if settings["max_len"] < 1:
-        problems.append(f"max_len must be >= 1; got {settings['max_len']}")
+    problems.extend(encoder_mod.setting_problems(settings))
     if settings["vocab_size"] < 2:
         problems.append(f"vocab_size must be >= 2; got {settings['vocab_size']}")
     if problems:
@@ -207,7 +197,7 @@ def _init_encoder(pairs: list[corpus_mod.PairExample], settings: dict, seed: int
     """Fresh encoder over a vocabulary built from the pairs' texts."""
     texts = [p.anchor_text for p in pairs] + [p.positive_text for p in pairs]
     vocab = build_vocab(texts, max_size=settings["vocab_size"])
-    return encoder_mod.init_model(vocab, seed=seed, **{key: settings[key] for key in _ENCODER_KEYS})
+    return encoder_mod.init_model(vocab, seed=seed, **{key: settings[key] for key in encoder_mod.ENCODER_SETTINGS})
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -215,22 +205,11 @@ def _init_encoder(pairs: list[corpus_mod.PairExample], settings: dict, seed: int
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    _check_outputs("synth", out.parent, [], [out])
-    records = synth_mod.generate_records(
-        topics=args.topics,
-        pairs_per_topic=args.pairs_per_topic,
-        vocab_size=args.vocab_size,
-        noise=args.noise,
-        seed=derive_seed(args.seed, "synth"),
-        responses_per_target=args.responses_per_target,
-    )
-    settings = {
-        "topics": args.topics,
-        "pairs_per_topic": args.pairs_per_topic,
-        "vocab_size": args.vocab_size,
-        "noise": args.noise,
-        "responses_per_target": args.responses_per_target,
-    }
+    _check_outputs("synth", out.parent, [], [(out, "the synthetic stream")])
+    # every generate_records parameter but the seed is a flag of the same name
+    params = inspect.signature(synth_mod.generate_records).parameters
+    settings = {key: getattr(args, key) for key in params if key != "seed"}
+    records = synth_mod.generate_records(**settings, seed=derive_seed(args.seed, "synth"))
     _publish("synth", out.parent, [(out, synth_mod.write_store, records)], settings, [], args.seed)
     print(f"synth: wrote {len(records)} records to {out}")
     return 0
@@ -242,7 +221,7 @@ def cmd_ingest(args) -> int:
         raise UsageError(f"no input files match {args.inputs}")
     out = Path(args.out)
     stats_path = out.with_suffix(out.suffix + ".stats.json")
-    _check_outputs("ingest", out.parent, paths, [out, stats_path])
+    _check_outputs("ingest", out.parent, paths, [(out, "the record store"), (stats_path, "the parse stats")])
     parses = [ingest_mod.parse_stream_file(p, args.lang) for p in paths]
     records, totals = ingest_mod.merge_runs(parses)
 
@@ -279,7 +258,9 @@ def cmd_build(args) -> int:
     corpora = datasets + (["all"] if args.dataset == "all" else [])
     pairs_paths = {name: out_dir / f"pairs_{name}.tsv" for name in corpora}
     counts_path = out_dir / "build_counts.json"
-    _check_outputs("build", out_dir, [args.records], [*bench_paths.values(), *pairs_paths.values(), counts_path])
+    outputs = [(path, f"benchmark {name}") for name, path in bench_paths.items()]
+    outputs += [(path, f"pair corpus {name}") for name, path in pairs_paths.items()]
+    _check_outputs("build", out_dir, [args.records], [*outputs, (counts_path, "the build counts")])
 
     # every builder reads this one index, so each text is cleaned and each relation grouped once per build
     index, counts = _response_index(args.records)
@@ -334,7 +315,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     log_path = out.with_suffix(out.suffix + ".log.jsonl")
     inputs = [args.pairs] + ([args.config] if args.config else [])
-    _check_outputs("train", out.parent, inputs, [out, log_path])
+    _check_outputs("train", out.parent, inputs, [(out, "the checkpoint"), (log_path, "the training log")])
     settings, train_config = resolve_settings(args.config, _flag_overrides(args), args.seed)
     pairs = corpus_mod.read_pairs(args.pairs)
     model = _init_encoder(pairs, settings, seed=derive_seed(args.seed, "encoder-init"))
@@ -354,7 +335,7 @@ def cmd_train(args) -> int:
 
 
 def _config_hash(model: encoder_mod.EncoderModel) -> str:
-    encoder_settings = {key: getattr(model, key) for key in _ENCODER_KEYS}
+    encoder_settings = {key: getattr(model, key) for key in encoder_mod.ENCODER_SETTINGS}
     blob = json.dumps({**encoder_settings, "vocab": len(model.vocab)}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -366,19 +347,11 @@ def cmd_eval(args) -> int:
             f"{unknown[0]}: cannot infer input type; use .jsonl for ranking benchmarks "
             f"or .tsv for graded pairs"
         )
-    first_with_stem: dict[str, str] = {}
-    for path in args.inputs:
-        stem = Path(path).stem
-        if stem in first_with_stem:
-            raise UsageError(
-                f"{first_with_stem[stem]} and {path} would both write report_{stem}.json; "
-                f"give each input a different file name"
-            )
-        first_with_stem[stem] = path
     out_dir = Path(args.out_dir)
     report_paths = [out_dir / f"report_{Path(p).stem}.json" for p in args.inputs]
     inputs = [str(args.checkpoint)] + list(args.inputs)
-    _check_outputs("eval", out_dir, inputs, report_paths)
+    outputs = [(path, f"the report on {p}") for path, p in zip(report_paths, args.inputs)]
+    _check_outputs("eval", out_dir, inputs, outputs)
     model = encoder_mod.load_checkpoint(args.checkpoint)
     checkpoint_id = _sha256_file(Path(args.checkpoint))[:12]
     # every input loads before any is evaluated, and every report is made before any is written
@@ -441,7 +414,8 @@ def cmd_sweep(args) -> int:
     report_paths = {value: out_dir / f"report_{args.axis}_{value}.json" for value in points}
     summary_path = out_dir / "sweep_summary.csv"
     inputs = [args.pairs, args.benchmark] + ([args.config] if args.config else [])
-    _check_outputs("sweep", out_dir, inputs, [*report_paths.values(), summary_path])
+    outputs = [(path, f"the report at {args.axis} {value}") for value, path in report_paths.items()]
+    _check_outputs("sweep", out_dir, inputs, [*outputs, (summary_path, "the summary")])
 
     pool = corpus_mod.read_pairs(args.pairs)
     if args.axis == "corpus_size" and values[-1] > len(pool):

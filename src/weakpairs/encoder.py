@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -52,12 +52,28 @@ _EMBED_CHUNK = 8  # texts per encode in embed_text; see CHANGES.md for the measu
 @dataclass
 class EncoderModel:
     vocab: Vocabulary
-    dim: int
-    use_block: bool
-    normalize_output: bool
-    max_len: int
     params: dict[str, np.ndarray]
-    version: int = 0
+    dim: int = 64
+    use_block: bool = True
+    normalize_output: bool = False
+    max_len: int = 64
+    version: int = field(default=0, init=False)  # parameter updates so far, not a setting
+
+
+# EncoderModel's setting fields, in checkpoint header order; also init_model's keywords and the CLI's keys
+ENCODER_SETTINGS = ("dim", "use_block", "normalize_output", "max_len")
+
+
+def setting_problems(settings: dict) -> list[str]:
+    """A message for each encoder setting in ``settings`` that breaks its rule; a bool is not an integer."""
+    problems = []
+    for key, low in (("dim", 2), ("max_len", 1)):
+        if type(settings[key]) is not int or settings[key] < low:
+            problems.append(f"{key} must be an integer >= {low}; got {settings[key]!r}")
+    for key in ("use_block", "normalize_output"):
+        if type(settings[key]) is not bool:
+            problems.append(f"{key} must be true or false; got {settings[key]!r}")
+    return problems
 
 
 class RowGrad(NamedTuple):
@@ -110,34 +126,24 @@ def _param_shapes(vocab_size: int, dim: int, use_block: bool) -> list[tuple[str,
     return shapes
 
 
-def init_model(
-    vocab: Vocabulary,
-    dim: int = 64,
-    use_block: bool = True,
-    seed: int = 0,
-    normalize_output: bool = False,
-    max_len: int = 64,
-) -> EncoderModel:
+def init_model(vocab: Vocabulary, seed: int = 0, **settings) -> EncoderModel:
     """Fresh encoder with parameters drawn i.i.d. uniform in [-0.05, 0.05].
 
-    The PAD embedding row is zeroed and stays frozen for the model's life.
+    ``settings`` are ENCODER_SETTINGS keywords, each defaulting as its field
+    does; any other is a TypeError.  The PAD embedding row is zeroed and
+    stays frozen for the model's life.
     """
-    if dim < 2:
-        raise ValueError(f"embedding dimension must be >= 2, got {dim}")
+    model = EncoderModel(vocab=vocab, params={}, **settings)
+    problems = setting_problems(vars(model))
+    if problems:
+        raise ValueError("; ".join(problems))
     rng = np.random.default_rng(seed)
-    params = {
+    model.params = {
         name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-        for name, shape in _param_shapes(len(vocab), dim, use_block)
+        for name, shape in _param_shapes(len(vocab), model.dim, model.use_block)
     }
-    params["embedding"][PAD_ID, :] = 0.0
-    return EncoderModel(
-        vocab=vocab,
-        dim=dim,
-        use_block=use_block,
-        normalize_output=normalize_output,
-        max_len=max_len,
-        params=params,
-    )
+    model.params["embedding"][PAD_ID, :] = 0.0
+    return model
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -384,10 +390,7 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
     """Write a checkpoint: one JSON header line, then float64 little-endian payload."""
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "dim": model.dim,
-        "use_block": model.use_block,
-        "normalize_output": model.normalize_output,
-        "max_len": model.max_len,
+        **{key: getattr(model, key) for key in ENCODER_SETTINGS},
         "model_version": model.version,
         "vocab": {"tokens": model.vocab.tokens, "max_size": model.vocab.max_size},
         "params": [{"name": name, "shape": list(arr.shape)} for name, arr in model.params.items()],
@@ -417,21 +420,18 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
         )
     try:
         declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
-        model = EncoderModel(
-            vocab=Vocabulary(
-                tokens=list(header["vocab"]["tokens"]), max_size=int(header["vocab"]["max_size"])
-            ),
-            dim=int(header["dim"]),
-            use_block=bool(header["use_block"]),
-            normalize_output=bool(header["normalize_output"]),
-            max_len=int(header["max_len"]),
-            params={},
-            version=int(header.get("model_version", 0)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        settings = {key: header[key] for key in ENCODER_SETTINGS}
+        numbers = {"model_version": header.get("model_version", 0), "vocab.max_size": header["vocab"]["max_size"]}
+        vocab = Vocabulary(tokens=header["vocab"]["tokens"], max_size=numbers["vocab.max_size"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc
-    if model.dim < 2 or model.max_len < 1:
-        raise DataError(f"{path}: checkpoint header needs dim >= 2 and max_len >= 1")
+    problems = setting_problems(settings) + [
+        f"{key} must be an integer; got {value!r}" for key, value in numbers.items() if type(value) is not int
+    ]
+    if problems:
+        raise DataError(f"{path}: checkpoint header: " + "; ".join(problems))
+    model = EncoderModel(vocab=vocab, params={}, **settings)
+    model.version = numbers["model_version"]
     if not all(
         isinstance(name, str) and isinstance(shape, list) and all(type(d) is int for d in shape)
         for name, shape in declared

@@ -105,7 +105,7 @@ def build_vocab(corpus: Iterable[str], max_size: int) -> Vocabulary:
     return Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN] + ranked[: max_size - 2], max_size=max_size)
 
 
-def encode_ids(vocab: Vocabulary, text: str, max_len: int = 64) -> list[int]:
+def encode_ids(vocab: Vocabulary, text: str, max_len: int) -> list[int]:
     """Map cleaned text to token ids, truncated to ``max_len``.
 
     Empty text maps to a single UNK id so downstream mean pooling always has

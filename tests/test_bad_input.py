@@ -221,6 +221,23 @@ def test_fuzzed_input_fails_cleanly(inputs, fmt, data):
         assert written == [], err
 
 
+# int() or bool() would turn each value into a valid one; TINY_TRAIN's dim is 4
+@pytest.mark.parametrize("key, value", [("max_len", True), ("max_len", 3.9), ("dim", 4.5), ("use_block", "false"),
+                                        ("normalize_output", "false"), ("model_version", True),
+                                        ("vocab.max_size", "10")])
+def test_retyped_checkpoint_header_is_data_error(inputs, key, value):
+    header_line, payload = inputs["model.ckpt"].split(b"\n", 1)
+    header = json.loads(header_line)
+    if key == "vocab.max_size":
+        header["vocab"]["max_size"] = value
+    else:
+        header[key] = value
+    code, err, written = run_on(inputs, "checkpoint-eval", json.dumps(header).encode("utf-8") + b"\n" + payload)
+    assert code == 2
+    assert err.startswith("data error: ") and "model.ckpt" in err and f"{key} must be" in err, err
+    assert written == []
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_fuzzed_stream_lines_are_counted_not_fatal(inputs, data):

@@ -431,6 +431,17 @@ class TestTrainEval:
         model = init_model(vocab, dim=8, use_block=False, normalize_output=True, max_len=16)
         assert _config_hash(model) == "eb415b6b539d"
 
+    def test_checkpoint_header_pinned(self, tmp_cwd):
+        # the header holds no float, so its bytes do not depend on the BLAS; its key order is part of the format
+        write_small_pairs("pairs.tsv")
+        assert run("--seed", 3, "train", "--pairs", "pairs.tsv", "--batch-size", 8, "--dim", 4, "--max-len", 12,
+                   "--vocab-size", 40, "--out", "m.ckpt") == 0
+        header = Path("m.ckpt").read_bytes().split(b"\n", 1)[0]
+        assert list(json.loads(header)) == ["format_version", "dim", "use_block", "normalize_output", "max_len",
+                                            "model_version", "vocab", "params"]
+        digest = hashlib.sha256(header).hexdigest()
+        assert digest == "98461768eeae9bb8b5933e3232ca4f0d98ade8c81aa9fc06647cf872c2478bd2"
+
     def test_rerun_same_seed_bitwise_checkpoint(self, store):
         self.prepare(store)
         for out in ("m1.ckpt", "m2.ckpt"):

@@ -54,9 +54,15 @@ class TestInit:
         for arr in model.params.values():
             assert np.all(np.abs(arr) <= 0.05)
 
-    def test_dim_one_rejected(self):
-        with pytest.raises(ValueError):
-            init_model(toy_vocab(5), dim=1, use_block=False, seed=0)
+    @pytest.mark.parametrize("key, value", [("dim", 1), ("dim", 4.0), ("max_len", 0), ("max_len", True),
+                                            ("use_block", "false"), ("normalize_output", 1)])
+    def test_bad_setting_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            init_model(toy_vocab(5), seed=0, **{key: value})
+
+    def test_unknown_setting_is_type_error(self):
+        with pytest.raises(TypeError, match="version"):
+            init_model(toy_vocab(5), seed=0, version=3)
 
     def test_block_off_has_no_block_params(self):
         model = init_model(toy_vocab(5), dim=4, use_block=False, seed=0)
@@ -575,7 +581,7 @@ class TestCheckpoint:
         model.dim, model.params["embedding"] = 1, model.params["embedding"][:, :1]
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        with pytest.raises(DataError, match="needs dim >= 2"):
+        with pytest.raises(DataError, match="dim must be an integer >= 2"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
