@@ -21,7 +21,8 @@ large-vocabulary workload a batch of 3,200 padded positions held 2,251
 distinct ids, and a table of them made a forward plus backward step slower,
 30.6 to 32.2 ms, while on its archive workload (261 ids in 1,200 positions)
 it saved only 9.04 to 8.91 ms (median of 15 rounds, one BLAS thread, 2-vCPU
-x86-64 VM).  Both paths share one attention, feed-forward and pool body
+x86-64 VM).  Both paths share one batch layout (``_flat_ids`` and
+``_batch_index``) and one attention, feed-forward and pool body
 (``_encode``).  That body adds the attention's padding mask only to a batch
 that has padding: length-sorted eval chunks mostly have none, training
 batches mostly do, and the mask of an unpadded batch would change no bit.
@@ -177,17 +178,23 @@ def _token_rows(model: EncoderModel, ids: np.ndarray) -> tuple[np.ndarray, ...]:
     return x, x @ p["w_q"], x @ p["w_k"], x @ p["w_v"]
 
 
-def _pad(model: EncoderModel, id_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(B, L) ids right-padded with PAD_ID to the longest sequence, and the (B, L) real-token mask."""
-    lengths = np.array([len(ids) for ids in id_lists], dtype=np.intp)
-    if lengths.min() == 0:
+def _flat_ids(model: EncoderModel, id_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flat, starts, lengths)``: sequence i is ``flat[starts[i] : starts[i] + lengths[i]]``, and the
+    final PAD_ID of ``flat`` is what padded positions index."""
+    lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(id_lists))
+    if not lengths.all():
         raise ValueError("cannot encode an empty id sequence")
-    if lengths.max() > model.max_len:
+    if lengths.max(initial=0) > model.max_len:
         raise ValueError(f"id sequence of length {lengths.max()} exceeds max_len {model.max_len}")
-    real = np.arange(lengths.max()) < lengths[:, None]
-    ids = np.full(real.shape, PAD_ID, dtype=np.intp)
-    ids[real] = np.concatenate(id_lists)  # row-major, so each row gets its own sequence
-    return ids, real
+    flat = np.fromiter(chain(chain.from_iterable(id_lists), [PAD_ID]), dtype=np.intp, count=lengths.sum() + 1)
+    return flat, np.cumsum(lengths) - lengths, lengths
+
+
+def _batch_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, L) index into ``_flat_ids``'s ``flat`` of the right-padded batch, and its real-token mask."""
+    positions = np.arange(lengths.max())
+    real = positions < lengths[:, None]
+    return np.where(real, starts[:, None] + positions, -1), real
 
 
 def _encode(
@@ -238,13 +245,14 @@ def encode_with_trace(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Embed a batch of id sequences, one (dim,) row each, keeping what backprop needs.
 
-    Sequences are right-padded to the longest one.  Padded positions are
-    masked out of the attention keys and the mean, so each row is the
-    embedding of its sentence alone.  The token layer runs once per padded
-    position: in a training batch most ids are distinct (see the module
-    docstring), so a table of distinct ids would not pay for itself.
+    Sequences are right-padded to the longest one, laid out as ``embed_text``
+    lays out a chunk.  Padded positions are masked out of the attention keys
+    and the mean, so each row is the embedding of its sentence alone.  The
+    token layer runs once per padded position (see the module docstring).
     """
-    ids, real = _pad(model, id_lists)
+    flat, starts, lengths = _flat_ids(model, id_lists)
+    index, real = _batch_index(starts, lengths)
+    ids = flat[index]
     out, acts = _encode(model, real, _token_rows(model, ids))
     return out, ForwardTrace(ids=ids, model_version=model.version, **acts)
 
@@ -263,10 +271,11 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     once and its row copied to every repeat.  Texts are encoded in chunks of
     similar length, so little of each chunk is padding.
 
-    The call's ids are kept in one flat array, text after text.  The token
-    layer runs once over its distinct ids, PAD included, and each chunk
-    gathers its rows from that table through one (B, L) index into the flat
-    array; the table is freed when the call returns.  Those rows are the
+    The call's ids are kept in one flat array, text after text, and each
+    chunk is indexed into it as ``encode_with_trace`` indexes its batch.
+    The token layer runs once over the call's distinct ids, PAD included,
+    and each chunk gathers its rows from that table through its (B, L)
+    index; the table is freed when the call returns.  Those rows are the
     ones a per-position forward computes, save for how the BLAS rounds one
     large product against many small ones.  With OpenBLAS on x86-64 the
     output is bit for bit the per-position one at the default width (64)
@@ -274,31 +283,20 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     last bits can differ.
     """
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    id_lists = [encode_ids(model.vocab, clean(text), model.max_len) for text in slot]
-    lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(id_lists))
-    flat = np.fromiter(chain.from_iterable(id_lists), dtype=np.intp, count=lengths.sum())
-    starts = np.cumsum(lengths) - lengths  # text i's ids are flat[starts[i] : starts[i] + lengths[i]]
-    seen = np.zeros(len(model.vocab), dtype=bool)
-    seen[PAD_ID] = True
-    seen[flat] = True
-    table_ids = np.flatnonzero(seen)
-    table = _token_rows(model, table_ids)
-    table_row = np.empty(len(seen), dtype=np.intp)  # id -> its row of the table, for ids in the table
-    table_row[table_ids] = np.arange(len(table_ids))
-    # the table row of every position of every text, end to end, then one PAD row for padding
-    slots = np.append(table_row[flat], table_row[PAD_ID])
+    flat, starts, lengths = _flat_ids(model, [encode_ids(model.vocab, clean(text), model.max_len) for text in slot])
+    seen = np.bincount(flat, minlength=len(model.vocab)) > 0
+    table = _token_rows(model, np.flatnonzero(seen))
+    slots = (np.cumsum(seen) - 1)[flat]  # each flat position's row of the table
     order = np.argsort(lengths, kind="stable")
-    distinct = np.empty((len(id_lists), model.dim))
+    distinct = np.empty((len(slot), model.dim))
     for start in range(0, len(order), _EMBED_CHUNK):
         rows = order[start : start + _EMBED_CHUNK]
-        positions = np.arange(lengths[rows[-1]])  # the chunk's longest text is its last
-        real = positions < lengths[rows, None]
-        if len(positions) == 1:
+        index, real = _batch_index(starts[rows], lengths[rows])
+        if real.shape[1] == 1:
             # numpy multiplies one-row matrices as vectors (BLAS gemv), which rounds unlike the table's gemm
-            token_rows = _token_rows(model, flat[starts[rows, None]])
+            token_rows = _token_rows(model, flat[index])
         else:
-            chunk_slots = slots[np.where(real, starts[rows, None] + positions, len(flat))]
-            token_rows = tuple(arr.take(chunk_slots, axis=0) for arr in table)
+            token_rows = tuple(arr.take(slots[index], axis=0) for arr in table)
         distinct[rows] = _encode(model, real, token_rows)[0]
     return distinct[[slot[text] for text in texts]]
 
@@ -428,6 +426,10 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
     problems = setting_problems(settings) + [
         f"{key} must be an integer; got {value!r}" for key, value in numbers.items() if type(value) is not int
     ]
+    if type(vocab.max_size) is int and vocab.max_size < len(vocab):
+        problems.append(f"vocab.max_size must be >= 2 and >= its {len(vocab)} tokens; got {vocab.max_size}")
+    problems += [f"vocab.tokens[{i}] must be a string; got {token!r}"
+                 for i, token in enumerate(vocab.tokens) if type(token) is not str][:1]
     if problems:
         raise DataError(f"{path}: checkpoint header: " + "; ".join(problems))
     model = EncoderModel(vocab=vocab, params={}, **settings)
@@ -444,17 +446,12 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             f"{path}: header declares parameters {declared}, but a vocab of {len(model.vocab)} "
             f"tokens, dim {model.dim} and use_block {model.use_block} need {expected}"
         )
-    expected_bytes = sum(int(np.prod(shape)) * 8 for _, shape in declared)
-    if len(payload) != expected_bytes:
-        raise DataError(
-            f"{path}: parameter payload is {len(payload)} bytes, header declares {expected_bytes}"
-        )
-    offset = 0
-    for name, shape in declared:
-        size = int(np.prod(shape))
-        flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-        if not np.isfinite(flat).all():
+    sizes = [int(np.prod(shape)) for _, shape in declared]
+    if len(payload) != 8 * sum(sizes):
+        raise DataError(f"{path}: parameter payload is {len(payload)} bytes, header declares {8 * sum(sizes)}")
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # astype copies the payload
+    for (name, shape), chunk in zip(declared, np.split(values, np.cumsum(sizes)[:-1])):
+        if not np.isfinite(chunk).all():
             raise DataError(f"{path}: parameter {name} holds a NaN or infinite value")
-        model.params[name] = flat.astype(np.float64).reshape(shape)  # astype copies the payload
-        offset += size * 8
+        model.params[name] = chunk.reshape(shape)
     return model

@@ -263,10 +263,10 @@ def train(
 ) -> tuple[EncoderModel, list[dict]]:
     """``config.epochs`` passes over the pairs with one optimizer and one lr schedule.
 
-    Each epoch shuffles the pairs and cuts them into batches; each step
-    encodes the batch's anchors and positives in one call, computes the
-    loss, backpropagates it in one call and takes an AdamW step.  The final
-    partial batch of each epoch is dropped so the in-batch negative
+    Each pair text is tokenized once.  Each epoch shuffles the pairs and
+    cuts them into batches; each step encodes and backpropagates the batch's
+    anchors and positives in one call each and takes an AdamW step.  The
+    final partial batch of each epoch is dropped so the in-batch negative
     distribution stays fixed.  Fully deterministic in (model, pairs, config).
     """
     problems = config.validate()
@@ -281,16 +281,16 @@ def train(
     state = init_optimizer(model.params)
     log: list[dict] = []
 
+    texts = [p.anchor_text for p in pairs] + [p.positive_text for p in pairs]
+    id_lists = [encode_ids(model.vocab, text, model.max_len) for text in texts]
     for step in range(total_steps):
         b = step % batches_per_epoch
         if b == 0:
             order = rng.permutation(len(pairs))
-        batch = [pairs[i] for i in order[b * n : (b + 1) * n]]
+        rows = order[b * n : (b + 1) * n]
         lr = lr_at(step, total_steps, config.learning_rate, config.warmup_fraction)
 
-        texts = [p.anchor_text for p in batch] + [p.positive_text for p in batch]
-        id_lists = [encode_ids(model.vocab, text, model.max_len) for text in texts]
-        vecs, trace = encode_with_trace(model, id_lists)
+        vecs, trace = encode_with_trace(model, [id_lists[i] for i in np.concatenate([rows, rows + len(pairs)])])
         anchor_vecs, pos_vecs = vecs[:n], vecs[n:]
 
         if config.loss == MULTIPLE_NEGATIVES:

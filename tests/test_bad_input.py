@@ -238,6 +238,36 @@ def test_retyped_checkpoint_header_is_data_error(inputs, key, value):
     assert written == []
 
 
+def _eval_with_vocab(inputs, change):
+    """Run eval on the checkpoint with ``change`` applied to its header's vocabulary."""
+    header_line, payload = inputs["model.ckpt"].split(b"\n", 1)
+    header = json.loads(header_line)
+    change(header["vocab"])
+    return run_on(inputs, "checkpoint-eval", json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+@pytest.mark.parametrize("token", [7, None])
+def test_checkpoint_vocab_token_that_is_not_a_string_is_data_error(inputs, token):
+    code, err, written = _eval_with_vocab(inputs, lambda vocab: vocab["tokens"].__setitem__(5, token))
+    assert code == 2
+    assert err.startswith("data error: ") and "model.ckpt" in err, err
+    assert f"vocab.tokens[5] must be a string; got {token!r}" in err, err
+    assert written == []
+
+
+@pytest.mark.parametrize("below", ["two", "the token count"])
+def test_checkpoint_vocab_max_size_below_its_floor_is_data_error(inputs, below):
+    def change(vocab):
+        vocab["max_size"] = 0 if below == "two" else len(vocab["tokens"]) - 1
+
+    code, err, written = _eval_with_vocab(inputs, change)
+    tokens = len(json.loads(inputs["model.ckpt"].split(b"\n", 1)[0])["vocab"]["tokens"])
+    assert code == 2
+    assert err.startswith("data error: ") and "model.ckpt" in err, err
+    assert f"vocab.max_size must be >= 2 and >= its {tokens} tokens" in err, err
+    assert written == []
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_fuzzed_stream_lines_are_counted_not_fatal(inputs, data):

@@ -261,12 +261,21 @@ class _Padded(np.ndarray):
         return False
 
 
+def _padded(id_lists):
+    """The reference padding, row by row: ids right-padded with PAD_ID to the longest list, and the real-token mask."""
+    lengths = np.array([len(ids) for ids in id_lists])
+    ids = np.full((len(id_lists), lengths.max()), PAD_ID, dtype=np.intp)
+    for row, sequence in zip(ids, id_lists):
+        row[: len(sequence)] = sequence
+    return ids, np.arange(lengths.max()) < lengths[:, None]
+
+
 def _masked_encode(model, id_lists):
     """The reference: ``encode_with_trace`` with the key mask added whether or not the batch has padding.
 
     Returns the embeddings and the activations by ``ForwardTrace`` field name.
     """
-    ids, real = encoder_mod._pad(model, id_lists)
+    ids, real = _padded(id_lists)
     return encoder_mod._encode(model, real.view(_Padded), encoder_mod._token_rows(model, ids))
 
 
@@ -319,6 +328,7 @@ class TestBatch:
     def test_padding_changes_no_row_and_no_gradient(self, case):
         model, id_lists, grad_out, perm = case
         vecs, trace = encode_with_trace(model, id_lists)
+        assert trace.ids.tobytes() == _padded(id_lists)[0].tobytes()
         for row, ids in zip(vecs, id_lists):
             np.testing.assert_allclose(row, encode(model, ids), rtol=0, atol=1e-12)
         permuted, _ = encode_with_trace(model, [id_lists[i] for i in perm])

@@ -13,7 +13,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from weakpairs import corpus, evaluate
+from weakpairs import corpus, evaluate, optim
 from weakpairs.encoder import init_model
 from weakpairs.textproc import build_vocab
 
@@ -59,6 +59,23 @@ def test_eval_text_preparation_is_traced_inside_the_encode_span():
     (encode,) = [i for i, node in enumerate(tracer.nodes) if node["name"] == "encoder.encode"]
     children = {node["name"]: node["count"] for node in tracer.nodes if node["parent"] == encode}
     assert children == {"textproc.clean": 2, "textproc.encode_ids": 2}
+
+
+def test_training_tokenizes_each_pair_text_once_inside_the_train_span():
+    spans = load_perfbench("spans")
+    model = init_model(build_vocab(["alpha beta gamma delta"], max_size=10), dim=4, seed=0)
+    pairs = [corpus.PairExample(f"alpha beta {i}", f"gamma {i} delta", "qt", f"a{i}", f"p{i}") for i in range(7)]
+    config = optim.TrainConfig(batch_size=3, epochs=2)  # two steps an epoch, one pair left over
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, log = optim.train(model, pairs, config)
+    finally:
+        tracer.uninstall()
+    (train,) = [i for i, node in enumerate(tracer.nodes) if node["name"] == "optim.train"]
+    children = {node["name"]: node["count"] for node in tracer.nodes if node["parent"] == train}
+    assert children["textproc.encode_ids"] == 2 * len(pairs)
+    assert children["encoder.forward"] == len(log) == 4
 
 
 def test_run_copies_the_benchmark_names_and_query_shape():
