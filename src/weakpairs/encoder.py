@@ -26,12 +26,19 @@ x86-64 VM).  Both paths share one batch layout (``_flat_ids`` and
 (``_encode``).  That body adds the attention's padding mask only to a batch
 that has padding: length-sorted eval chunks mostly have none, training
 batches mostly do, and the mask of an unpadded batch would change no bit.
+
+A training step holds one batch's activations, and of those only what
+backprop reads.  The relu reaches backward only through where it is
+positive, so ``encode_with_trace`` keeps that (B, L, 2 * dim) bool mask in
+the trace instead of the float relu, an eighth of its bytes; eval, which
+keeps no trace, never builds it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -112,7 +119,7 @@ class ForwardTrace:
     k: np.ndarray | None = None
     v: np.ndarray | None = None
     h1: np.ndarray | None = None
-    relu: np.ndarray | None = None  # (B, L, 2 * dim) relu of the feed-forward pre-activation
+    relu_on: np.ndarray | None = None  # (B, L, 2 * dim) bool: where the feed-forward pre-activation is > 0
     pooled_relu: np.ndarray | None = None  # (B, 2 * dim) relu mean-pooled, the input w_2 sees
     # (B, 1) pooled norms when normalizing output, inf for a zero vector so it divides to zero
     norm: np.ndarray | None = None
@@ -205,7 +212,8 @@ def _encode(
     ``real`` is the (B, L) real-token mask and ``rows`` is ``_token_rows``
     of the padded ids, with (B, L, dim) arrays computed per position or
     gathered from a table of distinct ids.  Returns the embeddings and the
-    activations backprop needs, as ``ForwardTrace`` fields by name.
+    activations backprop needs, as ``ForwardTrace`` fields by name, save
+    that the float ``relu`` stands for the trace's ``relu_on`` mask.
     """
     pool = real / real.sum(axis=1, keepdims=True)
     p = model.params
@@ -254,6 +262,8 @@ def encode_with_trace(
     index, real = _batch_index(starts, lengths)
     ids = flat[index]
     out, acts = _encode(model, real, _token_rows(model, ids))
+    if model.use_block:
+        acts["relu_on"] = acts.pop("relu") > 0.0
     return out, ForwardTrace(ids=ids, model_version=model.version, **acts)
 
 
@@ -339,7 +349,7 @@ def backprop(
     if model.use_block:
         grads["w_2"] = trace.pooled_relu.T @ d_pooled
         d_z = trace.pool[:, :, None] * (d_pooled @ p["w_2"].T)[:, None, :]
-        d_z *= trace.relu > 0.0
+        d_z *= trace.relu_on
         grads["w_1"] = _rows(trace.h1).T @ _rows(d_z)
         d_h1 = d_z @ p["w_1"].T
         d_h1 += d_tokens  # the residual path around the feed-forward
@@ -351,16 +361,20 @@ def backprop(
         d_attn -= (d_attn * trace.attn).sum(axis=-1, keepdims=True)
         d_attn *= trace.attn
         d_attn /= np.sqrt(model.dim)
+        # d_x = d_h1 + d_q w_q' + d_k w_k' + d_v w_v', added in that order (it fixes the bits); d_q and d_k
+        # live only for their own term
+        x = _rows(trace.x)
+        d_x = d_h1
         d_q = d_attn @ trace.k
+        grads["w_q"] = x.T @ _rows(d_q)
+        d_x += d_q @ p["w_q"].T
+        del d_q
         d_k = d_attn.transpose(0, 2, 1) @ trace.q
         del d_attn
-        x = _rows(trace.x)
-        grads["w_q"] = x.T @ _rows(d_q)
         grads["w_k"] = x.T @ _rows(d_k)
-        grads["w_v"] = x.T @ _rows(d_v)
-        d_x = d_h1
-        d_x += d_q @ p["w_q"].T
         d_x += d_k @ p["w_k"].T
+        del d_k
+        grads["w_v"] = x.T @ _rows(d_v)
         d_x += d_v @ p["w_v"].T
     else:
         d_x = d_tokens
@@ -371,14 +385,20 @@ def backprop(
 def _sum_rows_by_id(ids: np.ndarray, values: np.ndarray) -> RowGrad:
     """``values[i]`` summed per distinct ``ids[i]``, PAD left out.
 
-    Each id's terms are added in position order starting from zero, as an
-    ``np.add.at`` into a dense buffer would add them.
+    One weighted ``np.bincount`` over (row slot, column) bins adds each
+    id's terms in position order starting from +0.0, as an ``np.add.at``
+    into a zeroed dense buffer would add them, so the sums hold its bits.
+    PAD's terms go to one spare row past the last, which is dropped.
     """
-    real = ids != PAD_ID
-    unique, slots = np.unique(ids[real], return_inverse=True)
-    sums = np.zeros((len(unique), values.shape[1]))
-    np.add.at(sums, slots, values[real])
-    return RowGrad(unique, sums)
+    seen = np.bincount(ids, minlength=PAD_ID + 1) > 0
+    seen[PAD_ID] = False
+    unique = np.flatnonzero(seen)
+    slots = np.cumsum(seen) - 1
+    slots[PAD_ID] = len(unique)
+    width = values.shape[1]
+    bins = (slots[ids] * width)[:, None] + np.arange(width)
+    sums = np.bincount(bins.ravel(), weights=values.ravel(), minlength=(len(unique) + 1) * width)
+    return RowGrad(unique, sums[: len(unique) * width].reshape(-1, width))
 
 
 # --- checkpoint format --------------------------------------------------------
@@ -397,15 +417,36 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
         handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         handle.write(b"\n")
         for arr in model.params.values():
-            handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            handle.write(np.ascontiguousarray(arr, dtype="<f8"))  # the parameter's own buffer, no copy
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:
-    """Read a checkpoint, checking its parameter list against its vocab, dim and use_block."""
+    """Read a checkpoint, checking its parameter list against its vocab, dim and use_block.
+
+    The payload's length is checked against the header before anything is
+    allocated; then it is read straight into one float64 array, of which
+    each parameter is a view.
+    """
     path = Path(path)
     with open(path, "rb") as handle:
-        header_line = handle.readline()
-        payload = handle.read()
+        model, declared = _model_from_header(path, handle.readline())
+        sizes = [int(np.prod(shape)) for _, shape in declared]
+        payload_bytes = os.fstat(handle.fileno()).st_size - handle.tell()
+        if payload_bytes != 8 * sum(sizes):
+            raise DataError(f"{path}: parameter payload is {payload_bytes} bytes, header declares {8 * sum(sizes)}")
+        values = np.empty(sum(sizes), dtype="<f8")
+        if handle.readinto(values) != values.nbytes:
+            raise DataError(f"{path}: parameter payload shrank while it was read")
+    values = values.astype(np.float64, copy=False)  # a copy only where float64 is not little-endian
+    for (name, shape), chunk in zip(declared, np.split(values, np.cumsum(sizes)[:-1])):
+        if not np.isfinite(chunk).all():
+            raise DataError(f"{path}: parameter {name} holds a NaN or infinite value")
+        model.params[name] = chunk.reshape(shape)
+    return model
+
+
+def _model_from_header(path: Path, header_line: bytes) -> tuple[EncoderModel, list[tuple[str, tuple[int, ...]]]]:
+    """The model a checkpoint header describes, without parameters, and its declared (name, shape) list."""
     try:
         header = json.loads(header_line.decode("utf-8"))
         version = header["format_version"]
@@ -446,12 +487,4 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
             f"{path}: header declares parameters {declared}, but a vocab of {len(model.vocab)} "
             f"tokens, dim {model.dim} and use_block {model.use_block} need {expected}"
         )
-    sizes = [int(np.prod(shape)) for _, shape in declared]
-    if len(payload) != 8 * sum(sizes):
-        raise DataError(f"{path}: parameter payload is {len(payload)} bytes, header declares {8 * sum(sizes)}")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # astype copies the payload
-    for (name, shape), chunk in zip(declared, np.split(values, np.cumsum(sizes)[:-1])):
-        if not np.isfinite(chunk).all():
-            raise DataError(f"{path}: parameter {name} holds a NaN or infinite value")
-        model.params[name] = chunk.reshape(shape)
-    return model
+    return model, declared

@@ -265,9 +265,12 @@ def train(
 
     Each pair text is tokenized once.  Each epoch shuffles the pairs and
     cuts them into batches; each step encodes and backpropagates the batch's
-    anchors and positives in one call each and takes an AdamW step.  The
-    final partial batch of each epoch is dropped so the in-batch negative
-    distribution stays fixed.  Fully deterministic in (model, pairs, config).
+    anchors and positives in one call each and takes an AdamW step.  A
+    step's trace and embeddings are freed once backprop returns and its
+    gradients once AdamW returns, so no step runs beside another's
+    activations.  The final partial batch of each epoch is dropped so the
+    in-batch negative distribution stays fixed.  Fully deterministic in
+    (model, pairs, config).
     """
     problems = config.validate()
     if problems:
@@ -309,7 +312,9 @@ def train(
             np.add.at(grad_p, negatives, grad_n / n)
 
         grads = backprop(model, trace, np.concatenate([grad_a, grad_p]))
+        del vecs, trace, anchor_vecs, pos_vecs
         adamw_step(model.params, grads, state, lr=lr, weight_decay=config.weight_decay)
+        del grads
         model.version += 1
         log.append({"step": step, "lr": lr, "loss": float(loss)})
     return model, log

@@ -145,7 +145,10 @@ class TestTrace:
             plain = encode(model, ids)
             traced, trace = encode_with_trace(model, [ids])
             np.testing.assert_array_equal(plain, traced[0])
-            h2 = trace.h1 + trace.relu @ model.params["w_2"]
+            relu = np.maximum(trace.h1 @ model.params["w_1"], 0.0)
+            assert trace.relu_on.dtype == bool
+            assert trace.relu_on.tobytes() == (relu > 0.0).tobytes()
+            h2 = trace.h1 + relu @ model.params["w_2"]
             np.testing.assert_allclose(h2.mean(axis=1), trace.pooled)
 
     def test_stale_trace_rejected(self):
@@ -362,6 +365,24 @@ class TestBatch:
         np.add.at(reference, ids, values)
         assert grad.dense(len(model.vocab)).tobytes() == reference.tobytes()
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_row_sums_are_bitwise_np_add_at_into_zeros(self, data):
+        # repeated ids, PAD (possibly every id), -0.0, and terms whose sum depends on their order
+        width = data.draw(st.integers(1, 5))
+        ids = np.array(data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=40)), dtype=np.intp)
+        if data.draw(st.booleans()):
+            ids[:] = PAD_ID
+        floats = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 1e16, -1e16]) | st.floats(-1e6, 1e6)
+        values = np.array(data.draw(st.lists(floats, min_size=len(ids) * width, max_size=len(ids) * width)))
+        values = values.reshape(len(ids), width)
+        grad = encoder_mod._sum_rows_by_id(ids, values)
+        real = ids != PAD_ID
+        reference = np.zeros((10, width))
+        np.add.at(reference, ids[real], values[real])
+        assert grad.ids.tolist() == sorted(set(ids[real].tolist()))
+        assert grad.rows.tobytes() == reference[grad.ids].tobytes()
+
     @pytest.mark.parametrize("use_block", [False, True])
     @pytest.mark.parametrize("normalize", [False, True])
     def test_ragged_gradients_match_finite_differences(self, use_block, normalize):
@@ -433,8 +454,13 @@ class TestBatch:
         vecs, trace = encode_with_trace(model, id_lists)
         masked, acts = _masked_encode(model, id_lists)
         assert vecs.tobytes() == masked.tobytes()
-        assert sorted(acts) == sorted(name for name in vars(trace)
-                                      if getattr(trace, name) is not None and name not in ("ids", "model_version"))
+        if use_block:
+            # the trace keeps only where the relu is positive; rebuild the relu from its h1
+            relu = np.maximum(trace.h1 @ model.params["w_1"], 0.0)
+            assert acts.pop("relu").tobytes() == relu.tobytes()
+            assert trace.relu_on.tobytes() == (relu > 0.0).tobytes()
+        assert sorted(acts) == sorted(name for name in vars(trace) if getattr(trace, name) is not None
+                                      and name not in ("ids", "model_version", "relu_on"))
         for name, arr in acts.items():
             assert getattr(trace, name).tobytes() == arr.tobytes(), name
 
@@ -526,6 +552,16 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(DataError, match="bytes"):
+            load_checkpoint(path)
+
+    def test_overlong_payload_rejected(self, tmp_path):
+        # the payload's length is read from the file, not counted while reading it
+        vocab = build_vocab(["alpha beta"], max_size=10)
+        model = init_model(vocab, dim=4, use_block=False, seed=0)  # 4 x 4 parameters, 128 bytes
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DataError, match="parameter payload is 136 bytes, header declares 128"):
             load_checkpoint(path)
 
     def _write_with_header(self, path, model, **changes):

@@ -633,6 +633,34 @@ class TestTrainEpoch:
         train(model, pairs, TrainConfig(batch_size=10))
         assert model.version == 3
 
+    @pytest.mark.parametrize("loss", [MULTIPLE_NEGATIVES, TRIPLET])
+    def test_no_step_data_outlives_its_step(self, monkeypatch, loss):
+        # when a step's forward starts, no earlier step's trace or embedding gradient is alive
+        import weakref
+
+        import weakpairs.optim as optim_mod
+
+        real_forward, real_backprop = optim_mod.encode_with_trace, optim_mod.backprop
+        step_data, alive = [], []
+
+        def probed_forward(model, id_lists):
+            alive.append([ref() is not None for ref in step_data])
+            vecs, trace = real_forward(model, id_lists)
+            step_data.append(weakref.ref(trace))
+            return vecs, trace
+
+        def probed_backprop(model, trace, grad_out):
+            grads = real_backprop(model, trace, grad_out)
+            step_data.append(weakref.ref(grads["embedding"].rows))
+            return grads
+
+        monkeypatch.setattr(optim_mod, "encode_with_trace", probed_forward)
+        monkeypatch.setattr(optim_mod, "backprop", probed_backprop)
+        pairs = topic_pairs(20)
+        _, log = train(tiny_trainable_model(pairs), pairs, TrainConfig(loss=loss, batch_size=5))
+        assert len(log) == len(alive) == 4
+        assert alive == [[False] * (2 * step) for step in range(4)]
+
     def test_multi_epoch_schedule_spans_all_steps(self):
         pairs = topic_pairs(20)
         model = tiny_trainable_model(pairs)
