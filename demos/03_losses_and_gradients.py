@@ -5,7 +5,7 @@ Run: python demos/03_losses_and_gradients.py
 
 import numpy as np
 
-from weakpairs import backprop, encode, encode_with_trace, init_model, mn_loss, triplet_loss
+from weakpairs import backprop, encode, encode_with_trace, flat_ids, init_model, mn_loss, triplet_loss
 from weakpairs.textproc import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 # --- triplet loss: hinge on euclidean distances --------------------------------
@@ -34,7 +34,7 @@ ids = [2, 5, 7]
 grad_out = np.array([1.0, -0.5, 0.25, 2.0])
 
 # a batch of one sentence; longer batches are right-padded and masked
-vecs, trace = encode_with_trace(model, [ids])
+vecs, trace = encode_with_trace(model, *flat_ids(model, [ids]))
 grads = backprop(model, trace, [grad_out])
 # the embedding gradient is compact: one summed row per distinct token of the batch
 print(f"embedding gradient rows: {grads['embedding'].ids.tolist()} of {len(vocab)}")

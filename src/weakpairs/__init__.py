@@ -25,6 +25,7 @@ from .encoder import (
     embed_text,
     encode,
     encode_with_trace,
+    flat_ids,
     init_model,
     load_checkpoint,
     save_checkpoint,

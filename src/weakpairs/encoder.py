@@ -21,11 +21,13 @@ large-vocabulary workload a batch of 3,200 padded positions held 2,251
 distinct ids, and a table of them made a forward plus backward step slower,
 30.6 to 32.2 ms, while on its archive workload (261 ids in 1,200 positions)
 it saved only 9.04 to 8.91 ms (median of 15 rounds, one BLAS thread, 2-vCPU
-x86-64 VM).  Both paths share one batch layout (``_flat_ids`` and
-``_batch_index``) and one attention, feed-forward and pool body
-(``_encode``).  That body adds the attention's padding mask only to a batch
-that has padding: length-sorted eval chunks mostly have none, training
-batches mostly do, and the mask of an unpadded batch would change no bit.
+x86-64 VM).  Tokenized text reaches the encoder in one form only: both
+paths lay out their texts once per call in one flat id array (``flat_ids``),
+each chunk or batch indexes its rows of it (``_batch_index``), and both
+share one attention, feed-forward and pool body (``_encode``).  That body
+adds the attention's padding mask only to a batch that has padding:
+length-sorted eval chunks mostly have none, training batches mostly do, and
+the mask of an unpadded batch would change no bit.
 
 A training step holds one batch's activations, and of those only what
 backprop reads.  The relu reaches backward only through where it is
@@ -42,7 +44,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,20 +187,25 @@ def _token_rows(model: EncoderModel, ids: np.ndarray) -> tuple[np.ndarray, ...]:
     return x, x @ p["w_q"], x @ p["w_k"], x @ p["w_v"]
 
 
-def _flat_ids(model: EncoderModel, id_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(flat, starts, lengths)``: sequence i is ``flat[starts[i] : starts[i] + lengths[i]]``, and the
-    final PAD_ID of ``flat`` is what padded positions index."""
-    lengths = np.fromiter(map(len, id_lists), dtype=np.intp, count=len(id_lists))
+def flat_ids(model: EncoderModel, id_seqs: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flat, starts, lengths)``, intp: sequence i is ``flat[starts[i] : starts[i] + lengths[i]]``, and the
+    final PAD_ID of ``flat`` is what padded positions index.  ``id_seqs`` is read once and kept nowhere."""
+    lengths = []
+
+    def counted(ids: Sequence[int]) -> Sequence[int]:
+        lengths.append(len(ids))
+        return ids
+    flat = np.fromiter(chain(chain.from_iterable(map(counted, id_seqs)), [PAD_ID]), dtype=np.intp)
+    lengths = np.array(lengths, dtype=np.intp)
     if not lengths.all():
         raise ValueError("cannot encode an empty id sequence")
     if lengths.max(initial=0) > model.max_len:
         raise ValueError(f"id sequence of length {lengths.max()} exceeds max_len {model.max_len}")
-    flat = np.fromiter(chain(chain.from_iterable(id_lists), [PAD_ID]), dtype=np.intp, count=lengths.sum() + 1)
     return flat, np.cumsum(lengths) - lengths, lengths
 
 
 def _batch_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, L) index into ``_flat_ids``'s ``flat`` of the right-padded batch, and its real-token mask."""
+    """The (B, L) index into ``flat_ids``'s ``flat`` of the right-padded batch, and its real-token mask."""
     positions = np.arange(lengths.max())
     real = positions < lengths[:, None]
     return np.where(real, starts[:, None] + positions, -1), real
@@ -249,16 +256,17 @@ def _encode(
 
 
 def encode_with_trace(
-    model: EncoderModel, id_lists: Sequence[Sequence[int]]
+    model: EncoderModel, flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Embed a batch of id sequences, one (dim,) row each, keeping what backprop needs.
 
-    Sequences are right-padded to the longest one, laid out as ``embed_text``
-    lays out a chunk.  Padded positions are masked out of the attention keys
-    and the mean, so each row is the embedding of its sentence alone.  The
-    token layer runs once per padded position (see the module docstring).
+    ``starts`` and ``lengths`` pick the batch's rows of the ``flat_ids`` layout
+    ``flat``, as ``embed_text`` picks a chunk's: a layout of the batch alone
+    (``*flat_ids(model, id_lists)``) or of many.  Rows are right-padded to the
+    longest; padded positions are masked out of the attention keys and the
+    mean, so each row is the embedding of its sentence alone.  The token
+    layer runs once per padded position (see the module docstring).
     """
-    flat, starts, lengths = _flat_ids(model, id_lists)
     index, real = _batch_index(starts, lengths)
     ids = flat[index]
     out, acts = _encode(model, real, _token_rows(model, ids))
@@ -269,7 +277,7 @@ def encode_with_trace(
 
 def encode(model: EncoderModel, ids) -> np.ndarray:
     """Sentence embedding: mean over token positions of the last layer."""
-    return encode_with_trace(model, [ids])[0][0]
+    return encode_with_trace(model, *flat_ids(model, [ids]))[0][0]
 
 
 def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
@@ -293,7 +301,7 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     last bits can differ.
     """
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    flat, starts, lengths = _flat_ids(model, [encode_ids(model.vocab, clean(text), model.max_len) for text in slot])
+    flat, starts, lengths = flat_ids(model, (encode_ids(model.vocab, clean(text), model.max_len) for text in slot))
     seen = np.bincount(flat, minlength=len(model.vocab)) > 0
     table = _token_rows(model, np.flatnonzero(seen))
     slots = (np.cumsum(seen) - 1)[flat]  # each flat position's row of the table

@@ -21,14 +21,14 @@ from .encoder import EncoderModel, embed_text
 from .errors import DataError, NumericError
 
 _GRADED_WINDOW = 512  # graded pairs embedded per embed_text call; see CHANGES.md for the measurement
+SCORE_RANGE = (0.0, 5.0)  # the range every graded score must lie in
 
 
 @dataclass
 class GradedPairDataset:
-    """Sentence pairs with human-graded similarity scores in a declared range."""
+    """Sentence pairs with human-graded similarity scores in ``SCORE_RANGE``."""
 
     pairs: list[tuple[str, str, float]]
-    score_range: tuple[float, float] = (0.0, 5.0)
     name: str = "graded"
 
 
@@ -154,7 +154,7 @@ def eval_graded(model: EncoderModel, data: GradedPairDataset) -> EvalReport:
         metric="pearson",
         value=pearson(predicted, gold),
         per_query=None,
-        meta={"pairs": len(gold), "score_range": list(data.score_range)},
+        meta={"pairs": len(gold), "score_range": list(SCORE_RANGE)},
     )
 
 
@@ -173,12 +173,10 @@ def permutation_ndcg_baseline(
     return float(num_positives / discounts.size * discounts.sum() / discounts[:num_positives].sum())
 
 
-def load_graded_tsv(
-    path: str | Path, score_range: tuple[float, float] = (0.0, 5.0), name: str | None = None
-) -> GradedPairDataset:
-    """Read a graded-pair file: plain TSV rows of text1, text2, score."""
+def load_graded_tsv(path: str | Path) -> GradedPairDataset:
+    """Read a graded-pair file: plain TSV rows of text1, text2, score; the dataset is named by the file stem."""
     path = Path(path)
-    lo, hi = score_range
+    lo, hi = SCORE_RANGE
     pairs = []
     for lineno, (text1, text2, raw_score) in read_tsv(path, 3, "graded"):
         try:
@@ -194,4 +192,4 @@ def load_graded_tsv(
         raise DataError(f"{path}: need at least 2 graded pairs, got {len(pairs)}")
     if len({score for _, _, score in pairs}) < 2:
         raise DataError(f"{path}: gold scores are constant; Pearson is undefined")
-    return GradedPairDataset(pairs=pairs, score_range=score_range, name=name or path.stem)
+    return GradedPairDataset(pairs=pairs, name=path.stem)

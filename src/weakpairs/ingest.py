@@ -160,18 +160,18 @@ def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[T
 
 
 def merge_runs(per_file: Sequence[tuple[list[TweetRecord], ParseStats]]) -> tuple[list[TweetRecord], ParseStats]:
-    """Concatenate per-file parses, dropping duplicate ids (first occurrence wins)."""
+    """Concatenate per-file parses, dropping duplicate ids (first wins), each counted in its own file's stats."""
     seen: set[str] = set()
     merged: list[TweetRecord] = []
     totals = ParseStats()
     for records, stats in per_file:
-        totals.add(stats)
         for record in records:
             if record.id in seen:
-                totals.duplicate_ids += 1
+                stats.duplicate_ids += 1
                 continue
             seen.add(record.id)
             merged.append(record)
+        totals.add(stats)
     return merged, totals
 
 

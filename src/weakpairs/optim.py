@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import PairExample
-from .encoder import EncoderModel, RowGrad, backprop, encode_with_trace
+from .encoder import EncoderModel, RowGrad, backprop, encode_with_trace, flat_ids
 from .errors import DataError, NumericError
 from .textproc import encode_ids
 
@@ -27,6 +28,9 @@ LOSS_NAMES = (TRIPLET, MULTIPLE_NEGATIVES)
 SIMILARITY_MODES = ("cosine", "dot")
 
 ADAMW_BLOCK_ROWS = 512  # rows per AdamW block; see CHANGES.md for the measurement
+ADAMW_BETA1 = 0.9  # first-moment decay
+ADAMW_BETA2 = 0.999  # second-moment decay
+ADAMW_EPS = 1e-8  # added to the root of the second moment
 
 
 @dataclass
@@ -78,9 +82,6 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optimizer(params: dict[str, np.ndarray]) -> OptimizerState:
@@ -91,7 +92,7 @@ def init_optimizer(params: dict[str, np.ndarray]) -> OptimizerState:
 
 
 def triplet_loss(
-    s_a: np.ndarray, s_p: np.ndarray, s_n: np.ndarray, margin: float = 1.0
+    s_a: np.ndarray, s_p: np.ndarray, s_n: np.ndarray, margin: float = TrainConfig.margin
 ) -> tuple[float | np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Euclidean triplet loss and its gradients w.r.t. the three embeddings.
 
@@ -121,8 +122,8 @@ def triplet_loss(
 def mn_loss(
     anchors: np.ndarray,
     positives: np.ndarray,
-    scale: float = 20.0,
-    similarity: str = "cosine",
+    scale: float = TrainConfig.scale,
+    similarity: str = TrainConfig.similarity,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Multiple-negatives loss over a batch of n (anchor, positive) pairs.
 
@@ -177,7 +178,7 @@ def adamw_step(
     grads: dict[str, np.ndarray | RowGrad],
     state: OptimizerState,
     lr: float,
-    weight_decay: float = 0.0,
+    weight_decay: float = TrainConfig.weight_decay,
 ) -> OptimizerState:
     """One AdamW update in place: bias-corrected moments plus decoupled decay.
 
@@ -209,8 +210,8 @@ def adamw_step(
             raise NumericError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - ADAMW_BETA1**t
+    bias2 = 1.0 - ADAMW_BETA2**t
     decay = lr * weight_decay
     for name, param in params.items():
         (ids, rows), m, v = grads[name], state.m[name], state.v[name]
@@ -224,19 +225,19 @@ def adamw_step(
             # the block's touched rows, as a slice when that is all of them
             touched = slice(None) if hi - lo == len(p) else ids[lo:hi] - start
             g, ga = rows[lo:hi], a[: hi - lo]
-            mb *= state.beta1
-            np.multiply(g, 1.0 - state.beta1, out=ga)
+            mb *= ADAMW_BETA1
+            np.multiply(g, 1.0 - ADAMW_BETA1, out=ga)
             mb[touched] += ga
-            vb *= state.beta2
+            vb *= ADAMW_BETA2
             np.square(g, out=ga)
-            ga *= 1.0 - state.beta2
+            ga *= 1.0 - ADAMW_BETA2
             vb[touched] += ga
             # lr * (m / bias1) / (sqrt(v / bias2) + eps) + lr * weight_decay * param
             np.divide(mb, bias1, out=a)
             a *= lr
             np.divide(vb, bias2, out=b)
             np.sqrt(b, out=b)
-            b += state.eps
+            b += ADAMW_EPS
             a /= b
             np.multiply(p, decay, out=b)
             a += b
@@ -244,7 +245,7 @@ def adamw_step(
     return state
 
 
-def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 0.10) -> float:
+def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = TrainConfig.warmup_fraction) -> float:
     """Linear warm-up to base_lr, then linear decay to zero at total_steps."""
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
@@ -263,14 +264,15 @@ def train(
 ) -> tuple[EncoderModel, list[dict]]:
     """``config.epochs`` passes over the pairs with one optimizer and one lr schedule.
 
-    Each pair text is tokenized once.  Each epoch shuffles the pairs and
-    cuts them into batches; each step encodes and backpropagates the batch's
-    anchors and positives in one call each and takes an AdamW step.  A
-    step's trace and embeddings are freed once backprop returns and its
-    gradients once AdamW returns, so no step runs beside another's
-    activations.  The final partial batch of each epoch is dropped so the
-    in-batch negative distribution stays fixed.  Fully deterministic in
-    (model, pairs, config).
+    Each pair text is tokenized once into one ``flat_ids`` layout, all
+    anchors then all positives.  Each epoch shuffles the pairs and cuts them
+    into batches; each step encodes the batch's anchors and positives, its
+    rows of the layout, and backpropagates them in one call each and takes
+    an AdamW step.  A step's trace and embeddings are freed once backprop
+    returns and its gradients once AdamW returns, so no step runs beside
+    another's activations.  The final partial batch of each epoch is dropped
+    so the in-batch negative distribution stays fixed.  Fully deterministic
+    in (model, pairs, config).
     """
     problems = config.validate()
     if problems:
@@ -284,8 +286,8 @@ def train(
     state = init_optimizer(model.params)
     log: list[dict] = []
 
-    texts = [p.anchor_text for p in pairs] + [p.positive_text for p in pairs]
-    id_lists = [encode_ids(model.vocab, text, model.max_len) for text in texts]
+    texts = chain((p.anchor_text for p in pairs), (p.positive_text for p in pairs))
+    flat, starts, lengths = flat_ids(model, (encode_ids(model.vocab, text, model.max_len) for text in texts))
     for step in range(total_steps):
         b = step % batches_per_epoch
         if b == 0:
@@ -293,7 +295,8 @@ def train(
         rows = order[b * n : (b + 1) * n]
         lr = lr_at(step, total_steps, config.learning_rate, config.warmup_fraction)
 
-        vecs, trace = encode_with_trace(model, [id_lists[i] for i in np.concatenate([rows, rows + len(pairs)])])
+        batch = np.concatenate([rows, rows + len(pairs)])
+        vecs, trace = encode_with_trace(model, flat, starts[batch], lengths[batch])
         anchor_vecs, pos_vecs = vecs[:n], vecs[n:]
 
         if config.loss == MULTIPLE_NEGATIVES:

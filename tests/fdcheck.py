@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from weakpairs.encoder import EncoderModel, RowGrad, encode, encode_with_trace, init_model
+from weakpairs.encoder import EncoderModel, RowGrad, encode, encode_with_trace, flat_ids, init_model
 from weakpairs.textproc import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 FD_STEP = 1e-5
@@ -137,4 +137,4 @@ def sample_ragged_case(rng: np.random.Generator, max_batch: int = 5, **model_kwa
 
 
 def batch_objective(model: EncoderModel, id_lists, grad_out: np.ndarray) -> float:
-    return float(np.sum(grad_out * encode_with_trace(model, id_lists)[0]))
+    return float(np.sum(grad_out * encode_with_trace(model, *flat_ids(model, id_lists))[0]))

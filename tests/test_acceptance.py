@@ -30,7 +30,7 @@ from weakpairs.corpus import (
     read_benchmark,
     read_pairs,
 )
-from weakpairs.encoder import backprop, encode_with_trace, init_model
+from weakpairs.encoder import backprop, encode_with_trace, flat_ids, init_model
 from weakpairs.evaluate import (
     eval_ranking,
     ndcg,
@@ -61,7 +61,7 @@ def test_criterion_1_gradient_oracle():
     triples = 0
     while triples < 100:
         model, ids, grad_out = sample_smooth_case(rng, vocab_tokens=20)
-        _, trace = encode_with_trace(model, [ids])
+        _, trace = encode_with_trace(model, *flat_ids(model, [ids]))
         analytic = dense_grads(model, backprop(model, trace, [grad_out]))
         for name, param in model.params.items():
             numeric = central_diff_grad(lambda: scalar_objective(model, ids, grad_out), param)

@@ -134,10 +134,14 @@ class TestSynthIngest:
         for i, seed in enumerate((1, 2, 3)):
             assert run("--seed", seed, "synth", "--topics", 3, "--pairs-per-topic", 4,
                        "--vocab-size", 120, "--noise", 0.2, "--out", f"part{i}.jsonl") == 0
-        assert run("ingest", "--inputs", "part0.jsonl", "part1.jsonl", "part2.jsonl",
+        # a fourth file repeats three records of part0 and one of part2: four cross-file duplicates
+        lines = Path("part0.jsonl").read_text().splitlines()[:3] + Path("part2.jsonl").read_text().splitlines()[:1]
+        Path("part3.jsonl").write_text("\n".join(lines) + "\n")
+        assert run("ingest", "--inputs", "part0.jsonl", "part1.jsonl", "part2.jsonl", "part3.jsonl",
                    "--out", "records.jsonl") == 0
         stats = json.loads(Path("records.jsonl.stats.json").read_text())
-        for key in ("lines", "parsed", "malformed", "filtered_lang"):
+        assert [f["duplicate_ids"] for f in stats["per_file"].values()] == [0, 0, 0, 4]
+        for key in ("lines", "parsed", "malformed", "filtered_lang", "no_text", "duplicate_ids"):
             assert stats["totals"][key] == sum(f[key] for f in stats["per_file"].values())
 
     def test_ingest_glob_inputs(self, tmp_cwd):
@@ -335,6 +339,16 @@ class TestTrainEval:
         assert report["metric"] == "ndcg"
         assert 0.0 <= report["value"] <= 1.0
         assert len(report["per_query"]) == 2
+
+    def test_two_evals_of_one_checkpoint_write_identical_reports(self, store):
+        self.prepare(store)
+        run("--seed", 11, "train", "--pairs", "built/pairs_qt.tsv", "--batch-size", 8,
+            "--dim", 16, "--vocab-size", 500, "--out", "model.ckpt")
+        for out_dir in ("first", "second"):
+            assert run("eval", "--checkpoint", "model.ckpt", "--inputs", "built/bench_dq.jsonl",
+                       "--out-dir", out_dir) == 0
+        report = Path("first/report_bench_dq.json").read_bytes()
+        assert report == Path("second/report_bench_dq.json").read_bytes()
 
     def test_eval_graded_tsv_input(self, store, capsys):
         self.prepare(store)

@@ -26,6 +26,7 @@ from weakpairs.encoder import (
     embed_text,
     encode,
     encode_with_trace,
+    flat_ids,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -131,7 +132,7 @@ class TestEncode:
     def test_normalize_zero_vector_flagged_not_inf(self):
         model = init_model(toy_vocab(4), dim=3, use_block=False, seed=0, normalize_output=True)
         model.params["embedding"][2] = 0.0  # pooled vector is exactly zero
-        vecs, trace = encode_with_trace(model, [[2]])
+        vecs, trace = encode_with_trace(model, *flat_ids(model, [[2]]))
         assert trace.norm[0, 0] == np.inf  # the zero norm, as a divisor that gives zero
         np.testing.assert_array_equal(vecs, np.zeros((1, 3)))
 
@@ -143,7 +144,7 @@ class TestTrace:
             model = init_model(toy_vocab(15), dim=4, use_block=True, seed=int(rng.integers(1e6)))
             ids = list(rng.integers(1, 17, size=5))
             plain = encode(model, ids)
-            traced, trace = encode_with_trace(model, [ids])
+            traced, trace = encode_with_trace(model, *flat_ids(model, [ids]))
             np.testing.assert_array_equal(plain, traced[0])
             relu = np.maximum(trace.h1 @ model.params["w_1"], 0.0)
             assert trace.relu_on.dtype == bool
@@ -153,7 +154,7 @@ class TestTrace:
 
     def test_stale_trace_rejected(self):
         model = init_model(toy_vocab(5), dim=3, use_block=False, seed=0)
-        _, trace = encode_with_trace(model, [[2, 3]])
+        _, trace = encode_with_trace(model, *flat_ids(model, [[2, 3]]))
         model.version += 1  # simulate a parameter update
         with pytest.raises(ValueError, match="stale trace"):
             backprop(model, trace, np.ones((1, 3)))
@@ -162,7 +163,7 @@ class TestTrace:
 class TestBackprop:
     def test_zero_grad_out_gives_zero_gradients(self):
         model = init_model(toy_vocab(8), dim=4, use_block=True, seed=5)
-        _, trace = encode_with_trace(model, [[2, 3, 4]])
+        _, trace = encode_with_trace(model, *flat_ids(model, [[2, 3, 4]]))
         grads = dense_grads(model, backprop(model, trace, np.zeros((1, 4))))
         for arr in grads.values():
             assert np.all(arr == 0.0)
@@ -171,14 +172,14 @@ class TestBackprop:
         # without the block, d<g, mean>/d row_t = g / n_tokens per occurrence
         model = init_model(toy_vocab(6), dim=3, use_block=False, seed=0)
         g = np.array([1.0, -2.0, 0.5])
-        _, trace = encode_with_trace(model, [[4, 4, 5]])
+        _, trace = encode_with_trace(model, *flat_ids(model, [[4, 4, 5]]))
         grads = dense_grads(model, backprop(model, trace, [g]))
         np.testing.assert_allclose(grads["embedding"][4], 2.0 * g / 3.0)
         np.testing.assert_allclose(grads["embedding"][5], g / 3.0)
 
     def test_untouched_rows_zero_and_pad_forced_zero(self):
         model = init_model(toy_vocab(8), dim=3, use_block=False, seed=1)
-        _, trace = encode_with_trace(model, [[3]])
+        _, trace = encode_with_trace(model, *flat_ids(model, [[3]]))
         grads = dense_grads(model, backprop(model, trace, np.ones((1, 3))))
         assert np.all(grads["embedding"][PAD_ID] == 0.0)
         touched = np.any(grads["embedding"] != 0.0, axis=1)
@@ -186,7 +187,7 @@ class TestBackprop:
 
     def test_grad_out_shape_checked(self):
         model = init_model(toy_vocab(5), dim=3, use_block=False, seed=0)
-        _, trace = encode_with_trace(model, [[2]])
+        _, trace = encode_with_trace(model, *flat_ids(model, [[2]]))
         with pytest.raises(ValueError):
             backprop(model, trace, np.ones((1, 4)))
 
@@ -197,7 +198,7 @@ class TestBackprop:
             model, ids, grad_out = sample_smooth_case(
                 rng, vocab_tokens=12, use_block=use_block, normalize_output=normalize
             )
-            _, trace = encode_with_trace(model, [ids])
+            _, trace = encode_with_trace(model, *flat_ids(model, [ids]))
             analytic = dense_grads(model, backprop(model, trace, [grad_out]))
             for name, param in model.params.items():
                 numeric = central_diff_grad(
@@ -208,7 +209,7 @@ class TestBackprop:
     def test_repeated_token_gradient_accumulates(self):
         model = init_model(toy_vocab(6), dim=2, use_block=False, seed=0)
         g = np.array([1.0, 1.0])
-        _, trace = encode_with_trace(model, [[2, 2, 2, 2]])
+        _, trace = encode_with_trace(model, *flat_ids(model, [[2, 2, 2, 2]]))
         grads = dense_grads(model, backprop(model, trace, [g]))
         np.testing.assert_allclose(grads["embedding"][2], g)  # 4 occurrences of g/4
 
@@ -217,7 +218,7 @@ def _single_sentence_grads(model, id_lists, grad_out):
     """The reference: one trace and one backprop per sentence, summed."""
     total = {name: np.zeros_like(param) for name, param in model.params.items()}
     for ids, g in zip(id_lists, grad_out):
-        _, trace = encode_with_trace(model, [ids])
+        _, trace = encode_with_trace(model, *flat_ids(model, [ids]))
         for name, grad in dense_grads(model, backprop(model, trace, [g])).items():
             total[name] += grad
     return total
@@ -322,7 +323,7 @@ class TestBatch:
             )
             lengths = [1, *rng.integers(1, 17, size=rng.integers(0, 7))]
             id_lists = [list(rng.integers(1, 22, size=n)) for n in rng.permutation(lengths)]
-            vecs, _ = encode_with_trace(model, id_lists)
+            vecs, _ = encode_with_trace(model, *flat_ids(model, id_lists))
             reference = np.array([_reference_forward(model, ids) for ids in id_lists])
             assert np.max(np.abs(vecs - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -330,11 +331,11 @@ class TestBatch:
     @given(ragged_batches())
     def test_padding_changes_no_row_and_no_gradient(self, case):
         model, id_lists, grad_out, perm = case
-        vecs, trace = encode_with_trace(model, id_lists)
+        vecs, trace = encode_with_trace(model, *flat_ids(model, id_lists))
         assert trace.ids.tobytes() == _padded(id_lists)[0].tobytes()
         for row, ids in zip(vecs, id_lists):
             np.testing.assert_allclose(row, encode(model, ids), rtol=0, atol=1e-12)
-        permuted, _ = encode_with_trace(model, [id_lists[i] for i in perm])
+        permuted, _ = encode_with_trace(model, *flat_ids(model, [id_lists[i] for i in perm]))
         np.testing.assert_allclose(permuted, vecs[perm], rtol=0, atol=1e-12)
         batched = dense_grads(model, backprop(model, trace, grad_out))
         for name, reference in _single_sentence_grads(model, id_lists, grad_out).items():
@@ -344,7 +345,7 @@ class TestBatch:
     @given(ragged_batches())
     def test_embedding_gradient_is_compact_and_bitwise_the_dense_sum(self, case):
         model, id_lists, grad_out, _ = case
-        _, trace = encode_with_trace(model, id_lists)
+        _, trace = encode_with_trace(model, *flat_ids(model, id_lists))
         seen = []
 
         def recording(ids, values):
@@ -391,7 +392,7 @@ class TestBatch:
             model, id_lists, grad_out = sample_ragged_case(
                 rng, vocab_tokens=12, use_block=use_block, normalize_output=normalize
             )
-            _, trace = encode_with_trace(model, id_lists)
+            _, trace = encode_with_trace(model, *flat_ids(model, id_lists))
             analytic = dense_grads(model, backprop(model, trace, grad_out))
             for name, param in model.params.items():
                 numeric = central_diff_grad(lambda: batch_objective(model, id_lists, grad_out), param)
@@ -402,13 +403,13 @@ class TestBatch:
         model.params["embedding"][2] = 0.0  # sentence [2] pools to the zero vector
         id_lists = [[3, 4, 5], [2], [6, 7]]
         grad_out = np.random.default_rng(0).standard_normal((3, 3))
-        vecs, trace = encode_with_trace(model, id_lists)
+        vecs, trace = encode_with_trace(model, *flat_ids(model, id_lists))
         np.testing.assert_array_equal(vecs[1], np.zeros(3))
         zero_row = dense_grads(model, backprop(model, trace, grad_out * [[0.0], [1.0], [0.0]]))
         for grad in zero_row.values():
             assert np.all(grad == 0.0)
         others = [id_lists[0], id_lists[2]]
-        _, trace_others = encode_with_trace(model, others)
+        _, trace_others = encode_with_trace(model, *flat_ids(model, others))
         alone = dense_grads(model, backprop(model, trace_others, grad_out[[0, 2]]))
         together = dense_grads(model, backprop(model, trace, grad_out))
         np.testing.assert_allclose(together["embedding"], alone["embedding"], rtol=0, atol=1e-15)
@@ -451,7 +452,7 @@ class TestBatch:
         model.params["embedding"][5] = 0.0  # token 5 scores exactly zero against every key
         rng = np.random.default_rng(3)
         id_lists = [[5, *rng.integers(2, 42, size=5)] for _ in range(4)]
-        vecs, trace = encode_with_trace(model, id_lists)
+        vecs, trace = encode_with_trace(model, *flat_ids(model, id_lists))
         masked, acts = _masked_encode(model, id_lists)
         assert vecs.tobytes() == masked.tobytes()
         if use_block:

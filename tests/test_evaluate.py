@@ -298,7 +298,7 @@ class TestEvalGraded:
             ("tok005 tok006", "tok005 tok007", 3.0),
             ("tok008", "tok009", 2.0),
         ]
-        data = GradedPairDataset(pairs=pairs, score_range=(0, 5))
+        data = GradedPairDataset(pairs=pairs)
         report = eval_graded(model, data)
         assert report.metric == "pearson"
         assert -1.0 <= report.value <= 1.0
@@ -349,7 +349,7 @@ class TestGradedFile:
         path = tmp_path / "graded.tsv"
         path.write_text("a\tb\t9.5\nc\td\t1\n")
         with pytest.raises(DataError, match="line 1"):
-            load_graded_tsv(path, score_range=(0, 5))
+            load_graded_tsv(path)
 
     def test_constant_gold_rejected(self, tmp_path):
         path = tmp_path / "graded.tsv"

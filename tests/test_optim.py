@@ -7,10 +7,13 @@ import pytest
 
 from fdcheck import dense_grads, max_rel_error, toy_vocab
 from weakpairs.corpus import PairExample
-from weakpairs.encoder import RowGrad, backprop, encode_with_trace, init_model
+from weakpairs.encoder import RowGrad, backprop, encode_with_trace, flat_ids, init_model
 from weakpairs.errors import DataError, NumericError
 from weakpairs.optim import (
+    ADAMW_BETA1,
+    ADAMW_BETA2,
     ADAMW_BLOCK_ROWS,
+    ADAMW_EPS,
     MULTIPLE_NEGATIVES,
     TRIPLET,
     OptimizerState,
@@ -210,15 +213,15 @@ class TestMnLoss:
 def unblocked_adamw_step(params, grads, state, lr, weight_decay):
     """Reference AdamW: whole-array expressions, no blocks, no scratch buffers."""
     state.step += 1
-    bias1 = 1.0 - state.beta1**state.step
-    bias2 = 1.0 - state.beta2**state.step
+    bias1 = 1.0 - ADAMW_BETA1**state.step
+    bias2 = 1.0 - ADAMW_BETA2**state.step
     for name, param in params.items():
         grad, m, v = grads[name], state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(grad)
-        update = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= ADAMW_BETA1
+        m += (1.0 - ADAMW_BETA1) * grad
+        v *= ADAMW_BETA2
+        v += (1.0 - ADAMW_BETA2) * np.square(grad)
+        update = lr * (m / bias1) / (np.sqrt(v / bias2) + ADAMW_EPS)
         update += lr * weight_decay * param
         param -= update
 
@@ -495,9 +498,9 @@ class TestTrainEpoch:
         )
         steps, triplet_calls = [], []
 
-        def recording_encode(model, id_lists):
-            vecs, trace = real_encode(model, id_lists)
-            steps.append({"id_lists": id_lists, "vecs": vecs.copy()})
+        def recording_encode(model, *layout):
+            vecs, trace = real_encode(model, *layout)
+            steps.append({"layout": layout, "vecs": vecs.copy()})
             return vecs, trace
 
         def recording_backprop(model, trace, grad_out):
@@ -506,7 +509,7 @@ class TestTrainEpoch:
             step["ref_loss"], step["ref_grad_out"] = per_row_triplet_step(
                 step["vecs"][:n], step["vecs"][n:], ref_rng, config.margin
             )
-            _, ref_trace = real_encode(model, step["id_lists"])
+            _, ref_trace = real_encode(model, *step["layout"])
             step["ref_grads"] = dense_grads(model, real_backprop(model, ref_trace, step["ref_grad_out"]))
             step["grad_out"] = grad_out.copy()
             grads = real_backprop(model, trace, grad_out)
@@ -609,7 +612,8 @@ class TestTrainEpoch:
                 order = order_rng.permutation(len(pairs))
             batch = [pairs[i] for i in order[step % per_epoch * n : (step % per_epoch + 1) * n]]
             texts = [p.anchor_text for p in batch] + [p.positive_text for p in batch]
-            vecs, trace = encode_with_trace(model, [encode_ids(vocab, t, model.max_len) for t in texts])
+            layout = flat_ids(model, [encode_ids(vocab, t, model.max_len) for t in texts])
+            vecs, trace = encode_with_trace(model, *layout)
             _, grad_a, grad_p = mn_loss(vecs[:n], vecs[n:], scale=config.scale, similarity=config.similarity)
             grads = dense_grads(model, backprop(model, trace, np.concatenate([grad_a, grad_p])))
             lr = lr_at(step, total, config.learning_rate, config.warmup_fraction)
@@ -643,9 +647,9 @@ class TestTrainEpoch:
         real_forward, real_backprop = optim_mod.encode_with_trace, optim_mod.backprop
         step_data, alive = [], []
 
-        def probed_forward(model, id_lists):
+        def probed_forward(model, *layout):
             alive.append([ref() is not None for ref in step_data])
-            vecs, trace = real_forward(model, id_lists)
+            vecs, trace = real_forward(model, *layout)
             step_data.append(weakref.ref(trace))
             return vecs, trace
 
@@ -660,6 +664,36 @@ class TestTrainEpoch:
         _, log = train(tiny_trainable_model(pairs), pairs, TrainConfig(loss=loss, batch_size=5))
         assert len(log) == len(alive) == 4
         assert alive == [[False] * (2 * step) for step in range(4)]
+
+    def test_every_step_reads_rows_of_one_layout(self, monkeypatch):
+        # the pair texts are laid out once per call: every forward gets the same flat array,
+        # holding all anchors, then all positives, and its batch's rows of it
+        import weakpairs.optim as optim_mod
+        from weakpairs.textproc import encode_ids
+
+        real_forward = optim_mod.encode_with_trace
+        layouts = []
+
+        def probed_forward(model, flat, starts, lengths):
+            layouts.append((flat, starts, lengths))
+            return real_forward(model, flat, starts, lengths)
+
+        monkeypatch.setattr(optim_mod, "encode_with_trace", probed_forward)
+        pairs = topic_pairs(20)
+        model = tiny_trainable_model(pairs)
+        _, log = train(model, pairs, TrainConfig(batch_size=5, epochs=2))
+        texts = [p.anchor_text for p in pairs] + [p.positive_text for p in pairs]
+        expected = [encode_ids(model.vocab, text, model.max_len) for text in texts]
+        flat = layouts[0][0]
+        assert len(layouts) == len(log) == 8
+        assert all(layout[0] is flat for layout in layouts)
+        assert flat.dtype == np.intp and flat.tolist() == [i for ids in expected for i in ids] + [PAD_ID]
+        text_starts = np.cumsum([0] + [len(ids) for ids in expected])[:-1]
+        for _, starts, lengths in layouts:
+            text_rows = np.searchsorted(text_starts, starts)
+            assert text_starts[text_rows].tolist() == starts.tolist()
+            assert lengths.tolist() == [len(expected[i]) for i in text_rows]
+            assert text_rows[5:].tolist() == (text_rows[:5] + len(pairs)).tolist()  # each anchor's own positive
 
     def test_multi_epoch_schedule_spans_all_steps(self):
         pairs = topic_pairs(20)
