@@ -1,17 +1,19 @@
 """Command-line pipeline: synth, ingest, build, train, eval, sweep.
 
 Every subcommand is deterministic under ``--seed``: stage-level seeds are
-derived from the master seed by stable hashing of stage names, and each run
-writes a manifest (resolved settings, inputs, output hashes) next to its
-outputs.  Each output, the manifest included, must name a file of its own
-that is none of the stage's inputs.  Exit codes: 0 success, 1 usage, 2 data
-error, 3 numeric failure.
+derived from the master seed by stable hashing of stage names, and the
+OpenBLAS NumPy loaded runs on one thread, so no sum depends on
+``OPENBLAS_NUM_THREADS``.  Each run writes a manifest (resolved settings,
+inputs, output hashes) next to its outputs.  Each output, the manifest
+included, must name a file of its own that is none of the stage's inputs.
+Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import glob
 import hashlib
@@ -30,7 +32,7 @@ from . import optim as optim_mod
 from . import synth as synth_mod
 from .atomic import atomic_write, write_jsonl
 from .errors import DataError, NumericError, UsageError
-from .textproc import build_vocab
+from .textproc import build_vocab, clean
 
 # Every setting is a config key, a flag and a manifest entry.  Training settings
 # are the TrainConfig fields (its seed is derived per stage, never set); encoder
@@ -194,8 +196,8 @@ def _flag_overrides(args) -> dict[str, object]:
 
 
 def _init_encoder(pairs: list[corpus_mod.PairExample], settings: dict, seed: int) -> encoder_mod.EncoderModel:
-    """Fresh encoder over a vocabulary built from the pairs' texts."""
-    texts = [p.anchor_text for p in pairs] + [p.positive_text for p in pairs]
+    """Fresh encoder over a vocabulary built from the pairs' cleaned texts, the texts training tokenizes."""
+    texts = [clean(p.anchor_text) for p in pairs] + [clean(p.positive_text) for p in pairs]
     vocab = build_vocab(texts, max_size=settings["vocab_size"])
     return encoder_mod.init_model(vocab, seed=seed, **{key: settings[key] for key in encoder_mod.ENCODER_SETTINGS})
 
@@ -552,7 +554,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS this process loaded to one thread; with none found, do nothing.
+
+    OpenBLAS splits a large product over its threads, and the split changes
+    how its sums round, so a checkpoint trained at two threads differs in
+    its last bits from one trained at one.  At this model's widths a second
+    thread buys no speed.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            libraries = {line.split()[-1] for line in handle if "openblas" in line and ".so" in line}
+        for path in sorted(libraries):
+            library = ctypes.CDLL(path)
+            for symbol in ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+                setter = getattr(library, symbol, None)
+                if setter is not None:
+                    setter(1)
+    except OSError:  # no /proc (not Linux), or a library that cannot be opened again
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,8 +2,11 @@
 
 The forward pass is: token-embedding lookup, optionally one self-attention +
 feed-forward block (single head, residual connections, no positional
-encodings), then a MEAN pool over token positions.  Everything is plain
-float64 numpy so gradients can be derived by hand and checked against
+encodings), then a MEAN pool over token positions.  The pooled vector is the
+embedding, with no normalization: training's multiple-negatives loss and
+every benchmark compare embeddings by cosine, which does not see their
+length, and the triplet loss is defined on the raw vectors.  Everything is
+plain float64 numpy so gradients can be derived by hand and checked against
 central finite differences.
 
 The block's output at each position is ``relu @ w_2 + h1``.  Mean pooling is
@@ -39,7 +42,6 @@ keeps no trace, never builds it.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 from itertools import chain
@@ -52,8 +54,6 @@ from .atomic import atomic_write
 from .errors import DataError
 from .textproc import PAD_ID, Vocabulary, clean, encode_ids
 
-logger = logging.getLogger(__name__)
-
 CHECKPOINT_FORMAT_VERSION = 1
 INIT_SCALE = 0.05
 _EMBED_CHUNK = 8  # texts per encode in embed_text; see CHANGES.md for the measurement
@@ -65,13 +65,12 @@ class EncoderModel:
     params: dict[str, np.ndarray]
     dim: int = 64
     use_block: bool = True
-    normalize_output: bool = False
     max_len: int = 64
     version: int = field(default=0, init=False)  # parameter updates so far, not a setting
 
 
 # EncoderModel's setting fields, in checkpoint header order; also init_model's keywords and the CLI's keys
-ENCODER_SETTINGS = ("dim", "use_block", "normalize_output", "max_len")
+ENCODER_SETTINGS = ("dim", "use_block", "max_len")
 
 
 def setting_problems(settings: dict) -> list[str]:
@@ -80,9 +79,8 @@ def setting_problems(settings: dict) -> list[str]:
     for key, low in (("dim", 2), ("max_len", 1)):
         if type(settings[key]) is not int or settings[key] < low:
             problems.append(f"{key} must be an integer >= {low}; got {settings[key]!r}")
-    for key in ("use_block", "normalize_output"):
-        if type(settings[key]) is not bool:
-            problems.append(f"{key} must be true or false; got {settings[key]!r}")
+    if type(settings["use_block"]) is not bool:
+        problems.append(f"use_block must be true or false; got {settings['use_block']!r}")
     return problems
 
 
@@ -123,8 +121,6 @@ class ForwardTrace:
     h1: np.ndarray | None = None
     relu_on: np.ndarray | None = None  # (B, L, 2 * dim) bool: where the feed-forward pre-activation is > 0
     pooled_relu: np.ndarray | None = None  # (B, 2 * dim) relu mean-pooled, the input w_2 sees
-    # (B, 1) pooled norms when normalizing output, inf for a zero vector so it divides to zero
-    norm: np.ndarray | None = None
 
 
 def _param_shapes(vocab_size: int, dim: int, use_block: bool) -> list[tuple[str, tuple[int, int]]]:
@@ -214,7 +210,7 @@ def _batch_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, n
 def _encode(
     model: EncoderModel, real: np.ndarray, rows: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Attention, feed-forward, pool and normalization over padded positions whose token rows are given.
+    """Attention, feed-forward and pool over padded positions whose token rows are given.
 
     ``real`` is the (B, L) real-token mask and ``rows`` is ``_token_rows``
     of the padded ids, with (B, L, dim) arrays computed per position or
@@ -246,13 +242,7 @@ def _encode(
     else:
         pooled = _pool(pool, rows[0])
     acts["pooled"] = pooled
-    if not model.normalize_output:
-        return pooled, acts
-    norm = np.linalg.norm(pooled, axis=1, keepdims=True)
-    if not norm.all():
-        logger.warning("normalize_output hit a zero-norm pooled vector; returning zeros")
-    acts["norm"] = np.where(norm > 0.0, norm, np.inf)
-    return pooled / acts["norm"], acts
+    return pooled, acts
 
 
 def encode_with_trace(
@@ -345,18 +335,12 @@ def backprop(
     grads = {}
     p = model.params
 
-    if model.normalize_output:
-        unit = trace.pooled / trace.norm
-        d_pooled = (grad_out - (grad_out * unit).sum(axis=1, keepdims=True) * unit) / trace.norm
-    else:
-        d_pooled = grad_out
-
     # mean pool spreads each row's gradient evenly over its real tokens
-    d_tokens = trace.pool[:, :, None] * d_pooled[:, None, :]
+    d_tokens = trace.pool[:, :, None] * grad_out[:, None, :]
 
     if model.use_block:
-        grads["w_2"] = trace.pooled_relu.T @ d_pooled
-        d_z = trace.pool[:, :, None] * (d_pooled @ p["w_2"].T)[:, None, :]
+        grads["w_2"] = trace.pooled_relu.T @ grad_out
+        d_z = trace.pool[:, :, None] * (grad_out @ p["w_2"].T)[:, None, :]
         d_z *= trace.relu_on
         grads["w_1"] = _rows(trace.h1).T @ _rows(d_z)
         d_h1 = d_z @ p["w_1"].T
@@ -475,6 +459,10 @@ def _model_from_header(path: Path, header_line: bytes) -> tuple[EncoderModel, li
     problems = setting_problems(settings) + [
         f"{key} must be an integer; got {value!r}" for key, value in numbers.items() if type(value) is not int
     ]
+    # older checkpoints carry a normalize_output flag; only its default, false, is the model this encoder runs
+    legacy = header.get("normalize_output", False)
+    if legacy is not False:
+        problems.append(f"normalize_output must be false, as this encoder does not normalize; got {legacy!r}")
     if type(vocab.max_size) is int and vocab.max_size < len(vocab):
         problems.append(f"vocab.max_size must be >= 2 and >= its {len(vocab)} tokens; got {vocab.max_size}")
     problems += [f"vocab.tokens[{i}] must be a string; got {token!r}"

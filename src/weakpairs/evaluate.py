@@ -8,14 +8,13 @@ discount over the full candidate list unless a cutoff is requested.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .atomic import atomic_write, read_tsv
+from .atomic import read_tsv, write_jsonl
 from .corpus import NEGATIVES_PER_QUERY, POSITIVES_PER_QUERY, RankingBenchmark
 from .encoder import EncoderModel, embed_text
 from .errors import DataError, NumericError
@@ -41,8 +40,7 @@ class EvalReport:
     meta: dict = field(default_factory=dict)
 
     def write(self, path: str | Path) -> None:
-        with atomic_write(path, encoding="utf-8") as handle:
-            handle.write(json.dumps(asdict(self), ensure_ascii=False) + "\n")
+        write_jsonl(path, [asdict(self)])
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> np.ndarray:

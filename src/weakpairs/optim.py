@@ -4,7 +4,9 @@ Two losses are provided.  The triplet loss hinges on Euclidean distances:
 ``max(||s_a - s_p|| - ||s_a - s_n|| + margin, 0)``.  The multiple-negatives
 loss treats every in-batch pairing (a_i, p_j) with i != j as a negative and
 minimizes the negative log-likelihood of the matching pair under a row-wise
-softmax over scaled cosine scores.
+softmax over scaled cosine scores, the comparison eval makes too.  Pair texts
+are cleaned before they are tokenized, as ``embed_text`` cleans eval text, so
+a pair file of raw text trains the model its cleaned twin trains.
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ import numpy as np
 from .corpus import PairExample
 from .encoder import EncoderModel, RowGrad, backprop, encode_with_trace, flat_ids
 from .errors import DataError, NumericError
-from .textproc import encode_ids
+from .textproc import clean, encode_ids
 
 TRIPLET = "triplet"
 MULTIPLE_NEGATIVES = "multiple_negatives"
 LOSS_NAMES = (TRIPLET, MULTIPLE_NEGATIVES)
-
-SIMILARITY_MODES = ("cosine", "dot")
 
 ADAMW_BLOCK_ROWS = 512  # rows per AdamW block; see CHANGES.md for the measurement
 ADAMW_BETA1 = 0.9  # first-moment decay
@@ -38,7 +38,6 @@ class TrainConfig:
     loss: str = MULTIPLE_NEGATIVES
     margin: float = 1.0
     scale: float = 20.0
-    similarity: str = "cosine"
     batch_size: int = 50
     learning_rate: float = 1e-3
     warmup_fraction: float = 0.10
@@ -51,10 +50,6 @@ class TrainConfig:
         problems = []
         if self.loss not in LOSS_NAMES:
             problems.append(f"loss must be one of {', '.join(LOSS_NAMES)}; got {self.loss!r}")
-        if self.similarity not in SIMILARITY_MODES:
-            problems.append(
-                f"similarity must be one of {', '.join(SIMILARITY_MODES)}; got {self.similarity!r}"
-            )
         for name in ("margin", "scale", "learning_rate", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 problems.append(f"{name} must be finite; got {getattr(self, name)}")
@@ -120,16 +115,14 @@ def triplet_loss(
 
 
 def mn_loss(
-    anchors: np.ndarray,
-    positives: np.ndarray,
-    scale: float = TrainConfig.scale,
-    similarity: str = TrainConfig.similarity,
+    anchors: np.ndarray, positives: np.ndarray, scale: float = TrainConfig.scale
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Multiple-negatives loss over a batch of n (anchor, positive) pairs.
 
-    Scores are ``scale * sim(a_i, p_j)``; the loss is the mean over rows of
+    Scores are ``scale * cos(a_i, p_j)``; the loss is the mean over rows of
     the negative log-likelihood of the diagonal entry under a row softmax.
-    Returns (loss, grads w.r.t. anchors, grads w.r.t. positives).
+    Returns (loss, grads w.r.t. anchors, grads w.r.t. positives).  A
+    zero-norm row has no cosine and is a ``NumericError``.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     positives = np.asarray(positives, dtype=np.float64)
@@ -141,19 +134,14 @@ def mn_loss(
     n = anchors.shape[0]
     if n < 1:
         raise ValueError("need at least one pair")
-    if similarity not in SIMILARITY_MODES:
-        raise ValueError(f"similarity must be one of {SIMILARITY_MODES}, got {similarity!r}")
 
-    if similarity == "cosine":
-        a_norms = np.linalg.norm(anchors, axis=1, keepdims=True)
-        p_norms = np.linalg.norm(positives, axis=1, keepdims=True)
-        if np.any(a_norms == 0.0) or np.any(p_norms == 0.0):
-            raise NumericError("cosine similarity undefined for zero-norm embeddings")
-        a_hat = anchors / a_norms
-        p_hat = positives / p_norms
-        scores = scale * (a_hat @ p_hat.T)
-    else:
-        scores = scale * (anchors @ positives.T)
+    a_norms = np.linalg.norm(anchors, axis=1, keepdims=True)
+    p_norms = np.linalg.norm(positives, axis=1, keepdims=True)
+    if np.any(a_norms == 0.0) or np.any(p_norms == 0.0):
+        raise NumericError("cosine similarity undefined for zero-norm embeddings")
+    a_hat = anchors / a_norms
+    p_hat = positives / p_norms
+    scores = scale * (a_hat @ p_hat.T)
 
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -161,15 +149,11 @@ def mn_loss(
 
     probs = np.exp(log_probs)
     d_scores = (probs - np.eye(n)) / n
-    if similarity == "cosine":
-        d_a_hat = scale * (d_scores @ p_hat)
-        d_p_hat = scale * (d_scores.T @ a_hat)
-        # back through the row normalizations
-        grad_a = (d_a_hat - (d_a_hat * a_hat).sum(axis=1, keepdims=True) * a_hat) / a_norms
-        grad_p = (d_p_hat - (d_p_hat * p_hat).sum(axis=1, keepdims=True) * p_hat) / p_norms
-    else:
-        grad_a = scale * (d_scores @ positives)
-        grad_p = scale * (d_scores.T @ anchors)
+    d_a_hat = scale * (d_scores @ p_hat)
+    d_p_hat = scale * (d_scores.T @ a_hat)
+    # back through the row normalizations
+    grad_a = (d_a_hat - (d_a_hat * a_hat).sum(axis=1, keepdims=True) * a_hat) / a_norms
+    grad_p = (d_p_hat - (d_p_hat * p_hat).sum(axis=1, keepdims=True) * p_hat) / p_norms
     return loss, grad_a, grad_p
 
 
@@ -264,15 +248,15 @@ def train(
 ) -> tuple[EncoderModel, list[dict]]:
     """``config.epochs`` passes over the pairs with one optimizer and one lr schedule.
 
-    Each pair text is tokenized once into one ``flat_ids`` layout, all
-    anchors then all positives.  Each epoch shuffles the pairs and cuts them
-    into batches; each step encodes the batch's anchors and positives, its
-    rows of the layout, and backpropagates them in one call each and takes
-    an AdamW step.  A step's trace and embeddings are freed once backprop
-    returns and its gradients once AdamW returns, so no step runs beside
-    another's activations.  The final partial batch of each epoch is dropped
-    so the in-batch negative distribution stays fixed.  Fully deterministic
-    in (model, pairs, config).
+    Each pair text is cleaned and tokenized once into one ``flat_ids``
+    layout, all anchors then all positives.  Each epoch shuffles the pairs
+    and cuts them into batches; each step encodes the batch's anchors and
+    positives, its rows of the layout, and backpropagates them in one call
+    each and takes an AdamW step.  A step's trace and embeddings are freed
+    once backprop returns and its gradients once AdamW returns, so no step
+    runs beside another's activations.  The final partial batch of each
+    epoch is dropped so the in-batch negative distribution stays fixed.
+    Fully deterministic in (model, pairs, config).
     """
     problems = config.validate()
     if problems:
@@ -287,7 +271,8 @@ def train(
     log: list[dict] = []
 
     texts = chain((p.anchor_text for p in pairs), (p.positive_text for p in pairs))
-    flat, starts, lengths = flat_ids(model, (encode_ids(model.vocab, text, model.max_len) for text in texts))
+    ids = (encode_ids(model.vocab, clean(text), model.max_len) for text in texts)
+    flat, starts, lengths = flat_ids(model, ids)
     for step in range(total_steps):
         b = step % batches_per_epoch
         if b == 0:
@@ -300,9 +285,7 @@ def train(
         anchor_vecs, pos_vecs = vecs[:n], vecs[n:]
 
         if config.loss == MULTIPLE_NEGATIVES:
-            loss, grad_a, grad_p = mn_loss(
-                anchor_vecs, pos_vecs, scale=config.scale, similarity=config.similarity
-            )
+            loss, grad_a, grad_p = mn_loss(anchor_vecs, pos_vecs, scale=config.scale)
         else:
             # each row's negative is the positive text of another row of the batch
             negatives = (np.arange(n) + 1 + rng.integers(0, n - 1, size=n)) % n

@@ -61,45 +61,34 @@ def random_model(
     vocab_tokens: int = 20,
     dim: int | None = None,
     use_block: bool | None = None,
-    normalize_output: bool | None = None,
 ) -> EncoderModel:
     if dim is None:
         dim = int(rng.integers(2, 9))
     if use_block is None:
         use_block = bool(rng.integers(0, 2))
-    if normalize_output is None:
-        normalize_output = bool(rng.integers(0, 2))
     return init_model(
         toy_vocab(vocab_tokens),
         dim=dim,
         use_block=use_block,
         seed=int(rng.integers(0, 2**31)),
-        normalize_output=normalize_output,
         max_len=16,
     )
 
 
 def _min_preactivation(model: EncoderModel, ids) -> float:
-    """Smallest |relu pre-activation| (and pooled norm if normalizing) on this input."""
+    """Smallest |relu pre-activation| on this input; infinite without the block, which has no kink."""
+    if not model.use_block:
+        return np.inf
     p = model.params
     x = p["embedding"][list(ids), :]
-    margins = [np.inf]
-    if model.use_block:
-        q = x @ p["w_q"]
-        k = x @ p["w_k"]
-        v = x @ p["w_v"]
-        scores = (q @ k.T) / np.sqrt(model.dim)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        attn = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        h1 = x + attn @ v
-        z = h1 @ p["w_1"]
-        margins.append(float(np.min(np.abs(z))))
-        h2 = h1 + np.maximum(z, 0.0) @ p["w_2"]
-    else:
-        h2 = x
-    if model.normalize_output:
-        margins.append(float(np.linalg.norm(h2.mean(axis=0))))
-    return min(margins)
+    q = x @ p["w_q"]
+    k = x @ p["w_k"]
+    v = x @ p["w_v"]
+    scores = (q @ k.T) / np.sqrt(model.dim)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    attn = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    h1 = x + attn @ v
+    return float(np.min(np.abs(h1 @ p["w_1"])))
 
 
 def sample_smooth_case(rng: np.random.Generator, **model_kwargs):

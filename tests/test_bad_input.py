@@ -221,10 +221,11 @@ def test_fuzzed_input_fails_cleanly(inputs, fmt, data):
         assert written == [], err
 
 
-# int() or bool() would turn each value into a valid one; TINY_TRAIN's dim is 4
+# int() or bool() would turn each value into a valid one; TINY_TRAIN's dim is 4.  An older checkpoint's
+# normalize_output: true has the right type but names a model this encoder does not run
 @pytest.mark.parametrize("key, value", [("max_len", True), ("max_len", 3.9), ("dim", 4.5), ("use_block", "false"),
-                                        ("normalize_output", "false"), ("model_version", True),
-                                        ("vocab.max_size", "10")])
+                                        ("normalize_output", "false"), ("normalize_output", True),
+                                        ("model_version", True), ("vocab.max_size", "10")])
 def test_retyped_checkpoint_header_is_data_error(inputs, key, value):
     header_line, payload = inputs["model.ckpt"].split(b"\n", 1)
     header = json.loads(header_line)

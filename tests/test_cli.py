@@ -3,9 +3,13 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,13 +18,15 @@ from weakpairs.cli import CONFIG_DEFAULTS, derive_seed, main, parse_config_file,
 from weakpairs.corpus import PairExample, write_pairs
 from weakpairs.errors import UsageError
 from weakpairs.optim import TrainConfig
+from weakpairs.textproc import clean
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # one non-default value per setting; a setting missing here fails the parity test
 NON_DEFAULT_SETTINGS = {
     "loss": "triplet",
     "margin": 0.5,
     "scale": 10.0,
-    "similarity": "dot",
     "batch_size": 4,
     "learning_rate": 0.005,
     "warmup_fraction": 0.25,
@@ -28,12 +34,11 @@ NON_DEFAULT_SETTINGS = {
     "weight_decay": 0.0,
     "dim": 8,
     "use_block": False,
-    "normalize_output": True,
     "max_len": 6,
     "vocab_size": 30,
 }
 SETTING_KEYS = [f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed"] + [
-    "dim", "use_block", "normalize_output", "max_len", "vocab_size",
+    "dim", "use_block", "max_len", "vocab_size",
 ]
 
 
@@ -442,19 +447,76 @@ class TestTrainEval:
         from weakpairs.textproc import build_vocab
 
         vocab = build_vocab(["alpha beta gamma delta epsilon zeta"], max_size=50)
-        model = init_model(vocab, dim=8, use_block=False, normalize_output=True, max_len=16)
-        assert _config_hash(model) == "eb415b6b539d"
+        model = init_model(vocab, dim=8, use_block=False, max_len=16)
+        assert _config_hash(model) == "7ba1767063eb"
+
+    PINNED_TRAIN = ("--seed", 3, "train", "--pairs", "pairs.tsv", "--batch-size", 8, "--dim", 4, "--max-len", 12,
+                    "--vocab-size", 40, "--out", "m.ckpt")
 
     def test_checkpoint_header_pinned(self, tmp_cwd):
         # the header holds no float, so its bytes do not depend on the BLAS; its key order is part of the format
         write_small_pairs("pairs.tsv")
-        assert run("--seed", 3, "train", "--pairs", "pairs.tsv", "--batch-size", 8, "--dim", 4, "--max-len", 12,
-                   "--vocab-size", 40, "--out", "m.ckpt") == 0
+        assert run(*self.PINNED_TRAIN) == 0
         header = Path("m.ckpt").read_bytes().split(b"\n", 1)[0]
-        assert list(json.loads(header)) == ["format_version", "dim", "use_block", "normalize_output", "max_len",
-                                            "model_version", "vocab", "params"]
+        assert list(json.loads(header)) == ["format_version", "dim", "use_block", "max_len", "model_version",
+                                            "vocab", "params"]
         digest = hashlib.sha256(header).hexdigest()
-        assert digest == "98461768eeae9bb8b5933e3232ca4f0d98ade8c81aa9fc06647cf872c2478bd2"
+        assert digest == "1536ab046924253e439caf2f563a61ca1ded13ee6e0927ebeaed6473630e980d"
+
+    def test_older_checkpoint_with_normalize_output_false_evaluates_as_the_new_one(self, tmp_cwd):
+        # older checkpoints carry "normalize_output" after use_block, and every default run wrote false, the model
+        # this encoder runs; the key put back gives the header pinned while checkpoints carried it
+        write_small_pairs("pairs.tsv")
+        assert run(*self.PINNED_TRAIN) == 0
+        header, payload = Path("m.ckpt").read_bytes().split(b"\n", 1)
+        old = header.replace(b'"use_block": true, ', b'"use_block": true, "normalize_output": false, ')
+        assert hashlib.sha256(old).hexdigest() == "98461768eeae9bb8b5933e3232ca4f0d98ade8c81aa9fc06647cf872c2478bd2"
+        Path("old.ckpt").write_bytes(old + b"\n" + payload)
+        words = "granite lantern copper stream meadow harbor".split()
+        query = {"query": "granite 0 alpha beta", "positives": [f"granite {i} gamma delta" for i in range(5)],
+                 "negatives": [f"{w} {i} gamma delta" for w in words[1:] for i in range(5)], "ids": []}
+        Path("bench.jsonl").write_text(json.dumps(query) + "\n")
+        reports = []
+        for ckpt in ("m.ckpt", "old.ckpt"):
+            assert run("eval", "--checkpoint", ckpt, "--inputs", "bench.jsonl", "--out-dir", ckpt + ".eval") == 0
+            reports.append(json.loads(Path(ckpt + ".eval", "report_bench.json").read_text()))
+        new, old = reports
+        assert len(new["per_query"]) == 1
+        assert (old["value"], old["per_query"]) == (new["value"], new["per_query"])
+
+    def test_raw_pair_file_trains_the_checkpoint_of_its_cleaned_twin(self, tmp_cwd):
+        # eval cleans every text it embeds; training cleans its pair texts too, before the vocabulary and the ids
+        words = "Granite LANTERN copper Stream meadow harbor".split()
+        raw = [PairExample(f"@fan{i} {w} {i} Alpha https://t.co/x{i}  BETA", f"{w.upper()}\t{i} gamma @bot Delta",
+                           "qt", f"a{i}{w}", f"p{i}{w}") for i in range(8) for w in words]
+        cleaned = [dataclasses.replace(p, anchor_text=clean(p.anchor_text), positive_text=clean(p.positive_text))
+                   for p in raw]
+        write_pairs(raw, "raw.tsv")
+        write_pairs(cleaned, "cleaned.tsv")
+        assert Path("raw.tsv").read_bytes() != Path("cleaned.tsv").read_bytes()
+        for name in ("raw", "cleaned"):
+            assert run("--seed", 5, "train", "--pairs", f"{name}.tsv", "--batch-size", 8, "--dim", 8,
+                       "--vocab-size", 40, "--out", f"{name}.ckpt") == 0
+        assert Path("raw.ckpt").read_bytes() == Path("cleaned.ckpt").read_bytes()
+        assert Path("raw.ckpt.log.jsonl").read_bytes() == Path("cleaned.ckpt.log.jsonl").read_bytes()
+
+    def test_checkpoint_is_the_same_at_one_and_two_blas_threads(self, tmp_cwd):
+        # 400 pairs at the default width: at two threads OpenBLAS would split products whose sums then round
+        # differently, so each train runs in a process of its own with OPENBLAS_NUM_THREADS set
+        assert run("--seed", 7, "synth", "--topics", 20, "--pairs-per-topic", 60, "--noise", 0.3,
+                   "--responses-per-target", 6, "--out", "store.jsonl") == 0
+        assert run("--seed", 7, "ingest", "--inputs", "store.jsonl", "--out", "records.jsonl") == 0
+        assert run("--seed", 7, "build", "--records", "records.jsonl", "--out-dir", "built") == 0
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-m", "weakpairs", "--seed", "7", "train", "--pairs", "built/pairs_all.tsv",
+                 "--out", f"m{threads}.ckpt"], env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.add(hashlib.sha256(Path(f"m{threads}.ckpt").read_bytes()).hexdigest())
+        assert len(digests) == 1
 
     def test_rerun_same_seed_bitwise_checkpoint(self, store):
         self.prepare(store)
@@ -567,6 +629,92 @@ class TestUsageErrors:
         assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", "--config", "run.conf") == 1
         assert "margin must be finite" in capsys.readouterr().err
         assert [p.name for p in tmp_cwd.iterdir()] == ["run.conf"]
+
+    # cosine is the one comparison: a command line that asked for dot scores or normalized output stops
+    # here instead of training a model it did not ask for
+    @pytest.mark.parametrize("flags", [["--normalize-output"], ["--similarity", "dot"]],
+                             ids=["normalize_output", "similarity"])
+    def test_removed_setting_flag_rejected_before_any_stage_work(self, tmp_cwd, capsys, flags):
+        assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flags[0] in err
+        assert list(tmp_cwd.iterdir()) == []
+
+    # the removed keys' old defaults too: a config file holds no line the program reads past
+    @pytest.mark.parametrize("key, value", [("normalize_output", "false"), ("similarity", "cosine")])
+    def test_removed_setting_config_line_rejected(self, tmp_cwd, capsys, key, value):
+        Path("run.conf").write_text(f"{key} = {value}\n")
+        assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", "--config", "run.conf") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and f"unknown config key {key!r}" in err
+        assert [p.name for p in tmp_cwd.iterdir()] == ["run.conf"]
+
+
+class TestOneBlasThread:
+    MAPS = (
+        "7f00-7f01 r-xp 00000000 08:01 11 /usr/lib/libopenblas.so.0\n"
+        "7f02-7f03 r-xp 00000000 08:01 12 /site/numpy.libs/libscipy_openblas64_-ff651d7f.so\n"
+        "7f03-7f04 r--p 00001000 08:01 12 /site/numpy.libs/libscipy_openblas64_-ff651d7f.so\n"
+        "7f05-7f06 r-xp 00000000 08:01 13 /usr/lib/libm.so.6\n"
+        "7f07-7f08 rw-p 00000000 00:00 0 \n"
+    )
+
+    @staticmethod
+    def fake_maps(monkeypatch, text):
+        from weakpairs import cli as cli_mod
+
+        def fake_open(path, encoding=None):
+            assert path == "/proc/self/maps"
+            return io.StringIO(text)
+
+        monkeypatch.setattr(cli_mod, "open", fake_open, raising=False)
+
+    def test_each_loaded_openblas_set_to_one_thread_once(self, monkeypatch):
+        # the reference build exports openblas_*, NumPy's wheels the scipy_openblas*64_ spelling
+        from weakpairs import cli as cli_mod
+
+        calls = []
+
+        class FakeLibrary:
+            def __init__(self, path):
+                self.path = path
+                self.symbol = "scipy_openblas_set_num_threads64_" if "scipy" in path else "openblas_set_num_threads"
+
+            def __getattr__(self, symbol):
+                if symbol != self.symbol:
+                    raise AttributeError(symbol)
+                return lambda n: calls.append((self.path, symbol, n))
+
+        self.fake_maps(monkeypatch, self.MAPS)
+        monkeypatch.setattr(cli_mod.ctypes, "CDLL", FakeLibrary)
+        cli_mod._one_blas_thread()
+        assert calls == [
+            ("/site/numpy.libs/libscipy_openblas64_-ff651d7f.so", "scipy_openblas_set_num_threads64_", 1),
+            ("/usr/lib/libopenblas.so.0", "openblas_set_num_threads", 1),
+        ]
+
+    @pytest.mark.parametrize("case", ["no-proc", "no-openblas", "unopenable"])
+    def test_nothing_to_set_is_no_error(self, monkeypatch, case):
+        from weakpairs import cli as cli_mod
+
+        opened = []
+
+        def cdll(path):
+            opened.append(path)
+            raise OSError(f"{path}: cannot open shared object file")
+
+        if case == "no-proc":
+            def no_proc(path, encoding=None):
+                raise FileNotFoundError(path)
+
+            monkeypatch.setattr(cli_mod, "open", no_proc, raising=False)
+        elif case == "no-openblas":
+            self.fake_maps(monkeypatch, "7f05-7f06 r-xp 00000000 08:01 13 /usr/lib/libm.so.6\n")
+        else:
+            self.fake_maps(monkeypatch, "7f00-7f01 r-xp 00000000 08:01 11 /usr/lib/libopenblas.so.0\n")
+        monkeypatch.setattr(cli_mod.ctypes, "CDLL", cdll)
+        assert cli_mod._one_blas_thread() is None
+        assert opened == (["/usr/lib/libopenblas.so.0"] if case == "unopenable" else [])
 
 
 def write_small_pairs(path):

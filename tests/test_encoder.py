@@ -56,7 +56,7 @@ class TestInit:
             assert np.all(np.abs(arr) <= 0.05)
 
     @pytest.mark.parametrize("key, value", [("dim", 1), ("dim", 4.0), ("max_len", 0), ("max_len", True),
-                                            ("use_block", "false"), ("normalize_output", 1)])
+                                            ("use_block", "false")])
     def test_bad_setting_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             init_model(toy_vocab(5), seed=0, **{key: value})
@@ -117,24 +117,9 @@ class TestEncode:
     def test_no_nan_for_finite_parameters(self):
         rng = np.random.default_rng(0)
         for trial in range(30):
-            model = init_model(
-                toy_vocab(12), dim=4, use_block=bool(trial % 2), seed=trial,
-                normalize_output=bool(trial % 3 == 0),
-            )
+            model = init_model(toy_vocab(12), dim=4, use_block=bool(trial % 2), seed=trial)
             ids = list(rng.integers(1, 14, size=rng.integers(1, 8)))
             assert np.all(np.isfinite(encode(model, ids)))
-
-    def test_normalize_output_unit_norm(self):
-        model = init_model(toy_vocab(10), dim=5, use_block=True, seed=2, normalize_output=True)
-        vec = encode(model, [2, 3, 4, 5])
-        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
-
-    def test_normalize_zero_vector_flagged_not_inf(self):
-        model = init_model(toy_vocab(4), dim=3, use_block=False, seed=0, normalize_output=True)
-        model.params["embedding"][2] = 0.0  # pooled vector is exactly zero
-        vecs, trace = encode_with_trace(model, *flat_ids(model, [[2]]))
-        assert trace.norm[0, 0] == np.inf  # the zero norm, as a divisor that gives zero
-        np.testing.assert_array_equal(vecs, np.zeros((1, 3)))
 
 
 class TestTrace:
@@ -191,13 +176,11 @@ class TestBackprop:
         with pytest.raises(ValueError):
             backprop(model, trace, np.ones((1, 4)))
 
-    @pytest.mark.parametrize("use_block,normalize", [(False, False), (True, False), (True, True)])
-    def test_gradients_match_finite_differences(self, use_block, normalize):
-        rng = np.random.default_rng(hash((use_block, normalize)) % 2**32)
+    @pytest.mark.parametrize("use_block", [False, True])
+    def test_gradients_match_finite_differences(self, use_block):
+        rng = np.random.default_rng(30 + use_block)
         for _ in range(8):
-            model, ids, grad_out = sample_smooth_case(
-                rng, vocab_tokens=12, use_block=use_block, normalize_output=normalize
-            )
+            model, ids, grad_out = sample_smooth_case(rng, vocab_tokens=12, use_block=use_block)
             _, trace = encode_with_trace(model, *flat_ids(model, [ids]))
             analytic = dense_grads(model, backprop(model, trace, [grad_out]))
             for name, param in model.params.items():
@@ -233,7 +216,6 @@ def ragged_batches(draw):
         dim=dim,
         use_block=draw(st.booleans()),
         seed=draw(st.integers(0, 2**31 - 1)),
-        normalize_output=draw(st.booleans()),
         max_len=16,
     )
     id_lists = draw(st.lists(st.lists(st.integers(1, 21), min_size=1, max_size=16), min_size=1, max_size=7))
@@ -253,9 +235,7 @@ def _reference_forward(model, ids):
         h2 = np.maximum(h1 @ p["w_1"], 0.0) @ p["w_2"] + h1
     else:
         h2 = x
-    pooled = h2.mean(axis=0)
-    norm = np.linalg.norm(pooled)
-    return pooled / norm if model.normalize_output and norm > 0.0 else pooled
+    return h2.mean(axis=0)
 
 
 class _Padded(np.ndarray):
@@ -313,13 +293,12 @@ def _table_texts(seed, one_token_texts):
 
 class TestBatch:
     @pytest.mark.parametrize("use_block", [False, True])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_forward_matches_per_position_reference(self, use_block, normalize):
-        rng = np.random.default_rng(70 + 2 * use_block + normalize)
+    def test_forward_matches_per_position_reference(self, use_block):
+        rng = np.random.default_rng(70 + 2 * use_block)
         for _ in range(20):
             model = init_model(
                 toy_vocab(20), dim=int(rng.integers(2, 9)), use_block=use_block,
-                seed=int(rng.integers(2**31)), normalize_output=normalize, max_len=16,
+                seed=int(rng.integers(2**31)), max_len=16,
             )
             lengths = [1, *rng.integers(1, 17, size=rng.integers(0, 7))]
             id_lists = [list(rng.integers(1, 22, size=n)) for n in rng.permutation(lengths)]
@@ -385,40 +364,20 @@ class TestBatch:
         assert grad.rows.tobytes() == reference[grad.ids].tobytes()
 
     @pytest.mark.parametrize("use_block", [False, True])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_ragged_gradients_match_finite_differences(self, use_block, normalize):
-        rng = np.random.default_rng(1000 + 2 * use_block + normalize)
+    def test_ragged_gradients_match_finite_differences(self, use_block):
+        rng = np.random.default_rng(1000 + 2 * use_block)
         for _ in range(4):
-            model, id_lists, grad_out = sample_ragged_case(
-                rng, vocab_tokens=12, use_block=use_block, normalize_output=normalize
-            )
+            model, id_lists, grad_out = sample_ragged_case(rng, vocab_tokens=12, use_block=use_block)
             _, trace = encode_with_trace(model, *flat_ids(model, id_lists))
             analytic = dense_grads(model, backprop(model, trace, grad_out))
             for name, param in model.params.items():
                 numeric = central_diff_grad(lambda: batch_objective(model, id_lists, grad_out), param)
                 assert max_rel_error(analytic[name], numeric) < 1e-4, name
 
-    def test_zero_norm_row_gets_zero_gradient_and_leaves_others_alone(self):
-        model = init_model(toy_vocab(8), dim=3, use_block=False, seed=4, normalize_output=True)
-        model.params["embedding"][2] = 0.0  # sentence [2] pools to the zero vector
-        id_lists = [[3, 4, 5], [2], [6, 7]]
-        grad_out = np.random.default_rng(0).standard_normal((3, 3))
-        vecs, trace = encode_with_trace(model, *flat_ids(model, id_lists))
-        np.testing.assert_array_equal(vecs[1], np.zeros(3))
-        zero_row = dense_grads(model, backprop(model, trace, grad_out * [[0.0], [1.0], [0.0]]))
-        for grad in zero_row.values():
-            assert np.all(grad == 0.0)
-        others = [id_lists[0], id_lists[2]]
-        _, trace_others = encode_with_trace(model, *flat_ids(model, others))
-        alone = dense_grads(model, backprop(model, trace_others, grad_out[[0, 2]]))
-        together = dense_grads(model, backprop(model, trace, grad_out))
-        np.testing.assert_allclose(together["embedding"], alone["embedding"], rtol=0, atol=1e-15)
-
     @pytest.mark.parametrize("use_block", [False, True])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_embed_text_token_table_is_bitwise_the_per_position_forward(self, use_block, normalize):
+    def test_embed_text_token_table_is_bitwise_the_per_position_forward(self, use_block):
         # the default width; 9 one-token texts fill a chunk whose longest text has one token
-        model = init_model(TABLE_VOCAB, use_block=use_block, seed=8, normalize_output=normalize)
+        model = init_model(TABLE_VOCAB, use_block=use_block, seed=8)
         chunks = []
 
         def recording(model, real, rows):
@@ -446,9 +405,8 @@ class TestBatch:
         assert np.max(np.abs(embed_text(model, texts) - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("use_block", [False, True])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_unpadded_batch_traces_the_same_bits_as_with_the_key_mask(self, use_block, normalize):
-        model = init_model(TABLE_VOCAB, dim=8, use_block=use_block, seed=11, normalize_output=normalize)
+    def test_unpadded_batch_traces_the_same_bits_as_with_the_key_mask(self, use_block):
+        model = init_model(TABLE_VOCAB, dim=8, use_block=use_block, seed=11)
         model.params["embedding"][5] = 0.0  # token 5 scores exactly zero against every key
         rng = np.random.default_rng(3)
         id_lists = [[5, *rng.integers(2, 42, size=5)] for _ in range(4)]
@@ -509,13 +467,13 @@ class TestBatch:
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         vocab = build_vocab(["alpha beta gamma delta"], max_size=20)
-        model = init_model(vocab, dim=6, use_block=True, seed=9, normalize_output=True, max_len=32)
+        model = init_model(vocab, dim=6, use_block=True, seed=9, max_len=32)
         model.version = 17
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.dim == 6
-        assert loaded.use_block and loaded.normalize_output
+        assert loaded.use_block
         assert loaded.max_len == 32
         assert loaded.version == 17
         assert loaded.vocab.tokens == vocab.tokens
@@ -572,6 +530,31 @@ class TestCheckpoint:
         header = json.loads(header_line)
         header.update(changes)
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+    def test_older_header_with_normalize_output_false_loads_the_same_model(self, tmp_path):
+        # checkpoints written while the setting existed carry the key; false is the model this encoder runs
+        model = init_model(build_vocab(["alpha beta gamma delta"], max_size=10), dim=4, use_block=True, seed=5)
+        model.version = 3
+        save_checkpoint(model, tmp_path / "new.ckpt")
+        self._write_with_header(tmp_path / "old.ckpt", model, normalize_output=False)
+        new, old = load_checkpoint(tmp_path / "new.ckpt"), load_checkpoint(tmp_path / "old.ckpt")
+        assert (old.dim, old.use_block, old.max_len, old.version) == (new.dim, new.use_block, new.max_len, 3)
+        assert old.vocab.tokens == new.vocab.tokens
+        for name in new.params:
+            assert old.params[name].tobytes() == new.params[name].tobytes()
+        assert embed_text(old, ["alpha gamma"]).tobytes() == embed_text(new, ["alpha gamma"]).tobytes()
+
+    # JSON 0 equals false in Python, but no checkpoint ever held it: only false names the model this encoder runs
+    @pytest.mark.parametrize("value", [True, 0, 1, None, "false"], ids=["true", "zero", "one", "null", "string"])
+    def test_older_header_with_other_normalize_output_rejected(self, tmp_path, value):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=False, seed=0)
+        path = tmp_path / "old.ckpt"
+        self._write_with_header(path, model, normalize_output=value)
+        with pytest.raises(DataError) as excinfo:
+            load_checkpoint(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: checkpoint header: ")
+        assert f"normalize_output must be false, as this encoder does not normalize; got {value!r}" in message
 
     def test_vocab_longer_than_embedding_rejected(self, tmp_path):
         vocab = build_vocab(["alpha beta"], max_size=10)

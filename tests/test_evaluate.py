@@ -246,7 +246,7 @@ class TestEvalRanking:
         assert abs(report.value - baseline) < 0.02
 
     def test_error_names_query(self):
-        model = self.vocab_model(normalize_output=True)
+        model = self.vocab_model()
         model.params["embedding"][:] = 0.0  # all embeddings zero -> cosine fails
         bench = tiny_benchmark([make_query("tok001", ["tok002"] * 5, ["tok003"] * 25)])
         with pytest.raises(DataError, match="query 0"):
@@ -373,3 +373,15 @@ class TestReportSerialization:
 
         obj = json.loads(path.read_text())
         assert set(obj) == {"benchmark", "metric", "value", "per_query", "meta"}
+
+    def test_report_is_one_utf8_json_line_of_its_fields(self, tmp_path):
+        # non-ASCII is kept as UTF-8, and a NaN or inf score is written as JSON's NaN/Infinity, not refused
+        import json
+        from dataclasses import asdict
+
+        report = EvalReport(benchmark="dq", metric="pearson", value=math.nan, per_query=[0.25, math.inf],
+                            meta={"checkpoint": "modèle/日本.ckpt"})
+        path = tmp_path / "report.json"
+        report.write(path)
+        assert path.read_bytes() == (json.dumps(asdict(report), ensure_ascii=False) + "\n").encode("utf-8")
+        assert path.read_bytes().count(b"\n") == 1

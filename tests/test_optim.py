@@ -196,15 +196,6 @@ class TestMnLoss:
                     numeric.reshape(-1)[i] = (up - down) / (2 * step)
                 assert max_rel_error(analytic, numeric) < 1e-4
 
-    def test_dot_mode(self):
-        a = np.array([[2.0, 0.0], [0.0, 3.0]])
-        p = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss, _, _ = mn_loss(a, p, scale=1.0, similarity="dot")
-        # S = [[2, 0], [0, 3]]
-        expected = (-math.log(math.exp(2) / (math.exp(2) + 1))
-                    - math.log(math.exp(3) / (math.exp(3) + 1))) / 2
-        assert loss == pytest.approx(expected, abs=1e-12)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mn_loss(np.ones((2, 3)), np.ones((3, 3)))
@@ -544,8 +535,7 @@ class TestTrainEpoch:
         np.testing.assert_array_equal(model.params["embedding"][PAD_ID], before)
 
     @pytest.mark.parametrize("use_block", [True, False], ids=["block", "no-block"])
-    @pytest.mark.parametrize("normalize_output", [False, True], ids=["raw", "normalized"])
-    def test_pad_gradient_exactly_zero_on_ragged_batches(self, monkeypatch, use_block, normalize_output):
+    def test_pad_gradient_exactly_zero_on_ragged_batches(self, monkeypatch, use_block):
         # anchors of 2-5 tokens and positives of 7 pad every batch; nothing zeroes the
         # PAD row on the way: backprop's gradient and the full parameters reach AdamW,
         # and the compact embedding gradient never names the PAD row
@@ -558,7 +548,7 @@ class TestTrainEpoch:
             for i in range(20)
         ]
         vocab = build_vocab([p.anchor_text for p in pairs] + [p.positive_text for p in pairs], max_size=50)
-        model = init_model(vocab, dim=6, use_block=use_block, normalize_output=normalize_output, seed=3)
+        model = init_model(vocab, dim=6, use_block=use_block, seed=3)
         real_adamw = optim_mod.adamw_step
         touched_ids = []
 
@@ -575,6 +565,27 @@ class TestTrainEpoch:
         for ids in touched_ids:
             assert PAD_ID not in ids
         np.testing.assert_array_equal(model.params["embedding"][PAD_ID], np.zeros(6))
+
+    @pytest.mark.parametrize("loss", [MULTIPLE_NEGATIVES, TRIPLET])
+    def test_raw_pair_texts_train_as_their_cleaned_twins(self, loss):
+        # embed_text cleans every text it embeds; train cleans its pair texts the same way before tokenizing
+        import dataclasses
+
+        from weakpairs.textproc import clean
+
+        raw = [PairExample(f"@fan{i} TopicWord{i % 3} Anchor https://t.co/x{i} FILLER {i}",
+                           f"TOPICWORD{i % 3}   Positive @bot{i} filler {i}", "qt", f"a{i}", f"p{i}")
+               for i in range(20)]
+        cleaned = [dataclasses.replace(p, anchor_text=clean(p.anchor_text), positive_text=clean(p.positive_text))
+                   for p in raw]
+        assert all(r.anchor_text != c.anchor_text and r.positive_text != c.positive_text
+                   for r, c in zip(raw, cleaned))
+        config = TrainConfig(loss=loss, batch_size=5, epochs=2, seed=4)
+        from_raw, raw_log = train(tiny_trainable_model(cleaned), raw, config)
+        from_cleaned, cleaned_log = train(tiny_trainable_model(cleaned), cleaned, config)
+        assert raw_log == cleaned_log
+        for name, param in from_cleaned.params.items():
+            assert from_raw.params[name].tobytes() == param.tobytes(), name
 
     def test_train_matches_dense_reference_loop_bitwise(self, monkeypatch):
         # a vocabulary of three AdamW blocks; each batch touches a few rows of each
@@ -614,7 +625,7 @@ class TestTrainEpoch:
             texts = [p.anchor_text for p in batch] + [p.positive_text for p in batch]
             layout = flat_ids(model, [encode_ids(vocab, t, model.max_len) for t in texts])
             vecs, trace = encode_with_trace(model, *layout)
-            _, grad_a, grad_p = mn_loss(vecs[:n], vecs[n:], scale=config.scale, similarity=config.similarity)
+            _, grad_a, grad_p = mn_loss(vecs[:n], vecs[n:], scale=config.scale)
             grads = dense_grads(model, backprop(model, trace, np.concatenate([grad_a, grad_p])))
             lr = lr_at(step, total, config.learning_rate, config.warmup_fraction)
             unblocked_adamw_step(model.params, grads, state, lr, config.weight_decay)
