@@ -29,7 +29,7 @@ print("(higher scale sharpens the softmax, driving the matched-pair loss to zero
 
 # --- the encoder's analytic gradients vs finite differences --------------------
 vocab = Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN] + [f"w{i}" for i in range(10)], max_size=12)
-model = init_model(vocab, dim=4, use_block=True, seed=1)
+model = init_model(vocab, dim=4, seed=1)
 ids = [2, 5, 7]
 grad_out = np.array([1.0, -0.5, 0.25, 2.0])
 

@@ -49,7 +49,7 @@ bench = build_benchmark(index_responses(eval_edges)[0], "dq", num_queries=150, s
 print(f"{len(pairs)} training pairs, {len(bench.queries)} benchmark queries")
 
 vocab = build_vocab([p.anchor_text for p in pairs] + [p.positive_text for p in pairs], 2000)
-model = init_model(vocab, dim=64, use_block=True, seed=3)
+model = init_model(vocab, dim=64, seed=3)
 
 floor = permutation_ndcg_baseline(5, 25)
 before = eval_ranking(model, bench).value
@@ -57,7 +57,7 @@ print(f"random-ranking floor:  nDCG = {floor:.4f}")
 print(f"untrained encoder:     nDCG = {before:.4f}")
 
 for loss_name in ("multiple_negatives", "triplet"):
-    model = init_model(vocab, dim=64, use_block=True, seed=3)
+    model = init_model(vocab, dim=64, seed=3)
     config = TrainConfig(loss=loss_name, batch_size=50, seed=4)
     model, log = train(model, pairs, config)
     score = eval_ranking(model, bench).value

@@ -92,7 +92,8 @@ def _check_outputs(subcommand: str, directory: Path, inputs: list[str], outputs:
 
     ``outputs`` holds a (path, what it holds) entry per output.  Each output,
     and the manifest in ``directory``, must resolve to a file of its own that
-    is none of the inputs; otherwise nothing is written.
+    is none of the inputs, at a path that can hold a file: not a directory,
+    and under no existing file.  Otherwise nothing is written.
     """
     uses = {Path(p).resolve(): f"reads {p}" for p in inputs}
     for path, what in [*outputs, (directory / f"manifest_{subcommand}.json", "its manifest")]:
@@ -100,6 +101,11 @@ def _check_outputs(subcommand: str, directory: Path, inputs: list[str], outputs:
         key = path.resolve()
         if key in uses:
             raise UsageError(f"{subcommand} {use}, but it also {uses[key]}; give each output its own path")
+        if path.is_dir():
+            raise UsageError(f"{subcommand} {use}, but {path} is a directory")
+        ancestor = next(parent for parent in path.parents if parent.exists())
+        if not ancestor.is_dir():
+            raise UsageError(f"{subcommand} {use}, but {ancestor} is not a directory")
         uses[key] = use
 
 
@@ -116,8 +122,9 @@ def _publish(subcommand: str, directory: Path, files: list, settings: dict, inpu
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` config; '#' starts a comment, blank lines ignored."""
+    """Flat ``key = value`` config; '#' starts a comment, blank lines ignored, each key set once."""
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # each key's line
     problems: list[str] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -133,7 +140,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             problems.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in set_on:
+            problems.append(f"line {lineno}: {key!r} is already set on line {set_on[key]}")
+            continue
+        set_on[key] = lineno
+        values[key] = value.strip()
     if problems:
         raise UsageError(f"{path}: " + "; ".join(problems))
     return values
@@ -143,21 +155,10 @@ def _coerce(key: str, raw: str, problems: list[str]):
     """A config file value as its key's type; a value that does not parse is a problem and keeps the default."""
     default = CONFIG_DEFAULTS[key]
     try:
-        if isinstance(default, bool):
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        return type(default)(raw)
     except ValueError as exc:
         problems.append(f"{key}: {exc}")
         return default
-    return raw
 
 
 def resolve_settings(
@@ -466,11 +467,7 @@ def _add_settings_flags(sub) -> None:
     sub.add_argument("--config", default=None, help="flat key = value config file")
     for key, default in CONFIG_DEFAULTS.items():
         flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
-            sub.add_argument(flag, dest=key, action="store_true", default=None)
-        else:
-            sub.add_argument(flag, dest=key, type=type(default), default=None, help=f"default {default}")
-    sub.add_argument("--no-block", dest="use_block", action="store_false", default=None)
+        sub.add_argument(flag, dest=key, type=type(default), default=None, help=f"default {default}")
 
 
 def _at_least(low: int):

@@ -320,8 +320,8 @@ def write_benchmark(bench: RankingBenchmark, path: str | Path) -> int:
     return write_jsonl(path, objs)
 
 
-def read_benchmark(path: str | Path, name: str | None = None) -> RankingBenchmark:
-    """Load a benchmark file, validating the 5-positive / 25-negative shape per line."""
+def read_benchmark(path: str | Path) -> RankingBenchmark:
+    """Load a benchmark file, named by its file stem, validating the 5-positive / 25-negative shape per line."""
     queries = []
     for lineno, obj in read_jsonl(path, "benchmark"):
         where = f"{path}: benchmark line {lineno}"
@@ -339,4 +339,4 @@ def read_benchmark(path: str | Path, name: str | None = None) -> RankingBenchmar
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise DataError(f"{where}: ids must be a list of strings")
         queries.append(BenchmarkQuery(obj["query"], positives, negatives, involved_ids=set(ids)))
-    return RankingBenchmark(name=name or Path(path).stem, queries=queries)
+    return RankingBenchmark(name=Path(path).stem, queries=queries)

@@ -1,6 +1,6 @@
 """A small trainable sentence encoder with analytic gradients.
 
-The forward pass is: token-embedding lookup, optionally one self-attention +
+The forward pass is: token-embedding lookup, one self-attention +
 feed-forward block (single head, residual connections, no positional
 encodings), then a MEAN pool over token positions.  The pooled vector is the
 embedding, with no normalization: training's multiple-negatives loss and
@@ -64,13 +64,18 @@ class EncoderModel:
     vocab: Vocabulary
     params: dict[str, np.ndarray]
     dim: int = 64
-    use_block: bool = True
     max_len: int = 64
     version: int = field(default=0, init=False)  # parameter updates so far, not a setting
 
 
 # EncoderModel's setting fields, in checkpoint header order; also init_model's keywords and the CLI's keys
-ENCODER_SETTINGS = ("dim", "use_block", "max_len")
+ENCODER_SETTINGS = ("dim", "max_len")
+# settings older checkpoint headers carry: each loads if absent or at the one value every default run wrote,
+# the model this encoder runs
+RETIRED_SETTINGS = {
+    "normalize_output": (False, "as this encoder does not normalize"),
+    "use_block": (True, "as this encoder always runs its block"),
+}
 
 
 def setting_problems(settings: dict) -> list[str]:
@@ -79,8 +84,6 @@ def setting_problems(settings: dict) -> list[str]:
     for key, low in (("dim", 2), ("max_len", 1)):
         if type(settings[key]) is not int or settings[key] < low:
             problems.append(f"{key} must be an integer >= {low}; got {settings[key]!r}")
-    if type(settings["use_block"]) is not bool:
-        problems.append(f"use_block must be true or false; got {settings['use_block']!r}")
     return problems
 
 
@@ -112,23 +115,21 @@ class ForwardTrace:
     pool: np.ndarray  # (B, L) mean-pool weights: 1 / length at real tokens, 0 at padding
     pooled: np.ndarray  # (B, dim)
     model_version: int
-    # block activations (None when the block is off)
-    x: np.ndarray | None = None
-    attn: np.ndarray | None = None
-    q: np.ndarray | None = None
-    k: np.ndarray | None = None
-    v: np.ndarray | None = None
-    h1: np.ndarray | None = None
-    relu_on: np.ndarray | None = None  # (B, L, 2 * dim) bool: where the feed-forward pre-activation is > 0
-    pooled_relu: np.ndarray | None = None  # (B, 2 * dim) relu mean-pooled, the input w_2 sees
+    x: np.ndarray
+    attn: np.ndarray
+    q: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+    h1: np.ndarray
+    relu_on: np.ndarray  # (B, L, 2 * dim) bool: where the feed-forward pre-activation is > 0
+    pooled_relu: np.ndarray  # (B, 2 * dim) relu mean-pooled, the input w_2 sees
 
 
-def _param_shapes(vocab_size: int, dim: int, use_block: bool) -> list[tuple[str, tuple[int, int]]]:
-    """(name, shape) of every parameter, in init order; the block matrices only with use_block."""
+def _param_shapes(vocab_size: int, dim: int) -> list[tuple[str, tuple[int, int]]]:
+    """(name, shape) of every parameter, in init order."""
     shapes = [("embedding", (vocab_size, dim))]
-    if use_block:
-        shapes += [(name, (dim, dim)) for name in ("w_q", "w_k", "w_v")]
-        shapes += [("w_1", (dim, 2 * dim)), ("w_2", (2 * dim, dim))]
+    shapes += [(name, (dim, dim)) for name in ("w_q", "w_k", "w_v")]
+    shapes += [("w_1", (dim, 2 * dim)), ("w_2", (2 * dim, dim))]
     return shapes
 
 
@@ -146,7 +147,7 @@ def init_model(vocab: Vocabulary, seed: int = 0, **settings) -> EncoderModel:
     rng = np.random.default_rng(seed)
     model.params = {
         name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-        for name, shape in _param_shapes(len(vocab), model.dim, model.use_block)
+        for name, shape in _param_shapes(len(vocab), model.dim)
     }
     model.params["embedding"][PAD_ID, :] = 0.0
     return model
@@ -171,15 +172,13 @@ def _pool(pool: np.ndarray, arr: np.ndarray) -> np.ndarray:
 
 
 def _token_rows(model: EncoderModel, ids: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The per-token layer: ``(x,)``, or ``(x, x @ w_q, x @ w_k, x @ w_v)`` with the block.
+    """The per-token layer: ``(x, x @ w_q, x @ w_k, x @ w_v)``.
 
     ``x`` holds the embedding rows of ``ids``, which may have any shape.
     Every row depends on its id alone (see the module docstring).
     """
     p = model.params
     x = p["embedding"][ids]
-    if not model.use_block:
-        return (x,)
     return x, x @ p["w_q"], x @ p["w_k"], x @ p["w_v"]
 
 
@@ -220,29 +219,24 @@ def _encode(
     """
     pool = real / real.sum(axis=1, keepdims=True)
     p = model.params
-    acts = {"pool": pool}
-    if model.use_block:
-        x, q, k, v = rows
-        scores = q @ k.transpose(0, 2, 1)
-        scores /= np.sqrt(model.dim)
-        # no query attends to a padded key; without padding the mask would add only +0.0,
-        # which can flip the sign of a zero score but not its exp
-        if not real.all():
-            scores += np.where(real, 0.0, -np.inf)[:, None, :]
-        attn = _softmax_rows(scores)
-        h1 = attn @ v
-        h1 += x
-        relu = h1 @ p["w_1"]
-        np.maximum(relu, 0.0, out=relu)
-        # pool(relu @ w_2 + h1), with w_2 applied after the pool (see the module docstring)
-        pooled_relu = _pool(pool, relu)
-        pooled = _pool(pool, h1)
-        pooled += pooled_relu @ p["w_2"]
-        acts.update(x=x, attn=attn, q=q, k=k, v=v, h1=h1, relu=relu, pooled_relu=pooled_relu)
-    else:
-        pooled = _pool(pool, rows[0])
-    acts["pooled"] = pooled
-    return pooled, acts
+    x, q, k, v = rows
+    scores = q @ k.transpose(0, 2, 1)
+    scores /= np.sqrt(model.dim)
+    # no query attends to a padded key; without padding the mask would add only +0.0,
+    # which can flip the sign of a zero score but not its exp
+    if not real.all():
+        scores += np.where(real, 0.0, -np.inf)[:, None, :]
+    attn = _softmax_rows(scores)
+    h1 = attn @ v
+    h1 += x
+    relu = h1 @ p["w_1"]
+    np.maximum(relu, 0.0, out=relu)
+    # pool(relu @ w_2 + h1), with w_2 applied after the pool (see the module docstring)
+    pooled_relu = _pool(pool, relu)
+    pooled = _pool(pool, h1)
+    pooled += pooled_relu @ p["w_2"]
+    return pooled, dict(pool=pool, x=x, attn=attn, q=q, k=k, v=v, h1=h1, relu=relu, pooled_relu=pooled_relu,
+                        pooled=pooled)
 
 
 def encode_with_trace(
@@ -260,8 +254,7 @@ def encode_with_trace(
     index, real = _batch_index(starts, lengths)
     ids = flat[index]
     out, acts = _encode(model, real, _token_rows(model, ids))
-    if model.use_block:
-        acts["relu_on"] = acts.pop("relu") > 0.0
+    acts["relu_on"] = acts.pop("relu") > 0.0
     return out, ForwardTrace(ids=ids, model_version=model.version, **acts)
 
 
@@ -338,38 +331,35 @@ def backprop(
     # mean pool spreads each row's gradient evenly over its real tokens
     d_tokens = trace.pool[:, :, None] * grad_out[:, None, :]
 
-    if model.use_block:
-        grads["w_2"] = trace.pooled_relu.T @ grad_out
-        d_z = trace.pool[:, :, None] * (grad_out @ p["w_2"].T)[:, None, :]
-        d_z *= trace.relu_on
-        grads["w_1"] = _rows(trace.h1).T @ _rows(d_z)
-        d_h1 = d_z @ p["w_1"].T
-        d_h1 += d_tokens  # the residual path around the feed-forward
-        del d_z, d_tokens
+    grads["w_2"] = trace.pooled_relu.T @ grad_out
+    d_z = trace.pool[:, :, None] * (grad_out @ p["w_2"].T)[:, None, :]
+    d_z *= trace.relu_on
+    grads["w_1"] = _rows(trace.h1).T @ _rows(d_z)
+    d_h1 = d_z @ p["w_1"].T
+    d_h1 += d_tokens  # the residual path around the feed-forward
+    del d_z, d_tokens
 
-        d_v = trace.attn.transpose(0, 2, 1) @ d_h1
-        # softmax and score-scaling backward, row-wise, in place: d_attn becomes d_scores
-        d_attn = d_h1 @ trace.v.transpose(0, 2, 1)
-        d_attn -= (d_attn * trace.attn).sum(axis=-1, keepdims=True)
-        d_attn *= trace.attn
-        d_attn /= np.sqrt(model.dim)
-        # d_x = d_h1 + d_q w_q' + d_k w_k' + d_v w_v', added in that order (it fixes the bits); d_q and d_k
-        # live only for their own term
-        x = _rows(trace.x)
-        d_x = d_h1
-        d_q = d_attn @ trace.k
-        grads["w_q"] = x.T @ _rows(d_q)
-        d_x += d_q @ p["w_q"].T
-        del d_q
-        d_k = d_attn.transpose(0, 2, 1) @ trace.q
-        del d_attn
-        grads["w_k"] = x.T @ _rows(d_k)
-        d_x += d_k @ p["w_k"].T
-        del d_k
-        grads["w_v"] = x.T @ _rows(d_v)
-        d_x += d_v @ p["w_v"].T
-    else:
-        d_x = d_tokens
+    d_v = trace.attn.transpose(0, 2, 1) @ d_h1
+    # softmax and score-scaling backward, row-wise, in place: d_attn becomes d_scores
+    d_attn = d_h1 @ trace.v.transpose(0, 2, 1)
+    d_attn -= (d_attn * trace.attn).sum(axis=-1, keepdims=True)
+    d_attn *= trace.attn
+    d_attn /= np.sqrt(model.dim)
+    # d_x = d_h1 + d_q w_q' + d_k w_k' + d_v w_v', added in that order (it fixes the bits); d_q and d_k
+    # live only for their own term
+    x = _rows(trace.x)
+    d_x = d_h1
+    d_q = d_attn @ trace.k
+    grads["w_q"] = x.T @ _rows(d_q)
+    d_x += d_q @ p["w_q"].T
+    del d_q
+    d_k = d_attn.transpose(0, 2, 1) @ trace.q
+    del d_attn
+    grads["w_k"] = x.T @ _rows(d_k)
+    d_x += d_k @ p["w_k"].T
+    del d_k
+    grads["w_v"] = x.T @ _rows(d_v)
+    d_x += d_v @ p["w_v"].T
 
     return {"embedding": _sum_rows_by_id(trace.ids.ravel(), _rows(d_x)), **grads}
 
@@ -413,7 +403,7 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:
-    """Read a checkpoint, checking its parameter list against its vocab, dim and use_block.
+    """Read a checkpoint, checking its parameter list against its vocab and dim.
 
     The payload's length is checked against the header before anything is
     allocated; then it is read straight into one float64 array, of which
@@ -459,10 +449,11 @@ def _model_from_header(path: Path, header_line: bytes) -> tuple[EncoderModel, li
     problems = setting_problems(settings) + [
         f"{key} must be an integer; got {value!r}" for key, value in numbers.items() if type(value) is not int
     ]
-    # older checkpoints carry a normalize_output flag; only its default, false, is the model this encoder runs
-    legacy = header.get("normalize_output", False)
-    if legacy is not False:
-        problems.append(f"normalize_output must be false, as this encoder does not normalize; got {legacy!r}")
+    problems += [
+        f"{key} must be {json.dumps(value)}, {reason}; got {header[key]!r}"
+        for key, (value, reason) in RETIRED_SETTINGS.items()
+        if header.get(key, value) is not value
+    ]
     if type(vocab.max_size) is int and vocab.max_size < len(vocab):
         problems.append(f"vocab.max_size must be >= 2 and >= its {len(vocab)} tokens; got {vocab.max_size}")
     problems += [f"vocab.tokens[{i}] must be a string; got {token!r}"
@@ -477,10 +468,10 @@ def _model_from_header(path: Path, header_line: bytes) -> tuple[EncoderModel, li
     ):
         raise DataError(f"{path}: each checkpoint parameter needs a string name and a list of int shape")
     declared = [(name, tuple(shape)) for name, shape in declared]
-    expected = _param_shapes(len(model.vocab), model.dim, model.use_block)
+    expected = _param_shapes(len(model.vocab), model.dim)
     if sorted(declared) != sorted(expected):
         raise DataError(
             f"{path}: header declares parameters {declared}, but a vocab of {len(model.vocab)} "
-            f"tokens, dim {model.dim} and use_block {model.use_block} need {expected}"
+            f"tokens and dim {model.dim} need {expected}"
         )
     return model, declared

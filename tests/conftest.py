@@ -1,8 +1,14 @@
 """Shared fixtures for the weakpairs test suite."""
 
 import pytest
+from hypothesis import settings
 
 from weakpairs.ingest import RelationEdge
+
+# every property test draws its examples from a fixed seed, keeps no example database and has no deadline;
+# a test's own @settings sets only how many examples it draws
+settings.register_profile("weakpairs", deadline=None, derandomize=True, database=None)
+settings.load_profile("weakpairs")
 
 WORDS = (
     "signal harvest window orbital number granite velvet copper stream "

@@ -56,29 +56,28 @@ def toy_vocab(num_tokens: int) -> Vocabulary:
     return Vocabulary(tokens=tokens, max_size=len(tokens))
 
 
-def random_model(
-    rng: np.random.Generator,
-    vocab_tokens: int = 20,
-    dim: int | None = None,
-    use_block: bool | None = None,
-) -> EncoderModel:
+def mean_pool_model(vocab: Vocabulary, seed: int = 0, **settings) -> EncoderModel:
+    """An encoder whose five block matrices are zero, so each sentence embeds as the mean of its token rows.
+
+    With ``w_v`` zero the attention adds nothing and ``h1`` is the token
+    rows; with ``w_1`` and ``w_2`` zero the feed-forward adds nothing.  The
+    closed-form tests set embedding rows by hand and read the mean back.
+    """
+    model = init_model(vocab, seed=seed, **settings)
+    for name, param in model.params.items():
+        if name != "embedding":
+            param[:] = 0.0
+    return model
+
+
+def random_model(rng: np.random.Generator, vocab_tokens: int = 20, dim: int | None = None) -> EncoderModel:
     if dim is None:
         dim = int(rng.integers(2, 9))
-    if use_block is None:
-        use_block = bool(rng.integers(0, 2))
-    return init_model(
-        toy_vocab(vocab_tokens),
-        dim=dim,
-        use_block=use_block,
-        seed=int(rng.integers(0, 2**31)),
-        max_len=16,
-    )
+    return init_model(toy_vocab(vocab_tokens), dim=dim, seed=int(rng.integers(0, 2**31)), max_len=16)
 
 
 def _min_preactivation(model: EncoderModel, ids) -> float:
-    """Smallest |relu pre-activation| on this input; infinite without the block, which has no kink."""
-    if not model.use_block:
-        return np.inf
+    """Smallest |relu pre-activation| on this input."""
     p = model.params
     x = p["embedding"][list(ids), :]
     q = x @ p["w_q"]

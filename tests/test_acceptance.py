@@ -279,9 +279,8 @@ def run_learning_pipeline(work: Path, master: int) -> dict:
     pairs = read_pairs(pairs_path)
     texts = [p.anchor_text for p in pairs] + [p.positive_text for p in pairs]
     vocab = build_vocab(texts, max_size=2000)
-    untrained = init_model(vocab, dim=64, use_block=True,
-                           seed=derive_seed(master, "encoder-init"))
-    bench = read_benchmark(bench_path, name="dq")
+    untrained = init_model(vocab, dim=64, seed=derive_seed(master, "encoder-init"))
+    bench = read_benchmark(bench_path)
     untrained_value = eval_ranking(untrained, bench).value
 
     trained_report = json.loads((work / "reports" / "report_bench_dq.json").read_text())
@@ -347,8 +346,7 @@ def test_criterion_6_mn_beats_triplet(learning_run, tmp_path_factory):
         vocab = build_vocab(texts, max_size=2000)
         values = {}
         for loss in ("multiple_negatives", "triplet"):
-            model = init_model(vocab, dim=64, use_block=True,
-                               seed=derive_seed(run_seed, "encoder-init"))
+            model = init_model(vocab, dim=64, seed=derive_seed(run_seed, "encoder-init"))
             config = TrainConfig(loss=loss, batch_size=50, seed=derive_seed(run_seed, "train"))
             model, _ = train(model, pairs, config)
             values[loss] = eval_ranking(model, bench).value

@@ -16,6 +16,7 @@ import pytest
 
 from weakpairs.cli import CONFIG_DEFAULTS, derive_seed, main, parse_config_file, resolve_settings
 from weakpairs.corpus import PairExample, write_pairs
+from weakpairs.encoder import ENCODER_SETTINGS
 from weakpairs.errors import UsageError
 from weakpairs.optim import TrainConfig
 from weakpairs.textproc import clean
@@ -33,12 +34,11 @@ NON_DEFAULT_SETTINGS = {
     "epochs": 2,
     "weight_decay": 0.0,
     "dim": 8,
-    "use_block": False,
     "max_len": 6,
     "vocab_size": 30,
 }
 SETTING_KEYS = [f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed"] + [
-    "dim", "use_block", "max_len", "vocab_size",
+    *ENCODER_SETTINGS, "vocab_size",
 ]
 
 
@@ -72,12 +72,12 @@ class TestConfigFile:
             "loss = triplet\n"
             "batch_size = 16\n"
             "learning_rate = 0.005\n"
-            "use_block = false\n"
+            "dim = 8\n"
         )
         settings, train_config = resolve_settings(config, {}, seed=0)
         assert settings["loss"] == train_config.loss == "triplet"
         assert settings["batch_size"] == 16
-        assert settings["use_block"] is False
+        assert settings["dim"] == 8
         assert settings["warmup_fraction"] == pytest.approx(0.10)  # untouched default
 
     def test_overrides_beat_file(self, tmp_path):
@@ -100,6 +100,16 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="line 1"):
             parse_config_file(config)
 
+    def test_key_set_twice_reported_with_the_other_problems(self, tmp_path):
+        # the later line would otherwise win in silence
+        config = tmp_path / "twice.conf"
+        config.write_text("batch_size = 16\n# a comment\ndim = 8\nbatch_size = 32\njust words\n")
+        with pytest.raises(UsageError) as excinfo:
+            parse_config_file(config)
+        assert str(excinfo.value) == (
+            f"{config}: line 4: 'batch_size' is already set on line 1; line 5: expected 'key = value', got 'just words'"
+        )
+
     def test_non_utf8_file_is_usage_error(self, tmp_cwd, capsys):
         Path("latin.conf").write_bytes(b"dim = \xff\xfe\n")
         assert run("train", "--pairs", "pairs.tsv", "--out", "m.ckpt", "--config", "latin.conf") == 1
@@ -117,13 +127,8 @@ class TestConfigFile:
     def test_flag_and_config_line_resolve_alike(self, tmp_cwd, key):
         value = NON_DEFAULT_SETTINGS[key]
         assert value != CONFIG_DEFAULTS[key]
-        if key == "use_block":
-            flag = ["--no-block"]
-        elif isinstance(value, bool):
-            flag = ["--" + key.replace("_", "-")]
-        else:
-            flag = ["--" + key.replace("_", "-"), value]
-        Path("c.conf").write_text(f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n")
+        flag = ["--" + key.replace("_", "-"), value]
+        Path("c.conf").write_text(f"{key} = {value}\n")
         write_small_pairs("pairs.tsv")
         assert run("train", "--pairs", "pairs.tsv", "--out", "flag/m.ckpt", *flag) == 0
         assert run("train", "--pairs", "pairs.tsv", "--out", "conf/m.ckpt", "--config", "c.conf") == 0
@@ -380,7 +385,7 @@ class TestTrainEval:
         from weakpairs.textproc import build_vocab
 
         vocab = build_vocab(["alpha beta gamma delta epsilon zeta"], max_size=50)
-        save_checkpoint(init_model(vocab, dim=8, use_block=True, seed=0), "oracle.ckpt")
+        save_checkpoint(init_model(vocab, dim=8, seed=0), "oracle.ckpt")
         query = {
             "query": "alpha beta",
             "positives": ["alpha beta"] * 5,
@@ -447,8 +452,8 @@ class TestTrainEval:
         from weakpairs.textproc import build_vocab
 
         vocab = build_vocab(["alpha beta gamma delta epsilon zeta"], max_size=50)
-        model = init_model(vocab, dim=8, use_block=False, max_len=16)
-        assert _config_hash(model) == "7ba1767063eb"
+        model = init_model(vocab, dim=8, max_len=16)
+        assert _config_hash(model) == "7e1ce05504fb"
 
     PINNED_TRAIN = ("--seed", 3, "train", "--pairs", "pairs.tsv", "--batch-size", 8, "--dim", 4, "--max-len", 12,
                     "--vocab-size", 40, "--out", "m.ckpt")
@@ -458,19 +463,25 @@ class TestTrainEval:
         write_small_pairs("pairs.tsv")
         assert run(*self.PINNED_TRAIN) == 0
         header = Path("m.ckpt").read_bytes().split(b"\n", 1)[0]
-        assert list(json.loads(header)) == ["format_version", "dim", "use_block", "max_len", "model_version",
-                                            "vocab", "params"]
+        assert list(json.loads(header)) == ["format_version", "dim", "max_len", "model_version", "vocab", "params"]
         digest = hashlib.sha256(header).hexdigest()
-        assert digest == "1536ab046924253e439caf2f563a61ca1ded13ee6e0927ebeaed6473630e980d"
+        assert digest == "9c65b047fb2d881fb15676c5d7010cddcbf7d9af65820f03f8669770d7c404f6"
 
-    def test_older_checkpoint_with_normalize_output_false_evaluates_as_the_new_one(self, tmp_cwd):
-        # older checkpoints carry "normalize_output" after use_block, and every default run wrote false, the model
-        # this encoder runs; the key put back gives the header pinned while checkpoints carried it
+    # older checkpoints carry "use_block" after dim, and some "normalize_output" after it; every default run wrote
+    # true and false, the model this encoder runs.  The keys put back give the headers pinned while they were written
+    @pytest.mark.parametrize(
+        "retired, digest",
+        [(b'"use_block": true, ', "1536ab046924253e439caf2f563a61ca1ded13ee6e0927ebeaed6473630e980d"),
+         (b'"use_block": true, "normalize_output": false, ',
+          "98461768eeae9bb8b5933e3232ca4f0d98ade8c81aa9fc06647cf872c2478bd2")],
+        ids=["use_block", "use_block-normalize_output"],
+    )
+    def test_older_checkpoint_evaluates_as_the_new_one(self, tmp_cwd, retired, digest):
         write_small_pairs("pairs.tsv")
         assert run(*self.PINNED_TRAIN) == 0
         header, payload = Path("m.ckpt").read_bytes().split(b"\n", 1)
-        old = header.replace(b'"use_block": true, ', b'"use_block": true, "normalize_output": false, ')
-        assert hashlib.sha256(old).hexdigest() == "98461768eeae9bb8b5933e3232ca4f0d98ade8c81aa9fc06647cf872c2478bd2"
+        old = header.replace(b'"dim": 4, ', b'"dim": 4, ' + retired)
+        assert hashlib.sha256(old).hexdigest() == digest
         Path("old.ckpt").write_bytes(old + b"\n" + payload)
         words = "granite lantern copper stream meadow harbor".split()
         query = {"query": "granite 0 alpha beta", "positives": [f"granite {i} gamma delta" for i in range(5)],
@@ -482,7 +493,8 @@ class TestTrainEval:
             reports.append(json.loads(Path(ckpt + ".eval", "report_bench.json").read_text()))
         new, old = reports
         assert len(new["per_query"]) == 1
-        assert (old["value"], old["per_query"]) == (new["value"], new["per_query"])
+        assert old["meta"].pop("checkpoint") != new["meta"].pop("checkpoint")  # the file's own hash
+        assert old == new
 
     def test_raw_pair_file_trains_the_checkpoint_of_its_cleaned_twin(self, tmp_cwd):
         # eval cleans every text it embeds; training cleans its pair texts too, before the vocabulary and the ids
@@ -630,10 +642,12 @@ class TestUsageErrors:
         assert "margin must be finite" in capsys.readouterr().err
         assert [p.name for p in tmp_cwd.iterdir()] == ["run.conf"]
 
-    # cosine is the one comparison: a command line that asked for dot scores or normalized output stops
-    # here instead of training a model it did not ask for
-    @pytest.mark.parametrize("flags", [["--normalize-output"], ["--similarity", "dot"]],
-                             ids=["normalize_output", "similarity"])
+    # cosine is the one comparison and the block always runs: a command line that asked for dot scores, normalized
+    # output or an encoder without its block stops here instead of training a model it did not ask for
+    @pytest.mark.parametrize(
+        "flags", [["--normalize-output"], ["--similarity", "dot"], ["--no-block"], ["--use-block"]],
+        ids=["normalize_output", "similarity", "no-block", "use-block"],
+    )
     def test_removed_setting_flag_rejected_before_any_stage_work(self, tmp_cwd, capsys, flags):
         assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", *flags) == 1
         err = capsys.readouterr().err
@@ -641,7 +655,8 @@ class TestUsageErrors:
         assert list(tmp_cwd.iterdir()) == []
 
     # the removed keys' old defaults too: a config file holds no line the program reads past
-    @pytest.mark.parametrize("key, value", [("normalize_output", "false"), ("similarity", "cosine")])
+    @pytest.mark.parametrize("key, value", [("normalize_output", "false"), ("similarity", "cosine"),
+                                            ("use_block", "true")])
     def test_removed_setting_config_line_rejected(self, tmp_cwd, capsys, key, value):
         Path("run.conf").write_text(f"{key} = {value}\n")
         assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", "--config", "run.conf") == 1
@@ -731,13 +746,22 @@ def snapshot(root):
     return {path.relative_to(root): path.read_bytes() for path in Path(root).rglob("*") if path.is_file()}
 
 
+def write_stream(path):
+    Path(path).write_text(
+        '{"id_str": "1", "text": "hello there friend", "lang": "en"}\n'
+        '{"id_str": "2", "text": "a reply to hello", "lang": "en", "in_reply_to_status_id_str": "1"}\n'
+    )
+
+
 class TestOutputPaths:
     SETUPS = {
         "pairs": lambda: write_small_pairs("pairs.tsv"),
-        "stream": lambda: Path("stream.jsonl").write_text(
-            '{"id_str": "1", "text": "hello there friend", "lang": "en"}\n'
-            '{"id_str": "2", "text": "a reply to hello", "lang": "en", "in_reply_to_status_id_str": "1"}\n'
-        ),
+        "stream": lambda: write_stream("stream.jsonl"),
+        "stream, stats directory": lambda: (write_stream("stream.jsonl"), Path("r.jsonl.stats.json").mkdir()),
+        "corpus directory": lambda: Path("built/pairs_all.tsv").mkdir(parents=True),
+        "pairs, out directory": lambda: (write_small_pairs("pairs.tsv"), Path("model").mkdir()),
+        "manifest directory": lambda: Path("manifest_synth.json").mkdir(),
+        "reports file": lambda: Path("reports").write_text("not a directory\n"),
     }
 
     @pytest.mark.parametrize(
@@ -762,10 +786,23 @@ class TestOutputPaths:
              "sweep/report_corpus_size_0.json"),
             # a glob that matches the store an earlier run wrote
             ("stream", ["ingest", "--inputs", "*.jsonl", "--out", "stream.jsonl"], "stream.jsonl"),
+            # a path that cannot hold a file: an existing directory, or one under an existing file
+            ("stream, stats directory", ["ingest", "--inputs", "stream.jsonl", "--out", "r.jsonl"],
+             "r.jsonl.stats.json"),
+            ("corpus directory", ["build", "--records", "records.jsonl", "--out-dir", "built"],
+             "built/pairs_all.tsv"),
+            ("pairs, out directory", ["train", "--pairs", "pairs.tsv", "--out", "model"], "model"),
+            ("manifest directory", ["synth", "--topics", 2, "--pairs-per-topic", 3, "--vocab-size", 110,
+                                    "--out", "store.jsonl"], "manifest_synth.json"),
+            ("reports file", ["eval", "--checkpoint", "model.ckpt", "--inputs", "bench.jsonl",
+                              "--out-dir", "reports"], "reports/report_bench.json"),
+            ("pairs", ["train", "--pairs", "pairs.tsv", "--out", "pairs.tsv/model.ckpt"], "pairs.tsv/model.ckpt"),
         ],
         ids=["train-manifest", "ingest-manifest", "synth-manifest", "train-out-is-pairs",
              "eval-checkpoint-is-report", "build-records-is-counts", "sweep-benchmark-is-report",
-             "sweep-benchmark-is-baseline-report", "ingest-glob-matches-out"],
+             "sweep-benchmark-is-baseline-report", "ingest-glob-matches-out", "ingest-stats-is-directory",
+             "build-corpus-is-directory", "train-out-is-directory", "synth-manifest-is-directory",
+             "eval-out-dir-is-file", "train-out-under-pairs-file"],
     )
     def test_output_naming_another_file_of_the_stage_is_usage_error(self, tmp_cwd, capsys, setup, argv, named):
         if setup:

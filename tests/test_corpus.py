@@ -362,7 +362,7 @@ class TestNegativeDraw:
         with pytest.raises(DataError, match="found only 24 of 25 negatives"):
             build_benchmark(index_responses(edges)[0], "dq", num_queries=1, seed=0)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_negatives_are_valid_under_random_pools(self, data):
         phrases = [f"candidate phrase number {k:03d}" for k in range(100)]
@@ -518,7 +518,7 @@ def reference_build_benchmark(edges, name, num_queries, seed, banned=frozenset()
 
 
 class TestOneGroupingPerRelation:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_builders_equal_reference_when_targets_agree_on_their_text(self, data):
         phrases = [f"shared candidate phrase {k:03d}" for k in range(150)]
@@ -601,10 +601,10 @@ class TestPairAndBenchmarkFiles:
 
     def test_benchmark_jsonl_roundtrip(self, tmp_path):
         bench = build_benchmark(index_responses(benchmark_fixture_edges())[0], "dq", num_queries=2, seed=0)
-        path = tmp_path / "dq.jsonl"
+        path = tmp_path / "bench_dq.jsonl"
         write_benchmark(bench, path)
-        loaded = read_benchmark(path, name="dq")
-        assert loaded.name == "dq"
+        loaded = read_benchmark(path)
+        assert loaded.name == "bench_dq"  # the file stem
         assert [q.query_text for q in loaded.queries] == [q.query_text for q in bench.queries]
         assert loaded.involved_ids() == bench.involved_ids()
 

@@ -14,6 +14,7 @@ from fdcheck import (
     central_diff_grad,
     dense_grads,
     max_rel_error,
+    mean_pool_model,
     sample_ragged_case,
     sample_smooth_case,
     scalar_objective,
@@ -41,22 +42,21 @@ from weakpairs.textproc import PAD_ID, build_vocab, clean, encode_ids
 class TestInit:
     def test_same_seed_bitwise_identical(self):
         vocab = toy_vocab(10)
-        m1 = init_model(vocab, dim=8, use_block=True, seed=42)
-        m2 = init_model(vocab, dim=8, use_block=True, seed=42)
+        m1 = init_model(vocab, dim=8, seed=42)
+        m2 = init_model(vocab, dim=8, seed=42)
         for name in m1.params:
             assert np.array_equal(m1.params[name], m2.params[name])
 
     def test_pad_row_zeroed(self):
-        model = init_model(toy_vocab(5), dim=4, use_block=False, seed=0)
+        model = init_model(toy_vocab(5), dim=4, seed=0)
         assert np.all(model.params["embedding"][PAD_ID] == 0.0)
 
     def test_parameters_within_init_range(self):
-        model = init_model(toy_vocab(5), dim=4, use_block=True, seed=1)
+        model = init_model(toy_vocab(5), dim=4, seed=1)
         for arr in model.params.values():
             assert np.all(np.abs(arr) <= 0.05)
 
-    @pytest.mark.parametrize("key, value", [("dim", 1), ("dim", 4.0), ("max_len", 0), ("max_len", True),
-                                            ("use_block", "false")])
+    @pytest.mark.parametrize("key, value", [("dim", 1), ("dim", 4.0), ("max_len", 0), ("max_len", True)])
     def test_bad_setting_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             init_model(toy_vocab(5), seed=0, **{key: value})
@@ -65,43 +65,45 @@ class TestInit:
         with pytest.raises(TypeError, match="version"):
             init_model(toy_vocab(5), seed=0, version=3)
 
-    def test_block_off_has_no_block_params(self):
-        model = init_model(toy_vocab(5), dim=4, use_block=False, seed=0)
-        assert set(model.params) == {"embedding"}
+    # the encoder always runs its block: the old setting is no keyword, even at its old default
+    @pytest.mark.parametrize("key, value", [("use_block", True), ("normalize_output", False)])
+    def test_retired_setting_is_type_error(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            init_model(toy_vocab(5), seed=0, **{key: value})
 
     def test_block_shapes(self):
-        model = init_model(toy_vocab(5), dim=6, use_block=True, seed=0)
+        model = init_model(toy_vocab(5), dim=6, seed=0)
+        assert list(model.params) == ["embedding", "w_q", "w_k", "w_v", "w_1", "w_2"]
         assert model.params["w_1"].shape == (6, 12)
         assert model.params["w_2"].shape == (12, 6)
 
 
 class TestEncode:
     def test_mean_pool_arithmetic(self):
-        model = init_model(toy_vocab(4), dim=2, use_block=False, seed=0)
+        model = mean_pool_model(toy_vocab(4), dim=2)
         model.params["embedding"][2] = [1.0, 2.0]
         model.params["embedding"][3] = [3.0, 4.0]
         np.testing.assert_allclose(encode(model, [2, 3]), [2.0, 3.0])
 
     def test_single_token_is_its_embedding(self):
-        model = init_model(toy_vocab(4), dim=3, use_block=False, seed=1)
+        model = mean_pool_model(toy_vocab(4), dim=3, seed=1)
         np.testing.assert_array_equal(encode(model, [2]), model.params["embedding"][2])
 
     def test_empty_ids_rejected(self):
-        model = init_model(toy_vocab(4), dim=3, use_block=False, seed=0)
+        model = init_model(toy_vocab(4), dim=3, seed=0)
         with pytest.raises(ValueError):
             encode(model, [])
 
     def test_over_max_len_rejected(self):
-        model = init_model(toy_vocab(4), dim=3, use_block=False, seed=0, max_len=4)
+        model = init_model(toy_vocab(4), dim=3, seed=0, max_len=4)
         with pytest.raises(ValueError):
             encode(model, [2] * 5)
 
-    @pytest.mark.parametrize("use_block", [False, True])
-    def test_permutation_invariance(self, use_block):
+    def test_permutation_invariance(self):
         # no positional signal anywhere: attention + mean pooling commute with
         # token permutations
         rng = np.random.default_rng(7)
-        model = init_model(toy_vocab(30), dim=6, use_block=use_block, seed=3)
+        model = init_model(toy_vocab(30), dim=6, seed=3)
         for _ in range(20):
             ids = list(rng.integers(1, len(model.vocab), size=6))
             permuted = list(rng.permutation(ids))
@@ -111,13 +113,13 @@ class TestEncode:
 
     def test_output_dimension(self):
         for dim in (2, 5, 16):
-            model = init_model(toy_vocab(8), dim=dim, use_block=True, seed=0)
+            model = init_model(toy_vocab(8), dim=dim, seed=0)
             assert encode(model, [2, 3, 4]).shape == (dim,)
 
     def test_no_nan_for_finite_parameters(self):
         rng = np.random.default_rng(0)
         for trial in range(30):
-            model = init_model(toy_vocab(12), dim=4, use_block=bool(trial % 2), seed=trial)
+            model = init_model(toy_vocab(12), dim=4, seed=trial)
             ids = list(rng.integers(1, 14, size=rng.integers(1, 8)))
             assert np.all(np.isfinite(encode(model, ids)))
 
@@ -126,7 +128,7 @@ class TestTrace:
     def test_trace_path_matches_plain_encode(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            model = init_model(toy_vocab(15), dim=4, use_block=True, seed=int(rng.integers(1e6)))
+            model = init_model(toy_vocab(15), dim=4, seed=int(rng.integers(1e6)))
             ids = list(rng.integers(1, 17, size=5))
             plain = encode(model, ids)
             traced, trace = encode_with_trace(model, *flat_ids(model, [ids]))
@@ -138,7 +140,7 @@ class TestTrace:
             np.testing.assert_allclose(h2.mean(axis=1), trace.pooled)
 
     def test_stale_trace_rejected(self):
-        model = init_model(toy_vocab(5), dim=3, use_block=False, seed=0)
+        model = init_model(toy_vocab(5), dim=3, seed=0)
         _, trace = encode_with_trace(model, *flat_ids(model, [[2, 3]]))
         model.version += 1  # simulate a parameter update
         with pytest.raises(ValueError, match="stale trace"):
@@ -147,15 +149,15 @@ class TestTrace:
 
 class TestBackprop:
     def test_zero_grad_out_gives_zero_gradients(self):
-        model = init_model(toy_vocab(8), dim=4, use_block=True, seed=5)
+        model = init_model(toy_vocab(8), dim=4, seed=5)
         _, trace = encode_with_trace(model, *flat_ids(model, [[2, 3, 4]]))
         grads = dense_grads(model, backprop(model, trace, np.zeros((1, 4))))
         for arr in grads.values():
             assert np.all(arr == 0.0)
 
     def test_mean_gradient_by_hand(self):
-        # without the block, d<g, mean>/d row_t = g / n_tokens per occurrence
-        model = init_model(toy_vocab(6), dim=3, use_block=False, seed=0)
+        # with the block zeroed, d<g, mean>/d row_t = g / n_tokens per occurrence
+        model = mean_pool_model(toy_vocab(6), dim=3)
         g = np.array([1.0, -2.0, 0.5])
         _, trace = encode_with_trace(model, *flat_ids(model, [[4, 4, 5]]))
         grads = dense_grads(model, backprop(model, trace, [g]))
@@ -163,7 +165,7 @@ class TestBackprop:
         np.testing.assert_allclose(grads["embedding"][5], g / 3.0)
 
     def test_untouched_rows_zero_and_pad_forced_zero(self):
-        model = init_model(toy_vocab(8), dim=3, use_block=False, seed=1)
+        model = init_model(toy_vocab(8), dim=3, seed=1)
         _, trace = encode_with_trace(model, *flat_ids(model, [[3]]))
         grads = dense_grads(model, backprop(model, trace, np.ones((1, 3))))
         assert np.all(grads["embedding"][PAD_ID] == 0.0)
@@ -171,16 +173,15 @@ class TestBackprop:
         assert list(np.nonzero(touched)[0]) == [3]
 
     def test_grad_out_shape_checked(self):
-        model = init_model(toy_vocab(5), dim=3, use_block=False, seed=0)
+        model = init_model(toy_vocab(5), dim=3, seed=0)
         _, trace = encode_with_trace(model, *flat_ids(model, [[2]]))
         with pytest.raises(ValueError):
             backprop(model, trace, np.ones((1, 4)))
 
-    @pytest.mark.parametrize("use_block", [False, True])
-    def test_gradients_match_finite_differences(self, use_block):
-        rng = np.random.default_rng(30 + use_block)
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(31)
         for _ in range(8):
-            model, ids, grad_out = sample_smooth_case(rng, vocab_tokens=12, use_block=use_block)
+            model, ids, grad_out = sample_smooth_case(rng, vocab_tokens=12)
             _, trace = encode_with_trace(model, *flat_ids(model, [ids]))
             analytic = dense_grads(model, backprop(model, trace, [grad_out]))
             for name, param in model.params.items():
@@ -190,7 +191,7 @@ class TestBackprop:
                 assert max_rel_error(analytic[name], numeric) < 1e-4, name
 
     def test_repeated_token_gradient_accumulates(self):
-        model = init_model(toy_vocab(6), dim=2, use_block=False, seed=0)
+        model = mean_pool_model(toy_vocab(6), dim=2)
         g = np.array([1.0, 1.0])
         _, trace = encode_with_trace(model, *flat_ids(model, [[2, 2, 2, 2]]))
         grads = dense_grads(model, backprop(model, trace, [g]))
@@ -214,7 +215,6 @@ def ragged_batches(draw):
     model = init_model(
         toy_vocab(20),
         dim=dim,
-        use_block=draw(st.booleans()),
         seed=draw(st.integers(0, 2**31 - 1)),
         max_len=16,
     )
@@ -227,14 +227,11 @@ def _reference_forward(model, ids):
     """One sentence, no padding: h2 = relu @ w_2 + h1 at every position, then the mean over positions."""
     p = model.params
     x = p["embedding"][ids]
-    if model.use_block:
-        scores = (x @ p["w_q"]) @ (x @ p["w_k"]).T / np.sqrt(model.dim)
-        attn = np.exp(scores - scores.max(axis=1, keepdims=True))
-        attn /= attn.sum(axis=1, keepdims=True)
-        h1 = attn @ (x @ p["w_v"]) + x
-        h2 = np.maximum(h1 @ p["w_1"], 0.0) @ p["w_2"] + h1
-    else:
-        h2 = x
+    scores = (x @ p["w_q"]) @ (x @ p["w_k"]).T / np.sqrt(model.dim)
+    attn = np.exp(scores - scores.max(axis=1, keepdims=True))
+    attn /= attn.sum(axis=1, keepdims=True)
+    h1 = attn @ (x @ p["w_v"]) + x
+    h2 = np.maximum(h1 @ p["w_1"], 0.0) @ p["w_2"] + h1
     return h2.mean(axis=0)
 
 
@@ -292,21 +289,17 @@ def _table_texts(seed, one_token_texts):
 
 
 class TestBatch:
-    @pytest.mark.parametrize("use_block", [False, True])
-    def test_forward_matches_per_position_reference(self, use_block):
-        rng = np.random.default_rng(70 + 2 * use_block)
+    def test_forward_matches_per_position_reference(self):
+        rng = np.random.default_rng(72)
         for _ in range(20):
-            model = init_model(
-                toy_vocab(20), dim=int(rng.integers(2, 9)), use_block=use_block,
-                seed=int(rng.integers(2**31)), max_len=16,
-            )
+            model = init_model(toy_vocab(20), dim=int(rng.integers(2, 9)), seed=int(rng.integers(2**31)), max_len=16)
             lengths = [1, *rng.integers(1, 17, size=rng.integers(0, 7))]
             id_lists = [list(rng.integers(1, 22, size=n)) for n in rng.permutation(lengths)]
             vecs, _ = encode_with_trace(model, *flat_ids(model, id_lists))
             reference = np.array([_reference_forward(model, ids) for ids in id_lists])
             assert np.max(np.abs(vecs - reference)) <= 1e-12 * np.max(np.abs(reference))
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(ragged_batches())
     def test_padding_changes_no_row_and_no_gradient(self, case):
         model, id_lists, grad_out, perm = case
@@ -320,7 +313,7 @@ class TestBatch:
         for name, reference in _single_sentence_grads(model, id_lists, grad_out).items():
             assert np.max(np.abs(batched[name] - reference)) <= 1e-12 * max(np.max(np.abs(reference)), 1e-300), name
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(ragged_batches())
     def test_embedding_gradient_is_compact_and_bitwise_the_dense_sum(self, case):
         model, id_lists, grad_out, _ = case
@@ -345,7 +338,7 @@ class TestBatch:
         np.add.at(reference, ids, values)
         assert grad.dense(len(model.vocab)).tobytes() == reference.tobytes()
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.data())
     def test_row_sums_are_bitwise_np_add_at_into_zeros(self, data):
         # repeated ids, PAD (possibly every id), -0.0, and terms whose sum depends on their order
@@ -363,21 +356,19 @@ class TestBatch:
         assert grad.ids.tolist() == sorted(set(ids[real].tolist()))
         assert grad.rows.tobytes() == reference[grad.ids].tobytes()
 
-    @pytest.mark.parametrize("use_block", [False, True])
-    def test_ragged_gradients_match_finite_differences(self, use_block):
-        rng = np.random.default_rng(1000 + 2 * use_block)
+    def test_ragged_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(1002)
         for _ in range(4):
-            model, id_lists, grad_out = sample_ragged_case(rng, vocab_tokens=12, use_block=use_block)
+            model, id_lists, grad_out = sample_ragged_case(rng, vocab_tokens=12)
             _, trace = encode_with_trace(model, *flat_ids(model, id_lists))
             analytic = dense_grads(model, backprop(model, trace, grad_out))
             for name, param in model.params.items():
                 numeric = central_diff_grad(lambda: batch_objective(model, id_lists, grad_out), param)
                 assert max_rel_error(analytic[name], numeric) < 1e-4, name
 
-    @pytest.mark.parametrize("use_block", [False, True])
-    def test_embed_text_token_table_is_bitwise_the_per_position_forward(self, use_block):
+    def test_embed_text_token_table_is_bitwise_the_per_position_forward(self):
         # the default width; 9 one-token texts fill a chunk whose longest text has one token
-        model = init_model(TABLE_VOCAB, use_block=use_block, seed=8)
+        model = init_model(TABLE_VOCAB, seed=8)
         chunks = []
 
         def recording(model, real, rows):
@@ -399,32 +390,29 @@ class TestBatch:
     def test_embed_text_token_table_matches_the_per_position_forward_at_any_width(self, dim):
         # OpenBLAS may round a matrix product by its row count at some widths (17, 33, 65 here),
         # so the table's one product and the per-chunk ones agree only to rounding
-        model = init_model(TABLE_VOCAB, dim=dim, use_block=True, seed=dim)
+        model = init_model(TABLE_VOCAB, dim=dim, seed=dim)
         texts = _table_texts(dim, 9)
         reference = _embed_text_per_position(model, texts)
         assert np.max(np.abs(embed_text(model, texts) - reference)) <= 1e-12 * np.max(np.abs(reference))
 
-    @pytest.mark.parametrize("use_block", [False, True])
-    def test_unpadded_batch_traces_the_same_bits_as_with_the_key_mask(self, use_block):
-        model = init_model(TABLE_VOCAB, dim=8, use_block=use_block, seed=11)
+    def test_unpadded_batch_traces_the_same_bits_as_with_the_key_mask(self):
+        model = init_model(TABLE_VOCAB, dim=8, seed=11)
         model.params["embedding"][5] = 0.0  # token 5 scores exactly zero against every key
         rng = np.random.default_rng(3)
         id_lists = [[5, *rng.integers(2, 42, size=5)] for _ in range(4)]
         vecs, trace = encode_with_trace(model, *flat_ids(model, id_lists))
         masked, acts = _masked_encode(model, id_lists)
         assert vecs.tobytes() == masked.tobytes()
-        if use_block:
-            # the trace keeps only where the relu is positive; rebuild the relu from its h1
-            relu = np.maximum(trace.h1 @ model.params["w_1"], 0.0)
-            assert acts.pop("relu").tobytes() == relu.tobytes()
-            assert trace.relu_on.tobytes() == (relu > 0.0).tobytes()
-        assert sorted(acts) == sorted(name for name in vars(trace) if getattr(trace, name) is not None
-                                      and name not in ("ids", "model_version", "relu_on"))
+        # the trace keeps only where the relu is positive; rebuild the relu from its h1
+        relu = np.maximum(trace.h1 @ model.params["w_1"], 0.0)
+        assert acts.pop("relu").tobytes() == relu.tobytes()
+        assert trace.relu_on.tobytes() == (relu > 0.0).tobytes()
+        assert sorted(acts) == sorted(name for name in vars(trace) if name not in ("ids", "model_version", "relu_on"))
         for name, arr in acts.items():
             assert getattr(trace, name).tobytes() == arr.tobytes(), name
 
     def test_token_layer_runs_once_per_call_in_eval_and_per_position_in_training(self):
-        model = init_model(TABLE_VOCAB, dim=8, use_block=True, seed=9)
+        model = init_model(TABLE_VOCAB, dim=8, seed=9)
         calls = []
 
         def recording(model, ids):
@@ -453,7 +441,7 @@ class TestBatch:
 
     def test_embed_text_keeps_row_order_across_chunks(self):
         vocab = build_vocab(["w%d" % i for i in range(40)], max_size=50)
-        model = init_model(vocab, dim=5, use_block=True, seed=6)
+        model = init_model(vocab, dim=5, seed=6)
         rng = np.random.default_rng(2)
         distinct = [" ".join(f"w{t}" for t in rng.integers(0, 40, size=rng.integers(1, 20))) for _ in range(20)]
         texts = [distinct[i] for i in rng.integers(0, 20, size=37)]  # 37 draws of 20 texts: some repeat
@@ -467,13 +455,12 @@ class TestBatch:
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         vocab = build_vocab(["alpha beta gamma delta"], max_size=20)
-        model = init_model(vocab, dim=6, use_block=True, seed=9, max_len=32)
+        model = init_model(vocab, dim=6, seed=9, max_len=32)
         model.version = 17
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.dim == 6
-        assert loaded.use_block
         assert loaded.max_len == 32
         assert loaded.version == 17
         assert loaded.vocab.tokens == vocab.tokens
@@ -483,7 +470,7 @@ class TestCheckpoint:
 
     def test_loaded_model_encodes_identically(self, tmp_path):
         vocab = build_vocab(["alpha beta gamma delta epsilon"], max_size=20)
-        model = init_model(vocab, dim=4, use_block=True, seed=3)
+        model = init_model(vocab, dim=4, seed=3)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -505,7 +492,7 @@ class TestCheckpoint:
 
     def test_truncated_payload_rejected(self, tmp_path):
         vocab = build_vocab(["alpha beta"], max_size=10)
-        model = init_model(vocab, dim=4, use_block=False, seed=0)
+        model = init_model(vocab, dim=4, seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         data = path.read_bytes()
@@ -516,11 +503,11 @@ class TestCheckpoint:
     def test_overlong_payload_rejected(self, tmp_path):
         # the payload's length is read from the file, not counted while reading it
         vocab = build_vocab(["alpha beta"], max_size=10)
-        model = init_model(vocab, dim=4, use_block=False, seed=0)  # 4 x 4 parameters, 128 bytes
+        model = init_model(vocab, dim=4, seed=0)  # 4 x 4 embedding and 112 block parameters, 1,024 bytes
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes() + bytes(8))
-        with pytest.raises(DataError, match="parameter payload is 136 bytes, header declares 128"):
+        with pytest.raises(DataError, match="parameter payload is 1032 bytes, header declares 1024"):
             load_checkpoint(path)
 
     def _write_with_header(self, path, model, **changes):
@@ -531,59 +518,77 @@ class TestCheckpoint:
         header.update(changes)
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
-    def test_older_header_with_normalize_output_false_loads_the_same_model(self, tmp_path):
-        # checkpoints written while the setting existed carry the key; false is the model this encoder runs
-        model = init_model(build_vocab(["alpha beta gamma delta"], max_size=10), dim=4, use_block=True, seed=5)
+    # checkpoints written while a retired setting existed carry its key; its old default is the model this
+    # encoder runs
+    @pytest.mark.parametrize(
+        "retired", [{"normalize_output": False}, {"use_block": True}, {"use_block": True, "normalize_output": False}],
+        ids=["normalize_output", "use_block", "both"],
+    )
+    def test_older_header_with_retired_settings_at_their_defaults_loads_the_same_model(self, tmp_path, retired):
+        model = init_model(build_vocab(["alpha beta gamma delta"], max_size=10), dim=4, seed=5)
         model.version = 3
         save_checkpoint(model, tmp_path / "new.ckpt")
-        self._write_with_header(tmp_path / "old.ckpt", model, normalize_output=False)
+        self._write_with_header(tmp_path / "old.ckpt", model, **retired)
         new, old = load_checkpoint(tmp_path / "new.ckpt"), load_checkpoint(tmp_path / "old.ckpt")
-        assert (old.dim, old.use_block, old.max_len, old.version) == (new.dim, new.use_block, new.max_len, 3)
+        assert (old.dim, old.max_len, old.version) == (new.dim, new.max_len, 3)
         assert old.vocab.tokens == new.vocab.tokens
         for name in new.params:
             assert old.params[name].tobytes() == new.params[name].tobytes()
         assert embed_text(old, ["alpha gamma"]).tobytes() == embed_text(new, ["alpha gamma"]).tobytes()
 
-    # JSON 0 equals false in Python, but no checkpoint ever held it: only false names the model this encoder runs
-    @pytest.mark.parametrize("value", [True, 0, 1, None, "false"], ids=["true", "zero", "one", "null", "string"])
-    def test_older_header_with_other_normalize_output_rejected(self, tmp_path, value):
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=False, seed=0)
+    RETIRED_RULES = {"normalize_output": "must be false, as this encoder does not normalize",
+                     "use_block": "must be true, as this encoder always runs its block"}
+
+    # JSON 0 equals false and 1 true in Python, but no checkpoint ever held them: only the old default names the
+    # model this encoder runs
+    @pytest.mark.parametrize(
+        "key, value",
+        [("normalize_output", value) for value in (True, 0, 1, None, "false")]
+        + [("use_block", value) for value in (False, 1, 0, None, "true")],
+        ids=["normalize_output-true", "normalize_output-zero", "normalize_output-one", "normalize_output-null",
+             "normalize_output-string", "use_block-false", "use_block-one", "use_block-zero", "use_block-null",
+             "use_block-string"],
+    )
+    def test_older_header_with_other_retired_value_rejected(self, tmp_path, key, value):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
         path = tmp_path / "old.ckpt"
-        self._write_with_header(path, model, normalize_output=value)
+        self._write_with_header(path, model, **{key: value})
         with pytest.raises(DataError) as excinfo:
             load_checkpoint(path)
         message = str(excinfo.value)
         assert message.startswith(f"{path}: checkpoint header: ")
-        assert f"normalize_output must be false, as this encoder does not normalize; got {value!r}" in message
+        assert f"{key} {self.RETIRED_RULES[key]}; got {value!r}" in message
+
+    def test_older_blockless_checkpoint_rejected(self, tmp_path):
+        # a checkpoint trained with the block off holds the embedding alone; the error names the setting
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
+        model.params = {"embedding": model.params["embedding"]}
+        path = tmp_path / "old.ckpt"
+        self._write_with_header(path, model, use_block=False)
+        with pytest.raises(DataError, match=f"use_block {self.RETIRED_RULES['use_block']}; got False$"):
+            load_checkpoint(path)
 
     def test_vocab_longer_than_embedding_rejected(self, tmp_path):
         vocab = build_vocab(["alpha beta"], max_size=10)
-        model = init_model(vocab, dim=4, use_block=False, seed=0)
+        model = init_model(vocab, dim=4, seed=0)
         path = tmp_path / "model.ckpt"
         self._write_with_header(path, model, vocab={"tokens": vocab.tokens + ["extra"], "max_size": 10})
         with pytest.raises(DataError, match="vocab of 5 tokens"):
             load_checkpoint(path)
 
     def test_block_checkpoint_without_w_q_rejected(self, tmp_path):
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
         del model.params["w_q"]
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        with pytest.raises(DataError, match="use_block True"):
-            load_checkpoint(path)
-
-    def test_block_params_in_blockless_checkpoint_rejected(self, tmp_path):
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)
-        path = tmp_path / "model.ckpt"
-        self._write_with_header(path, model, use_block=False)
-        with pytest.raises(DataError, match="use_block False"):
+        with pytest.raises(DataError, match="tokens and dim 4 need"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "change", [{"name": None}, {"name": 3}, {"shape": None}, {"shape": "ab"}, {"shape": [4.5, 4]}]
     )
     def test_param_entry_without_string_name_or_int_shape_rejected(self, tmp_path, change):
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=False, seed=0)
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         params = json.loads(path.read_bytes().split(b"\n", 1)[0])["params"]
@@ -595,7 +600,7 @@ class TestCheckpoint:
         "text", ['"dim": Infinity', '"dim": 1e999', '"model_version": -Infinity', '"max_len": 0']
     )
     def test_header_number_out_of_range_rejected(self, tmp_path, text):
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=False, seed=0)
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         header_line, payload = path.read_bytes().split(b"\n", 1)
@@ -607,7 +612,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_dim_below_two_rejected(self, tmp_path):
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=False, seed=0)
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
         model.dim, model.params["embedding"] = 1, model.params["embedding"][:, :1]
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
@@ -617,7 +622,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_parameter_rejected(self, tmp_path, value):
         # an all-NaN model ties every candidate, and ties rank positives first: nDCG would read 1.0
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
         model.params["w_2"][1, 2] = value
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
@@ -626,7 +631,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("name", ["embedding", "w_q", "w_k", "w_v", "w_1", "w_2"])
     def test_shape_not_matching_dim_rejected(self, tmp_path, name):
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, use_block=True, seed=0)
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
         rows, cols = model.params[name].shape
         model.params[name] = np.zeros((rows, cols + 1))
         path = tmp_path / "model.ckpt"

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from fdcheck import toy_vocab
+from fdcheck import mean_pool_model, toy_vocab
 from weakpairs import evaluate
 from weakpairs.corpus import BenchmarkQuery, RankingBenchmark
 from weakpairs.encoder import embed_text, init_model
@@ -188,7 +188,7 @@ def make_query(query_text, positives, negatives):
 
 class TestEvalRanking:
     def vocab_model(self, **kwargs):
-        return init_model(toy_vocab(30), dim=8, use_block=False, seed=1, **kwargs)
+        return mean_pool_model(toy_vocab(30), dim=8, seed=1, **kwargs)
 
     def test_positives_identical_to_query_rank_first(self):
         model = self.vocab_model()
@@ -234,7 +234,7 @@ class TestEvalRanking:
         # a random encoder induces near-uniform random rankings on unrelated
         # token soup; over >= 1000 queries its mean nDCG must sit within 0.02
         # of the exact permutation baseline
-        model = init_model(toy_vocab(1100), dim=8, use_block=False, seed=3)
+        model = mean_pool_model(toy_vocab(1100), dim=8, seed=3)
         rng = random.Random(0)
         tokens = [f"tok{i:03d}" for i in range(1000)]
         queries = []
@@ -255,7 +255,7 @@ class TestEvalRanking:
     def test_shared_candidates_score_as_per_query_embedding(self, monkeypatch):
         # candidates recur across queries, and the benchmark is embedded in one call; scores and
         # rankings must equal embedding each query's 31 texts on their own
-        model = init_model(toy_vocab(30), dim=8, use_block=True, seed=5)
+        model = init_model(toy_vocab(30), dim=8, seed=5)
         rng = random.Random(8)
         texts = [" ".join(f"tok{rng.randrange(30):03d}" for _ in range(rng.randint(1, 9))) for _ in range(40)]
         queries = []
@@ -291,7 +291,7 @@ class TestEvalRanking:
 
 class TestEvalGraded:
     def test_perfect_agreement(self):
-        model = init_model(toy_vocab(20), dim=6, use_block=False, seed=2)
+        model = mean_pool_model(toy_vocab(20), dim=6, seed=2)
         pairs = [
             ("tok001 tok002", "tok001 tok002", 5.0),
             ("tok003", "tok004", 1.0),
@@ -306,7 +306,7 @@ class TestEvalGraded:
     def test_constant_predictions_rejected(self):
         # a model that embeds every text identically produces constant
         # predictions, where Pearson is undefined
-        model = init_model(toy_vocab(20), dim=6, use_block=False, seed=2)
+        model = mean_pool_model(toy_vocab(20), dim=6, seed=2)
         model.params["embedding"][1:] = np.ones(6)
         pairs = [("tok001", "tok002", 5.0), ("tok003", "tok004", 1.0)]
         with pytest.raises(NumericError):
@@ -314,14 +314,14 @@ class TestEvalGraded:
 
     def test_zero_norm_embedding_names_pair(self):
         # pair 530 sits in the second embedding window; its second text embeds to zero
-        model = init_model(toy_vocab(20), dim=6, use_block=False, seed=2)
+        model = mean_pool_model(toy_vocab(20), dim=6, seed=2)
         model.params["embedding"][model.vocab.token_to_id["tok009"]] = 0.0
         pairs = [("tok001", "tok009" if i == 530 else f"tok00{i % 8}", float(i % 5)) for i in range(600)]
         with pytest.raises(DataError, match="graded pairs toy, pair 530: cosine similarity undefined"):
             eval_graded(model, GradedPairDataset(pairs=pairs, name="toy"))
 
     def test_hand_built_fixture_matches_hand_pearson(self):
-        model = init_model(toy_vocab(10), dim=2, use_block=False, seed=0)
+        model = mean_pool_model(toy_vocab(10), dim=2)
         emb = model.params["embedding"]
         emb[2] = [1.0, 0.0]   # tok000
         emb[3] = [1.0, 0.0]   # tok001: cos = 1

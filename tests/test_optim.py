@@ -414,7 +414,7 @@ def tiny_trainable_model(pairs, dim=8, seed=0):
 
     texts = [p.anchor_text for p in pairs] + [p.positive_text for p in pairs]
     vocab = build_vocab(texts, max_size=200)
-    return init_model(vocab, dim=dim, use_block=True, seed=seed)
+    return init_model(vocab, dim=dim, seed=seed)
 
 
 def per_row_triplet_step(anchor_vecs, pos_vecs, rng, margin):
@@ -534,8 +534,7 @@ class TestTrainEpoch:
         train(model, pairs, TrainConfig(batch_size=10, weight_decay=0.1))
         np.testing.assert_array_equal(model.params["embedding"][PAD_ID], before)
 
-    @pytest.mark.parametrize("use_block", [True, False], ids=["block", "no-block"])
-    def test_pad_gradient_exactly_zero_on_ragged_batches(self, monkeypatch, use_block):
+    def test_pad_gradient_exactly_zero_on_ragged_batches(self, monkeypatch):
         # anchors of 2-5 tokens and positives of 7 pad every batch; nothing zeroes the
         # PAD row on the way: backprop's gradient and the full parameters reach AdamW,
         # and the compact embedding gradient never names the PAD row
@@ -548,7 +547,7 @@ class TestTrainEpoch:
             for i in range(20)
         ]
         vocab = build_vocab([p.anchor_text for p in pairs] + [p.positive_text for p in pairs], max_size=50)
-        model = init_model(vocab, dim=6, use_block=use_block, seed=3)
+        model = init_model(vocab, dim=6, seed=3)
         real_adamw = optim_mod.adamw_step
         touched_ids = []
 

@@ -102,7 +102,7 @@ class TestClean:
             )
             assert len(clean(text)) <= len(text)
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(st.lists(st.sampled_from(CLEAN_FRAGMENTS) | st.text(max_size=4), max_size=12).map("".join))
     def test_equals_unconditional_fixpoint_loop(self, text):
         assert clean(text) == _clean_reference(text)
@@ -145,7 +145,7 @@ class TestTokenize:
             text = " ".join(f"{c} {c}{c}x_y{c}" for c in points)
             assert tokenize(text) == TOKEN_RE.findall(text), hex(start)
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(st.lists(st.sampled_from(TOKEN_FRAGMENTS), max_size=16).map("".join))
     def test_equals_the_regex_on_mixed_text(self, text):
         assert tokenize(text) == TOKEN_RE.findall(text)
@@ -180,7 +180,7 @@ class TestVocabulary:
         corpus = ["x y z y", "z z q"]
         assert build_vocab(corpus, 20).tokens == build_vocab(corpus, 20).tokens
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(
         st.lists(st.lists(st.sampled_from(["a", "b", "ab", "ba", "c", "<pad>", "<unk>", "!", "é"]), max_size=12)
                  .map(" ".join), max_size=8),
@@ -191,7 +191,7 @@ class TestVocabulary:
         ranked = [token for token, _ in sorted(counts.items(), key=lambda item: (-item[1], item[0]))]
         assert build_vocab(corpus, max_size).tokens == [PAD_TOKEN, UNK_TOKEN] + ranked[: max_size - 2]
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500)
     @given(st.lists(st.sampled_from([PAD_TOKEN, UNK_TOKEN, "<", ">", " "]) | st.text(max_size=4), max_size=8)
            .map("".join))
     def test_tokenize_never_yields_a_special(self, text):
@@ -248,7 +248,7 @@ class TestEncodeIds:
         text = "alpha beta!?!gamma zzz"
         assert encode_ids(vocab, text, max_len) == _encode_ids_reference(vocab, text, max_len)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(st.lists(st.sampled_from(TOKEN_FRAGMENTS + ["alpha", "beta", "gamma"]), max_size=16).map("".join),
            st.integers(1, 8))
     def test_equals_the_regex_reference(self, text, max_len):
