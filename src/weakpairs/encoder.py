@@ -5,9 +5,10 @@ feed-forward block (single head, residual connections, no positional
 encodings), then a MEAN pool over token positions.  The pooled vector is the
 embedding, with no normalization: training's multiple-negatives loss and
 every benchmark compare embeddings by cosine, which does not see their
-length, and the triplet loss is defined on the raw vectors.  Everything is
+length, and the triplet loss is defined on the raw vectors.  Training is
 plain float64 numpy so gradients can be derived by hand and checked against
-central finite differences.
+central finite differences; eval (``embed_text``) runs the same forward in
+float32, which halves the bytes each chunk moves.
 
 The block's output at each position is ``relu @ w_2 + h1``.  Mean pooling is
 linear and ``w_2`` acts on each position alone, so the pooled embedding is
@@ -56,7 +57,7 @@ from .textproc import PAD_ID, Vocabulary, clean, encode_ids
 
 CHECKPOINT_FORMAT_VERSION = 1
 INIT_SCALE = 0.05
-_EMBED_CHUNK = 8  # texts per encode in embed_text; see CHANGES.md for the measurement
+_EMBED_CHUNK = 16  # texts per encode in embed_text; see CHANGES.md for the measurement
 
 
 @dataclass
@@ -215,17 +216,20 @@ def _encode(
     of the padded ids, with (B, L, dim) arrays computed per position or
     gathered from a table of distinct ids.  Returns the embeddings and the
     activations backprop needs, as ``ForwardTrace`` fields by name, save
-    that the float ``relu`` stands for the trace's ``relu_on`` mask.
+    that the float ``relu`` stands for the trace's ``relu_on`` mask.  The
+    arithmetic runs in the rows' and the model's dtype, float64 in training
+    and float32 in eval; on float64 the casts below are no-ops that copy
+    nothing.
     """
-    pool = real / real.sum(axis=1, keepdims=True)
     p = model.params
     x, q, k, v = rows
+    pool = (real / real.sum(axis=1, keepdims=True)).astype(x.dtype, copy=False)
     scores = q @ k.transpose(0, 2, 1)
-    scores /= np.sqrt(model.dim)
+    scores /= np.sqrt(model.dim, dtype=scores.dtype)
     # no query attends to a padded key; without padding the mask would add only +0.0,
     # which can flip the sign of a zero score but not its exp
     if not real.all():
-        scores += np.where(real, 0.0, -np.inf)[:, None, :]
+        scores += np.where(real, scores.dtype.type(0.0), -np.inf)[:, None, :]
     attn = _softmax_rows(scores)
     h1 = attn @ v
     h1 += x
@@ -263,8 +267,16 @@ def encode(model: EncoderModel, ids) -> np.ndarray:
     return encode_with_trace(model, *flat_ids(model, [ids]))[0][0]
 
 
+def _float32(model: EncoderModel, ids: np.ndarray) -> EncoderModel:
+    """The model eval runs: float32 copies of the block matrices and of the embedding rows of ``ids``,
+    which become rows 0, 1, ... of its embedding."""
+    params = {name: arr.astype(np.float32) for name, arr in model.params.items() if name != "embedding"}
+    params["embedding"] = model.params["embedding"][ids].astype(np.float32)
+    return EncoderModel(vocab=model.vocab, params=params, dim=model.dim, max_len=model.max_len)
+
+
 def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
-    """Texts in, one sentence vector per text out: clean, map to ids under the model's vocab, encode.
+    """Texts in, one float32 sentence vector per text out: clean, map to ids under the model's vocab, encode.
 
     Cleaning is idempotent, so already-cleaned pipeline text passes through
     unchanged while raw external text (e.g. graded pair files) gets the same
@@ -274,31 +286,31 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
 
     The call's ids are kept in one flat array, text after text, and each
     chunk is indexed into it as ``encode_with_trace`` indexes its batch.
-    The token layer runs once over the call's distinct ids, PAD included,
-    and each chunk gathers its rows from that table through its (B, L)
-    index; the table is freed when the call returns.  Those rows are the
-    ones a per-position forward computes, save for how the BLAS rounds one
-    large product against many small ones.  With OpenBLAS on x86-64 the
-    output is bit for bit the per-position one at the default width (64)
-    and at every multiple of 8 tried; at some other widths, such as 33, its
-    last bits can differ.
+    The forward runs in float32: once per call, the embedding rows of the
+    call's distinct ids, PAD included, and the block matrices are cast
+    (``_float32``), the token layer runs once over those rows, and each
+    chunk gathers its rows from that table through its (B, L) index; the
+    table is freed when the call returns.  The output holds the same bits
+    from call to call and run to run (``cli.main`` runs OpenBLAS on one
+    thread, so an eval report does not depend on ``OPENBLAS_NUM_THREADS``),
+    and it is the float64 per-position forward to float32 rounding: each
+    row differs from it by at most 1e-5 of the row's length, and each
+    cosine between two rows by at most 1e-6.  A text's row can differ in
+    its last bits with the texts it is embedded beside, which set its
+    chunk's padded length and the table's row count.
     """
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     flat, starts, lengths = flat_ids(model, (encode_ids(model.vocab, clean(text), model.max_len) for text in slot))
     seen = np.bincount(flat, minlength=len(model.vocab)) > 0
-    table = _token_rows(model, np.flatnonzero(seen))
+    model32 = _float32(model, np.flatnonzero(seen))
+    table = _token_rows(model32, np.arange(len(model32.params["embedding"])))
     slots = (np.cumsum(seen) - 1)[flat]  # each flat position's row of the table
     order = np.argsort(lengths, kind="stable")
-    distinct = np.empty((len(slot), model.dim))
+    distinct = np.empty((len(slot), model.dim), dtype=np.float32)
     for start in range(0, len(order), _EMBED_CHUNK):
         rows = order[start : start + _EMBED_CHUNK]
         index, real = _batch_index(starts[rows], lengths[rows])
-        if real.shape[1] == 1:
-            # numpy multiplies one-row matrices as vectors (BLAS gemv), which rounds unlike the table's gemm
-            token_rows = _token_rows(model, flat[index])
-        else:
-            token_rows = tuple(arr.take(slots[index], axis=0) for arr in table)
-        distinct[rows] = _encode(model, real, token_rows)[0]
+        distinct[rows] = _encode(model32, real, tuple(arr.take(slots[index], axis=0) for arr in table))[0]
     return distinct[[slot[text] for text in texts]]
 
 

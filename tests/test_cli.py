@@ -530,6 +530,32 @@ class TestTrainEval:
             digests.add(hashlib.sha256(Path(f"m{threads}.ckpt").read_bytes()).hexdigest())
         assert len(digests) == 1
 
+    def test_eval_reports_are_the_same_at_one_and_two_blas_threads(self, tmp_cwd):
+        # eval's float32 forward at the default width, each eval in a process of its own as each train above
+        assert run("--seed", 7, "synth", "--topics", 20, "--pairs-per-topic", 30, "--noise", 0.3,
+                   "--responses-per-target", 8, "--out", "store.jsonl") == 0
+        assert run("--seed", 7, "ingest", "--inputs", "store.jsonl", "--out", "records.jsonl") == 0
+        assert run("--seed", 7, "build", "--records", "records.jsonl", "--dataset", "qt", "--bench-queries", 8,
+                   "--out-dir", "built") == 0
+        assert run("--seed", 7, "train", "--pairs", "built/pairs_qt.tsv", "--batch-size", 8, "--out", "m.ckpt") == 0
+        # each query with each of its candidates: a positive scored 5, a negative 0
+        queries = [json.loads(line) for line in Path("built/bench_dq.jsonl").read_text().splitlines()]
+        Path("graded.tsv").write_text("".join(f"{q['query']}\t{text}\t{score}\n" for q in queries
+                                              for key, score in (("positives", 5), ("negatives", 0))
+                                              for text in q[key]))
+        reports = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-m", "weakpairs", "eval", "--checkpoint", "m.ckpt",
+                 "--inputs", "built/bench_dq.jsonl", "graded.tsv", "--out-dir", f"reports{threads}"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            reports.add(tuple(Path(f"reports{threads}", name).read_bytes()
+                              for name in ("report_bench_dq.json", "report_graded.json")))
+        assert len(reports) == 1
+
     def test_rerun_same_seed_bitwise_checkpoint(self, store):
         self.prepare(store)
         for out in ("m1.ckpt", "m2.ckpt"):

@@ -35,6 +35,7 @@ from weakpairs.encoder import (
 from weakpairs import encoder as encoder_mod
 from weakpairs.corpus import PairExample
 from weakpairs.errors import DataError
+from weakpairs.evaluate import cosine_similarity
 from weakpairs.optim import TrainConfig, train
 from weakpairs.textproc import PAD_ID, build_vocab, clean, encode_ids
 
@@ -260,17 +261,21 @@ def _masked_encode(model, id_lists):
     return encoder_mod._encode(model, real.view(_Padded), encoder_mod._token_rows(model, ids))
 
 
-def _embed_text_per_position(model, texts):
-    """The reference: embed_text's length-sorted chunks, each padded from lists, its token layer run
-    per position and the key mask always added."""
-    slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    id_lists = [encode_ids(model.vocab, clean(text), model.max_len) for text in slot]
-    order = sorted(range(len(id_lists)), key=lambda i: len(id_lists[i]))
-    distinct = np.empty((len(id_lists), model.dim))
-    for start in range(0, len(order), encoder_mod._EMBED_CHUNK):
-        rows = order[start : start + encoder_mod._EMBED_CHUNK]
-        distinct[rows] = _masked_encode(model, [id_lists[i] for i in rows])[0]
-    return distinct[[slot[text] for text in texts]]
+def _per_text_forward(model, texts):
+    """The reference: the float64 per-position forward of each text alone."""
+    return np.array([encode(model, encode_ids(model.vocab, clean(text), model.max_len)) for text in texts])
+
+
+# eval's float32 forward keeps each row within ROW_RTOL of that row's length and each cosine within COSINE_ATOL
+ROW_RTOL, COSINE_ATOL = 1e-5, 1e-6
+
+
+def _assert_within_float32_rounding(vecs, reference):
+    """Row by row, and in every cosine between two rows, ``vecs`` is ``reference`` to float32 rounding."""
+    row_error = np.linalg.norm(vecs - reference, axis=1) / np.linalg.norm(reference, axis=1)
+    assert row_error.max() <= ROW_RTOL
+    np.testing.assert_allclose(cosine_similarity(vecs[:, None], vecs[None]),
+                               cosine_similarity(reference[:, None], reference[None]), rtol=0, atol=COSINE_ATOL)
 
 
 # 2,002 tokens, of which the texts below use at most 40 and UNK
@@ -278,11 +283,11 @@ TABLE_VOCAB = build_vocab(["w%d" % i for i in range(2000)], max_size=2002)
 
 
 def _table_texts(seed, one_token_texts):
-    """40 ragged and 16 equal-length texts sharing some ids, plus an all-UNK, an empty and an over-long
-    text and one-token texts."""
+    """40 ragged texts and two chunks' worth of equal-length ones, sharing some ids, plus an all-UNK, an
+    empty and an over-long text and one-token texts."""
     rng = np.random.default_rng(seed)
     texts = [" ".join(f"w{t}" for t in rng.integers(0, 40, size=rng.integers(2, 30))) for _ in range(40)]
-    texts += [" ".join(f"w{t}" for t in rng.integers(0, 40, size=31)) for _ in range(16)]
+    texts += [" ".join(f"w{t}" for t in rng.integers(0, 40, size=31)) for _ in range(2 * encoder_mod._EMBED_CHUNK)]
     texts += ["zz qq zz", "", " ".join(f"w{t}" for t in rng.integers(0, 40, size=70))]
     texts += [f"w{t}" for t in range(one_token_texts)]
     return [texts[i] for i in rng.permutation(len(texts))]
@@ -366,34 +371,39 @@ class TestBatch:
                 numeric = central_diff_grad(lambda: batch_objective(model, id_lists, grad_out), param)
                 assert max_rel_error(analytic[name], numeric) < 1e-4, name
 
-    def test_embed_text_token_table_is_bitwise_the_per_position_forward(self):
-        # the default width; 9 one-token texts fill a chunk whose longest text has one token
+    def test_embed_text_is_the_per_position_forward_to_float32_rounding(self):
+        # the default width; a chunk's worth of one-token texts, and the empty text, fill a chunk whose
+        # longest text has one token
         model = init_model(TABLE_VOCAB, seed=8)
         chunks = []
 
         def recording(model, real, rows):
             chunks.append((real.shape[1], bool(real.all())))
+            assert {arr.dtype for arr in (*rows, *model.params.values())} == {np.dtype(np.float32)}
             return real_encode(model, real, rows)
 
         real_encode = encoder_mod._encode
-        for one_token_texts in (2, 9):
+        for one_token_texts in (2, encoder_mod._EMBED_CHUNK):
             texts = _table_texts(one_token_texts, one_token_texts)
             with mock.patch.object(encoder_mod, "_encode", recording):
                 vecs = embed_text(model, texts)
-            assert vecs.tobytes() == _embed_text_per_position(model, texts).tobytes()
+            assert vecs.dtype == np.float32
+            _assert_within_float32_rounding(vecs, _per_text_forward(model, texts))
         # unpadded chunks of one token and of the 31-token texts, padded ones, and the over-long text cut
         assert {(1, True), (31, True)} <= set(chunks)
         assert any(not unpadded for _, unpadded in chunks)
         assert max(chunks)[0] == model.max_len
 
-    @pytest.mark.parametrize("dim", [2, 17, 33, 65])
-    def test_embed_text_token_table_matches_the_per_position_forward_at_any_width(self, dim):
-        # OpenBLAS may round a matrix product by its row count at some widths (17, 33, 65 here),
-        # so the table's one product and the per-chunk ones agree only to rounding
+    @pytest.mark.parametrize("dim", [2, 17, 33, 64, 65])
+    def test_embed_text_is_the_per_position_forward_to_float32_rounding_at_any_width(self, dim):
         model = init_model(TABLE_VOCAB, dim=dim, seed=dim)
-        texts = _table_texts(dim, 9)
-        reference = _embed_text_per_position(model, texts)
-        assert np.max(np.abs(embed_text(model, texts) - reference)) <= 1e-12 * np.max(np.abs(reference))
+        texts = _table_texts(dim, encoder_mod._EMBED_CHUNK)
+        _assert_within_float32_rounding(embed_text(model, texts), _per_text_forward(model, texts))
+
+    def test_embed_text_returns_the_same_bytes_on_every_call(self):
+        model = init_model(TABLE_VOCAB, seed=10)
+        texts = _table_texts(10, encoder_mod._EMBED_CHUNK)
+        assert embed_text(model, texts).tobytes() == embed_text(model, texts).tobytes()
 
     def test_unpadded_batch_traces_the_same_bits_as_with_the_key_mask(self):
         model = init_model(TABLE_VOCAB, dim=8, seed=11)
@@ -416,40 +426,70 @@ class TestBatch:
         calls = []
 
         def recording(model, ids):
-            calls.append(ids.copy())
+            calls.append((model, ids.copy()))
             return real_token_rows(model, ids)
 
         real_token_rows = encoder_mod._token_rows
         texts = _table_texts(1, 2)
         with mock.patch.object(encoder_mod, "_token_rows", recording):
             embed_text(model, texts)
-            (table_ids,) = calls
+            ((table_model, table_ids),) = calls
             distinct = {i for text in texts for i in encode_ids(model.vocab, clean(text), model.max_len)}
-            assert table_ids.tolist() == sorted(distinct | {PAD_ID})
-            assert len(table_ids) <= 42  # 40 words, UNK and PAD, of 2,002 tokens
+            distinct = sorted(distinct | {PAD_ID})
+            assert len(distinct) <= 42  # 40 words, UNK and PAD, of 2,002 tokens
+            # one float32 cast per call: the embedding rows of the call's distinct ids, and the block matrices
+            assert table_ids.tolist() == list(range(len(distinct)))
+            expected = dict(model.params, embedding=model.params["embedding"][distinct])
+            assert table_model.params.keys() == expected.keys()
+            for name, param in expected.items():
+                assert table_model.params[name].tobytes() == param.astype(np.float32).tobytes(), name
 
             calls.clear()
-            embed_text(model, texts + [f"w{t}" for t in range(8)])  # a chunk of one-token texts
-            assert [ids.ndim for ids in calls] == [1, 2] and calls[1].shape == (8, 1)
+            embed_text(model, texts + [f"w{t}" for t in range(encoder_mod._EMBED_CHUNK)])  # a one-token chunk
+            assert len(calls) == 1
 
             calls.clear()
             pairs = [PairExample(texts[i], texts[i + 1], "qt", f"a{i}", f"p{i}") for i in range(4)]
             train(model, pairs, TrainConfig(batch_size=4, epochs=1))
-            (step_ids,) = calls
+            ((step_model, step_ids),) = calls
+            assert step_model is model
             lengths = [len(encode_ids(model.vocab, text, model.max_len)) for text in texts[:5]]
             assert step_ids.shape == (8, max(lengths))
+
+    def test_training_forward_is_float64_and_keeps_its_bits(self):
+        model = init_model(TABLE_VOCAB, dim=8, seed=13)
+        id_lists = [[5, 9, 17, 3], [8, 2], [40, 41, 7]]
+        vecs, trace = encode_with_trace(model, *flat_ids(model, id_lists))
+        arrays = {name: value for name, value in vars(trace).items() if isinstance(value, np.ndarray)}
+        assert {name for name, arr in arrays.items() if arr.dtype != np.float64} == {"ids", "relu_on"}
+        # the body written out in float64, in the order of its operations
+        p = model.params
+        ids, real = _padded(id_lists)
+        x = p["embedding"][ids]
+        pool = real / real.sum(axis=1, keepdims=True)
+        scores = (x @ p["w_q"]) @ (x @ p["w_k"]).transpose(0, 2, 1) / np.sqrt(model.dim)
+        scores += np.where(real, 0.0, -np.inf)[:, None, :]
+        attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn /= attn.sum(axis=-1, keepdims=True)
+        h1 = attn @ (x @ p["w_v"]) + x
+        pooled_relu = (pool[:, None, :] @ np.maximum(h1 @ p["w_1"], 0.0))[:, 0]
+        pooled = (pool[:, None, :] @ h1)[:, 0] + pooled_relu @ p["w_2"]
+        for name, reference in dict(pool=pool, attn=attn, h1=h1, pooled_relu=pooled_relu, pooled=pooled).items():
+            assert arrays[name].tobytes() == reference.tobytes(), name
+        assert vecs.tobytes() == pooled.tobytes()
 
     def test_embed_text_keeps_row_order_across_chunks(self):
         vocab = build_vocab(["w%d" % i for i in range(40)], max_size=50)
         model = init_model(vocab, dim=5, seed=6)
         rng = np.random.default_rng(2)
-        distinct = [" ".join(f"w{t}" for t in rng.integers(0, 40, size=rng.integers(1, 20))) for _ in range(20)]
-        texts = [distinct[i] for i in rng.integers(0, 20, size=37)]  # 37 draws of 20 texts: some repeat
+        count = 2 * encoder_mod._EMBED_CHUNK + 4  # three chunks
+        distinct = [" ".join(f"w{t}" for t in rng.integers(0, 40, size=rng.integers(1, 20))) for _ in range(count)]
+        texts = [distinct[i] for i in rng.integers(0, count, size=2 * count - 3)]  # some repeat
         vecs = embed_text(model, texts)
-        assert vecs.shape == (37, 5)
+        assert vecs.shape == (len(texts), 5)
         for text, row in zip(texts, vecs):
             np.testing.assert_array_equal(row, vecs[texts.index(text)])  # a repeat copies its first row
-            np.testing.assert_allclose(row, embed_text(model, [text])[0], rtol=0, atol=1e-12)
+        _assert_within_float32_rounding(vecs, np.array([embed_text(model, [text])[0] for text in texts]))
 
 
 class TestCheckpoint:
