@@ -28,7 +28,7 @@ for scale in (1.0, 5.0, 20.0):
 print("(higher scale sharpens the softmax, driving the matched-pair loss to zero)\n")
 
 # --- the encoder's analytic gradients vs finite differences --------------------
-vocab = Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN] + [f"w{i}" for i in range(10)], max_size=12)
+vocab = Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN] + [f"w{i}" for i in range(10)])
 model = init_model(vocab, dim=4, seed=1)
 ids = [2, 5, 7]
 grad_out = np.array([1.0, -0.5, 0.25, 2.0])

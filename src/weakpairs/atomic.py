@@ -1,8 +1,9 @@
 """Line files in and out: UTF-8 JSON lines and TSV, read with located errors, written atomically.
 
 Readers see the old output file or the whole new one, never a part.  An input
-line ends at ``\\n`` or ``\\r\\n`` and line numbers count every line; a line
-that is not UTF-8, not one JSON object, or has the wrong field count is a
+line ends at ``\\n`` or ``\\r\\n`` and line numbers count every line; one
+byte-order mark (U+FEFF) at the start of line 1 is dropped.  A line that is
+not UTF-8, not one JSON object, or has the wrong field count is a
 ``DataError`` naming the file and the line.
 """
 
@@ -48,7 +49,7 @@ def _lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
             except UnicodeDecodeError as exc:
                 reason = f"not UTF-8 ({exc.reason} at byte {exc.start})"
                 raise DataError(f"{path}: {what} line {lineno}: {reason}") from exc
-            yield lineno, line
+            yield lineno, line.removeprefix("\ufeff") if lineno == 1 else line
 
 
 def has_lone_surrogate(obj: object) -> bool:

@@ -127,7 +127,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     set_on: dict[str, int] = {}  # each key's line
     problems: list[str] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is not part of a key
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: config file is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except OSError as exc:
@@ -198,7 +198,8 @@ def _flag_overrides(args) -> dict[str, object]:
 
 def _init_encoder(pairs: list[corpus_mod.PairExample], settings: dict, seed: int) -> encoder_mod.EncoderModel:
     """Fresh encoder over a vocabulary built from the pairs' cleaned texts, the texts training tokenizes."""
-    texts = [clean(p.anchor_text) for p in pairs] + [clean(p.positive_text) for p in pairs]
+    # each text is cleaned as build_vocab counts it, so no list of all of them is built
+    texts = (clean(text) for p in pairs for text in (p.anchor_text, p.positive_text))
     vocab = build_vocab(texts, max_size=settings["vocab_size"])
     return encoder_mod.init_model(vocab, seed=seed, **{key: settings[key] for key in encoder_mod.ENCODER_SETTINGS})
 
@@ -337,12 +338,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _config_hash(model: encoder_mod.EncoderModel) -> str:
-    encoder_settings = {key: getattr(model, key) for key in encoder_mod.ENCODER_SETTINGS}
-    blob = json.dumps({**encoder_settings, "vocab": len(model.vocab)}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
 def cmd_eval(args) -> int:
     unknown = [p for p in args.inputs if Path(p).suffix not in (".jsonl", ".tsv")]
     if unknown:
@@ -363,15 +358,15 @@ def cmd_eval(args) -> int:
         for p in args.inputs
     ]
     reports = [
-        eval_mod.eval_ranking(model, data, at_k=args.at_k)
+        eval_mod.eval_ranking(model, data)
         if isinstance(data, corpus_mod.RankingBenchmark)
         else eval_mod.eval_graded(model, data)
         for data in loaded
     ]
     for report in reports:
-        report.meta.update({"checkpoint": checkpoint_id, "config_hash": _config_hash(model)})
+        report.meta["checkpoint"] = checkpoint_id
     files = [(path, eval_mod.EvalReport.write, report) for path, report in zip(report_paths, reports)]
-    _publish("eval", out_dir, files, {"at_k": args.at_k, "checkpoint": str(args.checkpoint)}, inputs, args.seed)
+    _publish("eval", out_dir, files, {"checkpoint": str(args.checkpoint)}, inputs, args.seed)
 
     # table convention: scores reported x100
     width = max(len("benchmark"), *(len(report.benchmark) for report in reports))
@@ -530,7 +525,6 @@ def build_parser() -> _Parser:
     p = commands.add_parser("eval", help="evaluate a checkpoint on benchmarks/graded files")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--at-k", dest="at_k", type=_at_least(1), default=None)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_eval)
 

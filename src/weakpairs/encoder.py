@@ -404,7 +404,7 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         **{key: getattr(model, key) for key in ENCODER_SETTINGS},
         "model_version": model.version,
-        "vocab": {"tokens": model.vocab.tokens, "max_size": model.vocab.max_size},
+        "vocab": {"tokens": model.vocab.tokens},
         "params": [{"name": name, "shape": list(arr.shape)} for name, arr in model.params.items()],
     }
     with atomic_write(path, "wb") as handle:
@@ -454,26 +454,24 @@ def _model_from_header(path: Path, header_line: bytes) -> tuple[EncoderModel, li
     try:
         declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
         settings = {key: header[key] for key in ENCODER_SETTINGS}
-        numbers = {"model_version": header.get("model_version", 0), "vocab.max_size": header["vocab"]["max_size"]}
-        vocab = Vocabulary(tokens=header["vocab"]["tokens"], max_size=numbers["vocab.max_size"])
+        model_version = header.get("model_version", 0)
+        vocab = Vocabulary(tokens=header["vocab"]["tokens"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc
-    problems = setting_problems(settings) + [
-        f"{key} must be an integer; got {value!r}" for key, value in numbers.items() if type(value) is not int
-    ]
+    problems = setting_problems(settings)
+    if type(model_version) is not int:
+        problems.append(f"model_version must be an integer; got {model_version!r}")
     problems += [
         f"{key} must be {json.dumps(value)}, {reason}; got {header[key]!r}"
         for key, (value, reason) in RETIRED_SETTINGS.items()
         if header.get(key, value) is not value
     ]
-    if type(vocab.max_size) is int and vocab.max_size < len(vocab):
-        problems.append(f"vocab.max_size must be >= 2 and >= its {len(vocab)} tokens; got {vocab.max_size}")
     problems += [f"vocab.tokens[{i}] must be a string; got {token!r}"
                  for i, token in enumerate(vocab.tokens) if type(token) is not str][:1]
     if problems:
         raise DataError(f"{path}: checkpoint header: " + "; ".join(problems))
     model = EncoderModel(vocab=vocab, params={}, **settings)
-    model.version = numbers["model_version"]
+    model.version = model_version
     if not all(
         isinstance(name, str) and isinstance(shape, list) and all(type(d) is int for d in shape)
         for name, shape in declared

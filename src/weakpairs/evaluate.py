@@ -3,7 +3,7 @@
 Per ranking query the 30 candidates are sorted by descending cosine
 similarity to the query embedding, ties broken by original candidate index
 (positives listed before negatives).  nDCG uses the standard base-2 log
-discount over the full candidate list unless a cutoff is requested.
+discount over the full candidate list.
 """
 
 from __future__ import annotations
@@ -62,20 +62,14 @@ def dcg(relevances: Sequence[float]) -> float:
     return float(np.sum(rel / np.log2(ranks + 1)))
 
 
-def ndcg(relevances_in_ranked_order: Sequence[float], at_k: int | None = None) -> float:
+def ndcg(relevances_in_ranked_order: Sequence[float]) -> float:
     """Normalized discounted cumulative gain of one ranked relevance list."""
     rel = np.asarray(relevances_in_ranked_order, dtype=np.float64)
     if rel.size == 0:
         raise ValueError("empty relevance list")
     if np.any(rel < 0):
         raise ValueError("relevances must be non-negative")
-    ideal = np.sort(rel)[::-1]
-    if at_k is not None:
-        if at_k < 1:
-            raise ValueError(f"at_k must be >= 1, got {at_k}")
-        rel = rel[:at_k]
-        ideal = ideal[:at_k]
-    ideal_dcg = dcg(ideal)
+    ideal_dcg = dcg(np.sort(rel)[::-1])
     if ideal_dcg == 0.0:
         raise NumericError("nDCG undefined: all relevances are zero")
     return dcg(rel) / ideal_dcg
@@ -103,7 +97,7 @@ def rank_candidates(similarities: Sequence[float]) -> list[int]:
     return list(np.argsort(-sims, kind="stable"))
 
 
-def eval_ranking(model: EncoderModel, bench: RankingBenchmark, at_k: int | None = None) -> EvalReport:
+def eval_ranking(model: EncoderModel, bench: RankingBenchmark) -> EvalReport:
     """Mean nDCG over a benchmark: candidates ranked by cosine to the query embedding.
 
     The whole benchmark is embedded in one call, so a text shared by several
@@ -125,13 +119,13 @@ def eval_ranking(model: EncoderModel, bench: RankingBenchmark, at_k: int | None 
         start = end
         order = rank_candidates(sims)
         relevances = [1.0 if idx < len(query.positives) else 0.0 for idx in order]
-        per_query.append(ndcg(relevances, at_k=at_k))
+        per_query.append(ndcg(relevances))
     return EvalReport(
         benchmark=bench.name,
         metric="ndcg",
         value=float(np.mean(per_query)),
         per_query=per_query,
-        meta={"queries": len(per_query), "at_k": at_k},
+        meta={"queries": len(per_query)},
     )
 
 
@@ -152,7 +146,7 @@ def eval_graded(model: EncoderModel, data: GradedPairDataset) -> EvalReport:
         metric="pearson",
         value=pearson(predicted, gold),
         per_query=None,
-        meta={"pairs": len(gold), "score_range": list(SCORE_RANGE)},
+        meta={"pairs": len(gold)},
     )
 
 

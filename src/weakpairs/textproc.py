@@ -73,7 +73,6 @@ class Vocabulary:
     """
 
     tokens: list[str]
-    max_size: int
     token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -102,7 +101,7 @@ def build_vocab(corpus: Iterable[str], max_size: int) -> Vocabulary:
         counts.update(tokenize(text))
     # a stable sort by descending count over the lexicographic order keeps ties lexicographic
     ranked = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
-    return Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN] + ranked[: max_size - 2], max_size=max_size)
+    return Vocabulary(tokens=[PAD_TOKEN, UNK_TOKEN] + ranked[: max_size - 2])
 
 
 def encode_ids(vocab: Vocabulary, text: str, max_len: int) -> list[int]:

@@ -53,7 +53,7 @@ def central_diff_grad(func, array: np.ndarray, step: float = FD_STEP) -> np.ndar
 
 def toy_vocab(num_tokens: int) -> Vocabulary:
     tokens = [PAD_TOKEN, UNK_TOKEN] + [f"tok{i:03d}" for i in range(num_tokens)]
-    return Vocabulary(tokens=tokens, max_size=len(tokens))
+    return Vocabulary(tokens=tokens)
 
 
 def mean_pool_model(vocab: Vocabulary, seed: int = 0, **settings) -> EncoderModel:

@@ -66,6 +66,17 @@ def test_readers_number_every_line_and_skip_blank_ones(tmp_path):
     assert list(read_tsv(path, 2, "thing")) == [(1, ["a", "b"]), (3, [" ", " "]), (4, ["c", "d"])]
 
 
+def test_one_byte_order_mark_starting_line_1_is_dropped(tmp_path):
+    bom = "\ufeff".encode("utf-8")
+    path = tmp_path / "a.jsonl"
+    path.write_bytes(bom + b'{"a": 1}\n{"a": 2}\n')
+    assert list(read_jsonl(path, "thing")) == [(1, {"a": 1}), (2, {"a": 2})]
+    # a second mark, or one on a later line, is text
+    path = tmp_path / "a.tsv"
+    path.write_bytes(bom + bom + b"a\tb\n" + bom + b"c\td\n")
+    assert list(read_tsv(path, 2, "thing")) == [(1, ["\ufeffa", "b"]), (2, ["\ufeffc", "d"])]
+
+
 def test_lone_carriage_return_does_not_split_a_line(tmp_path):
     path = tmp_path / "a.tsv"
     path.write_bytes(b"a\rb\tc\nd\te\n")
@@ -79,6 +90,7 @@ def test_lone_carriage_return_does_not_split_a_line(tmp_path):
         (b'{"a": 1}\n{"a": 2}\n{"a": \n', "jsonl", "Expecting value at column 6"),
         (b'{"a": 1}\n{"a": 2}\n[1, 2]\n', "jsonl", "not a JSON object"),
         (b'{"a": 1}\n{"a": 2}\n{"a": "\\ud83d"}\n', "jsonl", "lone surrogate"),
+        (b'{"a": 1}\n{"a": 2}\n\xef\xbb\xbf{"a": 3}\n', "jsonl", "Unexpected UTF-8 BOM"),
         (b"a\tb\nc\td\n\xe2\x82\tf\n", "tsv", "not UTF-8"),
         (b"a\tb\nc\td\ne\tf\tg\n", "tsv", "has 3 fields, expected 2"),
     ],

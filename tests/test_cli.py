@@ -123,6 +123,16 @@ class TestConfigFile:
         assert err.startswith(f"usage error: {config}: cannot read config file")
         assert list(tmp_cwd.iterdir()) == []
 
+    def test_file_with_byte_order_mark_resolves_like_its_twin(self, tmp_path):
+        # some editors save UTF-8 with a leading U+FEFF; it is not part of the first key
+        text = "batch_size = 16\ndim = 8\n"
+        (tmp_path / "plain.conf").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.conf").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.conf").read_bytes() == b"\xef\xbb\xbf" + (tmp_path / "plain.conf").read_bytes()
+        resolved = resolve_settings(tmp_path / "bom.conf", {}, seed=0)
+        assert resolved == resolve_settings(tmp_path / "plain.conf", {}, seed=0)
+        assert resolved[0]["batch_size"] == 16
+
     @pytest.mark.parametrize("key", SETTING_KEYS)
     def test_flag_and_config_line_resolve_alike(self, tmp_cwd, key):
         value = NON_DEFAULT_SETTINGS[key]
@@ -446,15 +456,6 @@ class TestTrainEval:
         assert err.startswith("usage error: ") and "x/bench.jsonl" in err and "y/bench.jsonl" in err
         assert list(tmp_cwd.iterdir()) == []
 
-    def test_config_hash_pinned(self):
-        from weakpairs.cli import _config_hash
-        from weakpairs.encoder import init_model
-        from weakpairs.textproc import build_vocab
-
-        vocab = build_vocab(["alpha beta gamma delta epsilon zeta"], max_size=50)
-        model = init_model(vocab, dim=8, max_len=16)
-        assert _config_hash(model) == "7e1ce05504fb"
-
     PINNED_TRAIN = ("--seed", 3, "train", "--pairs", "pairs.tsv", "--batch-size", 8, "--dim", 4, "--max-len", 12,
                     "--vocab-size", 40, "--out", "m.ckpt")
 
@@ -465,28 +466,28 @@ class TestTrainEval:
         header = Path("m.ckpt").read_bytes().split(b"\n", 1)[0]
         assert list(json.loads(header)) == ["format_version", "dim", "max_len", "model_version", "vocab", "params"]
         digest = hashlib.sha256(header).hexdigest()
-        assert digest == "9c65b047fb2d881fb15676c5d7010cddcbf7d9af65820f03f8669770d7c404f6"
+        assert digest == "6ec9b4e3787a84f3be58f326f5e2b336b1e03f0cc10ceea081e7eaac1b366285"
 
-    # older checkpoints carry "use_block" after dim, and some "normalize_output" after it; every default run wrote
-    # true and false, the model this encoder runs.  The keys put back give the headers pinned while they were written
+    # older checkpoints end their vocab with "max_size": 40 (this run's vocab_size), some carry "use_block" after
+    # dim, and of those some "normalize_output" after it; every default run wrote true and false, the model this
+    # encoder runs.  The keys put back give the headers pinned while they were written
     @pytest.mark.parametrize(
         "retired, digest",
-        [(b'"use_block": true, ', "1536ab046924253e439caf2f563a61ca1ded13ee6e0927ebeaed6473630e980d"),
+        [(b"", "9c65b047fb2d881fb15676c5d7010cddcbf7d9af65820f03f8669770d7c404f6"),
+         (b'"use_block": true, ', "1536ab046924253e439caf2f563a61ca1ded13ee6e0927ebeaed6473630e980d"),
          (b'"use_block": true, "normalize_output": false, ',
           "98461768eeae9bb8b5933e3232ca4f0d98ade8c81aa9fc06647cf872c2478bd2")],
-        ids=["use_block", "use_block-normalize_output"],
+        ids=["max_size", "max_size-use_block", "max_size-use_block-normalize_output"],
     )
     def test_older_checkpoint_evaluates_as_the_new_one(self, tmp_cwd, retired, digest):
         write_small_pairs("pairs.tsv")
         assert run(*self.PINNED_TRAIN) == 0
         header, payload = Path("m.ckpt").read_bytes().split(b"\n", 1)
         old = header.replace(b'"dim": 4, ', b'"dim": 4, ' + retired)
+        old = old.replace(b']}, "params": ', b'], "max_size": 40}, "params": ')
         assert hashlib.sha256(old).hexdigest() == digest
         Path("old.ckpt").write_bytes(old + b"\n" + payload)
-        words = "granite lantern copper stream meadow harbor".split()
-        query = {"query": "granite 0 alpha beta", "positives": [f"granite {i} gamma delta" for i in range(5)],
-                 "negatives": [f"{w} {i} gamma delta" for w in words[1:] for i in range(5)], "ids": []}
-        Path("bench.jsonl").write_text(json.dumps(query) + "\n")
+        write_small_bench("bench.jsonl")
         reports = []
         for ckpt in ("m.ckpt", "old.ckpt"):
             assert run("eval", "--checkpoint", ckpt, "--inputs", "bench.jsonl", "--out-dir", ckpt + ".eval") == 0
@@ -495,6 +496,33 @@ class TestTrainEval:
         assert len(new["per_query"]) == 1
         assert old["meta"].pop("checkpoint") != new["meta"].pop("checkpoint")  # the file's own hash
         assert old == new
+
+    def test_report_meta_holds_its_count_and_the_checkpoint(self, tmp_cwd):
+        write_small_pairs("pairs.tsv")
+        assert run(*self.PINNED_TRAIN) == 0
+        write_small_bench("bench.jsonl")
+        write_small_graded("graded.tsv")
+        assert run("eval", "--checkpoint", "m.ckpt", "--inputs", "bench.jsonl", "graded.tsv",
+                   "--out-dir", "reports") == 0
+        checkpoint = hashlib.sha256(Path("m.ckpt").read_bytes()).hexdigest()[:12]
+        ranking, graded = (json.loads(Path("reports", f"report_{name}.json").read_text())
+                           for name in ("bench", "graded"))
+        assert ranking["meta"] == {"queries": 1, "checkpoint": checkpoint}
+        assert graded["meta"] == {"pairs": 6, "checkpoint": checkpoint}
+        assert json.loads(Path("reports/manifest_eval.json").read_text())["settings"] == {"checkpoint": "m.ckpt"}
+
+    def test_graded_file_with_byte_order_mark_reports_as_its_twin(self, tmp_cwd):
+        # the mark would otherwise stay in the first text and embed as one more unknown token
+        write_small_pairs("pairs.tsv")
+        assert run(*self.PINNED_TRAIN) == 0
+        for name in ("plain", "bom"):
+            Path(name).mkdir()
+            write_small_graded(Path(name, "graded.tsv"), encoding="utf-8" if name == "plain" else "utf-8-sig")
+            assert run("eval", "--checkpoint", "m.ckpt", "--inputs", f"{name}/graded.tsv",
+                       "--out-dir", f"{name}/reports") == 0
+        assert Path("bom/graded.tsv").read_bytes() == b"\xef\xbb\xbf" + Path("plain/graded.tsv").read_bytes()
+        report = Path("plain/reports/report_graded.json").read_bytes()
+        assert Path("bom/reports/report_graded.json").read_bytes() == report
 
     def test_raw_pair_file_trains_the_checkpoint_of_its_cleaned_twin(self, tmp_cwd):
         # eval cleans every text it embeds; training cleans its pair texts too, before the vocabulary and the ids
@@ -633,15 +661,22 @@ class TestUsageErrors:
              "--benchmark", "bench.jsonl"],
             ["sweep", "--axis", "corpus_size", "--values", -3, 8, "--pairs", "pairs.tsv",
              "--benchmark", "bench.jsonl"],
-            ["eval", "--checkpoint", "model.ckpt", "--inputs", "bench.jsonl", "--at-k", 0],
             ["build", "--records", "records.jsonl", "--pairs-per-dataset", -1],
         ],
-        ids=["sweep-batch-1", "sweep-corpus-negative", "eval-at-k-0", "build-negative-sample"],
+        ids=["sweep-batch-1", "sweep-corpus-negative", "build-negative-sample"],
     )
     def test_rejected_before_any_stage_work(self, tmp_cwd, capsys, argv):
         # the inputs do not exist: reading any of them would be a data error (exit 2)
         assert run(*argv, "--out-dir", "out") == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert list(tmp_cwd.iterdir()) == []
+
+    def test_eval_at_k_is_usage_error(self, tmp_cwd, capsys):
+        # nDCG is over each query's whole candidate list; there is no cutoff to ask for
+        assert run("eval", "--checkpoint", "model.ckpt", "--inputs", "bench.jsonl", "--at-k", 3,
+                   "--out-dir", "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--at-k" in err
         assert list(tmp_cwd.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -765,6 +800,21 @@ def write_small_pairs(path):
          for i in range(6) for w in words],
         path,
     )
+
+
+def write_small_bench(path):
+    """One ranking query over the ``write_small_pairs`` words."""
+    words = "granite lantern copper stream meadow harbor".split()
+    query = {"query": "granite 0 alpha beta", "positives": [f"granite {i} gamma delta" for i in range(5)],
+             "negatives": [f"{w} {i} gamma delta" for w in words[1:] for i in range(5)], "ids": []}
+    Path(path).write_text(json.dumps(query) + "\n")
+
+
+def write_small_graded(path, encoding="utf-8"):
+    """Six graded pairs over the ``write_small_pairs`` words."""
+    words = "granite lantern copper stream meadow harbor".split()
+    Path(path).write_text("".join(f"{w} {i} alpha beta\t{w} 1 gamma delta\t{i}\n" for i, w in enumerate(words)),
+                          encoding=encoding)
 
 
 def snapshot(root):

@@ -504,7 +504,6 @@ class TestCheckpoint:
         assert loaded.max_len == 32
         assert loaded.version == 17
         assert loaded.vocab.tokens == vocab.tokens
-        assert loaded.vocab.max_size == vocab.max_size
         for name in model.params:
             assert np.array_equal(loaded.params[name], model.params[name])
 
@@ -576,6 +575,18 @@ class TestCheckpoint:
             assert old.params[name].tobytes() == new.params[name].tobytes()
         assert embed_text(old, ["alpha gamma"]).tobytes() == embed_text(new, ["alpha gamma"]).tobytes()
 
+    # checkpoints written while the vocabulary kept its size cap carry it as vocab.max_size; the cap never changed
+    # a model, so whatever it holds, even a value below the token count, is not read
+    def test_older_header_with_vocab_max_size_loads_the_same_model(self, tmp_path):
+        model = init_model(build_vocab(["alpha beta gamma delta"], max_size=10), dim=4, seed=5)
+        save_checkpoint(model, tmp_path / "new.ckpt")
+        self._write_with_header(tmp_path / "old.ckpt", model, vocab={"tokens": model.vocab.tokens, "max_size": 0})
+        new, old = load_checkpoint(tmp_path / "new.ckpt"), load_checkpoint(tmp_path / "old.ckpt")
+        assert old.vocab == new.vocab
+        for name in new.params:
+            assert old.params[name].tobytes() == new.params[name].tobytes()
+        assert embed_text(old, ["alpha gamma"]).tobytes() == embed_text(new, ["alpha gamma"]).tobytes()
+
     RETIRED_RULES = {"normalize_output": "must be false, as this encoder does not normalize",
                      "use_block": "must be true, as this encoder always runs its block"}
 
@@ -612,7 +623,7 @@ class TestCheckpoint:
         vocab = build_vocab(["alpha beta"], max_size=10)
         model = init_model(vocab, dim=4, seed=0)
         path = tmp_path / "model.ckpt"
-        self._write_with_header(path, model, vocab={"tokens": vocab.tokens + ["extra"], "max_size": 10})
+        self._write_with_header(path, model, vocab={"tokens": vocab.tokens + ["extra"]})
         with pytest.raises(DataError, match="vocab of 5 tokens"):
             load_checkpoint(path)
 

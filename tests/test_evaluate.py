@@ -107,12 +107,6 @@ class TestNdcg:
         for perm in itertools.permutations(rel):
             assert ndcg(list(perm)) <= 1.0 + 1e-12
 
-    def test_at_k_cutoff(self):
-        # at k=2 only the first two ranks count against the ideal top-2
-        assert ndcg([0, 1, 1, 1], at_k=2) == pytest.approx(
-            (1 / math.log2(3)) / (1 + 1 / math.log2(3))
-        )
-
 
 class TestPermutationBaseline:
     @pytest.mark.parametrize("positives, negatives", [(1, 0), (1, 4), (2, 3), (3, 5), (4, 10)])
@@ -287,6 +281,7 @@ class TestEvalRanking:
         assert report.metric == "ndcg"
         assert len(report.per_query) == 1
         assert 0.0 <= report.value <= 1.0
+        assert report.meta == {"queries": 1}
 
 
 class TestEvalGraded:
@@ -302,6 +297,7 @@ class TestEvalGraded:
         report = eval_graded(model, data)
         assert report.metric == "pearson"
         assert -1.0 <= report.value <= 1.0
+        assert report.meta == {"pairs": 4}
 
     def test_constant_predictions_rejected(self):
         # a model that embeds every text identically produces constant
