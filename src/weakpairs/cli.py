@@ -220,7 +220,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    paths = sorted({p for pattern in args.inputs for p in glob.glob(pattern)})
+    # an entry that names an existing file is that file, even one that reads as a pattern ('day[1].jsonl')
+    paths = sorted({p for entry in args.inputs for p in ([entry] if Path(entry).is_file() else glob.glob(entry))})
     if not paths:
         raise UsageError(f"no input files match {args.inputs}")
     out = Path(args.out)
@@ -377,22 +378,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.include_baseline and args.axis != "corpus_size":
-        raise UsageError("--include-baseline applies to the corpus_size axis only")
     values = args.values
-    if len(values) != len(set(values)):
-        raise UsageError(f"duplicate sweep values: {values}")
-    if values != sorted(values):
-        raise UsageError(f"sweep values must be ascending: {values}")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise UsageError(f"sweep values must be strictly ascending: {values}")
 
     overrides = _flag_overrides(args)
     if args.axis == "batch_size":
         # every point replaces the base batch size; values ascend, so checking the smallest checks every point
         overrides["batch_size"] = values[0]
     settings, train_config = resolve_settings(args.config, overrides, args.seed)
-    points = [0] + values if args.include_baseline else values  # point 0: the untrained encoder, the floor
     out_dir = Path(args.out_dir)
-    report_paths = {value: out_dir / f"report_{args.axis}_{value}.json" for value in points}
+    report_paths = {value: out_dir / f"report_{args.axis}_{value}.json" for value in values}
     summary_path = out_dir / "sweep_summary.csv"
     inputs = [args.pairs, args.benchmark] + ([args.config] if args.config else [])
     outputs = [(path, f"the report at {args.axis} {value}") for value, path in report_paths.items()]
@@ -408,8 +404,8 @@ def cmd_sweep(args) -> int:
 
     def run_point(value: int) -> tuple[eval_mod.EvalReport, float | None]:
         subset = order[:value] if args.axis == "corpus_size" else pool
-        # the untrained baseline row keeps the full-pool vocab so its
-        # embeddings are not degenerate
+        # corpus size 0 is the untrained encoder, the floor; it keeps the
+        # full-pool vocab so its embeddings are not degenerate
         init_seed = derive_seed(args.seed, f"sweep:{args.axis}:{value}:init")
         model = _init_encoder(subset if value > 0 else pool, settings, seed=init_seed)
         final_loss = None
@@ -426,14 +422,14 @@ def cmd_sweep(args) -> int:
         return report, final_loss
 
     # every point runs before any report is written
-    runs = {value: run_point(value) for value in points}
+    runs = {value: run_point(value) for value in values}
     files = [(report_paths[value], eval_mod.EvalReport.write, report) for value, (report, _) in runs.items()]
     results = [
         {"axis": args.axis, "value": value, "ndcg": report.value, "final_loss": final_loss}
         for value, (report, final_loss) in runs.items()
     ]
     files.append((summary_path, _write_summary, results))
-    recorded = {"axis": args.axis, "values": values, "include_baseline": args.include_baseline, **settings}
+    recorded = {"axis": args.axis, "values": values, **settings}
     _publish("sweep", out_dir, files, recorded, inputs, args.seed)
 
     print(f"{'value':>8}  ndcg x100")
@@ -497,7 +493,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = commands.add_parser("ingest", help="parse stream files into a record store")
-    p.add_argument("--inputs", nargs="+", required=True, help="file paths or globs")
+    p.add_argument("--inputs", nargs="+", required=True, help="file paths, each read as named, or globs")
     p.add_argument("--lang", default="en")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
@@ -530,15 +526,15 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("sweep", help="ablate corpus size or batch size")
     p.add_argument("--axis", required=True, choices=["corpus_size", "batch_size"])
-    p.add_argument("--values", type=_at_least(1), nargs="+", required=True)
+    p.add_argument(
+        "--values",
+        type=_at_least(0),
+        nargs="+",
+        required=True,
+        help="strictly ascending; on the corpus_size axis 0 is the untrained encoder",
+    )
     p.add_argument("--pairs", required=True)
     p.add_argument("--benchmark", required=True)
-    p.add_argument(
-        "--include-baseline",
-        dest="include_baseline",
-        action="store_true",
-        help="also evaluate the untrained encoder (corpus_size axis only)",
-    )
     p.add_argument("--out-dir", dest="out_dir", required=True)
     _add_settings_flags(p)
     p.set_defaults(func=cmd_sweep)

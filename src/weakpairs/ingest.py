@@ -68,12 +68,9 @@ class ParseStats:
 
 
 def _open_stream(path: Path):
-    name = path.name.lower()
-    if name.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    if name.endswith(".bz2"):
-        return bz2.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, "r", encoding="utf-8", errors="replace")
+    # utf-8-sig drops a leading byte-order mark, which would leave line 1 malformed
+    opener = {".gz": gzip.open, ".bz2": bz2.open}.get(path.suffix.lower(), open)
+    return opener(path, "rt", encoding="utf-8-sig", errors="replace")
 
 
 def _stream_lines(path: Path) -> Iterator[str]:

@@ -369,9 +369,9 @@ def test_criterion_7_corpus_and_batch_sweeps(learning_run, tmp_path_factory):
     pool_path = work / "pool_built" / "pairs_qt.tsv"
 
     assert run_cli("--seed", MASTER_SEED, "sweep", "--axis", "corpus_size",
-                   "--values", 500, 2000, 8000, 32000,
+                   "--values", 0, 500, 2000, 8000, 32000,
                    "--pairs", pool_path, "--benchmark", learning_run["bench_path"],
-                   "--include-baseline", "--out-dir", work / "corpus_sweep") == 0
+                   "--out-dir", work / "corpus_sweep") == 0
     with open(work / "corpus_sweep" / "sweep_summary.csv") as handle:
         corpus_rows = list(csv.DictReader(handle))
     curve = [(int(r["value"]), float(r["ndcg"])) for r in corpus_rows]

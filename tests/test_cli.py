@@ -1,7 +1,9 @@
 """CLI subcommand tests: exit codes, manifests, determinism, pipeline composition."""
 
+import bz2
 import csv
 import dataclasses
+import gzip
 import hashlib
 import io
 import json
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from weakpairs.cli import CONFIG_DEFAULTS, derive_seed, main, parse_config_file, resolve_settings
+from weakpairs.cli import CONFIG_DEFAULTS, build_parser, derive_seed, main, parse_config_file, resolve_settings
 from weakpairs.corpus import PairExample, write_pairs
 from weakpairs.encoder import ENCODER_SETTINGS
 from weakpairs.errors import UsageError
@@ -171,6 +173,28 @@ class TestSynthIngest:
 
     def test_empty_glob_is_usage_error(self, tmp_cwd):
         assert run("ingest", "--inputs", "missing*.jsonl", "--out", "records.jsonl") == 1
+
+    def test_existing_file_is_read_as_named(self, tmp_cwd):
+        # as a glob, 'day[1].jsonl' matches day1.jsonl and not itself
+        for seed, out in ((1, "day[1].jsonl"), (2, "day1.jsonl")):
+            assert run("--seed", seed, "synth", "--topics", 2, "--pairs-per-topic", 3, "--vocab-size", 110,
+                       "--out", out) == 0
+        assert run("ingest", "--inputs", "day[1].jsonl", "--out", "records.jsonl") == 0
+        stats = json.loads(Path("records.jsonl.stats.json").read_text())
+        assert list(stats["per_file"]) == ["day[1].jsonl"]
+        assert stats["records_kept"] == len(Path("day[1].jsonl").read_text().splitlines())
+
+    @pytest.mark.parametrize("suffix, opener", [("", open), (".gz", gzip.open), (".bz2", bz2.open)],
+                             ids=["plain", "gz", "bz2"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_cwd, suffix, opener):
+        assert run("synth", "--topics", 3, "--pairs-per-topic", 4, "--vocab-size", 120, "--out", "s.jsonl") == 0
+        with opener(f"bom.jsonl{suffix}", "wb") as handle:
+            handle.write(b"\xef\xbb\xbf" + Path("s.jsonl").read_bytes())
+        assert run("ingest", "--inputs", "s.jsonl", "--out", "plain.jsonl") == 0
+        assert run("ingest", "--inputs", f"bom.jsonl{suffix}", "--out", "bom_records.jsonl") == 0
+        stats = json.loads(Path("bom_records.jsonl.stats.json").read_text())
+        assert stats["totals"]["malformed"] == 0
+        assert Path("bom_records.jsonl").read_bytes() == Path("plain.jsonl").read_bytes()
 
     def test_rerun_produces_identical_store(self, tmp_cwd):
         run("--seed", 5, "synth", "--topics", 3, "--pairs-per-topic", 4,
@@ -599,14 +623,18 @@ class TestSweep:
 
     def test_corpus_size_sweep_emits_reports_and_csv(self, store):
         self.prepare(store)
-        assert run("--seed", 11, "sweep", "--axis", "corpus_size", "--values", 8, 14,
+        assert run("--seed", 11, "sweep", "--axis", "corpus_size", "--values", 0, 8, 14,
                    "--pairs", "built/pairs_qt.tsv", "--benchmark", "built/bench_dq.jsonl",
-                   "--batch-size", 4, "--dim", 16, "--vocab-size", 500,
-                   "--include-baseline", "--out-dir", "sweep") == 0
+                   "--batch-size", 4, "--dim", 16, "--vocab-size", 500, "--out-dir", "sweep") == 0
         with open("sweep/sweep_summary.csv") as handle:
             rows = list(csv.DictReader(handle))
         assert [int(r["value"]) for r in rows] == [0, 8, 14]
-        assert Path("sweep/report_corpus_size_8.json").exists()
+        # corpus size 0 is the untrained encoder: a report, and no training loss
+        assert [r["final_loss"] == "" for r in rows] == [True, False, False]
+        for value in (0, 8, 14):
+            assert Path(f"sweep/report_corpus_size_{value}.json").exists()
+        settings = json.loads(Path("sweep/manifest_sweep.json").read_text())["settings"]
+        assert settings["values"] == [0, 8, 14] and "include_baseline" not in settings
 
     def test_duplicate_values_usage_error(self, store):
         self.prepare(store)
@@ -645,11 +673,19 @@ class TestSweep:
         assert "batch_size must be >= 2" in capsys.readouterr().err
 
 
-    def test_include_baseline_on_batch_size_axis_is_usage_error(self, tmp_cwd, capsys):
-        assert run("sweep", "--axis", "batch_size", "--values", 4, 8, "--include-baseline",
+    def test_batch_size_zero_is_usage_error(self, tmp_cwd, capsys):
+        # the inputs do not exist: reading any of them would be a data error (exit 2)
+        assert run("sweep", "--axis", "batch_size", "--values", 0, 4,
                    "--pairs", "pairs.tsv", "--benchmark", "bench.jsonl", "--out-dir", "sweep") == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and "--include-baseline" in err
+        assert err.startswith("usage error: ") and "batch_size must be >= 2" in err
+        assert list(tmp_cwd.iterdir()) == []
+
+    def test_include_baseline_is_unknown_argument(self, tmp_cwd, capsys):
+        # corpus size 0 is asked for as a value
+        assert run("sweep", "--axis", "corpus_size", "--values", 8, "--include-baseline",
+                   "--pairs", "pairs.tsv", "--benchmark", "bench.jsonl", "--out-dir", "sweep") == 1
+        assert "unrecognized arguments: --include-baseline" in capsys.readouterr().err
         assert list(tmp_cwd.iterdir()) == []
 
 
@@ -857,7 +893,7 @@ class TestOutputPaths:
             (None, ["sweep", "--axis", "corpus_size", "--values", 4, "--pairs", "pairs.tsv",
                     "--benchmark", "sweep/report_corpus_size_4.json", "--out-dir", "sweep"],
              "sweep/report_corpus_size_4.json"),
-            (None, ["sweep", "--axis", "corpus_size", "--values", 4, "--include-baseline", "--pairs", "pairs.tsv",
+            (None, ["sweep", "--axis", "corpus_size", "--values", 0, 4, "--pairs", "pairs.tsv",
                     "--benchmark", "sweep/report_corpus_size_0.json", "--out-dir", "sweep"],
              "sweep/report_corpus_size_0.json"),
             # a glob that matches the store an earlier run wrote
@@ -901,9 +937,9 @@ class TestManifestContract:
                             "--vocab-size", 500, "--out", "model/model.ckpt"]),
         "eval": ("reports", ["eval", "--checkpoint", "model/model.ckpt", "--inputs", "built/bench_dq.jsonl",
                              "built/bench_cr.jsonl", "--out-dir", "reports"]),
-        "sweep": ("sweep", ["sweep", "--axis", "corpus_size", "--values", 8, "--pairs", "built/pairs_qt.tsv",
+        "sweep": ("sweep", ["sweep", "--axis", "corpus_size", "--values", 0, 8, "--pairs", "built/pairs_qt.tsv",
                             "--benchmark", "built/bench_dq.jsonl", "--batch-size", 4, "--dim", 16,
-                            "--vocab-size", 500, "--include-baseline", "--out-dir", "sweep"]),
+                            "--vocab-size", 500, "--out-dir", "sweep"]),
     }
 
     @pytest.fixture(scope="class")
@@ -955,3 +991,14 @@ class TestPipelineComposition:
         assert [argv[2] for argv in commands] == ["synth", "ingest", "build", "train", "eval", "sweep"]
         for argv in commands:
             assert main(argv) == 0, argv
+
+    def test_readme_command_lines_parse(self):
+        # a flag README still shows after the parser dropped it is a usage error here, before anything runs
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [part.split("```", 1)[0].replace("\\\n", " ") for part in readme.split("```bash\n")[1:]]
+        commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+                    if line.startswith("weakpairs ")]
+        assert commands
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
