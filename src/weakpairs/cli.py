@@ -221,7 +221,12 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     # an entry that names an existing file is that file, even one that reads as a pattern ('day[1].jsonl')
-    paths = sorted({p for entry in args.inputs for p in ([entry] if Path(entry).is_file() else glob.glob(entry))})
+    matches = {entry: [entry] if Path(entry).is_file() else sorted(glob.glob(entry)) for entry in args.inputs}
+    for entry, found in matches.items():
+        directories = [p for p in found if Path(p).is_dir()]
+        if directories:
+            raise UsageError(f"--inputs entry {entry!r} matches the directory {directories[0]!r}; name stream files")
+    paths = sorted({p for found in matches.values() for p in found})
     if not paths:
         raise UsageError(f"no input files match {args.inputs}")
     out = Path(args.out)
@@ -340,12 +345,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    unknown = [p for p in args.inputs if Path(p).suffix not in (".jsonl", ".tsv")]
-    if unknown:
-        raise UsageError(
-            f"{unknown[0]}: cannot infer input type; use .jsonl for ranking benchmarks "
-            f"or .tsv for graded pairs"
-        )
+    # built per call, so a module function replaced after import (a tracing wrapper) is the one that runs
+    kinds = {
+        ".jsonl": (corpus_mod.read_benchmark, eval_mod.eval_ranking),
+        ".tsv": (eval_mod.load_graded_tsv, eval_mod.eval_graded),
+    }
+    handlers = [kinds.get(Path(p).suffix) for p in args.inputs]  # (loader, evaluator) per input
+    if None in handlers:
+        hint = "use .jsonl for ranking benchmarks or .tsv for graded pairs"
+        raise UsageError(f"{args.inputs[handlers.index(None)]}: cannot infer input type; {hint}")
     out_dir = Path(args.out_dir)
     report_paths = [out_dir / f"report_{Path(p).stem}.json" for p in args.inputs]
     inputs = [str(args.checkpoint)] + list(args.inputs)
@@ -354,16 +362,8 @@ def cmd_eval(args) -> int:
     model = encoder_mod.load_checkpoint(args.checkpoint)
     checkpoint_id = _sha256_file(Path(args.checkpoint))[:12]
     # every input loads before any is evaluated, and every report is made before any is written
-    loaded = [
-        corpus_mod.read_benchmark(p) if Path(p).suffix == ".jsonl" else eval_mod.load_graded_tsv(p)
-        for p in args.inputs
-    ]
-    reports = [
-        eval_mod.eval_ranking(model, data)
-        if isinstance(data, corpus_mod.RankingBenchmark)
-        else eval_mod.eval_graded(model, data)
-        for data in loaded
-    ]
+    loaded = [load(p) for p, (load, _) in zip(args.inputs, handlers)]
+    reports = [evaluate(model, data) for (_, evaluate), data in zip(handlers, loaded)]
     for report in reports:
         report.meta["checkpoint"] = checkpoint_id
     files = [(path, eval_mod.EvalReport.write, report) for path, report in zip(report_paths, reports)]
@@ -395,7 +395,7 @@ def cmd_sweep(args) -> int:
     _check_outputs("sweep", out_dir, inputs, [*outputs, (summary_path, "the summary")])
 
     pool = corpus_mod.read_pairs(args.pairs)
-    if args.axis == "corpus_size" and values[-1] > len(pool):
+    if values[-1] > len(pool):
         raise DataError(f"sweep value {values[-1]} exceeds pair pool of {len(pool)}")
     bench = corpus_mod.read_benchmark(args.benchmark)
 

@@ -2,7 +2,7 @@
 
 Input files hold one JSON object per line (optionally gzip/bzip2 compressed,
 detected by extension).  Only a minimal field set is read: ``id_str``,
-``text`` (falling back to ``full_text``), ``lang``,
+``text`` (falling back to ``full_text``), ``lang`` (filtered on, not kept),
 ``in_reply_to_status_id_str`` and ``quoted_status.{id_str,text}``; everything
 else in the archive objects is ignored.  Malformed lines are tallied, never
 fatal.
@@ -31,7 +31,6 @@ class TweetRecord:
 
     id: str
     text: str
-    lang: str
     reply_to: str | None = None
     quoted_id: str | None = None
     quoted_text: str | None = None
@@ -112,7 +111,6 @@ def _record_from_obj(obj: dict) -> TweetRecord | None:
     return TweetRecord(
         id=str(tweet_id),
         text=text,
-        lang=str(obj.get("lang") or ""),
         reply_to=str(reply_to) if reply_to else None,
         quoted_id=str(quoted_id) if quoted_id else None,
         quoted_text=quoted_text if isinstance(quoted_text, str) else None,
@@ -148,7 +146,7 @@ def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[T
         if record is None:
             stats.no_text += 1
             continue
-        if record.lang != lang_filter:
+        if str(obj.get("lang") or "") != lang_filter:
             stats.filtered_lang += 1
             continue
         stats.parsed += 1
@@ -249,12 +247,12 @@ _NULLABLE = tuple(f.name for f in fields(TweetRecord) if f.default is None)  # t
 
 
 def write_records(records: Iterable[TweetRecord], path: str | Path) -> int:
-    """Write the intermediate record store: JSON-lines with exactly the six record fields."""
+    """Write the intermediate record store: JSON-lines with exactly the five record fields."""
     return write_jsonl(path, (vars(record) for record in records))
 
 
 def read_records(path: str | Path) -> list[TweetRecord]:
-    """Read a record store; a line that is not a JSON object of record fields is a DataError."""
+    """Read a record store; a line not a JSON object of record fields is a DataError; other keys are ignored."""
     records = []
     for lineno, obj in read_jsonl(path, "record store"):
         fields = {k: obj.get(k) for k in _RECORD_FIELDS}

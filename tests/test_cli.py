@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from weakpairs.atomic import write_jsonl
 from weakpairs.cli import CONFIG_DEFAULTS, build_parser, derive_seed, main, parse_config_file, resolve_settings
 from weakpairs.corpus import PairExample, write_pairs
 from weakpairs.encoder import ENCODER_SETTINGS
@@ -174,6 +175,16 @@ class TestSynthIngest:
     def test_empty_glob_is_usage_error(self, tmp_cwd):
         assert run("ingest", "--inputs", "missing*.jsonl", "--out", "records.jsonl") == 1
 
+    @pytest.mark.parametrize("entry", ["sub", "su*"])
+    def test_entry_matching_a_directory_is_usage_error(self, tmp_cwd, capsys, entry):
+        Path("sub").mkdir()
+        write_stream("stream.jsonl")
+        assert run("ingest", "--inputs", "stream.jsonl", entry, "--out", "records.jsonl") == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --inputs entry {entry!r} matches the directory 'sub'; name stream files\n"
+        )
+        assert sorted(path.name for path in tmp_cwd.iterdir()) == ["stream.jsonl", "sub"]
+
     def test_existing_file_is_read_as_named(self, tmp_cwd):
         # as a glob, 'day[1].jsonl' matches day1.jsonl and not itself
         for seed, out in ((1, "day[1].jsonl"), (2, "day1.jsonl")):
@@ -275,6 +286,19 @@ class TestBuild:
     def test_insufficient_data_is_exit_2(self, store):
         assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "qt",
                    "--pairs-per-dataset", 10_000, "--out-dir", "built") == 2
+
+    def test_store_with_the_older_lang_key_builds_the_same_bytes(self, store):
+        # records once held their language, after "text"; build reads a store written that way alike
+        records = map(json.loads, Path("records.jsonl").read_text(encoding="utf-8").splitlines())
+        write_jsonl("older.jsonl", ({"id": r["id"], "text": r["text"], "lang": "en", **r} for r in records))
+        outputs = {}
+        for stem in ("records", "older"):
+            assert run("--seed", 11, "build", "--records", f"{stem}.jsonl", "--dataset", "all",
+                       "--bench-queries", 2, "--out-dir", f"{stem}_built") == 0
+            outputs[stem] = {path.name: path.read_bytes() for path in Path(f"{stem}_built").iterdir()
+                             if path.name != "manifest_build.json"}
+        assert len(outputs["records"]) == 10
+        assert outputs["older"] == outputs["records"]
 
     def test_non_record_store_line_is_exit_2(self, tmp_cwd, capsys):
         Path("records.jsonl").write_text('{"id": "1", "text": "x", "lang": "en"}\n[1, 2]\n')
@@ -636,6 +660,16 @@ class TestSweep:
         settings = json.loads(Path("sweep/manifest_sweep.json").read_text())["settings"]
         assert settings["values"] == [0, 8, 14] and "include_baseline" not in settings
 
+    @pytest.mark.parametrize("axis", ["corpus_size", "batch_size"])
+    def test_value_beyond_the_pool_fails_before_any_point_trains(self, tmp_cwd, capsys, axis):
+        # the benchmark does not exist: reading it would fail with another message
+        words = "granite lantern copper stream meadow harbor".split()
+        write_pairs([PairExample(f"{w} alpha", f"{w} gamma", "qt", f"a{w}", f"p{w}") for w in words], "pairs.tsv")
+        assert run("sweep", "--axis", axis, "--values", 2, 4, 8, "--pairs", "pairs.tsv",
+                   "--benchmark", "bench.jsonl", "--out-dir", "sweep") == 2
+        assert capsys.readouterr().err == "data error: sweep value 8 exceeds pair pool of 6\n"
+        assert not Path("sweep").exists()
+
     def test_duplicate_values_usage_error(self, store):
         self.prepare(store)
         assert run("sweep", "--axis", "corpus_size", "--values", 8, 8,
@@ -705,6 +739,15 @@ class TestUsageErrors:
         # the inputs do not exist: reading any of them would be a data error (exit 2)
         assert run(*argv, "--out-dir", "out") == 1
         assert capsys.readouterr().err.startswith("usage error: ")
+        assert list(tmp_cwd.iterdir()) == []
+
+    def test_eval_input_of_unknown_kind_is_named(self, tmp_cwd, capsys):
+        assert run("eval", "--checkpoint", "model.ckpt", "--inputs", "bench.jsonl", "graded.txt",
+                   "--out-dir", "out") == 1
+        assert capsys.readouterr().err == (
+            "usage error: graded.txt: cannot infer input type; "
+            "use .jsonl for ranking benchmarks or .tsv for graded pairs\n"
+        )
         assert list(tmp_cwd.iterdir()) == []
 
     def test_eval_at_k_is_usage_error(self, tmp_cwd, capsys):

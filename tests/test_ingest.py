@@ -45,15 +45,28 @@ class TestParseStreamFile:
         write_jsonl(path, [tweet_obj(1, text="hello there", lang="en")])
         records, stats = parse_stream_file(path, "en")
         assert len(records) == 1
-        assert records[0] == TweetRecord(id="1", text="hello there", lang="en")
+        assert records[0] == TweetRecord(id="1", text="hello there")
         assert stats.parsed == 1
 
-    def test_language_filter(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, lang_filter, kept",
+        [
+            ('{"id_str":"1","text":"hola","lang":"es"}', "en", False),
+            ('{"id_str":"1","text":"no language"}', "", True),
+            ('{"id_str":"1","text":"no language","lang":null}', "", True),
+            ('{"id_str":"1","text":"no language"}', "en", False),
+            ('{"id_str":"1","text":"no language","lang":null}', "en", False),
+            ('{"id_str":"1","text":"a lone surrogate","lang":"\\ud83d"}', "en", False),
+        ],
+        ids=["other-language", "absent-no-filter", "null-no-filter", "absent", "null", "lone-surrogate"],
+    )
+    def test_language_filter(self, tmp_path, line, lang_filter, kept):
+        # the language is read to filter on, never stored, so a lone surrogate there is no record text
         path = tmp_path / "a.jsonl"
-        write_jsonl(path, [tweet_obj(1, lang="es")])
-        records, stats = parse_stream_file(path, "en")
-        assert records == []
-        assert stats.filtered_lang == 1
+        write_jsonl(path, [line])
+        records, stats = parse_stream_file(path, lang_filter)
+        assert [r.id for r in records] == (["1"] if kept else [])
+        assert (stats.parsed, stats.filtered_lang, stats.malformed) == ((1, 0, 0) if kept else (0, 1, 0))
 
     def test_mixed_file_counts(self, tmp_path):
         # 10 lines: 8 valid english, 2 malformed
@@ -136,10 +149,10 @@ class TestParseStreamFile:
 
 class TestMergeRuns:
     def test_duplicate_ids_first_wins(self, tmp_path):
-        first = [TweetRecord(id="1", text="first copy", lang="en")]
+        first = [TweetRecord(id="1", text="first copy")]
         second = [
-            TweetRecord(id="1", text="second copy", lang="en"),
-            TweetRecord(id="2", text="fresh", lang="en"),
+            TweetRecord(id="1", text="second copy"),
+            TweetRecord(id="2", text="fresh"),
         ]
         from weakpairs.ingest import ParseStats
 
@@ -152,7 +165,7 @@ class TestMergeRuns:
 
 class TestExtractRelations:
     def test_quote_edge_with_embedded_text(self):
-        record = TweetRecord(id="r", text="my comment", lang="en", quoted_id="t", quoted_text="the original")
+        record = TweetRecord(id="r", text="my comment", quoted_id="t", quoted_text="the original")
         edges = extract_relations([record])
         assert edges == [
             RelationEdge(kind=QUOTE, target_id="t", response_id="r",
@@ -160,7 +173,7 @@ class TestExtractRelations:
         ]
 
     def test_reply_edge_has_no_target_text(self):
-        record = TweetRecord(id="r", text="my reply", lang="en", reply_to="t")
+        record = TweetRecord(id="r", text="my reply", reply_to="t")
         edges = extract_relations([record])
         assert edges == [
             RelationEdge(kind=REPLY, target_id="t", response_id="r",
@@ -169,7 +182,7 @@ class TestExtractRelations:
 
     def test_record_with_both_relations_emits_two_edges(self):
         record = TweetRecord(
-            id="r", text="both", lang="en", reply_to="a", quoted_id="b", quoted_text="q"
+            id="r", text="both", reply_to="a", quoted_id="b", quoted_text="q"
         )
         edges = extract_relations([record])
         assert len(edges) == 2
@@ -188,7 +201,6 @@ class TestExtractRelations:
                 TweetRecord(
                     id=f"id{i}",
                     text="body",
-                    lang="en",
                     reply_to=reply_to,
                     quoted_id=quoted[0] if quoted else None,
                     quoted_text=quoted[1] if quoted else None,
@@ -199,13 +211,13 @@ class TestExtractRelations:
         assert sum(e.kind == REPLY for e in edges) == replies
 
     def test_no_self_loops_emitted(self):
-        record = TweetRecord(id="x", text="t", lang="en", reply_to="x", quoted_id="x", quoted_text="t")
+        record = TweetRecord(id="x", text="t", reply_to="x", quoted_id="x", quoted_text="t")
         assert extract_relations([record]) == []
 
 
 class TestJoinReplyTargets:
     def test_resolvable_reply_gets_text(self):
-        target = TweetRecord(id="t", text="the target text", lang="en")
+        target = TweetRecord(id="t", text="the target text")
         edge = RelationEdge(kind=REPLY, target_id="t", response_id="r",
                             target_text=None, response_text="reply")
         joined, dropped = join_reply_targets([edge], index_records([target]))
@@ -220,7 +232,7 @@ class TestJoinReplyTargets:
         assert dropped == 1
 
     def test_three_of_five_resolvable(self):
-        records = [TweetRecord(id=f"t{i}", text=f"target {i}", lang="en") for i in range(3)]
+        records = [TweetRecord(id=f"t{i}", text=f"target {i}") for i in range(3)]
         edges = [
             RelationEdge(kind=REPLY, target_id=f"t{i}", response_id=f"r{i}",
                          target_text=None, response_text="x")
@@ -241,19 +253,19 @@ class TestJoinReplyTargets:
 class TestOnDiskFormats:
     def test_record_store_roundtrip(self, tmp_path):
         records = [
-            TweetRecord(id="1", text="plain", lang="en"),
-            TweetRecord(id="2", text="reply body", lang="en", reply_to="1"),
-            TweetRecord(id="3", text="quote body", lang="en", quoted_id="1", quoted_text="plain"),
+            TweetRecord(id="1", text="plain"),
+            TweetRecord(id="2", text="reply body", reply_to="1"),
+            TweetRecord(id="3", text="quote body", quoted_id="1", quoted_text="plain"),
         ]
         path = tmp_path / "store.jsonl"
         assert write_records(records, path) == 3
         assert read_records(path) == records
 
-    def test_record_store_has_exactly_six_fields(self, tmp_path):
+    def test_record_store_has_exactly_five_fields(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        write_records([TweetRecord(id="1", text="x", lang="en")], path)
+        write_records([TweetRecord(id="1", text="x")], path)
         obj = json.loads(path.read_text().splitlines()[0])
-        assert set(obj) == {"id", "text", "lang", "reply_to", "quoted_id", "quoted_text"}
+        assert set(obj) == {"id", "text", "reply_to", "quoted_id", "quoted_text"}
 
     def test_bad_store_line_names_line_number(self, tmp_path):
         path = tmp_path / "store.jsonl"
