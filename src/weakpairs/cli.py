@@ -254,8 +254,10 @@ def _response_index(records_path: str) -> tuple[corpus_mod.ResponseIndex, dict[s
     """The response index of a record store, and its drop counts; neither records nor edges outlive it."""
     records = ingest_mod.read_records(records_path)
     edges = ingest_mod.extract_relations(records)
-    edges, dropped_replies = ingest_mod.join_reply_targets(edges, ingest_mod.index_records(records))
+    texts_by_id = ingest_mod.index_records(records)
     del records
+    edges, dropped_replies = ingest_mod.join_reply_targets(edges, texts_by_id)
+    del texts_by_id
     index, dropped_short = corpus_mod.index_responses(edges)
     return index, {"dropped_unresolved_replies": dropped_replies, "dropped_short_text": dropped_short}
 
@@ -393,6 +395,13 @@ def cmd_sweep(args) -> int:
     inputs = [args.pairs, args.benchmark] + ([args.config] if args.config else [])
     outputs = [(path, f"the report at {args.axis} {value}") for value, path in report_paths.items()]
     _check_outputs("sweep", out_dir, inputs, [*outputs, (summary_path, "the summary")])
+    # values ascend, so the smallest trained corpus size checks every trained point
+    trained = [value for value in values if value > 0]
+    if args.axis == "corpus_size" and trained and trained[0] < train_config.batch_size:
+        raise UsageError(
+            f"corpus_size {trained[0]} is below batch_size {train_config.batch_size}; "
+            "each trained point needs one full batch"
+        )
 
     pool = corpus_mod.read_pairs(args.pairs)
     if values[-1] > len(pool):

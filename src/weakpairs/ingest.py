@@ -4,8 +4,8 @@ Input files hold one JSON object per line (optionally gzip/bzip2 compressed,
 detected by extension).  Only a minimal field set is read: ``id_str``,
 ``text`` (falling back to ``full_text``), ``lang`` (filtered on, not kept),
 ``in_reply_to_status_id_str`` and ``quoted_status.{id_str,text}``; everything
-else in the archive objects is ignored.  Malformed lines are tallied, never
-fatal.
+else in the archive objects is ignored.  Malformed lines, an id that is not a
+JSON string among them, are tallied, never fatal.
 """
 
 from __future__ import annotations
@@ -88,6 +88,14 @@ def _stream_lines(path: Path) -> Iterator[str]:
             raise DataError(f"{path}: stream is damaged after line {lineno}: {exc}") from exc
 
 
+def _id_field(obj: dict, key: str) -> str | None:
+    """An id field: a JSON string, or None when absent, null or empty; any other value is malformed."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{key} is not a string")
+    return value or None
+
+
 def _record_from_obj(obj: dict) -> TweetRecord | None:
     """Build a TweetRecord from a raw archive object; None for deletion notices."""
     text = obj.get("text")
@@ -97,22 +105,22 @@ def _record_from_obj(obj: dict) -> TweetRecord | None:
         return None
     if not isinstance(text, str):
         raise ValueError("text field is not a string")
-    tweet_id = obj.get("id_str")
-    if tweet_id is None or str(tweet_id) == "":
+    tweet_id = _id_field(obj, "id_str")
+    if tweet_id is None:
         raise ValueError("missing id_str")
-    reply_to = obj.get("in_reply_to_status_id_str")
+    reply_to = _id_field(obj, "in_reply_to_status_id_str")
     quoted = obj.get("quoted_status")
     quoted_id = quoted_text = None
     if isinstance(quoted, dict):
-        quoted_id = quoted.get("id_str")
+        quoted_id = _id_field(quoted, "id_str")
         quoted_text = quoted.get("text")
         if quoted_text is None:
             quoted_text = quoted.get("full_text")
     return TweetRecord(
-        id=str(tweet_id),
+        id=tweet_id,
         text=text,
-        reply_to=str(reply_to) if reply_to else None,
-        quoted_id=str(quoted_id) if quoted_id else None,
+        reply_to=reply_to,
+        quoted_id=quoted_id,
         quoted_text=quoted_text if isinstance(quoted_text, str) else None,
     )
 
@@ -201,42 +209,33 @@ def extract_relations(records: Iterable[TweetRecord]) -> list[RelationEdge]:
     return edges
 
 
-def index_records(records: Iterable[TweetRecord]) -> dict[str, TweetRecord]:
-    index: dict[str, TweetRecord] = {}
+def index_records(records: Iterable[TweetRecord]) -> dict[str, str]:
+    """Each record's text by its id; the first record with an id wins."""
+    texts: dict[str, str] = {}
     for record in records:
-        index.setdefault(record.id, record)
-    return index
+        texts.setdefault(record.id, record.text)
+    return texts
 
 
 def join_reply_targets(
-    edges: Iterable[RelationEdge], records_by_id: Mapping[str, TweetRecord]
+    edges: Iterable[RelationEdge], texts_by_id: Mapping[str, str]
 ) -> tuple[list[RelationEdge], int]:
-    """Fill reply-edge target texts from the record index.
+    """Fill each reply edge's target text in place from the id → text index.
 
     Replies do not embed the replied text, so a second pass over the parsed
     records is needed.  Reply edges whose target is absent from the index are
     dropped; the count of dropped edges is returned.  Quote edges pass
-    through untouched.
+    through untouched, and every kept edge is the object it was given.
     """
     joined: list[RelationEdge] = []
     dropped = 0
     for edge in edges:
-        if edge.kind != REPLY:
-            joined.append(edge)
-            continue
-        target = records_by_id.get(edge.target_id)
-        if target is None:
-            dropped += 1
-            continue
-        joined.append(
-            RelationEdge(
-                kind=REPLY,
-                target_id=edge.target_id,
-                response_id=edge.response_id,
-                target_text=target.text,
-                response_text=edge.response_text,
-            )
-        )
+        if edge.kind == REPLY:
+            edge.target_text = texts_by_id.get(edge.target_id)
+            if edge.target_text is None:
+                dropped += 1
+                continue
+        joined.append(edge)
     return joined, dropped
 
 

@@ -31,18 +31,18 @@ ADAMW_BLOCK_ROWS = 512  # rows per AdamW block; see CHANGES.md for the measureme
 ADAMW_BETA1 = 0.9  # first-moment decay
 ADAMW_BETA2 = 0.999  # second-moment decay
 ADAMW_EPS = 1e-8  # added to the root of the second moment
+MN_SCALE = 20.0  # multiple-negatives scores are this times the cosine
+TRIPLET_MARGIN = 1.0  # triplet hinge margin
+WARMUP_FRACTION = 0.10  # share of all steps spent warming up
+WEIGHT_DECAY = 0.01  # decoupled decay, applied as lr * WEIGHT_DECAY * param
 
 
 @dataclass
 class TrainConfig:
     loss: str = MULTIPLE_NEGATIVES
-    margin: float = 1.0
-    scale: float = 20.0
     batch_size: int = 50
     learning_rate: float = 1e-3
-    warmup_fraction: float = 0.10
     epochs: int = 1
-    weight_decay: float = 0.01
     seed: int = 0
 
     def validate(self) -> list[str]:
@@ -50,23 +50,14 @@ class TrainConfig:
         problems = []
         if self.loss not in LOSS_NAMES:
             problems.append(f"loss must be one of {', '.join(LOSS_NAMES)}; got {self.loss!r}")
-        for name in ("margin", "scale", "learning_rate", "weight_decay"):
-            if not math.isfinite(getattr(self, name)):
-                problems.append(f"{name} must be finite; got {getattr(self, name)}")
-        if self.margin < 0:
-            problems.append(f"margin must be >= 0; got {self.margin}")
-        if self.scale <= 0:
-            problems.append(f"scale must be > 0; got {self.scale}")
+        if not math.isfinite(self.learning_rate):
+            problems.append(f"learning_rate must be finite; got {self.learning_rate}")
         if self.batch_size < 2:
             problems.append(f"batch_size must be >= 2 for in-batch negatives; got {self.batch_size}")
         if self.learning_rate <= 0:
             problems.append(f"learning_rate must be > 0; got {self.learning_rate}")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            problems.append(f"warmup_fraction must be in [0, 1]; got {self.warmup_fraction}")
         if self.epochs < 1:
             problems.append(f"epochs must be >= 1; got {self.epochs}")
-        if self.weight_decay < 0:
-            problems.append(f"weight_decay must be >= 0; got {self.weight_decay}")
         return problems
 
 
@@ -87,7 +78,7 @@ def init_optimizer(params: dict[str, np.ndarray]) -> OptimizerState:
 
 
 def triplet_loss(
-    s_a: np.ndarray, s_p: np.ndarray, s_n: np.ndarray, margin: float = TrainConfig.margin
+    s_a: np.ndarray, s_p: np.ndarray, s_n: np.ndarray, margin: float = TRIPLET_MARGIN
 ) -> tuple[float | np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Euclidean triplet loss and its gradients w.r.t. the three embeddings.
 
@@ -115,7 +106,7 @@ def triplet_loss(
 
 
 def mn_loss(
-    anchors: np.ndarray, positives: np.ndarray, scale: float = TrainConfig.scale
+    anchors: np.ndarray, positives: np.ndarray, scale: float = MN_SCALE
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Multiple-negatives loss over a batch of n (anchor, positive) pairs.
 
@@ -162,7 +153,7 @@ def adamw_step(
     grads: dict[str, np.ndarray | RowGrad],
     state: OptimizerState,
     lr: float,
-    weight_decay: float = TrainConfig.weight_decay,
+    weight_decay: float = WEIGHT_DECAY,
 ) -> OptimizerState:
     """One AdamW update in place: bias-corrected moments plus decoupled decay.
 
@@ -229,7 +220,7 @@ def adamw_step(
     return state
 
 
-def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = TrainConfig.warmup_fraction) -> float:
+def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = WARMUP_FRACTION) -> float:
     """Linear warm-up to base_lr, then linear decay to zero at total_steps."""
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
@@ -278,20 +269,18 @@ def train(
         if b == 0:
             order = rng.permutation(len(pairs))
         rows = order[b * n : (b + 1) * n]
-        lr = lr_at(step, total_steps, config.learning_rate, config.warmup_fraction)
+        lr = lr_at(step, total_steps, config.learning_rate)
 
         batch = np.concatenate([rows, rows + len(pairs)])
         vecs, trace = encode_with_trace(model, flat, starts[batch], lengths[batch])
         anchor_vecs, pos_vecs = vecs[:n], vecs[n:]
 
         if config.loss == MULTIPLE_NEGATIVES:
-            loss, grad_a, grad_p = mn_loss(anchor_vecs, pos_vecs, scale=config.scale)
+            loss, grad_a, grad_p = mn_loss(anchor_vecs, pos_vecs)
         else:
             # each row's negative is the positive text of another row of the batch
             negatives = (np.arange(n) + 1 + rng.integers(0, n - 1, size=n)) % n
-            losses, (grad_a, grad_p, grad_n) = triplet_loss(
-                anchor_vecs, pos_vecs, pos_vecs[negatives], margin=config.margin
-            )
+            losses, (grad_a, grad_p, grad_n) = triplet_loss(anchor_vecs, pos_vecs, pos_vecs[negatives])
             loss = losses.sum() / n
             grad_a /= n
             grad_p /= n
@@ -299,7 +288,7 @@ def train(
 
         grads = backprop(model, trace, np.concatenate([grad_a, grad_p]))
         del vecs, trace, anchor_vecs, pos_vecs
-        adamw_step(model.params, grads, state, lr=lr, weight_decay=config.weight_decay)
+        adamw_step(model.params, grads, state, lr=lr)
         del grads
         model.version += 1
         log.append({"step": step, "lr": lr, "loss": float(loss)})

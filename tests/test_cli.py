@@ -29,13 +29,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # one non-default value per setting; a setting missing here fails the parity test
 NON_DEFAULT_SETTINGS = {
     "loss": "triplet",
-    "margin": 0.5,
-    "scale": 10.0,
     "batch_size": 4,
     "learning_rate": 0.005,
-    "warmup_fraction": 0.25,
     "epochs": 2,
-    "weight_decay": 0.0,
     "dim": 8,
     "max_len": 6,
     "vocab_size": 30,
@@ -81,7 +77,7 @@ class TestConfigFile:
         assert settings["loss"] == train_config.loss == "triplet"
         assert settings["batch_size"] == 16
         assert settings["dim"] == 8
-        assert settings["warmup_fraction"] == pytest.approx(0.10)  # untouched default
+        assert settings["epochs"] == 1  # untouched default
 
     def test_overrides_beat_file(self, tmp_path):
         config = tmp_path / "train.conf"
@@ -665,10 +661,22 @@ class TestSweep:
         # the benchmark does not exist: reading it would fail with another message
         words = "granite lantern copper stream meadow harbor".split()
         write_pairs([PairExample(f"{w} alpha", f"{w} gamma", "qt", f"a{w}", f"p{w}") for w in words], "pairs.tsv")
-        assert run("sweep", "--axis", axis, "--values", 2, 4, 8, "--pairs", "pairs.tsv",
+        assert run("sweep", "--axis", axis, "--values", 2, 4, 8, "--batch-size", 2, "--pairs", "pairs.tsv",
                    "--benchmark", "bench.jsonl", "--out-dir", "sweep") == 2
         assert capsys.readouterr().err == "data error: sweep value 8 exceeds pair pool of 6\n"
         assert not Path("sweep").exists()
+
+    @pytest.mark.parametrize("values, flags, smallest, batch", [([0, 20, 40], [], 20, 50),
+                                                               ([8, 14], ["--batch-size", 10], 8, 10)],
+                             ids=["default-batch", "batch-flag"])
+    def test_corpus_size_below_the_batch_size_is_usage_error(self, tmp_cwd, capsys, values, flags, smallest, batch):
+        # the inputs do not exist: reading either would be a data error (exit 2), and point 0 needs no batch
+        assert run("sweep", "--axis", "corpus_size", "--values", *values, *flags, "--pairs", "pairs.tsv",
+                   "--benchmark", "bench.jsonl", "--out-dir", "sweep") == 1
+        assert capsys.readouterr().err == (
+            f"usage error: corpus_size {smallest} is below batch_size {batch}; each trained point needs one full batch\n"
+        )
+        assert list(tmp_cwd.iterdir()) == []
 
     def test_duplicate_values_usage_error(self, store):
         self.prepare(store)
@@ -759,14 +767,7 @@ class TestUsageErrors:
         assert list(tmp_cwd.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--loss", "triplet", "--margin", "nan"],
-            ["--learning-rate", "nan"],
-            ["--scale", "inf"],
-            ["--weight-decay", "inf"],
-        ],
-        ids=["margin-nan", "learning-rate-nan", "scale-inf", "weight-decay-inf"],
+        "flags", [["--learning-rate", "nan"], ["--learning-rate", "inf"]], ids=["learning-rate-nan", "learning-rate-inf"]
     )
     def test_non_finite_setting_rejected_before_any_stage_work(self, tmp_cwd, capsys, flags):
         # the pair file does not exist: reading it would be a data error (exit 2)
@@ -777,16 +778,20 @@ class TestUsageErrors:
         assert list(tmp_cwd.iterdir()) == []
 
     def test_non_finite_config_value_rejected(self, tmp_cwd, capsys):
-        Path("run.conf").write_text("margin = nan\n")
+        Path("run.conf").write_text("learning_rate = nan\n")
         assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", "--config", "run.conf") == 1
-        assert "margin must be finite" in capsys.readouterr().err
+        assert "learning_rate must be finite" in capsys.readouterr().err
         assert [p.name for p in tmp_cwd.iterdir()] == ["run.conf"]
 
-    # cosine is the one comparison and the block always runs: a command line that asked for dot scores, normalized
-    # output or an encoder without its block stops here instead of training a model it did not ask for
+    # cosine is the one comparison, the block always runs, and the mn scale, triplet margin, warm-up share and
+    # weight decay are constants: a command line that asked for another one stops here instead of training a model
+    # it did not ask for, and so does one that names a removed setting at its old default
     @pytest.mark.parametrize(
-        "flags", [["--normalize-output"], ["--similarity", "dot"], ["--no-block"], ["--use-block"]],
-        ids=["normalize_output", "similarity", "no-block", "use-block"],
+        "flags",
+        [["--normalize-output"], ["--similarity", "dot"], ["--no-block"], ["--use-block"], ["--scale", "20.0"],
+         ["--margin", "1.0"], ["--warmup-fraction", "0.1"], ["--weight-decay", "0.01"]],
+        ids=["normalize_output", "similarity", "no-block", "use-block", "scale", "margin", "warmup_fraction",
+             "weight_decay"],
     )
     def test_removed_setting_flag_rejected_before_any_stage_work(self, tmp_cwd, capsys, flags):
         assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", *flags) == 1
@@ -796,7 +801,8 @@ class TestUsageErrors:
 
     # the removed keys' old defaults too: a config file holds no line the program reads past
     @pytest.mark.parametrize("key, value", [("normalize_output", "false"), ("similarity", "cosine"),
-                                            ("use_block", "true")])
+                                            ("use_block", "true"), ("scale", "20.0"), ("margin", "1.0"),
+                                            ("warmup_fraction", "0.1"), ("weight_decay", "0.01")])
     def test_removed_setting_config_line_rejected(self, tmp_cwd, capsys, key, value):
         Path("run.conf").write_text(f"{key} = {value}\n")
         assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", "--config", "run.conf") == 1

@@ -101,6 +101,28 @@ class TestParseStreamFile:
         assert records == []
         assert stats.malformed == 1
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"id_str": {"a": 1}}, {"id_str": True}, {"id_str": 7}, {"in_reply_to_status_id_str": {"b": 2}},
+         {"in_reply_to_status_id_str": 0}, {"quoted_status": {"id_str": [3], "text": "quoted words"}}],
+        ids=["id-object", "id-bool", "id-number", "reply-to-object", "reply-to-zero", "quoted-id-list"],
+    )
+    def test_id_field_not_a_string_is_malformed(self, tmp_path, fields):
+        # str() of such a value is a Python repr, never an id another line names
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{**tweet_obj(1), **fields}, tweet_obj(2)])
+        records, stats = parse_stream_file(path, "en")
+        assert [r.id for r in records] == ["2"]
+        assert (stats.parsed, stats.malformed) == (1, 1)
+
+    def test_null_and_empty_relation_ids_mean_no_relation(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{**tweet_obj(1), "in_reply_to_status_id_str": None, "quoted_status": {"id_str": ""}},
+                           {**tweet_obj(2), "in_reply_to_status_id_str": "", "quoted_status": {"id_str": None}}])
+        records, stats = parse_stream_file(path, "en")
+        assert records == [TweetRecord(id="1", text="some tweet text"), TweetRecord(id="2", text="some tweet text")]
+        assert stats.malformed == 0
+
     def test_lone_surrogate_escape_in_record_text_is_malformed(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [
@@ -241,6 +263,20 @@ class TestJoinReplyTargets:
         joined, dropped = join_reply_targets(edges, index_records(records))
         assert len(joined) == 3
         assert dropped == 2
+
+    def test_kept_edges_are_the_objects_given(self):
+        # a resolved reply edge is filled in place, not rebuilt field by field
+        edges = [RelationEdge(kind=REPLY, target_id="t", response_id="r", target_text=None, response_text="x"),
+                 RelationEdge(kind=QUOTE, target_id="q", response_id="r", target_text="quoted", response_text="x"),
+                 RelationEdge(kind=REPLY, target_id="gone", response_id="s", target_text=None, response_text="y")]
+        joined, dropped = join_reply_targets(edges, {"t": "the target text"})
+        assert [id(edge) for edge in joined] == [id(edges[0]), id(edges[1])]
+        assert edges[0].target_text == "the target text" and dropped == 1
+
+    def test_index_maps_each_id_to_its_first_text(self):
+        records = [TweetRecord(id="1", text="first"), TweetRecord(id="2", text="other"),
+                   TweetRecord(id="1", text="second")]
+        assert index_records(records) == {"1": "first", "2": "other"}
 
     def test_quote_edges_pass_through(self):
         edge = RelationEdge(kind=QUOTE, target_id="a", response_id="b",

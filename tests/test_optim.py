@@ -14,8 +14,12 @@ from weakpairs.optim import (
     ADAMW_BETA2,
     ADAMW_BLOCK_ROWS,
     ADAMW_EPS,
+    MN_SCALE,
     MULTIPLE_NEGATIVES,
     TRIPLET,
+    TRIPLET_MARGIN,
+    WARMUP_FRACTION,
+    WEIGHT_DECAY,
     OptimizerState,
     TrainConfig,
     adamw_step,
@@ -481,7 +485,8 @@ class TestTrainEpoch:
         import weakpairs.optim as optim_mod
 
         pairs = topic_pairs(30)
-        config = TrainConfig(loss=TRIPLET, batch_size=10, margin=0.005, seed=5)
+        config = TrainConfig(loss=TRIPLET, batch_size=10, seed=5)
+        margin = 0.005  # small enough that some hinges are inactive; the wrapper below trains with it
         ref_rng = np.random.default_rng(config.seed)
         ref_rng.permutation(len(pairs))  # the epoch's shuffle comes first in the stream
         real_encode, real_backprop, real_triplet = (
@@ -498,7 +503,7 @@ class TestTrainEpoch:
             step = steps[-1]
             n = config.batch_size
             step["ref_loss"], step["ref_grad_out"] = per_row_triplet_step(
-                step["vecs"][:n], step["vecs"][n:], ref_rng, config.margin
+                step["vecs"][:n], step["vecs"][n:], ref_rng, margin
             )
             _, ref_trace = real_encode(model, *step["layout"])
             step["ref_grads"] = dense_grads(model, real_backprop(model, ref_trace, step["ref_grad_out"]))
@@ -507,9 +512,9 @@ class TestTrainEpoch:
             step["grads"] = dense_grads(model, grads)
             return grads
 
-        def counting_triplet(*args, **kwargs):
-            triplet_calls.append(args[0].shape)
-            return real_triplet(*args, **kwargs)
+        def counting_triplet(s_a, s_p, s_n):
+            triplet_calls.append(s_a.shape)
+            return real_triplet(s_a, s_p, s_n, margin=margin)
 
         monkeypatch.setattr(optim_mod, "encode_with_trace", recording_encode)
         monkeypatch.setattr(optim_mod, "backprop", recording_backprop)
@@ -531,7 +536,8 @@ class TestTrainEpoch:
         pairs = topic_pairs(20)
         model = tiny_trainable_model(pairs)
         before = model.params["embedding"][PAD_ID].copy()
-        train(model, pairs, TrainConfig(batch_size=10, weight_decay=0.1))
+        assert WEIGHT_DECAY > 0.0  # every row decays, and the PAD row still stays put
+        train(model, pairs, TrainConfig(batch_size=10))
         np.testing.assert_array_equal(model.params["embedding"][PAD_ID], before)
 
     def test_pad_gradient_exactly_zero_on_ragged_batches(self, monkeypatch):
@@ -551,15 +557,15 @@ class TestTrainEpoch:
         real_adamw = optim_mod.adamw_step
         touched_ids = []
 
-        def recording_adamw(params, grads, state, lr, weight_decay):
+        def recording_adamw(params, grads, state, lr):
             assert params is model.params
             assert isinstance(grads["embedding"], RowGrad)
             assert np.any(grads["embedding"].rows != 0.0)
             touched_ids.append(grads["embedding"].ids.copy())
-            return real_adamw(params, grads, state, lr, weight_decay)
+            return real_adamw(params, grads, state, lr)
 
         monkeypatch.setattr(optim_mod, "adamw_step", recording_adamw)
-        train(model, pairs, TrainConfig(batch_size=5, epochs=2, weight_decay=0.1))
+        train(model, pairs, TrainConfig(batch_size=5, epochs=2))
         assert len(touched_ids) == 8
         for ids in touched_ids:
             assert PAD_ID not in ids
@@ -599,12 +605,12 @@ class TestTrainEpoch:
 
         pairs = [PairExample(sentence(), sentence(), "qt", f"a{i}", f"p{i}") for i in range(40)]
         vocab = build_vocab([" ".join(words)], max_size=len(words) + 2)
-        config = TrainConfig(batch_size=10, epochs=2, learning_rate=0.01, weight_decay=0.1, seed=3)
+        config = TrainConfig(batch_size=10, epochs=2, learning_rate=0.01, seed=3)
         real_adamw = optim_mod.adamw_step
         snapshots = []
 
-        def recording_adamw(params, grads, state, lr, weight_decay):
-            real_adamw(params, grads, state, lr, weight_decay)
+        def recording_adamw(params, grads, state, lr):
+            real_adamw(params, grads, state, lr)
             snapshots.append({name: arr.tobytes() for name, arr in params.items()})
             return state
 
@@ -624,10 +630,10 @@ class TestTrainEpoch:
             texts = [p.anchor_text for p in batch] + [p.positive_text for p in batch]
             layout = flat_ids(model, [encode_ids(vocab, t, model.max_len) for t in texts])
             vecs, trace = encode_with_trace(model, *layout)
-            _, grad_a, grad_p = mn_loss(vecs[:n], vecs[n:], scale=config.scale)
+            _, grad_a, grad_p = mn_loss(vecs[:n], vecs[n:], scale=MN_SCALE)
             grads = dense_grads(model, backprop(model, trace, np.concatenate([grad_a, grad_p])))
-            lr = lr_at(step, total, config.learning_rate, config.warmup_fraction)
-            unblocked_adamw_step(model.params, grads, state, lr, config.weight_decay)
+            lr = lr_at(step, total, config.learning_rate, WARMUP_FRACTION)
+            unblocked_adamw_step(model.params, grads, state, lr, WEIGHT_DECAY)
             model.version += 1
             assert {name: arr.tobytes() for name, arr in model.params.items()} == snapshots[step], step
         assert len(snapshots) == total == 8
@@ -708,12 +714,13 @@ class TestTrainEpoch:
     def test_multi_epoch_schedule_spans_all_steps(self):
         pairs = topic_pairs(20)
         model = tiny_trainable_model(pairs)
-        config = TrainConfig(batch_size=10, epochs=3, warmup_fraction=0.5, seed=1)
+        config = TrainConfig(batch_size=5, epochs=12, seed=1)
         _, log = train(model, pairs, config)
-        assert len(log) == 6
+        assert len(log) == 48
         lrs = [entry["lr"] for entry in log]
         peak = max(lrs)
-        assert lrs.index(peak) == 3  # warm-up covers half of the 6 total steps
+        # warm-up covers its share of all 48 steps, 5 of them, which runs past the first epoch's 4
+        assert lrs.index(peak) == math.ceil(WARMUP_FRACTION * 48) == 5
 
     def test_invalid_config_reported(self):
         pairs = topic_pairs(20)
@@ -724,11 +731,11 @@ class TestTrainEpoch:
 
 class TestConfigValidation:
     def test_collects_all_problems(self):
-        config = TrainConfig(loss="bad", batch_size=0, learning_rate=-1.0, warmup_fraction=2.0)
+        config = TrainConfig(loss="bad", batch_size=0, learning_rate=-1.0, epochs=0)
         problems = config.validate()
         assert len(problems) >= 4
 
-    @pytest.mark.parametrize("field", ["margin", "scale", "learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_number_rejected(self, field, value):
         problems = TrainConfig(**{field: value}).validate()
@@ -737,7 +744,7 @@ class TestConfigValidation:
     def test_default_config_valid(self):
         assert TrainConfig().validate() == []
         assert TrainConfig().batch_size == 50
-        assert TrainConfig().warmup_fraction == pytest.approx(0.10)
+        assert (MN_SCALE, TRIPLET_MARGIN, WARMUP_FRACTION, WEIGHT_DECAY) == (20.0, 1.0, 0.10, 0.01)
 
     def test_mn_needs_batch_of_two(self):
         problems = TrainConfig(loss=MULTIPLE_NEGATIVES, batch_size=1).validate()
