@@ -34,7 +34,7 @@ from .atomic import atomic_write, write_jsonl
 from .errors import DataError, NumericError, UsageError
 from .textproc import build_vocab, clean
 
-# Every setting is a config key, a flag and a manifest entry.  Training settings
+# Every setting is a flag and a manifest entry.  Training settings
 # are the TrainConfig fields (its seed is derived per stage, never set); encoder
 # settings are the encoder's ENCODER_SETTINGS, plus the vocabulary size cap.
 _TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(optim_mod.TrainConfig) if f.name != "seed"}
@@ -118,81 +118,23 @@ def _publish(subcommand: str, directory: Path, files: list, settings: dict, inpu
     write_manifest(directory, subcommand, settings, inputs=inputs, outputs=outputs, seed=seed)
 
 
-# --- config handling ----------------------------------------------------------
+# --- settings -------------------------------------------------------------------
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` config; '#' starts a comment, blank lines ignored, each key set once."""
-    values: dict[str, str] = {}
-    set_on: dict[str, int] = {}  # each key's line
-    problems: list[str] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is not part of a key
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: config file is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    except OSError as exc:
-        raise UsageError(f"{path}: cannot read config file ({exc.strerror or exc})") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            problems.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
-            continue
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key in set_on:
-            problems.append(f"line {lineno}: {key!r} is already set on line {set_on[key]}")
-            continue
-        set_on[key] = lineno
-        values[key] = value.strip()
-    if problems:
-        raise UsageError(f"{path}: " + "; ".join(problems))
-    return values
-
-
-def _coerce(key: str, raw: str, problems: list[str]):
-    """A config file value as its key's type; a value that does not parse is a problem and keeps the default."""
-    default = CONFIG_DEFAULTS[key]
-    try:
-        return type(default)(raw)
-    except ValueError as exc:
-        problems.append(f"{key}: {exc}")
-        return default
-
-
-def resolve_settings(
-    config_path: str | Path | None, overrides: dict[str, object], seed: int
-) -> tuple[dict[str, object], optim_mod.TrainConfig]:
-    """Merge defaults, config file, and CLI overrides; report every problem at once.
-
-    Returns the settings (as written to manifests) and the validated training
-    config, seeded for the ``train`` stage.
-    """
-    problems: list[str] = []
-    settings = dict(CONFIG_DEFAULTS)
-    if config_path is not None:
-        for key, raw in parse_config_file(config_path).items():
-            if key not in CONFIG_DEFAULTS:
-                problems.append(f"unknown config key {key!r} (valid: {', '.join(sorted(CONFIG_DEFAULTS))})")
-                continue
-            settings[key] = _coerce(key, raw, problems)
-    # flags are parsed to their key's type already
-    settings.update((key, value) for key, value in overrides.items() if value is not None)
-
+def resolve_settings(settings: dict[str, object], seed: int) -> optim_mod.TrainConfig:
+    """Validate the settings, reporting every problem at once; the training config, seeded for ``train``."""
     train_config = optim_mod.TrainConfig(
         **{k: settings[k] for k in _TRAIN_DEFAULTS}, seed=derive_seed(seed, "train")
     )
-    problems.extend(train_config.validate())
-    problems.extend(encoder_mod.setting_problems(settings))
+    problems = [*train_config.validate(), *encoder_mod.setting_problems(settings)]
     if settings["vocab_size"] < 2:
         problems.append(f"vocab_size must be >= 2; got {settings['vocab_size']}")
     if problems:
         raise UsageError("invalid configuration: " + "; ".join(problems))
-    return settings, train_config
+    return train_config
 
 
-def _flag_overrides(args) -> dict[str, object]:
+def _flag_settings(args) -> dict[str, object]:
     return {key: getattr(args, key) for key in CONFIG_DEFAULTS}
 
 
@@ -326,9 +268,10 @@ def cmd_build(args) -> int:
 def cmd_train(args) -> int:
     out = Path(args.out)
     log_path = out.with_suffix(out.suffix + ".log.jsonl")
-    inputs = [args.pairs] + ([args.config] if args.config else [])
+    inputs = [args.pairs]
     _check_outputs("train", out.parent, inputs, [(out, "the checkpoint"), (log_path, "the training log")])
-    settings, train_config = resolve_settings(args.config, _flag_overrides(args), args.seed)
+    settings = _flag_settings(args)
+    train_config = resolve_settings(settings, args.seed)
     pairs = corpus_mod.read_pairs(args.pairs)
     model = _init_encoder(pairs, settings, seed=derive_seed(args.seed, "encoder-init"))
     model, log = optim_mod.train(model, pairs, train_config)
@@ -384,15 +327,15 @@ def cmd_sweep(args) -> int:
     if any(a >= b for a, b in zip(values, values[1:])):
         raise UsageError(f"sweep values must be strictly ascending: {values}")
 
-    overrides = _flag_overrides(args)
+    settings = _flag_settings(args)
     if args.axis == "batch_size":
         # every point replaces the base batch size; values ascend, so checking the smallest checks every point
-        overrides["batch_size"] = values[0]
-    settings, train_config = resolve_settings(args.config, overrides, args.seed)
+        settings["batch_size"] = values[0]
+    train_config = resolve_settings(settings, args.seed)
     out_dir = Path(args.out_dir)
     report_paths = {value: out_dir / f"report_{args.axis}_{value}.json" for value in values}
     summary_path = out_dir / "sweep_summary.csv"
-    inputs = [args.pairs, args.benchmark] + ([args.config] if args.config else [])
+    inputs = [args.pairs, args.benchmark]
     outputs = [(path, f"the report at {args.axis} {value}") for value, path in report_paths.items()]
     _check_outputs("sweep", out_dir, inputs, [*outputs, (summary_path, "the summary")])
     # values ascend, so the smallest trained corpus size checks every trained point
@@ -458,16 +401,19 @@ def _write_summary(rows: list[dict], path: Path) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # a flag is its exact name: '--ep 2' is no '--epochs 2'
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit 2; usage problems are exit 1 here
         raise UsageError(message)
 
 
 def _add_settings_flags(sub) -> None:
-    """One flag per config key, spelled as the key with dashes; unset flags stay None."""
-    sub.add_argument("--config", default=None, help="flat key = value config file")
+    """One flag per setting, spelled as the key with dashes, defaulting to the setting's default."""
     for key, default in CONFIG_DEFAULTS.items():
         flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, dest=key, type=type(default), default=None, help=f"default {default}")
+        sub.add_argument(flag, dest=key, type=type(default), default=default, help=f"default {default}")
 
 
 def _at_least(low: int):

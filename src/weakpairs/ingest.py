@@ -4,8 +4,9 @@ Input files hold one JSON object per line (optionally gzip/bzip2 compressed,
 detected by extension).  Only a minimal field set is read: ``id_str``,
 ``text`` (falling back to ``full_text``), ``lang`` (filtered on, not kept),
 ``in_reply_to_status_id_str`` and ``quoted_status.{id_str,text}``; everything
-else in the archive objects is ignored.  Malformed lines, an id that is not a
-JSON string among them, are tallied, never fatal.
+else in the archive objects is ignored.  Malformed lines, an id or text that
+is not a JSON string or a ``quoted_status`` that is not an object among them,
+are tallied, never fatal.
 """
 
 from __future__ import annotations
@@ -96,32 +97,33 @@ def _id_field(obj: dict, key: str) -> str | None:
     return value or None
 
 
-def _record_from_obj(obj: dict) -> TweetRecord | None:
-    """Build a TweetRecord from a raw archive object; None for deletion notices."""
+def _text_field(obj: dict) -> str | None:
+    """``text``, falling back to ``full_text``: a string, or None when both are absent or null; else malformed."""
     text = obj.get("text")
     if text is None:
         text = obj.get("full_text")
+    if text is not None and not isinstance(text, str):
+        raise ValueError("text field is not a string")
+    return text
+
+
+def _record_from_obj(obj: dict) -> TweetRecord | None:
+    """Build a TweetRecord from a raw archive object; None for deletion notices."""
+    text = _text_field(obj)
     if text is None:
         return None
-    if not isinstance(text, str):
-        raise ValueError("text field is not a string")
     tweet_id = _id_field(obj, "id_str")
     if tweet_id is None:
         raise ValueError("missing id_str")
-    reply_to = _id_field(obj, "in_reply_to_status_id_str")
     quoted = obj.get("quoted_status")
-    quoted_id = quoted_text = None
-    if isinstance(quoted, dict):
-        quoted_id = _id_field(quoted, "id_str")
-        quoted_text = quoted.get("text")
-        if quoted_text is None:
-            quoted_text = quoted.get("full_text")
+    if quoted is not None and not isinstance(quoted, dict):
+        raise ValueError("quoted_status is not an object")
     return TweetRecord(
         id=tweet_id,
         text=text,
-        reply_to=reply_to,
-        quoted_id=quoted_id,
-        quoted_text=quoted_text if isinstance(quoted_text, str) else None,
+        reply_to=_id_field(obj, "in_reply_to_status_id_str"),
+        quoted_id=_id_field(quoted, "id_str") if quoted else None,
+        quoted_text=_text_field(quoted) if quoted else None,
     )
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakpairs.cli import main
+from weakpairs.cli import CONFIG_DEFAULTS, main
 from weakpairs.encoder import RETIRED_SETTINGS
 
 TINY_TRAIN = ["--dim", 4, "--epochs", 1, "--batch-size", 8, "--vocab-size", 60]
@@ -43,8 +43,7 @@ def inputs(tmp_path_factory):
     rows = [line.split("\t") for line in (root / "pairs.tsv").read_text(encoding="utf-8").splitlines()]
     graded = "".join(f"{row[3]}\t{row[4]}\t{i % 6}\n" for i, row in enumerate(rows[:8]))
     (root / "graded.tsv").write_text(graded, encoding="utf-8")
-    (root / "train.conf").write_text("# small run\ndim = 4\nepochs = 1\nbatch_size = 8\nvocab_size = 60\n")
-    names = ("stream.jsonl", "records.jsonl", "pairs.tsv", "bench.jsonl", "graded.tsv", "model.ckpt", "train.conf")
+    names = ("stream.jsonl", "records.jsonl", "pairs.tsv", "bench.jsonl", "graded.tsv", "model.ckpt")
     return {name: (root / name).read_bytes() for name in names}
 
 
@@ -64,14 +63,16 @@ COMMANDS = {
                                    "graded.tsv", "--out-dir", "out"]),
     "checkpoint-eval": ("model.ckpt", ["eval", "--checkpoint", "model.ckpt", "--inputs", "graded.tsv",
                                        "bench.jsonl", "--out-dir", "out"]),
-    "config-train": ("train.conf", ["train", "--pairs", "pairs.tsv", "--out", "out/m.ckpt",
-                                    "--config", "train.conf"]),
 }
 
 
-def run_on(inputs, fmt, content: bytes):
-    """Run the command of ``fmt`` with its input replaced by ``content``: (exit code, stderr, files written)."""
+def run_on(inputs, fmt, content: bytes, flags=()):
+    """Run the command of ``fmt``, plus ``flags``, with its input replaced by ``content``.
+
+    Returns (exit code, stderr, files written).
+    """
     target, argv = COMMANDS[fmt]
+    argv = [*argv, *flags]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, data in inputs.items():
@@ -146,7 +147,8 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-SCORES = st.sampled_from(["", "nan", "inf", "-1", "1e999", "2.5", "five", "0x1"]) | st.floats().map(repr)
+SCORE_STRINGS = ["", "nan", "inf", "-1", "1e999", "2.5", "five", "0x1"]
+SCORES = st.sampled_from(SCORE_STRINGS) | st.floats().map(repr)
 
 
 def retype_jsonl(data, content: bytes) -> bytes:
@@ -184,20 +186,12 @@ def retype_checkpoint(data, content: bytes) -> bytes:
     return json.dumps(header).encode("utf-8") + b"\n" + payload
 
 
-def retype_config(data, content: bytes) -> bytes:
-    lines = content.split(b"\n")
-    index = data.draw(st.integers(1, len(lines) - 2))
-    key = lines[index].split(b"=")[0].strip().decode()
-    lines[index] = f"{key} = {data.draw(SCORES | st.text(max_size=8))}".encode("utf-8")
-    return b"\n".join(lines)
-
-
 RETYPE = {"records.jsonl": retype_jsonl, "bench.jsonl": retype_jsonl, "pairs.tsv": retype_tsv,
-          "graded.tsv": retype_tsv, "model.ckpt": retype_checkpoint, "train.conf": retype_config}
+          "graded.tsv": retype_tsv, "model.ckpt": retype_checkpoint}
 
 
 @pytest.mark.parametrize("fmt", ["record-store-build", "pairs-train", "benchmark-eval", "graded-eval",
-                                 "checkpoint-eval", "config-train"])
+                                 "checkpoint-eval"])
 @settings(max_examples=100)
 @given(data=st.data())
 def test_fuzzed_input_fails_cleanly(inputs, fmt, data):
@@ -221,6 +215,21 @@ def test_fuzzed_input_fails_cleanly(inputs, fmt, data):
     else:
         assert code in (1, 2, 3)
         assert written == [], err
+
+
+# fixed strings only: dim and epochs have no upper bound, so a drawn large integer would allocate or train without
+# limit.  Each value is given as --key=value, so "" and "-1" are read as values, not as flags
+@pytest.mark.parametrize("value", SCORE_STRINGS)
+@pytest.mark.parametrize("key", CONFIG_DEFAULTS)
+def test_setting_flag_value_trains_or_is_usage_error(inputs, key, value):
+    flag = "--" + key.replace("_", "-")
+    code, err, written = run_on(inputs, "pairs-train", inputs["pairs.tsv"], flags=[f"{flag}={value}"])
+    assert "Traceback" not in err
+    if code == 0:
+        assert written
+    else:
+        assert code == 1 and err.startswith("usage error: "), err
+        assert written == []
 
 
 # int() or bool() would turn each value into a valid one; TINY_TRAIN's dim is 4.  An older checkpoint's

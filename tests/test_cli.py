@@ -17,16 +17,15 @@ from pathlib import Path
 import pytest
 
 from weakpairs.atomic import write_jsonl
-from weakpairs.cli import CONFIG_DEFAULTS, build_parser, derive_seed, main, parse_config_file, resolve_settings
+from weakpairs.cli import CONFIG_DEFAULTS, build_parser, derive_seed, main
 from weakpairs.corpus import PairExample, write_pairs
 from weakpairs.encoder import ENCODER_SETTINGS
-from weakpairs.errors import UsageError
 from weakpairs.optim import TrainConfig
 from weakpairs.textproc import clean
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# one non-default value per setting; a setting missing here fails the parity test
+# one non-default value per setting; a setting missing here fails the flag tests
 NON_DEFAULT_SETTINGS = {
     "loss": "triplet",
     "batch_size": 4,
@@ -63,89 +62,51 @@ class TestSeedDerivation:
         assert derive_seed(3, "train") != derive_seed(4, "train")
 
 
-class TestConfigFile:
-    def test_parse_and_resolve(self, tmp_path):
-        config = tmp_path / "train.conf"
-        config.write_text(
-            "# experiment settings\n"
-            "loss = triplet\n"
-            "batch_size = 16\n"
-            "learning_rate = 0.005\n"
-            "dim = 8\n"
-        )
-        settings, train_config = resolve_settings(config, {}, seed=0)
-        assert settings["loss"] == train_config.loss == "triplet"
-        assert settings["batch_size"] == 16
-        assert settings["dim"] == 8
-        assert settings["epochs"] == 1  # untouched default
-
-    def test_overrides_beat_file(self, tmp_path):
-        config = tmp_path / "train.conf"
-        config.write_text("batch_size = 16\n")
-        settings, _ = resolve_settings(config, {"batch_size": 8}, seed=0)
-        assert settings["batch_size"] == 8
-
-    def test_all_problems_listed_at_once(self, tmp_path):
-        config = tmp_path / "train.conf"
-        config.write_text("loss = nope\nbatch_size = 0\nmystery_key = 3\n")
-        with pytest.raises(UsageError) as excinfo:
-            resolve_settings(config, {}, seed=0)
-        message = str(excinfo.value)
-        assert "loss" in message and "batch_size" in message and "mystery_key" in message
-
-    def test_syntax_error_reported(self, tmp_path):
-        config = tmp_path / "bad.conf"
-        config.write_text("just words\n")
-        with pytest.raises(UsageError, match="line 1"):
-            parse_config_file(config)
-
-    def test_key_set_twice_reported_with_the_other_problems(self, tmp_path):
-        # the later line would otherwise win in silence
-        config = tmp_path / "twice.conf"
-        config.write_text("batch_size = 16\n# a comment\ndim = 8\nbatch_size = 32\njust words\n")
-        with pytest.raises(UsageError) as excinfo:
-            parse_config_file(config)
-        assert str(excinfo.value) == (
-            f"{config}: line 4: 'batch_size' is already set on line 1; line 5: expected 'key = value', got 'just words'"
-        )
-
-    def test_non_utf8_file_is_usage_error(self, tmp_cwd, capsys):
-        Path("latin.conf").write_bytes(b"dim = \xff\xfe\n")
-        assert run("train", "--pairs", "pairs.tsv", "--out", "m.ckpt", "--config", "latin.conf") == 1
-        err = capsys.readouterr().err
-        assert "latin.conf" in err and "UTF-8" in err
-
-    @pytest.mark.parametrize("config", ["nope.conf", "."], ids=["missing", "directory"])
-    def test_unreadable_file_is_usage_error(self, tmp_cwd, capsys, config):
-        assert run("train", "--pairs", "pairs.tsv", "--out", "m.ckpt", "--config", config) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {config}: cannot read config file")
-        assert list(tmp_cwd.iterdir()) == []
-
-    def test_file_with_byte_order_mark_resolves_like_its_twin(self, tmp_path):
-        # some editors save UTF-8 with a leading U+FEFF; it is not part of the first key
-        text = "batch_size = 16\ndim = 8\n"
-        (tmp_path / "plain.conf").write_text(text, encoding="utf-8")
-        (tmp_path / "bom.conf").write_text(text, encoding="utf-8-sig")
-        assert (tmp_path / "bom.conf").read_bytes() == b"\xef\xbb\xbf" + (tmp_path / "plain.conf").read_bytes()
-        resolved = resolve_settings(tmp_path / "bom.conf", {}, seed=0)
-        assert resolved == resolve_settings(tmp_path / "plain.conf", {}, seed=0)
-        assert resolved[0]["batch_size"] == 16
+class TestSettingFlags:
+    def test_unset_flags_record_the_defaults(self, tmp_cwd):
+        write_small_pairs("pairs.tsv")
+        assert run("train", "--pairs", "pairs.tsv", "--out", "m.ckpt") == 0
+        settings = json.loads(Path("manifest_train.json").read_text())["settings"]
+        assert list(settings.items()) == list(CONFIG_DEFAULTS.items())
 
     @pytest.mark.parametrize("key", SETTING_KEYS)
-    def test_flag_and_config_line_resolve_alike(self, tmp_cwd, key):
+    def test_flag_reaches_the_manifest(self, tmp_cwd, key):
         value = NON_DEFAULT_SETTINGS[key]
         assert value != CONFIG_DEFAULTS[key]
-        flag = ["--" + key.replace("_", "-"), value]
-        Path("c.conf").write_text(f"{key} = {value}\n")
         write_small_pairs("pairs.tsv")
-        assert run("train", "--pairs", "pairs.tsv", "--out", "flag/m.ckpt", *flag) == 0
-        assert run("train", "--pairs", "pairs.tsv", "--out", "conf/m.ckpt", "--config", "c.conf") == 0
-        for out in ("flag", "conf"):
-            settings = json.loads(Path(out, "manifest_train.json").read_text())["settings"]
-            assert settings.keys() == CONFIG_DEFAULTS.keys()
-            assert settings[key] == value and type(settings[key]) is type(value)
-        assert Path("flag/m.ckpt").read_bytes() == Path("conf/m.ckpt").read_bytes()
+        assert run("train", "--pairs", "pairs.tsv", "--out", "m.ckpt", "--" + key.replace("_", "-"), value) == 0
+        settings = json.loads(Path("manifest_train.json").read_text())["settings"]
+        assert settings.keys() == CONFIG_DEFAULTS.keys()
+        assert settings[key] == value and type(settings[key]) is type(value)
+
+    def test_all_problems_listed_at_once(self, tmp_cwd, capsys):
+        # the pair file does not exist: reading it would be a data error (exit 2)
+        assert run("train", "--pairs", "pairs.tsv", "--out", "m.ckpt",
+                   "--loss", "nope", "--batch-size", 0, "--dim", 1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: invalid configuration: ") and err.count("\n") == 1
+        assert "loss" in err and "batch_size" in err and "dim" in err
+        assert list(tmp_cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_config_is_unknown_argument(self, tmp_cwd, capsys, command):
+        # settings come from flags alone; a config file is neither read nor checked
+        Path("c.conf").write_text("dim = 8\n")
+        argv = {"train": ["train", "--pairs", "pairs.tsv", "--out", "m.ckpt"],
+                "sweep": ["sweep", "--axis", "corpus_size", "--values", 8, "--pairs", "pairs.tsv",
+                          "--benchmark", "bench.jsonl", "--out-dir", "sweep"]}[command]
+        assert run(*argv, "--config", "c.conf") == 1
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --config c.conf\n"
+        assert [p.name for p in tmp_cwd.iterdir()] == ["c.conf"]
+
+    @pytest.mark.parametrize("key", SETTING_KEYS)
+    def test_prefix_of_a_setting_flag_is_usage_error(self, tmp_cwd, capsys, key):
+        # a flag is its exact name, so '--ep 2' never sets epochs; the pair file does not exist
+        prefix = "--" + key.replace("_", "-")[:-1]
+        assert run("train", "--pairs", "pairs.tsv", "--out", "m.ckpt", prefix, NON_DEFAULT_SETTINGS[key]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unrecognized arguments: ") and prefix in err
+        assert list(tmp_cwd.iterdir()) == []
 
 
 class TestSynthIngest:
@@ -777,12 +738,6 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert list(tmp_cwd.iterdir()) == []
 
-    def test_non_finite_config_value_rejected(self, tmp_cwd, capsys):
-        Path("run.conf").write_text("learning_rate = nan\n")
-        assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", "--config", "run.conf") == 1
-        assert "learning_rate must be finite" in capsys.readouterr().err
-        assert [p.name for p in tmp_cwd.iterdir()] == ["run.conf"]
-
     # cosine is the one comparison, the block always runs, and the mn scale, triplet margin, warm-up share and
     # weight decay are constants: a command line that asked for another one stops here instead of training a model
     # it did not ask for, and so does one that names a removed setting at its old default
@@ -798,17 +753,6 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and flags[0] in err
         assert list(tmp_cwd.iterdir()) == []
-
-    # the removed keys' old defaults too: a config file holds no line the program reads past
-    @pytest.mark.parametrize("key, value", [("normalize_output", "false"), ("similarity", "cosine"),
-                                            ("use_block", "true"), ("scale", "20.0"), ("margin", "1.0"),
-                                            ("warmup_fraction", "0.1"), ("weight_decay", "0.01")])
-    def test_removed_setting_config_line_rejected(self, tmp_cwd, capsys, key, value):
-        Path("run.conf").write_text(f"{key} = {value}\n")
-        assert run("train", "--pairs", "pairs.tsv", "--out", "model.ckpt", "--config", "run.conf") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and f"unknown config key {key!r}" in err
-        assert [p.name for p in tmp_cwd.iterdir()] == ["run.conf"]
 
 
 class TestOneBlasThread:

@@ -115,6 +115,28 @@ class TestParseStreamFile:
         assert [r.id for r in records] == ["2"]
         assert (stats.parsed, stats.malformed) == (1, 1)
 
+    @pytest.mark.parametrize(
+        "quoted",
+        ["oops", ["9"], 7, True, {"id_str": "9", "text": 7}, {"id_str": "9", "full_text": ["quoted words"]},
+         {"id_str": "9", "text": {"a": 1}, "full_text": "quoted words"}],
+        ids=["string", "list", "number", "bool", "text-number", "full-text-list", "text-object"],
+    )
+    def test_quote_that_is_not_an_object_or_has_non_string_text_is_malformed(self, tmp_path, quoted):
+        # neither is read as "no quote" or "a quote without text": the line is counted, not half kept
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{**tweet_obj(1), "quoted_status": quoted}, tweet_obj(2)])
+        records, stats = parse_stream_file(path, "en")
+        assert [r.id for r in records] == ["2"]
+        assert (stats.parsed, stats.malformed) == (1, 1)
+
+    def test_null_quote_and_quote_without_text_are_kept(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [{**tweet_obj(1), "quoted_status": None}, {**tweet_obj(2), "quoted_status": {"id_str": "9"}},
+                           {**tweet_obj(3), "quoted_status": {"id_str": "9", "text": None, "full_text": "long"}}])
+        records, stats = parse_stream_file(path, "en")
+        assert [(r.quoted_id, r.quoted_text) for r in records] == [(None, None), ("9", None), ("9", "long")]
+        assert stats.malformed == 0
+
     def test_null_and_empty_relation_ids_mean_no_relation(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [{**tweet_obj(1), "in_reply_to_status_id_str": None, "quoted_status": {"id_str": ""}},
