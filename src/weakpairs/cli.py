@@ -24,6 +24,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from . import encoder as encoder_mod
 from . import evaluate as eval_mod
@@ -139,11 +141,18 @@ def _flag_settings(args) -> dict[str, object]:
 
 
 def _init_encoder(pairs: list[corpus_mod.PairExample], settings: dict, seed: int) -> encoder_mod.EncoderModel:
-    """Fresh encoder over a vocabulary built from the pairs' cleaned texts, the texts training tokenizes."""
+    """Fresh float32 encoder over a vocabulary built from the pairs' cleaned texts, the texts training tokenizes.
+
+    ``init_model``'s float64 draw is rounded to float32 once here, so the
+    model trains in float32; its checkpoint still stores float64, which holds
+    each float32 value exactly.
+    """
     # each text is cleaned as build_vocab counts it, so no list of all of them is built
     texts = (clean(text) for p in pairs for text in (p.anchor_text, p.positive_text))
     vocab = build_vocab(texts, max_size=settings["vocab_size"])
-    return encoder_mod.init_model(vocab, seed=seed, **{key: settings[key] for key in encoder_mod.ENCODER_SETTINGS})
+    model = encoder_mod.init_model(vocab, seed=seed, **{key: settings[key] for key in encoder_mod.ENCODER_SETTINGS})
+    model.params = {name: arr.astype(np.float32) for name, arr in model.params.items()}
+    return model
 
 
 # --- subcommands ---------------------------------------------------------------

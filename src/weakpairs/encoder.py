@@ -6,9 +6,13 @@ encodings), then a MEAN pool over token positions.  The pooled vector is the
 embedding, with no normalization: training's multiple-negatives loss and
 every benchmark compare embeddings by cosine, which does not see their
 length, and the triplet loss is defined on the raw vectors.  Training is
-plain float64 numpy so gradients can be derived by hand and checked against
-central finite differences; eval (``embed_text``) runs the same forward in
-float32, which halves the bytes each chunk moves.
+plain numpy with gradients derived by hand.  Its forward, backward and AdamW
+run in the model's own dtype: ``init_model`` draws float64, where the
+gradients are checked against central finite differences, and the CLI rounds
+that draw to float32 and trains in float32, which halves the bytes each step
+moves; the losses always run in float64.  Eval (``embed_text``) runs the same
+forward in float32 whatever the model's dtype, which halves the bytes each
+chunk moves.
 
 The block's output at each position is ``relu @ w_2 + h1``.  Mean pooling is
 linear and ``w_2`` acts on each position alone, so the pooled embedding is
@@ -100,7 +104,7 @@ class RowGrad(NamedTuple):
 
     def dense(self, num_rows: int) -> np.ndarray:
         """The full gradient of a parameter with ``num_rows`` rows, zero at every untouched row."""
-        full = np.zeros((num_rows, *self.rows.shape[1:]))
+        full = np.zeros((num_rows, *self.rows.shape[1:]), dtype=self.rows.dtype)
         full[self.ids] = self.rows
         return full
 
@@ -217,8 +221,8 @@ def _encode(
     gathered from a table of distinct ids.  Returns the embeddings and the
     activations backprop needs, as ``ForwardTrace`` fields by name, save
     that the float ``relu`` stands for the trace's ``relu_on`` mask.  The
-    arithmetic runs in the rows' and the model's dtype, float64 in training
-    and float32 in eval; on float64 the casts below are no-ops that copy
+    arithmetic runs in the rows' dtype, the model's own in training and
+    float32 in eval; on float64 the casts below are no-ops that copy
     nothing.
     """
     p = model.params
@@ -325,15 +329,17 @@ def backprop(
     the same bits as a dense V x dim buffer would at those rows; every other
     row's gradient is zero.  The PAD row is never among the ids: padded keys
     are masked and padded positions have pool weight 0, so nothing flows
-    back to it.  The other parameters get dense gradients.  The trace must
-    come from the current parameter version.
+    back to it.  The other parameters get dense gradients.  Every gradient
+    is in the trace's dtype, the model's: a float64 ``grad_out``, which the
+    losses return, is cast to it once here.  The trace must come from the
+    current parameter version.
     """
     if trace.model_version != model.version:
         raise ValueError(
             f"stale trace: captured at model version {trace.model_version}, "
             f"parameters now at version {model.version}"
         )
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=trace.pooled.dtype)
     if grad_out.shape != trace.pooled.shape:
         raise ValueError(f"grad_out must have shape {trace.pooled.shape}, got {grad_out.shape}")
 
@@ -356,7 +362,7 @@ def backprop(
     d_attn = d_h1 @ trace.v.transpose(0, 2, 1)
     d_attn -= (d_attn * trace.attn).sum(axis=-1, keepdims=True)
     d_attn *= trace.attn
-    d_attn /= np.sqrt(model.dim)
+    d_attn /= np.sqrt(model.dim, dtype=d_attn.dtype)
     # d_x = d_h1 + d_q w_q' + d_k w_k' + d_v w_v', added in that order (it fixes the bits); d_q and d_k
     # live only for their own term
     x = _rows(trace.x)
@@ -381,8 +387,10 @@ def _sum_rows_by_id(ids: np.ndarray, values: np.ndarray) -> RowGrad:
 
     One weighted ``np.bincount`` over (row slot, column) bins adds each
     id's terms in position order starting from +0.0, as an ``np.add.at``
-    into a zeroed dense buffer would add them, so the sums hold its bits.
-    PAD's terms go to one spare row past the last, which is dropped.
+    into a zeroed dense buffer would add them, so on float64 values the
+    sums hold its bits.  ``np.bincount`` sums in float64, so float32 values
+    get sums rounded once to float32.  PAD's terms go to one spare row past
+    the last, which is dropped.
     """
     seen = np.bincount(ids, minlength=PAD_ID + 1) > 0
     seen[PAD_ID] = False
@@ -392,7 +400,7 @@ def _sum_rows_by_id(ids: np.ndarray, values: np.ndarray) -> RowGrad:
     width = values.shape[1]
     bins = (slots[ids] * width)[:, None] + np.arange(width)
     sums = np.bincount(bins.ravel(), weights=values.ravel(), minlength=(len(unique) + 1) * width)
-    return RowGrad(unique, sums[: len(unique) * width].reshape(-1, width))
+    return RowGrad(unique, sums[: len(unique) * width].reshape(-1, width).astype(values.dtype, copy=False))
 
 
 # --- checkpoint format --------------------------------------------------------
@@ -411,7 +419,9 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
         handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         handle.write(b"\n")
         for arr in model.params.values():
-            handle.write(np.ascontiguousarray(arr, dtype="<f8"))  # the parameter's own buffer, no copy
+            # a float64 parameter's own buffer; a float32 one is widened, exactly, so the payload stays <f8
+            # and load_checkpoint reads it unchanged
+            handle.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:

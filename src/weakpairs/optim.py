@@ -247,7 +247,10 @@ def train(
     once backprop returns and its gradients once AdamW returns, so no step
     runs beside another's activations.  The final partial batch of each
     epoch is dropped so the in-batch negative distribution stays fixed.
-    Fully deterministic in (model, pairs, config).
+    Forward, backward, the parameters and AdamW's moments stay in the
+    model's dtype (float32 as the CLI trains, float64 as ``init_model``
+    draws); the loss and its gradient are computed in float64.  Fully
+    deterministic in (model, pairs, config).
     """
     problems = config.validate()
     if problems:

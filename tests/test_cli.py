@@ -14,12 +14,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weakpairs.atomic import write_jsonl
 from weakpairs.cli import CONFIG_DEFAULTS, build_parser, derive_seed, main
 from weakpairs.corpus import PairExample, write_pairs
-from weakpairs.encoder import ENCODER_SETTINGS
+from weakpairs.encoder import ENCODER_SETTINGS, load_checkpoint
 from weakpairs.optim import TrainConfig
 from weakpairs.textproc import clean
 
@@ -343,6 +344,16 @@ class TestTrainEval:
         assert all({"step", "lr", "loss"} == set(e) for e in entries)
         manifest = json.loads(Path("manifest_train.json").read_text())
         assert manifest["settings"]["batch_size"] == 8
+
+    def test_training_runs_in_float32(self, store):
+        # the checkpoint stores float64, which holds a float32 value exactly; a float64 update would not round
+        self.prepare(store)
+        assert run("--seed", 11, "train", "--pairs", "built/pairs_qt.tsv", "--batch-size", 8,
+                   "--dim", 16, "--vocab-size", 500, "--out", "model.ckpt") == 0
+        model = load_checkpoint("model.ckpt")
+        assert model.version > 0
+        for name, arr in model.params.items():
+            assert arr.dtype == np.float64 and np.array_equal(arr.astype(np.float32).astype(np.float64), arr), name
 
     def test_invalid_loss_name_lists_valid_values(self, store, capsys):
         self.prepare(store)

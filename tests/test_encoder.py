@@ -36,7 +36,17 @@ from weakpairs import encoder as encoder_mod
 from weakpairs.corpus import PairExample
 from weakpairs.errors import DataError
 from weakpairs.evaluate import cosine_similarity
-from weakpairs.optim import TrainConfig, train
+from weakpairs.optim import (
+    MULTIPLE_NEGATIVES,
+    TRIPLET,
+    TrainConfig,
+    adamw_step,
+    init_optimizer,
+    lr_at,
+    mn_loss,
+    train,
+    triplet_loss,
+)
 from weakpairs.textproc import PAD_ID, build_vocab, clean, encode_ids
 
 
@@ -197,6 +207,69 @@ class TestBackprop:
         _, trace = encode_with_trace(model, *flat_ids(model, [[2, 2, 2, 2]]))
         grads = dense_grads(model, backprop(model, trace, [g]))
         np.testing.assert_allclose(grads["embedding"][2], g)  # 4 occurrences of g/4
+
+
+class TestFloat32Training:
+    """A float32 model trains in float32 and stays its float64 twin to float32 rounding.
+
+    The CLI trains float32 models; the oracles above check the float64
+    arithmetic they share, so each float32 gradient is checked against its
+    twin's.
+    """
+
+    @staticmethod
+    def twins(dim=32, seed=23):
+        model64 = init_model(toy_vocab(60), dim=dim, seed=seed)
+        model64.params = {name: arr.astype(np.float32).astype(np.float64) for name, arr in model64.params.items()}
+        model32 = EncoderModel(vocab=model64.vocab, params={name: arr.astype(np.float32)
+                                                            for name, arr in model64.params.items()}, dim=dim)
+        return model32, model64
+
+    @staticmethod
+    def loss_grads(loss, vecs):
+        """The gradient of ``loss`` on the (anchors, positives) stacked in ``vecs``, one row per sentence."""
+        anchors, positives = np.split(vecs, 2)
+        if loss == MULTIPLE_NEGATIVES:
+            _, grad_a, grad_p = mn_loss(anchors, positives)
+            return np.concatenate([grad_a, grad_p])
+        negatives = np.roll(np.arange(len(anchors)), 1)
+        _, (grad_a, grad_p, grad_n) = triplet_loss(anchors, positives, positives[negatives])
+        np.add.at(grad_p, negatives, grad_n)
+        return np.concatenate([grad_a, grad_p])
+
+    @pytest.mark.parametrize("loss", [MULTIPLE_NEGATIVES, TRIPLET])
+    def test_gradients_are_float32_and_the_float64_twins_to_rounding(self, loss):
+        model32, model64 = self.twins()
+        rng = np.random.default_rng(4)
+        lengths = [1, 9, 3, 16, 2, 7, 12, 5]  # a padded batch of four pairs
+        id_lists = [[int(t) for t in rng.integers(1, len(model64.vocab), size=n)] for n in lengths]
+        grads = {}
+        for model in (model32, model64):
+            vecs, trace = encode_with_trace(model, *flat_ids(model, id_lists))
+            assert vecs.dtype == model.params["embedding"].dtype
+            grads[model.params["embedding"].dtype] = backprop(model, trace, self.loss_grads(loss, vecs))
+        grads32, grads64 = grads[np.dtype(np.float32)], grads[np.dtype(np.float64)]
+        assert grads32.keys() == grads64.keys() == model32.params.keys()
+        for name, grad in grads32.items():
+            twin = grads64[name]
+            if name == "embedding":
+                assert grad.ids.tolist() == twin.ids.tolist()
+                assert grad.dense(len(model32.vocab)).dtype == np.float32
+                grad, twin = grad.rows, twin.rows
+            assert grad.dtype == np.float32, name
+            assert np.linalg.norm(grad - twin) <= 1e-5 * np.linalg.norm(twin), name
+
+    def test_adamw_keeps_parameters_and_moments_float32(self):
+        model32, _ = self.twins(dim=8)
+        state = init_optimizer(model32.params)
+        id_lists = [[3, 4, 5], [6], [7, 8], [9, 10, 11, 12]]
+        for step in range(2):
+            vecs, trace = encode_with_trace(model32, *flat_ids(model32, id_lists))
+            grads = backprop(model32, trace, self.loss_grads(MULTIPLE_NEGATIVES, vecs))
+            adamw_step(model32.params, grads, state, lr=lr_at(step + 1, 10, 1e-3))
+            model32.version += 1
+        for arrays in (model32.params, state.m, state.v):
+            assert {name: arr.dtype for name, arr in arrays.items()} == dict.fromkeys(model32.params, np.float32)
 
 
 def _single_sentence_grads(model, id_lists, grad_out):
