@@ -23,19 +23,33 @@ With no positional encodings, a token's embedding row and its q, k and v
 rows depend on its id alone.  ``embed_text`` runs this token layer
 (``_token_rows``) once per call, over the call's distinct ids, and each
 chunk gathers its rows from that table, so eval projects each distinct
-token once instead of once per position.  Training runs it per padded
-position, because a training batch repeats few ids: on the benchmark's
-large-vocabulary workload a batch of 3,200 padded positions held 2,251
-distinct ids, and a table of them made a forward plus backward step slower,
-30.6 to 32.2 ms, while on its archive workload (261 ids in 1,200 positions)
-it saved only 9.04 to 8.91 ms (median of 15 rounds, one BLAS thread, 2-vCPU
-x86-64 VM).  Tokenized text reaches the encoder in one form only: both
-paths lay out their texts once per call in one flat id array (``flat_ids``),
-each chunk or batch indexes its rows of it (``_batch_index``), and both
-share one attention, feed-forward and pool body (``_encode``).  That body
-adds the attention's padding mask only to a batch that has padding:
-length-sorted eval chunks mostly have none, training batches mostly do, and
-the mask of an unpadded batch would change no bit.
+token once instead of once per position.  For the same reason a sentence's
+embedding is a function of its bag of tokens: positions that hold one id
+get the same attention row, ``h1`` and relu.  So eval runs the block over
+one position per distinct id of a text, weighted by the id's count: its
+pool weight is count / length, and as a key it adds log(count) to its
+score, which is the softmax over the positions it stands for.  On the
+benchmark's archive workload the graded texts average 35.5 tokens but 20.7
+distinct ids; on its large-vocabulary workload the benchmark texts average
+29.0 tokens and 7.9 distinct ids, as most of their tokens are UNK.
+
+Training runs per padded position, token layer and all, because a training
+batch repeats few ids.  On the benchmark's large-vocabulary workload a
+batch of 3,200 padded positions held 2,251 distinct ids, and a table of
+them made a forward plus backward step slower, 30.6 to 32.2 ms, while on
+its archive workload (261 ids in 1,200 positions) it saved only 9.04 to
+8.91 ms (median of 15 rounds, one BLAS thread, 2-vCPU x86-64 VM).  Bags
+would save less there: a training text averages 9.1 tokens and 7.0
+distinct ids on archive, 28.9 and 26.9 on the large-vocabulary workload,
+and its sums would run in another order, so every checkpoint bit would
+move.  Tokenized text reaches the encoder in one form only: both paths lay
+out their texts once per call in one flat id array (``flat_ids``), each
+chunk or batch indexes its rows of a flat layout (``_batch_index``), and
+both share one attention, feed-forward and pool body (``_encode``), whose
+``counts`` are training's 0/1 real-token mask and eval's bag counts.  That
+body adds the key bias only where some count is not 1: a training batch
+without padding skips it, and the bias of such a batch would add only
++0.0 and change no bit.
 
 A training step holds one batch's activations, and of those only what
 backprop reads.  The relu reaches backward only through where it is
@@ -205,35 +219,40 @@ def flat_ids(model: EncoderModel, id_seqs: Iterable[Sequence[int]]) -> tuple[np.
 
 
 def _batch_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, L) index into ``flat_ids``'s ``flat`` of the right-padded batch, and its real-token mask."""
+    """The (B, L) index of a right-padded batch into a flat layout whose row i is ``starts[i] : starts[i] +
+    lengths[i]``, -1 at padding, and the batch's real-token mask."""
     positions = np.arange(lengths.max())
     real = positions < lengths[:, None]
     return np.where(real, starts[:, None] + positions, -1), real
 
 
 def _encode(
-    model: EncoderModel, real: np.ndarray, rows: tuple[np.ndarray, ...]
+    model: EncoderModel, counts: np.ndarray, rows: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Attention, feed-forward and pool over padded positions whose token rows are given.
 
-    ``real`` is the (B, L) real-token mask and ``rows`` is ``_token_rows``
-    of the padded ids, with (B, L, dim) arrays computed per position or
-    gathered from a table of distinct ids.  Returns the embeddings and the
-    activations backprop needs, as ``ForwardTrace`` fields by name, save
-    that the float ``relu`` stands for the trace's ``relu_on`` mask.  The
-    arithmetic runs in the rows' dtype, the model's own in training and
-    float32 in eval; on float64 the casts below are no-ops that copy
-    nothing.
+    ``counts`` is the (B, L) number of a text's tokens each position stands
+    for, 0 at padding: training's 0/1 real-token mask, or eval's count of
+    each distinct id in its text (see the module docstring).  ``rows`` is
+    ``_token_rows`` of the padded ids, with (B, L, dim) arrays computed per
+    position or gathered from a table of distinct ids.  Pool weights are
+    ``counts / counts.sum(axis=1)``, and each key's score gets
+    ``log(counts)``: +0.0 at count 1 and -inf at padding, which no query
+    attends to.  Returns the embeddings and the activations backprop needs,
+    as ``ForwardTrace`` fields by name, save that the float ``relu`` stands
+    for the trace's ``relu_on`` mask.  The arithmetic runs in the rows'
+    dtype, the model's own in training and float32 in eval; on float64 the
+    casts below are no-ops that copy nothing.
     """
     p = model.params
     x, q, k, v = rows
-    pool = (real / real.sum(axis=1, keepdims=True)).astype(x.dtype, copy=False)
+    pool = (counts / counts.sum(axis=1, keepdims=True)).astype(x.dtype, copy=False)
     scores = q @ k.transpose(0, 2, 1)
     scores /= np.sqrt(model.dim, dtype=scores.dtype)
-    # no query attends to a padded key; without padding the mask would add only +0.0,
-    # which can flip the sign of a zero score but not its exp
-    if not real.all():
-        scores += np.where(real, scores.dtype.type(0.0), -np.inf)[:, None, :]
+    # where every count is 1 the bias would add only +0.0, which can flip the sign of a zero score but not its exp
+    if not (counts == 1).all():
+        with np.errstate(divide="ignore"):
+            scores += np.log(counts, dtype=scores.dtype)[:, None, :]
     attn = _softmax_rows(scores)
     h1 = attn @ v
     h1 += x
@@ -253,11 +272,11 @@ def encode_with_trace(
     """Embed a batch of id sequences, one (dim,) row each, keeping what backprop needs.
 
     ``starts`` and ``lengths`` pick the batch's rows of the ``flat_ids`` layout
-    ``flat``, as ``embed_text`` picks a chunk's: a layout of the batch alone
-    (``*flat_ids(model, id_lists)``) or of many.  Rows are right-padded to the
-    longest; padded positions are masked out of the attention keys and the
-    mean, so each row is the embedding of its sentence alone.  The token
-    layer runs once per padded position (see the module docstring).
+    ``flat``: a layout of the batch alone (``*flat_ids(model, id_lists)``) or
+    of many.  Rows are right-padded to the longest; padded positions are
+    masked out of the attention keys and the mean, so each row is the
+    embedding of its sentence alone.  The token layer runs once per padded
+    position (see the module docstring).
     """
     index, real = _batch_index(starts, lengths)
     ids = flat[index]
@@ -285,36 +304,48 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     Cleaning is idempotent, so already-cleaned pipeline text passes through
     unchanged while raw external text (e.g. graded pair files) gets the same
     normalization the training corpus had.  Each distinct text is encoded
-    once and its row copied to every repeat.  Texts are encoded in chunks of
-    similar length, so little of each chunk is padding.
+    once and its row copied to every repeat.
 
-    The call's ids are kept in one flat array, text after text, and each
-    chunk is indexed into it as ``encode_with_trace`` indexes its batch.
-    The forward runs in float32: once per call, the embedding rows of the
+    The call's ids are kept in one flat array, text after text.  The
+    forward runs in float32: once per call, the embedding rows of the
     call's distinct ids, PAD included, and the block matrices are cast
-    (``_float32``), the token layer runs once over those rows, and each
-    chunk gathers its rows from that table through its (B, L) index; the
-    table is freed when the call returns.  The output holds the same bits
-    from call to call and run to run (``cli.main`` runs OpenBLAS on one
-    thread, so an eval report does not depend on ``OPENBLAS_NUM_THREADS``),
-    and it is the float64 per-position forward to float32 rounding: each
-    row differs from it by at most 1e-5 of the row's length, and each
-    cosine between two rows by at most 1e-6.  A text's row can differ in
-    its last bits with the texts it is embedded beside, which set its
-    chunk's padded length and the table's row count.
+    (``_float32``), and the token layer runs once over those rows; the
+    table is freed when the call returns.  Each text is encoded as its bag
+    of tokens (see the module docstring): its distinct rows of the table,
+    each with its count, found for the whole call by one ``np.unique`` over
+    (text, row) keys.  Texts are encoded in chunks of similar distinct
+    count, so little of each chunk is padding, and each chunk gathers its
+    rows through its (B, L) index into the bags.  The output holds the same
+    bits from call to call and run to run (``cli.main`` runs OpenBLAS on
+    one thread, so an eval report does not depend on
+    ``OPENBLAS_NUM_THREADS``), and it is the float64 per-position forward
+    to float32 rounding: each row differs from it by at most 1e-5 of the
+    row's length, and each cosine between two rows by at most 1e-6.  A
+    text's row does not depend on the order of its tokens.  It can differ
+    in its last bits with the texts it is embedded beside, which set its
+    chunk's padded width and the table's row count.
     """
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    flat, starts, lengths = flat_ids(model, (encode_ids(model.vocab, clean(text), model.max_len) for text in slot))
+    flat, _, lengths = flat_ids(model, (encode_ids(model.vocab, clean(text), model.max_len) for text in slot))
     seen = np.bincount(flat, minlength=len(model.vocab)) > 0
     model32 = _float32(model, np.flatnonzero(seen))
-    table = _token_rows(model32, np.arange(len(model32.params["embedding"])))
-    slots = (np.cumsum(seen) - 1)[flat]  # each flat position's row of the table
-    order = np.argsort(lengths, kind="stable")
+    size = len(model32.params["embedding"])
+    table = _token_rows(model32, np.arange(size))
+    slots = (np.cumsum(seen) - 1)[flat]  # each flat position's row of the table; the last is PAD's
+    # the bags, text after text: each text's distinct rows in ascending order and their counts, then one PAD
+    # row of count 0 that padded positions index
+    keys = np.repeat(np.arange(len(slot)) * size, lengths)
+    keys += slots[:-1]
+    keys, counts = np.unique(keys, return_counts=True)
+    widths = np.bincount(keys // size, minlength=len(slot))  # each text's number of distinct ids
+    bag_slots, counts = np.append(keys % size, slots[-1]), np.append(counts, 0)
+    bag_starts = np.cumsum(widths) - widths
+    order = np.argsort(widths, kind="stable")
     distinct = np.empty((len(slot), model.dim), dtype=np.float32)
     for start in range(0, len(order), _EMBED_CHUNK):
         rows = order[start : start + _EMBED_CHUNK]
-        index, real = _batch_index(starts[rows], lengths[rows])
-        distinct[rows] = _encode(model32, real, tuple(arr.take(slots[index], axis=0) for arr in table))[0]
+        index, _ = _batch_index(bag_starts[rows], widths[rows])
+        distinct[rows] = _encode(model32, counts[index], tuple(arr.take(bag_slots[index], axis=0) for arr in table))[0]
     return distinct[[slot[text] for text in texts]]
 
 

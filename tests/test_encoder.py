@@ -1,6 +1,7 @@
 """Encoder forward/backward tests, anchored by a finite-difference oracle."""
 
 import json
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -47,7 +48,7 @@ from weakpairs.optim import (
     train,
     triplet_loss,
 )
-from weakpairs.textproc import PAD_ID, build_vocab, clean, encode_ids
+from weakpairs.textproc import PAD_ID, UNK_ID, build_vocab, clean, encode_ids
 
 
 class TestInit:
@@ -310,7 +311,8 @@ def _reference_forward(model, ids):
 
 
 class _Padded(np.ndarray):
-    """A real-token mask that reports padding even where it has none, so ``_encode`` adds the key mask."""
+    """A real-token mask that, as ``_encode``'s counts, reports a count other than 1 even where it has none, so
+    ``_encode`` adds the key mask."""
 
     def all(self, *args, **kwargs):
         return False
@@ -445,27 +447,38 @@ class TestBatch:
                 assert max_rel_error(analytic[name], numeric) < 1e-4, name
 
     def test_embed_text_is_the_per_position_forward_to_float32_rounding(self):
-        # the default width; a chunk's worth of one-token texts, and the empty text, fill a chunk whose
-        # longest text has one token
+        # the default width; a chunk's worth of one-token texts, and the empty and all-UNK texts, fill a chunk
+        # whose widest text has one distinct id
         model = init_model(TABLE_VOCAB, seed=8)
         chunks = []
 
-        def recording(model, real, rows):
-            chunks.append((real.shape[1], bool(real.all())))
+        def recording(model, counts, rows):
+            chunks.append(counts.copy())
             assert {arr.dtype for arr in (*rows, *model.params.values())} == {np.dtype(np.float32)}
-            return real_encode(model, real, rows)
+            return real_encode(model, counts, rows)
 
         real_encode = encoder_mod._encode
+        widths = []
         for one_token_texts in (2, encoder_mod._EMBED_CHUNK):
             texts = _table_texts(one_token_texts, one_token_texts)
+            chunks.clear()
             with mock.patch.object(encoder_mod, "_encode", recording):
                 vecs = embed_text(model, texts)
             assert vecs.dtype == np.float32
             _assert_within_float32_rounding(vecs, _per_text_forward(model, texts))
-        # unpadded chunks of one token and of the 31-token texts, padded ones, and the over-long text cut
-        assert {(1, True), (31, True)} <= set(chunks)
-        assert any(not unpadded for _, unpadded in chunks)
-        assert max(chunks)[0] == model.max_len
+            # each text is one position per distinct id, holding the id's count in the text as cut at max_len
+            bags = {text: sorted(Counter(encode_ids(model.vocab, clean(text), model.max_len)).values())
+                    for text in texts}
+            assert sorted(sorted(row[row > 0].tolist()) for counts in chunks for row in counts) == sorted(bags.values())
+            # a chunk is as wide as the largest distinct count among its texts
+            assert all(counts.shape[1] == (counts > 0).sum(axis=1).max() for counts in chunks)
+            # the over-long text, cut, has the most distinct ids
+            longest = max(texts, key=lambda text: len(text.split()))
+            assert max(counts.shape[1] for counts in chunks) == len(bags[longest])
+            widths += [(counts.shape[1], bool(counts.all())) for counts in chunks]
+        # unpadded chunks of one distinct id, and padded ones
+        assert (1, True) in widths
+        assert any(not unpadded for _, unpadded in widths)
 
     @pytest.mark.parametrize("dim", [2, 17, 33, 64, 65])
     def test_embed_text_is_the_per_position_forward_to_float32_rounding_at_any_width(self, dim):
@@ -563,6 +576,75 @@ class TestBatch:
         for text, row in zip(texts, vecs):
             np.testing.assert_array_equal(row, vecs[texts.index(text)])  # a repeat copies its first row
         _assert_within_float32_rounding(vecs, np.array([embed_text(model, [text])[0] for text in texts]))
+
+
+def _words(ids):
+    """A text of the TABLE_VOCAB words ``w<i>``, one per i in ``ids``."""
+    return " ".join(f"w{t}" for t in ids)
+
+
+class TestBags:
+    """Eval encodes each text as its bag of distinct ids, one position per id, weighted by its count."""
+
+    def test_one_token_repeated_to_max_len(self):
+        model = init_model(TABLE_VOCAB, seed=21)
+        texts = [_words([3] * model.max_len), "w3", _words([7] * 5 + [9])]
+        vecs = embed_text(model, texts)
+        _assert_within_float32_rounding(vecs, _per_text_forward(model, texts))
+        # one key, whatever its count, takes all the attention and all the pool weight
+        assert vecs[0].tobytes() == vecs[1].tobytes()
+
+    def test_multi_token_all_unk_text(self):
+        # most of the large-vocabulary workload's benchmark tokens are UNK
+        model = init_model(TABLE_VOCAB, seed=22)
+        texts = ["zz qq yy xx zz vv", "zz", "zz w1 qq w2 yy w1", "w5 zz"]
+        assert set(encode_ids(model.vocab, texts[0], model.max_len)) == {UNK_ID}
+        vecs = embed_text(model, texts)
+        _assert_within_float32_rounding(vecs, _per_text_forward(model, texts))
+        assert vecs[0].tobytes() == vecs[1].tobytes()
+
+    def test_text_cut_at_max_len_whose_cut_changes_its_bag(self):
+        model = init_model(TABLE_VOCAB, seed=23, max_len=16)
+        kept = [1, 2, 2, 3] * 4
+        # the cut drops two ids and one more of w1
+        texts = [_words(kept + [1, 30, 31]), _words([4, 5, 5])]
+        cut, whole = (Counter(encode_ids(model.vocab, texts[0], max_len)) for max_len in (model.max_len, 64))
+        assert cut.keys() < whole.keys() and cut != whole
+        vecs = embed_text(model, texts)
+        _assert_within_float32_rounding(vecs, _per_text_forward(model, texts))
+        assert vecs.tobytes() == embed_text(model, [_words(kept), texts[1]]).tobytes()
+
+    def test_chunk_mixing_count_one_bags_and_repeated_bags(self):
+        model = init_model(TABLE_VOCAB, seed=24)
+        texts = [_words([1, 2, 3, 4]), _words([5, 5, 6, 7, 8]), _words([9, 9, 9, 10, 10, 11, 12]),
+                 _words([13, 14, 15]), _words([16, 16, 17, 18]), "zz w19 w20 zz"]
+        assert len(texts) <= encoder_mod._EMBED_CHUNK
+        with mock.patch.object(encoder_mod, "_encode", wraps=encoder_mod._encode) as spy:
+            vecs = embed_text(model, texts)
+        _assert_within_float32_rounding(vecs, _per_text_forward(model, texts))
+        # one chunk: bags of count 1, bags with repeats, and padding
+        ((_, counts, _),) = [call.args for call in spy.call_args_list]
+        assert counts.shape == (len(texts), 4)
+        assert any(set(row.tolist()) == {1} for row in counts)
+        assert any(set(row.tolist()) == {0, 1} for row in counts)
+        assert any(row.max() > 1 and row.min() == 0 for row in counts)
+        assert any(row.max() > 1 and row.min() > 0 for row in counts)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.sampled_from(["w1", "w2", "w3", "w17", "zz", "qq"]), min_size=1, max_size=64)
+           .flatmap(lambda tokens: st.tuples(st.just(tokens), st.permutations(tokens))))
+    def test_any_reordering_of_a_text_embeds_to_the_same_bytes(self, case):
+        tokens, reordered = case
+        model = init_model(TABLE_VOCAB, dim=16, seed=25)
+        beside = ["w1 w2 w2", "w40 zz w5 w40", "w3"]
+        vecs = embed_text(model, [*beside, " ".join(tokens)])
+        assert vecs.tobytes() == embed_text(model, [*beside, " ".join(reordered)]).tobytes()
+
+    def test_empty_call_returns_no_rows(self):
+        model = init_model(TABLE_VOCAB, dim=12, seed=26)
+        vecs = embed_text(model, [])
+        assert vecs.shape == (0, 12)
+        assert vecs.dtype == np.float32
 
 
 class TestCheckpoint:
