@@ -5,6 +5,10 @@ line ends at ``\\n`` or ``\\r\\n`` and line numbers count every line; one
 byte-order mark (U+FEFF) at the start of line 1 is dropped.  A line that is
 not UTF-8, not one JSON object, or has the wrong field count is a
 ``DataError`` naming the file and the line.
+
+``json_object`` is the one decoder of a JSON line: the line readers here, the
+stream parser in ``ingest`` and the checkpoint header in ``encoder`` all decide
+through it what counts as one JSON object, and why a line is not one.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from .errors import DataError
 
 # json.dumps(obj, ensure_ascii=False) builds a new encoder per call; one shared encoder writes the same bytes
 _JSON_LINE = json.JSONEncoder(ensure_ascii=False)
+# json.loads is this decoder's decode(), wrapped in checks; json_object makes the same checks around raw_decode
+_RAW_DECODE = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
 
 
 @contextlib.contextmanager
@@ -64,6 +71,32 @@ def has_lone_surrogate(obj: object) -> bool:
     return False
 
 
+def json_object(text: str) -> dict:
+    """The JSON object ``text`` holds, accepted exactly where ``json.loads`` accepts an object.
+
+    Anything else raises ValueError saying why: a ``json.loads`` error as its
+    message and column (a leading byte-order mark, bad syntax, extra data
+    after JSON whitespace), "not a JSON object", or "nested too deeply to
+    decode" where ``json.loads`` would raise RecursionError (about 1,000
+    levels, less the caller's stack depth).
+    """
+    try:
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj, end = _RAW_DECODE(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+        if end != len(text):
+            end = len(text) - len(text[end:].lstrip(_JSON_SPACE))
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{exc.msg} at column {exc.colno}") from exc
+    except RecursionError:
+        raise ValueError("nested too deeply to decode") from None
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj
+
+
 def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, dict]]:
     """(line number, object) per line that is not blank once stripped."""
     for lineno, line in _lines(path, what):
@@ -71,11 +104,9 @@ def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, dict]]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: {what} line {lineno}: {exc.msg} at column {exc.colno}") from exc
-        if not isinstance(obj, dict):
-            raise DataError(f"{path}: {what} line {lineno}: not a JSON object")
+            obj = json_object(line)
+        except ValueError as exc:
+            raise DataError(f"{path}: {what} line {lineno}: {exc}") from exc
         if "\\u" in line and has_lone_surrogate(obj):
             raise DataError(f"{path}: {what} line {lineno}: a \\u escape is a lone surrogate, not text")
         yield lineno, obj

@@ -69,7 +69,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, json_object
 from .errors import DataError
 from .textproc import PAD_ID, Vocabulary, clean, encode_ids
 
@@ -483,9 +483,9 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
 def _model_from_header(path: Path, header_line: bytes) -> tuple[EncoderModel, list[tuple[str, tuple[int, ...]]]]:
     """The model a checkpoint header describes, without parameters, and its declared (name, shape) list."""
     try:
-        header = json.loads(header_line.decode("utf-8"))
+        header = json_object(header_line.decode("utf-8"))
         version = header["format_version"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError) as exc:  # not UTF-8 or not one JSON object (both ValueErrors), or no version
         raise DataError(f"{path}: not a recognizable checkpoint (no format version header)") from exc
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(

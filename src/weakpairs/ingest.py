@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import bz2
 import gzip
-import json
 import zlib
 from dataclasses import asdict, dataclass, fields
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .atomic import has_lone_surrogate, read_jsonl, write_jsonl
+from .atomic import has_lone_surrogate, json_object, read_jsonl, write_jsonl
 from .errors import DataError
 
 QUOTE = "quote"
@@ -144,13 +144,11 @@ def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[T
             continue
         stats.lines += 1
         try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
+            obj = json_object(line)
             record = _record_from_obj(obj)
             if record is not None and "\\u" in line and has_lone_surrogate(vars(record)):
                 raise ValueError("record text holds a lone surrogate")
-        except (json.JSONDecodeError, ValueError):
+        except ValueError:
             stats.malformed += 1
             continue
         if record is None:
@@ -244,7 +242,9 @@ def join_reply_targets(
 # --- on-disk formats ---------------------------------------------------------
 
 _RECORD_FIELDS = tuple(f.name for f in fields(TweetRecord))
-_NULLABLE = tuple(f.name for f in fields(TweetRecord) if f.default is None)  # the rest must be strings
+# the value types each field may hold, in field order: a string, or also null where the field defaults to None
+_FIELD_TYPES = tuple({str, type(None)} if f.default is None else {str} for f in fields(TweetRecord))
+_VALID_TYPES = frozenset(product(*_FIELD_TYPES))  # every allowed type tuple: one set lookup checks a whole line
 
 
 def write_records(records: Iterable[TweetRecord], path: str | Path) -> int:
@@ -256,9 +256,9 @@ def read_records(path: str | Path) -> list[TweetRecord]:
     """Read a record store; a line not a JSON object of record fields is a DataError; other keys are ignored."""
     records = []
     for lineno, obj in read_jsonl(path, "record store"):
-        fields = {k: obj.get(k) for k in _RECORD_FIELDS}
-        bad = [k for k, v in fields.items() if not (isinstance(v, str) or v is None and k in _NULLABLE)]
-        if bad:
+        values = [*map(obj.get, _RECORD_FIELDS)]
+        if tuple(map(type, values)) not in _VALID_TYPES:
+            bad = [k for k, allowed, v in zip(_RECORD_FIELDS, _FIELD_TYPES, values) if type(v) not in allowed]
             raise DataError(f"{path}: record store line {lineno}: {', '.join(bad)} must be strings")
-        records.append(TweetRecord(**fields))
+        records.append(TweetRecord(*values))
     return records

@@ -1,8 +1,12 @@
 """Line files: atomic writes keep the old file on failure; readers locate every bad line."""
 
-import pytest
+import json
 
-from weakpairs.atomic import atomic_write, read_jsonl, read_tsv, write_jsonl, write_tsv
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from weakpairs.atomic import atomic_write, json_object, read_jsonl, read_tsv, write_jsonl, write_tsv
 from weakpairs.corpus import PairExample, read_pairs, write_pairs
 from weakpairs.errors import DataError
 
@@ -91,6 +95,14 @@ def test_lone_carriage_return_does_not_split_a_line(tmp_path):
         (b'{"a": 1}\n{"a": 2}\n[1, 2]\n', "jsonl", "not a JSON object"),
         (b'{"a": 1}\n{"a": 2}\n{"a": "\\ud83d"}\n', "jsonl", "lone surrogate"),
         (b'{"a": 1}\n{"a": 2}\n\xef\xbb\xbf{"a": 3}\n', "jsonl", "Unexpected UTF-8 BOM"),
+        # json.loads skips JSON whitespace before it reports extra data
+        (b'{"a": 1}\n{"a": 2}\n{"a": 3} x\n', "jsonl", "Extra data at column 10$"),
+        # json.loads raises a bare ValueError for an integer too long to convert
+        pytest.param(b'{"a": 1}\n{"a": 2}\n{"a": ' + b"1" * 5_000 + b"}\n", "jsonl", "Exceeds the limit",
+                     id="jsonl-integer-of-5000-digits"),
+        # far past the depth the decoder follows, where json.loads raises RecursionError
+        pytest.param(b'{"a": 1}\n{"a": 2}\n{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n", "jsonl",
+                     "nested too deeply", id="jsonl-nested-100000-deep"),
         (b"a\tb\nc\td\n\xe2\x82\tf\n", "tsv", "not UTF-8"),
         (b"a\tb\nc\td\ne\tf\tg\n", "tsv", "has 3 fields, expected 2"),
     ],
@@ -101,3 +113,35 @@ def test_bad_line_is_data_error_naming_file_and_line(tmp_path, content, reader, 
     rows = read_jsonl(path, "thing") if reader == "jsonl" else read_tsv(path, 2, "thing")
     with pytest.raises(DataError, match=rf"input\.txt: thing line 3\b.*{message}"):
         list(rows)
+
+
+# JSON objects, then characters a mutation may put anywhere in one: structure, JSON and other whitespace, a mark
+JSON_OBJECTS = st.dictionaries(
+    st.text(max_size=3),
+    st.recursive(st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats(allow_nan=False)
+                 | st.text(max_size=4),
+                 lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                 max_leaves=4),
+    max_size=3,
+).map(json.dumps)
+MUTATION_CHARS = st.sampled_from(list('{}[]:,"\\ \t\n\r\x0b\x0c\xa0\ufeff0-.eExtrunl'))
+
+
+@given(text=JSON_OBJECTS, edits=st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                                                   st.integers(0, 60), MUTATION_CHARS), max_size=3))
+def test_json_object_accepts_and_rejects_as_json_loads_does(text, edits):
+    for op, at, char in edits:
+        at = min(at, len(text))
+        text = text[:at] + (char if op != "delete" else "") + text[at + (op != "insert"):]
+    try:
+        expected = json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(ValueError) as caught:
+            json_object(text)
+        assert str(caught.value) == f"{exc.msg} at column {exc.colno}"
+        return
+    if isinstance(expected, dict):
+        assert json_object(text) == expected
+    else:
+        with pytest.raises(ValueError, match="^not a JSON object$"):
+            json_object(text)

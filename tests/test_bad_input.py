@@ -255,6 +255,34 @@ def _eval_with_vocab(inputs, change):
     return run_on(inputs, "checkpoint-eval", json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
+# far past the depth json's decoder follows: json.loads raises RecursionError on it
+NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("fmt", ["record-store-build", "benchmark-eval", "checkpoint-eval"])
+def test_line_nested_too_deeply_to_decode_is_data_error(inputs, fmt):
+    target = COMMANDS[fmt][0]
+    lines = inputs[target].split(b"\n")
+    at = 0 if target == "model.ckpt" else 2  # a checkpoint's header, else line 3
+    lines[at] = b'{"format_version": ' + NESTED + b"}" if target == "model.ckpt" else NESTED
+    code, err, written = run_on(inputs, fmt, b"\n".join(lines))
+    assert code == 2
+    assert err.startswith("data error: ") and target in err, err
+    assert ("not a recognizable checkpoint" if target == "model.ckpt" else "line 3: nested too deeply") in err, err
+    assert written == []
+
+
+def test_stream_line_nested_too_deeply_to_decode_is_counted_malformed(inputs):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "stream.jsonl").write_bytes(inputs["stream.jsonl"] + NESTED + b"\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["ingest", "--inputs", str(work / "stream.jsonl"), "--out", str(work / "r.jsonl")])
+        assert code == 0
+        stats = json.loads((work / "r.jsonl.stats.json").read_text())["totals"]
+    assert stats["malformed"] == 1
+
+
 @pytest.mark.parametrize("token", [7, None])
 def test_checkpoint_vocab_token_that_is_not_a_string_is_data_error(inputs, token):
     code, err, written = _eval_with_vocab(inputs, lambda vocab: vocab["tokens"].__setitem__(5, token))

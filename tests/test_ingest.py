@@ -81,6 +81,19 @@ class TestParseStreamFile:
         assert stats.malformed == 2
         assert stats.lines == 10
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"id_str": "1", "text": "deep", "lang": "en", "entities": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "{" + '"a": {' * 100_000 + "}" * 100_001],
+        ids=["nested-field", "nested-objects"],
+    )
+    def test_line_nested_too_deeply_to_decode_is_malformed(self, tmp_path, line):
+        path = tmp_path / "a.jsonl"
+        write_jsonl(path, [tweet_obj(1), line, tweet_obj(2)])
+        records, stats = parse_stream_file(path, "en")
+        assert [r.id for r in records] == ["1", "2"]
+        assert (stats.lines, stats.parsed, stats.malformed) == (3, 2, 1)
+
     def test_deletion_notice_skipped(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [{"delete": {"status": {"id_str": "5"}}}, tweet_obj(6)])
@@ -348,6 +361,29 @@ class TestOnDiskFormats:
         path.write_text('{"id": "1", "text": "x", "lang": "en"}\n' + line + "\n")
         with pytest.raises(DataError, match=r"store\.jsonl.*line 2"):
             read_records(path)
+
+    @pytest.mark.parametrize(
+        "fields, bad",
+        [
+            ({"id": 7}, "id"),
+            ({"text": ["x"]}, "text"),
+            ({"quoted_text": 3}, "quoted_text"),
+            ({"quoted_text": {"a": "b"}, "id": 7}, "id, quoted_text"),
+            ({"reply_to": False, "text": None, "quoted_id": 1.5, "id": [], "quoted_text": "fine"},
+             "id, text, reply_to, quoted_id"),
+        ],
+        ids=["number-id", "list-text", "number-quoted-text", "two-fields", "four-fields"],
+    )
+    def test_wrong_typed_fields_are_each_named_in_field_order(self, tmp_path, fields, bad):
+        path = tmp_path / "store.jsonl"
+        write_jsonl(path, [{"id": "1", "text": "x"}, {"id": "2", "text": "y", **fields}])
+        with pytest.raises(DataError, match=rf"store\.jsonl: record store line 2: {bad} must be strings$"):
+            read_records(path)
+
+    def test_absent_and_null_nullable_fields_read_as_none(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"id": "1", "text": "x"}\n{"quoted_text": null, "text": "y", "id": "2", "reply_to": "1"}\n')
+        assert read_records(path) == [TweetRecord("1", "x"), TweetRecord("2", "y", reply_to="1")]
 
     def test_lone_surrogate_in_store_is_data_error(self, tmp_path):
         path = tmp_path / "store.jsonl"
