@@ -384,7 +384,8 @@ def backprop(
     d_z = trace.pool[:, :, None] * (grad_out @ p["w_2"].T)[:, None, :]
     d_z *= trace.relu_on
     grads["w_1"] = _rows(trace.h1).T @ _rows(d_z)
-    d_h1 = d_z @ p["w_1"].T
+    # a (B, L, k) batch times a transposed 2-D view is 1.5-3.7x slower than times a contiguous copy of it
+    d_h1 = d_z @ np.ascontiguousarray(p["w_1"].T)
     d_h1 += d_tokens  # the residual path around the feed-forward
     del d_z, d_tokens
 
@@ -400,15 +401,15 @@ def backprop(
     d_x = d_h1
     d_q = d_attn @ trace.k
     grads["w_q"] = x.T @ _rows(d_q)
-    d_x += d_q @ p["w_q"].T
+    d_x += d_q @ np.ascontiguousarray(p["w_q"].T)
     del d_q
     d_k = d_attn.transpose(0, 2, 1) @ trace.q
     del d_attn
     grads["w_k"] = x.T @ _rows(d_k)
-    d_x += d_k @ p["w_k"].T
+    d_x += d_k @ np.ascontiguousarray(p["w_k"].T)
     del d_k
     grads["w_v"] = x.T @ _rows(d_v)
-    d_x += d_v @ p["w_v"].T
+    d_x += d_v @ np.ascontiguousarray(p["w_v"].T)
 
     return {"embedding": _sum_rows_by_id(trace.ids.ravel(), _rows(d_x)), **grads}
 
