@@ -128,11 +128,14 @@ MUTATION_CHARS = st.sampled_from(list('{}[]:,"\\ \t\n\r\x0b\x0c\xa0\ufeff0-.eExt
 
 
 @given(text=JSON_OBJECTS, edits=st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
-                                                   st.integers(0, 60), MUTATION_CHARS), max_size=3))
-def test_json_object_accepts_and_rejects_as_json_loads_does(text, edits):
+                                                   st.integers(0, 60), MUTATION_CHARS), max_size=3),
+       prefix=st.lists(MUTATION_CHARS, max_size=2).map("".join),
+       suffix=st.lists(MUTATION_CHARS, max_size=2).map("".join))
+def test_json_object_accepts_and_rejects_as_json_loads_does(text, edits, prefix, suffix):
     for op, at, char in edits:
         at = min(at, len(text))
         text = text[:at] + (char if op != "delete" else "") + text[at + (op != "insert"):]
+    text = prefix + text + suffix
     try:
         expected = json.loads(text)
     except json.JSONDecodeError as exc:
