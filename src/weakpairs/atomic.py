@@ -59,15 +59,22 @@ def _lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
             yield lineno, line.removeprefix("\ufeff") if lineno == 1 else line
 
 
-def has_lone_surrogate(obj: object) -> bool:
-    """Whether parsed JSON holds text no UTF-8 file can hold, from an escape such as ``\\ud83d``.
+def has_lone_surrogate(line: str, obj: object) -> bool:
+    """Whether ``obj``, decoded from ``line``, holds text no UTF-8 file can hold, from an escape such as ``\\ud83d``.
 
-    Only a line containing ``\\u`` can produce it, so callers test for that first.
+    Only a line containing ``\\u`` can produce it; ``obj`` is walked only
+    then.  The walk recurses a few frames deeper than the decode did, so on
+    a value nested just short of the decoder's limit it raises ValueError
+    "nested too deeply to decode", as ``json_object`` does past the limit.
     """
+    if "\\u" not in line:
+        return False
     try:
         json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:
         return True
+    except RecursionError:
+        raise ValueError("nested too deeply to decode") from None
     return False
 
 
@@ -105,10 +112,10 @@ def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, dict]]:
             continue
         try:
             obj = json_object(line)
+            if has_lone_surrogate(line, obj):
+                raise ValueError("a \\u escape is a lone surrogate, not text")
         except ValueError as exc:
             raise DataError(f"{path}: {what} line {lineno}: {exc}") from exc
-        if "\\u" in line and has_lone_surrogate(obj):
-            raise DataError(f"{path}: {what} line {lineno}: a \\u escape is a lone surrogate, not text")
         yield lineno, obj
 
 

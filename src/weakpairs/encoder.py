@@ -46,10 +46,7 @@ move.  Tokenized text reaches the encoder in one form only: both paths lay
 out their texts once per call in one flat id array (``flat_ids``), each
 chunk or batch indexes its rows of a flat layout (``_batch_index``), and
 both share one attention, feed-forward and pool body (``_encode``), whose
-``counts`` are training's 0/1 real-token mask and eval's bag counts.  That
-body adds the key bias only where some count is not 1: a training batch
-without padding skips it, and the bias of such a batch would add only
-+0.0 and change no bit.
+``counts`` are training's 0/1 real-token mask and eval's bag counts.
 
 A training step holds one batch's activations, and of those only what
 backprop reads.  The relu reaches backward only through where it is
@@ -190,13 +187,13 @@ def _pool(pool: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return (pool[:, None, :] @ arr)[:, 0]
 
 
-def _token_rows(model: EncoderModel, ids: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The per-token layer: ``(x, x @ w_q, x @ w_k, x @ w_v)``.
+def _token_rows(p: dict[str, np.ndarray], ids: np.ndarray | slice) -> tuple[np.ndarray, ...]:
+    """The per-token layer of parameters ``p``: ``(x, x @ w_q, x @ w_k, x @ w_v)``.
 
-    ``x`` holds the embedding rows of ``ids``, which may have any shape.
-    Every row depends on its id alone (see the module docstring).
+    ``x`` holds the embedding rows of ``ids``, an index array of any shape
+    or a slice.  Every row depends on its id alone (see the module
+    docstring).
     """
-    p = model.params
     x = p["embedding"][ids]
     return x, x @ p["w_q"], x @ p["w_k"], x @ p["w_v"]
 
@@ -227,9 +224,9 @@ def _batch_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _encode(
-    model: EncoderModel, counts: np.ndarray, rows: tuple[np.ndarray, ...]
+    p: dict[str, np.ndarray], counts: np.ndarray, rows: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Attention, feed-forward and pool over padded positions whose token rows are given.
+    """Attention, feed-forward and pool, under parameters ``p``, over padded positions whose token rows are given.
 
     ``counts`` is the (B, L) number of a text's tokens each position stands
     for, 0 at padding: training's 0/1 real-token mask, or eval's count of
@@ -237,22 +234,20 @@ def _encode(
     ``_token_rows`` of the padded ids, with (B, L, dim) arrays computed per
     position or gathered from a table of distinct ids.  Pool weights are
     ``counts / counts.sum(axis=1)``, and each key's score gets
-    ``log(counts)``: +0.0 at count 1 and -inf at padding, which no query
-    attends to.  Returns the embeddings and the activations backprop needs,
-    as ``ForwardTrace`` fields by name, save that the float ``relu`` stands
-    for the trace's ``relu_on`` mask.  The arithmetic runs in the rows'
-    dtype, the model's own in training and float32 in eval; on float64 the
-    casts below are no-ops that copy nothing.
+    ``log(counts)``: +0.0 at count 1, which can flip the sign of a zero
+    score but not its exp, and -inf at padding, which no query attends to.
+    Returns the embeddings and the activations backprop needs, as
+    ``ForwardTrace`` fields by name, save that the float ``relu`` stands for
+    the trace's ``relu_on`` mask.  The arithmetic runs in the rows' dtype,
+    the model's own in training and float32 in eval; on float64 the casts
+    below are no-ops that copy nothing.
     """
-    p = model.params
     x, q, k, v = rows
     pool = (counts / counts.sum(axis=1, keepdims=True)).astype(x.dtype, copy=False)
     scores = q @ k.transpose(0, 2, 1)
-    scores /= np.sqrt(model.dim, dtype=scores.dtype)
-    # where every count is 1 the bias would add only +0.0, which can flip the sign of a zero score but not its exp
-    if not (counts == 1).all():
-        with np.errstate(divide="ignore"):
-            scores += np.log(counts, dtype=scores.dtype)[:, None, :]
+    scores /= np.sqrt(x.shape[-1], dtype=scores.dtype)
+    with np.errstate(divide="ignore"):
+        scores += np.log(counts, dtype=scores.dtype)[:, None, :]
     attn = _softmax_rows(scores)
     h1 = attn @ v
     h1 += x
@@ -280,7 +275,7 @@ def encode_with_trace(
     """
     index, real = _batch_index(starts, lengths)
     ids = flat[index]
-    out, acts = _encode(model, real, _token_rows(model, ids))
+    out, acts = _encode(model.params, real, _token_rows(model.params, ids))
     acts["relu_on"] = acts.pop("relu") > 0.0
     return out, ForwardTrace(ids=ids, model_version=model.version, **acts)
 
@@ -288,14 +283,6 @@ def encode_with_trace(
 def encode(model: EncoderModel, ids) -> np.ndarray:
     """Sentence embedding: mean over token positions of the last layer."""
     return encode_with_trace(model, *flat_ids(model, [ids]))[0][0]
-
-
-def _float32(model: EncoderModel, ids: np.ndarray) -> EncoderModel:
-    """The model eval runs: float32 copies of the block matrices and of the embedding rows of ``ids``,
-    which become rows 0, 1, ... of its embedding."""
-    params = {name: arr.astype(np.float32) for name, arr in model.params.items() if name != "embedding"}
-    params["embedding"] = model.params["embedding"][ids].astype(np.float32)
-    return EncoderModel(vocab=model.vocab, params=params, dim=model.dim, max_len=model.max_len)
 
 
 def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
@@ -308,29 +295,31 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
 
     The call's ids are kept in one flat array, text after text.  The
     forward runs in float32: once per call, the embedding rows of the
-    call's distinct ids, PAD included, and the block matrices are cast
-    (``_float32``), and the token layer runs once over those rows; the
-    table is freed when the call returns.  Each text is encoded as its bag
-    of tokens (see the module docstring): its distinct rows of the table,
-    each with its count, found for the whole call by one ``np.unique`` over
-    (text, row) keys.  Texts are encoded in chunks of similar distinct
-    count, so little of each chunk is padding, and each chunk gathers its
-    rows through its (B, L) index into the bags.  The output holds the same
-    bits from call to call and run to run (``cli.main`` runs OpenBLAS on
-    one thread, so an eval report does not depend on
-    ``OPENBLAS_NUM_THREADS``), and it is the float64 per-position forward
-    to float32 rounding: each row differs from it by at most 1e-5 of the
-    row's length, and each cosine between two rows by at most 1e-6.  A
-    text's row does not depend on the order of its tokens.  It can differ
-    in its last bits with the texts it is embedded beside, which set its
-    chunk's padded width and the table's row count.
+    call's distinct ids, PAD included, and the block matrices are cast,
+    and the token layer runs once over those rows; the table is freed when
+    the call returns.  Each text is encoded as its bag of tokens (see the
+    module docstring): its distinct rows of the table, each with its count,
+    found for the whole call by one ``np.unique`` over (text, row) keys.
+    Texts are encoded in chunks of similar distinct count, so little of
+    each chunk is padding, and each chunk gathers its rows through its
+    (B, L) index into the bags.  The output holds the same bits from call
+    to call and run to run (``cli.main`` runs OpenBLAS on one thread, so an
+    eval report does not depend on ``OPENBLAS_NUM_THREADS``), and it is the
+    float64 per-position forward to float32 rounding: each row differs from
+    it by at most 1e-5 of the row's length, and each cosine between two
+    rows by at most 1e-6.  A text's row does not depend on the order of
+    its tokens.  It can differ in its last bits with the texts it is
+    embedded beside, which set its chunk's padded width and the table's row
+    count.
     """
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     flat, _, lengths = flat_ids(model, (encode_ids(model.vocab, clean(text), model.max_len) for text in slot))
     seen = np.bincount(flat, minlength=len(model.vocab)) > 0
-    model32 = _float32(model, np.flatnonzero(seen))
-    size = len(model32.params["embedding"])
-    table = _token_rows(model32, np.arange(size))
+    # the table's row i is the embedding row of the call's i-th smallest id
+    params = {name: (arr[seen] if name == "embedding" else arr).astype(np.float32)
+              for name, arr in model.params.items()}
+    size = len(params["embedding"])
+    table = _token_rows(params, slice(None))
     slots = (np.cumsum(seen) - 1)[flat]  # each flat position's row of the table; the last is PAD's
     # the bags, text after text: each text's distinct rows in ascending order and their counts, then one PAD
     # row of count 0 that padded positions index
@@ -345,7 +334,7 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     for start in range(0, len(order), _EMBED_CHUNK):
         rows = order[start : start + _EMBED_CHUNK]
         index, _ = _batch_index(bag_starts[rows], widths[rows])
-        distinct[rows] = _encode(model32, counts[index], tuple(arr.take(bag_slots[index], axis=0) for arr in table))[0]
+        distinct[rows] = _encode(params, counts[index], tuple(arr.take(bag_slots[index], axis=0) for arr in table))[0]
     return distinct[[slot[text] for text in texts]]
 
 

@@ -146,7 +146,7 @@ def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[T
         try:
             obj = json_object(line)
             record = _record_from_obj(obj)
-            if record is not None and "\\u" in line and has_lone_surrogate(vars(record)):
+            if record is not None and has_lone_surrogate(line, vars(record)):
                 raise ValueError("record text holds a lone surrogate")
         except ValueError:
             stats.malformed += 1

@@ -115,6 +115,17 @@ def test_bad_line_is_data_error_naming_file_and_line(tmp_path, content, reader, 
         list(rows)
 
 
+def test_escape_nested_near_the_decoders_limit_reads_or_is_a_data_error(tmp_path):
+    # a line holding a \u escape is walked again after its decode, a few frames deeper than the decode went
+    path = tmp_path / "deep.jsonl"
+    for depth in range(800, 1101):
+        path.write_text('{"a": ' + "[" * depth + '"\\u00e9"' + "]" * depth + "}\n", encoding="utf-8")
+        try:
+            assert [lineno for lineno, _ in read_jsonl(path, "thing")] == [1], depth
+        except DataError as exc:
+            assert str(exc).endswith("thing line 1: nested too deeply to decode"), depth
+
+
 # JSON objects, then characters a mutation may put anywhere in one: structure, JSON and other whitespace, a mark
 JSON_OBJECTS = st.dictionaries(
     st.text(max_size=3),

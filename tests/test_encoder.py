@@ -310,14 +310,6 @@ def _reference_forward(model, ids):
     return h2.mean(axis=0)
 
 
-class _Padded(np.ndarray):
-    """A real-token mask that, as ``_encode``'s counts, reports a count other than 1 even where it has none, so
-    ``_encode`` adds the key mask."""
-
-    def all(self, *args, **kwargs):
-        return False
-
-
 def _padded(id_lists):
     """The reference padding, row by row: ids right-padded with PAD_ID to the longest list, and the real-token mask."""
     lengths = np.array([len(ids) for ids in id_lists])
@@ -328,12 +320,12 @@ def _padded(id_lists):
 
 
 def _masked_encode(model, id_lists):
-    """The reference: ``encode_with_trace`` with the key mask added whether or not the batch has padding.
+    """The reference: ``_encode`` of the reference padding and its real-token mask.
 
     Returns the embeddings and the activations by ``ForwardTrace`` field name.
     """
     ids, real = _padded(id_lists)
-    return encoder_mod._encode(model, real.view(_Padded), encoder_mod._token_rows(model, ids))
+    return encoder_mod._encode(model.params, real, encoder_mod._token_rows(model.params, ids))
 
 
 def _per_text_forward(model, texts):
@@ -452,10 +444,10 @@ class TestBatch:
         model = init_model(TABLE_VOCAB, seed=8)
         chunks = []
 
-        def recording(model, counts, rows):
+        def recording(params, counts, rows):
             chunks.append(counts.copy())
-            assert {arr.dtype for arr in (*rows, *model.params.values())} == {np.dtype(np.float32)}
-            return real_encode(model, counts, rows)
+            assert {arr.dtype for arr in (*rows, *params.values())} == {np.dtype(np.float32)}
+            return real_encode(params, counts, rows)
 
         real_encode = encoder_mod._encode
         widths = []
@@ -511,24 +503,25 @@ class TestBatch:
         model = init_model(TABLE_VOCAB, dim=8, seed=9)
         calls = []
 
-        def recording(model, ids):
-            calls.append((model, ids.copy()))
-            return real_token_rows(model, ids)
+        def recording(params, ids):
+            calls.append((params, ids))
+            return real_token_rows(params, ids)
 
         real_token_rows = encoder_mod._token_rows
         texts = _table_texts(1, 2)
         with mock.patch.object(encoder_mod, "_token_rows", recording):
             embed_text(model, texts)
-            ((table_model, table_ids),) = calls
+            ((table_params, table_ids),) = calls
             distinct = {i for text in texts for i in encode_ids(model.vocab, clean(text), model.max_len)}
             distinct = sorted(distinct | {PAD_ID})
             assert len(distinct) <= 42  # 40 words, UNK and PAD, of 2,002 tokens
-            # one float32 cast per call: the embedding rows of the call's distinct ids, and the block matrices
-            assert table_ids.tolist() == list(range(len(distinct)))
+            # one float32 cast per call, projected whole: the embedding rows of the call's distinct ids, and the
+            # block matrices
+            assert table_ids == slice(None)
             expected = dict(model.params, embedding=model.params["embedding"][distinct])
-            assert table_model.params.keys() == expected.keys()
+            assert table_params.keys() == expected.keys()
             for name, param in expected.items():
-                assert table_model.params[name].tobytes() == param.astype(np.float32).tobytes(), name
+                assert table_params[name].tobytes() == param.astype(np.float32).tobytes(), name
 
             calls.clear()
             embed_text(model, texts + [f"w{t}" for t in range(encoder_mod._EMBED_CHUNK)])  # a one-token chunk
@@ -537,8 +530,8 @@ class TestBatch:
             calls.clear()
             pairs = [PairExample(texts[i], texts[i + 1], "qt", f"a{i}", f"p{i}") for i in range(4)]
             train(model, pairs, TrainConfig(batch_size=4, epochs=1))
-            ((step_model, step_ids),) = calls
-            assert step_model is model
+            ((step_params, step_ids),) = calls
+            assert step_params is model.params
             lengths = [len(encode_ids(model.vocab, text, model.max_len)) for text in texts[:5]]
             assert step_ids.shape == (8, max(lengths))
 
