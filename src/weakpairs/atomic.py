@@ -48,15 +48,25 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
         raise
 
 
+def line_text(raw: bytes, lineno: int) -> str:
+    """The text of line ``lineno`` as a binary file iterates it: ``raw`` less its ``\\n`` or ``\\r\\n``, decoded.
+
+    A byte-order mark at the start of line 1 is dropped.  Bytes that are
+    not UTF-8 raise UnicodeDecodeError.
+    """
+    line = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+    return line.removeprefix("\ufeff") if lineno == 1 else line
+
+
 def _lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
-                line = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+                line = line_text(raw, lineno)
             except UnicodeDecodeError as exc:
                 reason = f"not UTF-8 ({exc.reason} at byte {exc.start})"
                 raise DataError(f"{path}: {what} line {lineno}: {reason}") from exc
-            yield lineno, line.removeprefix("\ufeff") if lineno == 1 else line
+            yield lineno, line
 
 
 def has_lone_surrogate(line: str, obj: object) -> bool:

@@ -111,13 +111,18 @@ def _check_outputs(subcommand: str, directory: Path, inputs: list[str], outputs:
         uses[key] = use
 
 
-def _publish(subcommand: str, directory: Path, files: list, settings: dict, inputs: list[str], seed: int) -> None:
-    """Write each (path, write, contents) entry as ``write(contents, path)``, then the manifest over them."""
+def _publish(subcommand: str, directory: Path, files: list, settings: dict, inputs: list[str], seed: int) -> list:
+    """Write each (path, write, contents) entry as ``write(contents, path)``, then the manifest over them.
+
+    Returns what each ``write`` returned, in entry order.
+    """
+    written = []
     for path, write, contents in files:
         path.parent.mkdir(parents=True, exist_ok=True)
-        write(contents, path)
+        written.append(write(contents, path))
     outputs = [path for path, _, _ in files]
     write_manifest(directory, subcommand, settings, inputs=inputs, outputs=outputs, seed=seed)
+    return written
 
 
 # --- settings -------------------------------------------------------------------
@@ -161,12 +166,13 @@ def _init_encoder(pairs: list[corpus_mod.PairExample], settings: dict, seed: int
 def cmd_synth(args) -> int:
     out = Path(args.out)
     _check_outputs("synth", out.parent, [], [(out, "the synthetic stream")])
-    # every generate_records parameter but the seed is a flag of the same name
-    params = inspect.signature(synth_mod.generate_records).parameters
+    # every stream_records parameter but the seed is a flag of the same name
+    params = inspect.signature(synth_mod.stream_records).parameters
     settings = {key: getattr(args, key) for key in params if key != "seed"}
-    records = synth_mod.generate_records(**settings, seed=derive_seed(args.seed, "synth"))
-    _publish("synth", out.parent, [(out, synth_mod.write_store, records)], settings, [], args.seed)
-    print(f"synth: wrote {len(records)} records to {out}")
+    # checks the settings now; the records are made one at a time as the store is written
+    records = synth_mod.stream_records(**settings, seed=derive_seed(args.seed, "synth"))
+    [count] = _publish("synth", out.parent, [(out, synth_mod.write_store, records)], settings, [], args.seed)
+    print(f"synth: wrote {count} records to {out}")
     return 0
 
 

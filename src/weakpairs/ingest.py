@@ -19,7 +19,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .atomic import has_lone_surrogate, json_object, read_jsonl, write_jsonl
+from .atomic import has_lone_surrogate, json_object, line_text, read_jsonl, write_jsonl
 from .errors import DataError
 
 QUOTE = "quote"
@@ -68,13 +68,12 @@ class ParseStats:
 
 
 def _open_stream(path: Path):
-    # utf-8-sig drops a leading byte-order mark, which would leave line 1 malformed
     opener = {".gz": gzip.open, ".bz2": bz2.open}.get(path.suffix.lower(), open)
-    return opener(path, "rt", encoding="utf-8-sig", errors="replace")
+    return opener(path, "rb")
 
 
-def _stream_lines(path: Path) -> Iterator[str]:
-    """The lines of a stream file; a stream that breaks off or is damaged part way is a DataError.
+def _stream_lines(path: Path) -> Iterator[tuple[int, bytes]]:
+    """(line number, raw line) per line of a stream file; a stream that breaks off or is damaged part way is a DataError.
 
     The error names the file and the last line read whole.  A truncated
     ``.gz`` or ``.bz2`` raises EOFError, a corrupt deflate block zlib.error
@@ -83,8 +82,8 @@ def _stream_lines(path: Path) -> Iterator[str]:
     lineno = 0
     with _open_stream(path) as handle:
         try:
-            for lineno, line in enumerate(handle, start=1):
-                yield line
+            for lineno, raw in enumerate(handle, start=1):
+                yield lineno, raw
         except (EOFError, zlib.error, OSError) as exc:
             raise DataError(f"{path}: stream is damaged after line {lineno}: {exc}") from exc
 
@@ -130,16 +129,24 @@ def _record_from_obj(obj: dict) -> TweetRecord | None:
 def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[TweetRecord], ParseStats]:
     """Parse one stream file, keeping records whose ``lang`` equals the filter.
 
-    Line-level JSON errors, and record text that a ``\\u`` escape leaves as a
-    lone surrogate, are counted in the returned stats.  A file that cannot be
-    opened raises the underlying OSError (which names the path); a damaged
-    compressed stream is a DataError (see ``_stream_lines``).
+    Lines end and decode as in ``weakpairs.atomic.line_text``.  A line that
+    is not UTF-8, not one JSON object, or whose record text a ``\\u`` escape
+    leaves as a lone surrogate is counted ``malformed`` in the returned
+    stats.  A file that cannot be opened raises the underlying OSError
+    (which names the path); a damaged compressed stream is a DataError (see
+    ``_stream_lines``).
     """
     path = Path(path)
     records: list[TweetRecord] = []
     stats = ParseStats()
-    for line in _stream_lines(path):
-        line = line.strip()
+    for lineno, raw in _stream_lines(path):
+        try:
+            line = line_text(raw, lineno).strip()
+        except UnicodeDecodeError:
+            # not UTF-8; such a line is never blank
+            stats.lines += 1
+            stats.malformed += 1
+            continue
         if not line:
             continue
         stats.lines += 1

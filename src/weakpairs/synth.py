@@ -8,6 +8,13 @@ topic but almost no literal tokens, so ranking its relations well requires
 learned embeddings rather than lexical overlap.  At noise=0 every token of
 both sides belongs to the pair's topic.  Records are emitted in the exact
 archive JSONL schema, so the regular ingest path consumes them unmodified.
+
+Draw rule: every index below ``n`` (a text's length, a token in its pool, a
+decoration's number) is ``k = n.bit_length()`` bits from the seeded Mersenne
+Twister's ``getrandbits(k)``, drawn again while it reads ``n`` or more; every
+coin is ``random()``.  That is the rule ``Random.choice`` and ``randint``
+apply, taken here without their call overhead, so a seed's records depend on
+those two public methods alone.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .atomic import write_jsonl
 from .errors import UsageError
@@ -26,6 +34,15 @@ DECORATION_PROB = 0.15  # chance of appending a URL or mention, exercised by cle
 
 def _stable_hash(value: str) -> int:
     return int.from_bytes(hashlib.sha256(value.encode("utf-8")).digest()[:8], "little")
+
+
+def _below(bits, n: int) -> int:
+    """A uniform index in [0, n): ``n.bit_length()`` bits from ``bits``, drawn again while they read >= n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 class _TopicSpace:
@@ -48,34 +65,45 @@ class _TopicSpace:
 
     def text(self, topic: int, role: str, noise: float, rng: random.Random) -> str:
         own = self.target_tokens[topic] if role == "target" else self.response_tokens[topic]
-        length = rng.randint(TEXT_MIN_TOKENS, TEXT_MAX_TOKENS)
-        tokens = [
-            rng.choice(self.filler) if rng.random() < noise else rng.choice(own)
-            for _ in range(length)
-        ]
-        if rng.random() < DECORATION_PROB:
-            if rng.random() < 0.5:
-                tokens.append(f"https://t.co/{rng.randrange(16**6):06x}")
+        filler = self.filler
+        bits, uniform = rng.getrandbits, rng.random
+        own_n, filler_n = len(own), len(filler)
+        own_k, filler_k = own_n.bit_length(), filler_n.bit_length()
+        tokens = []
+        for _ in range(TEXT_MIN_TOKENS + _below(bits, TEXT_MAX_TOKENS - TEXT_MIN_TOKENS + 1)):
+            # _below inlined: the call costs as much as the draw
+            if uniform() < noise:
+                pool, n, k = filler, filler_n, filler_k
             else:
-                tokens.append(f"@user{rng.randrange(10**4):04d}")
+                pool, n, k = own, own_n, own_k
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            tokens.append(pool[r])
+        if uniform() < DECORATION_PROB:
+            if uniform() < 0.5:
+                tokens.append(f"https://t.co/{_below(bits, 16**6):06x}")
+            else:
+                tokens.append(f"@user{_below(bits, 10**4):04d}")
         return " ".join(tokens)
 
 
-def generate_records(
+def stream_records(
     topics: int,
     pairs_per_topic: int,
     vocab_size: int,
     noise: float,
     seed: int,
     responses_per_target: int = 1,
-) -> list[dict]:
-    """Generate raw archive-schema objects: hubs plus quote/reply responses.
+) -> Iterator[dict]:
+    """Raw archive-schema objects, made one at a time: hubs plus quote/reply responses.
 
     Each topic contributes exactly ``pairs_per_topic`` relation edges, spread
     over target tweets carrying ``responses_per_target`` responses each
     (alternating quote targets and reply targets).  Replies reference their
     target by id only, quotes embed the quoted text, exactly as the archive
-    does.
+    does.  The settings are checked when this is called, before the first
+    record is made: a bad one raises UsageError here.
     """
     if topics < 2:
         raise UsageError(f"need at least 2 topics, got {topics}")
@@ -85,8 +113,13 @@ def generate_records(
         raise UsageError(f"responses_per_target must be >= 1, got {responses_per_target}")
     if not 0.0 <= noise <= 1.0:
         raise UsageError(f"noise must be in [0, 1], got {noise}")
-
     space = _TopicSpace(topics, vocab_size)
+    return _records(space, topics, pairs_per_topic, noise, seed, responses_per_target)
+
+
+def _records(
+    space: _TopicSpace, topics: int, pairs_per_topic: int, noise: float, seed: int, responses_per_target: int
+) -> Iterator[dict]:
     rng = random.Random(seed)
     # the id prefix is seed-derived so stores from different seeds do not collide
     id_base = (_stable_hash(f"synth:{seed}") % 9_000_000) + 1_000_000
@@ -97,7 +130,6 @@ def generate_records(
         counter += 1
         return f"{id_base}{counter:09d}"
 
-    records: list[dict] = []
     for topic in range(topics):
         remaining = pairs_per_topic
         target_index = 0
@@ -106,7 +138,7 @@ def generate_records(
             remaining -= take
             hub_id = next_id()
             hub_text = space.text(topic, "target", noise, rng)
-            records.append({"id_str": hub_id, "text": hub_text, "lang": "en"})
+            yield {"id_str": hub_id, "text": hub_text, "lang": "en"}
             as_quote = target_index % 2 == 0
             target_index += 1
             for _ in range(take):
@@ -119,9 +151,20 @@ def generate_records(
                     obj["quoted_status"] = {"id_str": hub_id, "text": hub_text}
                 else:
                     obj["in_reply_to_status_id_str"] = hub_id
-                records.append(obj)
-    return records
+                yield obj
 
 
-def write_store(records: list[dict], path: str | Path) -> int:
+def generate_records(
+    topics: int,
+    pairs_per_topic: int,
+    vocab_size: int,
+    noise: float,
+    seed: int,
+    responses_per_target: int = 1,
+) -> list[dict]:
+    """``stream_records``' objects as one list."""
+    return list(stream_records(topics, pairs_per_topic, vocab_size, noise, seed, responses_per_target))
+
+
+def write_store(records: Iterable[dict], path: str | Path) -> int:
     return write_jsonl(path, records)

@@ -22,6 +22,7 @@ from weakpairs.cli import CONFIG_DEFAULTS, build_parser, derive_seed, main
 from weakpairs.corpus import PairExample, write_pairs
 from weakpairs.encoder import ENCODER_SETTINGS, load_checkpoint
 from weakpairs.optim import TrainConfig
+from weakpairs.synth import generate_records
 from weakpairs.textproc import clean
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -171,6 +172,22 @@ class TestSynthIngest:
         run("ingest", "--inputs", "s.jsonl", "--out", "r1.jsonl")
         run("ingest", "--inputs", "s.jsonl", "--out", "r2.jsonl")
         assert Path("r1.jsonl").read_bytes() == Path("r2.jsonl").read_bytes()
+
+    def test_synth_store_is_the_generated_records_and_prints_their_count(self, tmp_cwd, capsys):
+        assert run("--seed", 5, "synth", "--topics", 3, "--pairs-per-topic", 7, "--vocab-size", 120,
+                   "--responses-per-target", 3, "--out", "s.jsonl") == 0
+        records = generate_records(topics=3, pairs_per_topic=7, vocab_size=120, noise=0.3,
+                                   seed=derive_seed(5, "synth"), responses_per_target=3)
+        write_jsonl("expected.jsonl", records)
+        assert Path("s.jsonl").read_bytes() == Path("expected.jsonl").read_bytes()
+        assert capsys.readouterr().out == f"synth: wrote {len(records)} records to s.jsonl\n"
+
+    @pytest.mark.parametrize("flags", [["--noise", 1.5], ["--topics", 90, "--vocab-size", 100]],
+                             ids=["noise", "vocab-too-small"])
+    def test_synth_bad_setting_writes_nothing(self, tmp_cwd, capsys, flags):
+        assert run("synth", "--topics", 3, "--pairs-per-topic", 4, *flags, "--out", "out/s.jsonl") == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert list(tmp_cwd.iterdir()) == []
 
     def test_manifest_written_next_to_outputs(self, tmp_cwd):
         run("--seed", 2, "synth", "--topics", 2, "--pairs-per-topic", 3,
@@ -599,6 +616,36 @@ class TestTrainEval:
             reports.add(tuple(Path(f"reports{threads}", name).read_bytes()
                               for name in ("report_bench_dq.json", "report_graded.json")))
         assert len(reports) == 1
+
+    def test_outputs_are_the_same_under_two_hash_seeds(self, tmp_cwd):
+        # PYTHONHASHSEED salts str hashes per process: no set or dict order over strings may reach an output
+        Path("graded.tsv").write_text("topic001src000 filler0001\ttopic001rsp020 filler0002\t5\n"
+                                      "topic002src001\ttopic007rsp021 topic007rsp022\t0\n")
+        benches = [f"built/bench_{name}.jsonl" for name in ("dq", "dr", "cq", "cr")]
+        stages = [
+            ["--seed", "7", "synth", "--topics", "10", "--pairs-per-topic", "32", "--vocab-size", "260",
+             "--noise", "0.2", "--responses-per-target", "8", "--out", "store.jsonl"],
+            ["--seed", "7", "ingest", "--inputs", "store.jsonl", "--out", "records.jsonl"],
+            ["--seed", "7", "build", "--records", "records.jsonl", "--dataset", "all", "--bench-queries", "2",
+             "--out-dir", "built"],
+            ["--seed", "7", "train", "--pairs", "built/pairs_all.tsv", "--batch-size", "8", "--dim", "16",
+             "--vocab-size", "500", "--out", "m.ckpt"],
+            ["eval", "--checkpoint", "m.ckpt", "--inputs", *benches, "../graded.tsv", "--out-dir", "reports"],
+        ]
+        script = ("import json, sys\nfrom weakpairs.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n    if main(argv):\n        sys.exit(f'failed: {argv}')\n")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            Path(hash_seed).mkdir()
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+            done = subprocess.run([sys.executable, "-c", script, json.dumps(stages)], cwd=hash_seed, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append({str(p.relative_to(hash_seed)): p.read_bytes() for p in sorted(Path(hash_seed).rglob("*"))
+                            if p.is_file() and not p.name.startswith("manifest_")})
+        assert {"m.ckpt", "reports/report_graded.json", *(f"reports/report_{Path(b).stem}.json" for b in benches)} \
+            <= outputs[0].keys()
+        assert outputs[0] == outputs[1]
 
     def test_rerun_same_seed_bitwise_checkpoint(self, store):
         self.prepare(store)

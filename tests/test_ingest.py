@@ -170,6 +170,25 @@ class TestParseStreamFile:
         assert records[0].text == "a pair \U0001f600 is fine"
         assert stats.malformed == 1 and stats.lines == 3
 
+    @pytest.mark.parametrize("opener,suffix", [(open, ""), (gzip.open, ".gz"), (bz2.open, ".bz2")], ids=["plain", "gz", "bz2"])
+    def test_lone_carriage_return_is_part_of_its_line(self, tmp_path, opener, suffix):
+        path = tmp_path / f"a.jsonl{suffix}"
+        with opener(path, "wb") as handle:
+            handle.write(b'{"id_str":"1",\r"text":"split by a lone CR","lang":"en"}\r\n{"id_str":"2","text":"next","lang":"en"}\r\n')
+        records, stats = parse_stream_file(path, "en")
+        assert [(r.id, r.text) for r in records] == [("1", "split by a lone CR"), ("2", "next")]
+        assert (stats.lines, stats.parsed, stats.malformed) == (2, 2, 0)
+
+    def test_line_that_is_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(
+            b'{"id_str":"1","text":"caf\xe9 ok","lang":"en"}\n'
+            + json.dumps(tweet_obj(2, text="café ok")).encode("utf-8") + b"\n"
+        )
+        records, stats = parse_stream_file(path, "en")
+        assert [(r.id, r.text) for r in records] == [("2", "café ok")]
+        assert (stats.lines, stats.parsed, stats.malformed) == (2, 1, 1)
+
     def test_quote_and_reply_fields_parsed(self, tmp_path):
         path = tmp_path / "a.jsonl"
         write_jsonl(path, [tweet_obj(3, reply_to=1, quoted=(2, "original words"))])

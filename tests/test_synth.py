@@ -1,12 +1,13 @@
 """Synthetic store generator tests."""
 
+import hashlib
 import json
 
 import pytest
 
 from weakpairs.errors import UsageError
 from weakpairs.ingest import extract_relations, index_records, join_reply_targets, parse_stream_file
-from weakpairs.synth import generate_records, write_store
+from weakpairs.synth import generate_records, stream_records, write_store
 from weakpairs.textproc import clean
 
 
@@ -105,6 +106,9 @@ class TestGenerateRecords:
             generate_records(topics=4, pairs_per_topic=4, vocab_size=100, noise=1.5, seed=0)
         with pytest.raises(UsageError):
             generate_records(topics=90, pairs_per_topic=4, vocab_size=100, noise=0.2, seed=0)
+        # the streaming form checks when called, before any record is drawn
+        with pytest.raises(UsageError):
+            stream_records(topics=4, pairs_per_topic=0, vocab_size=100, noise=0.2, seed=0)
 
     def test_store_is_valid_archive_jsonl(self, tmp_path):
         records = generate_records(topics=2, pairs_per_topic=3, vocab_size=100, noise=0.3, seed=8)
@@ -113,3 +117,30 @@ class TestGenerateRecords:
         for line in path.read_text().splitlines():
             obj = json.loads(line)
             assert "id_str" in obj and "text" in obj and obj["lang"] == "en"
+
+
+# sha256 over json.dumps of each record, each ended by a newline, as Random.choice
+# and randint drew them; any change to the draws moves a digest.  vocab 230 gives
+# 46 filler and 18 own tokens per topic and role, sizes that take redraws.
+PINNED_STREAMS = [
+    (0.0, 1, 1, 400, "a69572c01a73995e45acb0840cf4029e24d68237c81f55c37729a64d690883ed"),
+    (0.0, 6, 2, 235, "25c34a36a7d9443b9ac1e856836de4f59a4fff8c2a4c6f287f23e0cab39ddfb0"),
+    (0.6, 1, 3, 400, "154b3f0b764d3212ac905532777f52504f6f0204e5d2bb97ab007c793a658b78"),
+    (0.6, 6, 4, 235, "123229651a2afd0f8a1016f81b0c95e367405c818cc96945168ffbd226130a0f"),
+    (1.0, 1, 5, 400, "712edcff439161b8e3e6521c76675990521018c5edad2de4d5bb02037adbda57"),
+    (1.0, 6, 6, 235, "2c99bc0bdb5fec363de6b00c59a8339b45a44530c6c484ff55173d01ae234816"),
+]
+
+
+@pytest.mark.parametrize("noise, responses_per_target, seed, count, digest", PINNED_STREAMS)
+def test_record_stream_pinned(noise, responses_per_target, seed, count, digest):
+    records = generate_records(
+        topics=5, pairs_per_topic=40, vocab_size=230, noise=noise, seed=seed,
+        responses_per_target=responses_per_target,
+    )
+    assert len(records) == count
+    texts = [r["text"] for r in records]
+    # both decoration branches are drawn, so the digest covers them
+    assert any("https://t.co/" in t for t in texts) and any("@user" in t for t in texts)
+    body = "".join(json.dumps(r) + "\n" for r in records).encode("utf-8")
+    assert hashlib.sha256(body).hexdigest() == digest
