@@ -51,10 +51,11 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
 def line_text(raw: bytes, lineno: int) -> str:
     """The text of line ``lineno`` as a binary file iterates it: ``raw`` less its ``\\n`` or ``\\r\\n``, decoded.
 
-    A byte-order mark at the start of line 1 is dropped.  Bytes that are
-    not UTF-8 raise UnicodeDecodeError.
+    A ``\\r`` not followed by ``\\n`` is part of the line, the last line of
+    a file included.  A byte-order mark at the start of line 1 is dropped.
+    Bytes that are not UTF-8 raise UnicodeDecodeError.
     """
-    line = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+    line = (raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")).decode("utf-8")
     return line.removeprefix("\ufeff") if lineno == 1 else line
 
 

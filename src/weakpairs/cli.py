@@ -149,8 +149,8 @@ def _init_encoder(pairs: list[corpus_mod.PairExample], settings: dict, seed: int
     """Fresh float32 encoder over a vocabulary built from the pairs' cleaned texts, the texts training tokenizes.
 
     ``init_model``'s float64 draw is rounded to float32 once here, so the
-    model trains in float32; its checkpoint still stores float64, which holds
-    each float32 value exactly.
+    model trains in float32, and its checkpoint stores float32 and loads
+    back as float32.
     """
     # each text is cleaned as build_vocab counts it, so no list of all of them is built
     texts = (clean(text) for p in pairs for text in (p.anchor_text, p.positive_text))

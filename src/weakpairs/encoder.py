@@ -70,7 +70,9 @@ from .atomic import atomic_write, json_object
 from .errors import DataError
 from .textproc import PAD_ID, Vocabulary, clean, encode_ids
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+# a checkpoint header's dtype -> its payload's element type
+_PAYLOAD_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 INIT_SCALE = 0.05
 _EMBED_CHUNK = 16  # texts per encode in embed_text; see CHANGES.md for the measurement
 
@@ -86,12 +88,6 @@ class EncoderModel:
 
 # EncoderModel's setting fields, in checkpoint header order; also init_model's keywords and the CLI's keys
 ENCODER_SETTINGS = ("dim", "max_len")
-# settings older checkpoint headers carry: each loads if absent or at the one value every default run wrote,
-# the model this encoder runs
-RETIRED_SETTINGS = {
-    "normalize_output": (False, "as this encoder does not normalize"),
-    "use_block": (True, "as this encoder always runs its block"),
-}
 
 
 def setting_problems(settings: dict) -> list[str]:
@@ -112,12 +108,6 @@ class RowGrad(NamedTuple):
 
     ids: np.ndarray  # (U,) row indices
     rows: np.ndarray  # (U, ...) their gradients
-
-    def dense(self, num_rows: int) -> np.ndarray:
-        """The full gradient of a parameter with ``num_rows`` rows, zero at every untouched row."""
-        full = np.zeros((num_rows, *self.rows.shape[1:]), dtype=self.rows.dtype)
-        full[self.ids] = self.rows
-        return full
 
 
 @dataclass
@@ -428,9 +418,20 @@ def _sum_rows_by_id(ids: np.ndarray, values: np.ndarray) -> RowGrad:
 
 
 def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
-    """Write a checkpoint: one JSON header line, then float64 little-endian payload."""
+    """Write a checkpoint: one JSON header line, then each parameter's own little-endian bytes, in declared order.
+
+    The header's ``dtype`` is the parameters' one dtype: ``"float32"`` as
+    the CLI trains, or ``"float64"`` as ``init_model`` draws.  So each value
+    is written as the model holds it and loads back bit for bit.
+    Parameters of any other dtype, or of two dtypes, are a ValueError.
+    """
+    dtypes = sorted({arr.dtype.name for arr in model.params.values()})
+    if len(dtypes) != 1 or dtypes[0] not in _PAYLOAD_DTYPES:
+        raise ValueError(f"checkpoint parameters must be all float32 or all float64; got {dtypes}")
+    [dtype] = dtypes
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
+        "dtype": dtype,
         **{key: getattr(model, key) for key in ENCODER_SETTINGS},
         "model_version": model.version,
         "vocab": {"tokens": model.vocab.tokens},
@@ -440,29 +441,28 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
         handle.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
         handle.write(b"\n")
         for arr in model.params.values():
-            # a float64 parameter's own buffer; a float32 one is widened, exactly, so the payload stays <f8
-            # and load_checkpoint reads it unchanged
-            handle.write(np.ascontiguousarray(arr, dtype="<f8"))
+            handle.write(np.ascontiguousarray(arr, dtype=_PAYLOAD_DTYPES[dtype]))
 
 
 def load_checkpoint(path: str | Path) -> EncoderModel:
-    """Read a checkpoint, checking its parameter list against its vocab and dim.
+    """Read a checkpoint into a model of its header's dtype, checking its parameter list against its vocab and dim.
 
-    The payload's length is checked against the header before anything is
-    allocated; then it is read straight into one float64 array, of which
-    each parameter is a view.
+    The payload's length is checked against the header's sizes and dtype
+    before anything is allocated; then it is read straight into one array
+    of that dtype, of which each parameter is a view.
     """
     path = Path(path)
     with open(path, "rb") as handle:
-        model, declared = _model_from_header(path, handle.readline())
+        model, declared, dtype = _model_from_header(path, handle.readline())
         sizes = [int(np.prod(shape)) for _, shape in declared]
         payload_bytes = os.fstat(handle.fileno()).st_size - handle.tell()
-        if payload_bytes != 8 * sum(sizes):
-            raise DataError(f"{path}: parameter payload is {payload_bytes} bytes, header declares {8 * sum(sizes)}")
-        values = np.empty(sum(sizes), dtype="<f8")
+        expected = dtype.itemsize * sum(sizes)
+        if payload_bytes != expected:
+            raise DataError(f"{path}: parameter payload is {payload_bytes} bytes, header declares {expected}")
+        values = np.empty(sum(sizes), dtype=dtype)
         if handle.readinto(values) != values.nbytes:
             raise DataError(f"{path}: parameter payload shrank while it was read")
-    values = values.astype(np.float64, copy=False)  # a copy only where float64 is not little-endian
+    values = values.astype(dtype.newbyteorder("="), copy=False)  # a copy only where the machine is not little-endian
     for (name, shape), chunk in zip(declared, np.split(values, np.cumsum(sizes)[:-1])):
         if not np.isfinite(chunk).all():
             raise DataError(f"{path}: parameter {name} holds a NaN or infinite value")
@@ -470,8 +470,11 @@ def load_checkpoint(path: str | Path) -> EncoderModel:
     return model
 
 
-def _model_from_header(path: Path, header_line: bytes) -> tuple[EncoderModel, list[tuple[str, tuple[int, ...]]]]:
-    """The model a checkpoint header describes, without parameters, and its declared (name, shape) list."""
+def _model_from_header(
+    path: Path, header_line: bytes
+) -> tuple[EncoderModel, list[tuple[str, tuple[int, ...]]], np.dtype]:
+    """The model a checkpoint header describes, without parameters, its declared (name, shape) list and its
+    payload's element type."""
     try:
         header = json_object(header_line.decode("utf-8"))
         version = header["format_version"]
@@ -485,18 +488,15 @@ def _model_from_header(path: Path, header_line: bytes) -> tuple[EncoderModel, li
     try:
         declared = [(entry["name"], entry["shape"]) for entry in header["params"]]
         settings = {key: header[key] for key in ENCODER_SETTINGS}
-        model_version = header.get("model_version", 0)
+        dtype, model_version = header["dtype"], header["model_version"]
         vocab = Vocabulary(tokens=header["vocab"]["tokens"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc
     problems = setting_problems(settings)
+    if type(dtype) is not str or dtype not in _PAYLOAD_DTYPES:
+        problems.append(f'dtype must be "float32" or "float64"; got {dtype!r}')
     if type(model_version) is not int:
         problems.append(f"model_version must be an integer; got {model_version!r}")
-    problems += [
-        f"{key} must be {json.dumps(value)}, {reason}; got {header[key]!r}"
-        for key, (value, reason) in RETIRED_SETTINGS.items()
-        if header.get(key, value) is not value
-    ]
     problems += [f"vocab.tokens[{i}] must be a string; got {token!r}"
                  for i, token in enumerate(vocab.tokens) if type(token) is not str][:1]
     if problems:
@@ -515,4 +515,4 @@ def _model_from_header(path: Path, header_line: bytes) -> tuple[EncoderModel, li
             f"{path}: header declares parameters {declared}, but a vocab of {len(model.vocab)} "
             f"tokens and dim {model.dim} need {expected}"
         )
-    return model, declared
+    return model, declared, _PAYLOAD_DTYPES[dtype]

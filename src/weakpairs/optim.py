@@ -27,7 +27,7 @@ TRIPLET = "triplet"
 MULTIPLE_NEGATIVES = "multiple_negatives"
 LOSS_NAMES = (TRIPLET, MULTIPLE_NEGATIVES)
 
-ADAMW_BLOCK_ROWS = 512  # rows per AdamW block; see CHANGES.md for the measurement
+ADAMW_BLOCK_ROWS = 1024  # rows per AdamW block; see CHANGES.md for the measurement
 ADAMW_BETA1 = 0.9  # first-moment decay
 ADAMW_BETA2 = 0.999  # second-moment decay
 ADAMW_EPS = 1e-8  # added to the root of the second moment

@@ -28,10 +28,17 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = REL_
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def dense(grad: RowGrad, num_rows: int) -> np.ndarray:
+    """The full gradient of a parameter with ``num_rows`` rows, zero at every row ``grad`` does not hold."""
+    full = np.zeros((num_rows, *grad.rows.shape[1:]), dtype=grad.rows.dtype)
+    full[grad.ids] = grad.rows
+    return full
+
+
 def dense_grads(model: EncoderModel, grads: dict) -> dict[str, np.ndarray]:
     """Every gradient as a full array of its parameter's shape, densifying compact ones."""
     return {
-        name: grad.dense(len(model.params[name])) if isinstance(grad, RowGrad) else grad
+        name: dense(grad, len(model.params[name])) if isinstance(grad, RowGrad) else grad
         for name, grad in grads.items()
     }
 

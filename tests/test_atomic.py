@@ -67,7 +67,7 @@ def test_readers_number_every_line_and_skip_blank_ones(tmp_path):
     assert list(read_jsonl(path, "thing")) == [(1, {"a": 1}), (4, {"a": 2}), (5, {"a": 3})]
     path = tmp_path / "a.tsv"
     path.write_bytes(b"a\tb\r\n\n \t \nc\td\r")
-    assert list(read_tsv(path, 2, "thing")) == [(1, ["a", "b"]), (3, [" ", " "]), (4, ["c", "d"])]
+    assert list(read_tsv(path, 2, "thing")) == [(1, ["a", "b"]), (3, [" ", " "]), (4, ["c", "d\r"])]
 
 
 def test_one_byte_order_mark_starting_line_1_is_dropped(tmp_path):
@@ -85,6 +85,22 @@ def test_lone_carriage_return_does_not_split_a_line(tmp_path):
     path = tmp_path / "a.tsv"
     path.write_bytes(b"a\rb\tc\nd\te\n")
     assert list(read_tsv(path, 2, "thing")) == [(1, ["a\rb", "c"]), (2, ["d", "e"])]
+
+
+# a last line has no \n: a \r ending it is not half of a \r\n.  In a JSON line it is whitespace
+@pytest.mark.parametrize(
+    "content, rows",
+    [(b"a\tb\r", [["a", "b\r"]]), (b"a\tb\r\n", [["a", "b"]]), (b"a\tb\r\r\n", [["a", "b\r"]]),
+     (b"a\tb\nc\td\r", [["a", "b"], ["c", "d\r"]])],
+    ids=["lone", "crlf", "cr-crlf", "second-line"],
+)
+def test_carriage_return_ending_the_last_line_is_part_of_it(tmp_path, content, rows):
+    path = tmp_path / "a.tsv"
+    path.write_bytes(content)
+    assert [fields for _, fields in read_tsv(path, 2, "thing")] == rows
+    path = tmp_path / "a.jsonl"
+    path.write_bytes(b'{"a": 1}\r\n{"a": 2}\r')
+    assert list(read_jsonl(path, "thing")) == [(1, {"a": 1}), (2, {"a": 2})]
 
 
 @pytest.mark.parametrize(

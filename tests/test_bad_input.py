@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakpairs.cli import CONFIG_DEFAULTS, main
-from weakpairs.encoder import RETIRED_SETTINGS
 
 TINY_TRAIN = ["--dim", 4, "--epochs", 1, "--batch-size", 8, "--vocab-size", 60]
 
@@ -173,9 +172,7 @@ def retype_tsv(data, content: bytes) -> bytes:
 def retype_checkpoint(data, content: bytes) -> bytes:
     header_line, payload = content.split(b"\n", 1)
     header = json.loads(header_line)
-    # the retired keys too: an older checkpoint may carry them
-    key = data.draw(st.sampled_from(sorted({*header, *RETIRED_SETTINGS}) + ["vocab.tokens", "params.name",
-                                                                            "params.shape"]))
+    key = data.draw(st.sampled_from(sorted(header) + ["vocab.tokens", "params.name", "params.shape"]))
     value = data.draw(JSON_VALUES | st.integers(-3, 3))
     if "." in key:
         outer, inner = key.split(".")
@@ -232,11 +229,10 @@ def test_setting_flag_value_trains_or_is_usage_error(inputs, key, value):
         assert written == []
 
 
-# int() or bool() would turn each value into a valid one; TINY_TRAIN's dim is 4.  An older checkpoint's
-# normalize_output: true or use_block: false has the right type but names a model this encoder does not run
-@pytest.mark.parametrize("key, value", [("max_len", True), ("max_len", 3.9), ("dim", 4.5), ("use_block", "false"),
-                                        ("use_block", False), ("normalize_output", "false"),
-                                        ("normalize_output", True), ("model_version", True)])
+# int() or bool() would turn each value into a valid one; TINY_TRAIN's dim is 4.  A dtype names a payload only as
+# one of its two exact strings
+@pytest.mark.parametrize("key, value", [("max_len", True), ("max_len", 3.9), ("dim", 4.5), ("dtype", "float16"),
+                                        ("dtype", 32), ("dtype", None), ("dtype", "<f4"), ("model_version", True)])
 def test_retyped_checkpoint_header_is_data_error(inputs, key, value):
     header_line, payload = inputs["model.ckpt"].split(b"\n", 1)
     header = json.loads(header_line)

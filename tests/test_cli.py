@@ -363,14 +363,15 @@ class TestTrainEval:
         assert manifest["settings"]["batch_size"] == 8
 
     def test_training_runs_in_float32(self, store):
-        # the checkpoint stores float64, which holds a float32 value exactly; a float64 update would not round
+        # the checkpoint stores the model's own dtype
         self.prepare(store)
         assert run("--seed", 11, "train", "--pairs", "built/pairs_qt.tsv", "--batch-size", 8,
                    "--dim", 16, "--vocab-size", 500, "--out", "model.ckpt") == 0
         model = load_checkpoint("model.ckpt")
         assert model.version > 0
+        assert json.loads(Path("model.ckpt").read_bytes().split(b"\n", 1)[0])["dtype"] == "float32"
         for name, arr in model.params.items():
-            assert arr.dtype == np.float64 and np.array_equal(arr.astype(np.float32).astype(np.float64), arr), name
+            assert arr.dtype == np.float32, name
 
     def test_invalid_loss_name_lists_valid_values(self, store, capsys):
         self.prepare(store)
@@ -497,38 +498,24 @@ class TestTrainEval:
         write_small_pairs("pairs.tsv")
         assert run(*self.PINNED_TRAIN) == 0
         header = Path("m.ckpt").read_bytes().split(b"\n", 1)[0]
-        assert list(json.loads(header)) == ["format_version", "dim", "max_len", "model_version", "vocab", "params"]
+        assert list(json.loads(header)) == ["format_version", "dtype", "dim", "max_len", "model_version", "vocab",
+                                            "params"]
         digest = hashlib.sha256(header).hexdigest()
-        assert digest == "6ec9b4e3787a84f3be58f326f5e2b336b1e03f0cc10ceea081e7eaac1b366285"
+        assert digest == "a1b5855949efd1440f249225fea41d26f344cb1ced7dc8832e980b641f6a757f"
 
-    # older checkpoints end their vocab with "max_size": 40 (this run's vocab_size), some carry "use_block" after
-    # dim, and of those some "normalize_output" after it; every default run wrote true and false, the model this
-    # encoder runs.  The keys put back give the headers pinned while they were written
-    @pytest.mark.parametrize(
-        "retired, digest",
-        [(b"", "9c65b047fb2d881fb15676c5d7010cddcbf7d9af65820f03f8669770d7c404f6"),
-         (b'"use_block": true, ', "1536ab046924253e439caf2f563a61ca1ded13ee6e0927ebeaed6473630e980d"),
-         (b'"use_block": true, "normalize_output": false, ',
-          "98461768eeae9bb8b5933e3232ca4f0d98ade8c81aa9fc06647cf872c2478bd2")],
-        ids=["max_size", "max_size-use_block", "max_size-use_block-normalize_output"],
-    )
-    def test_older_checkpoint_evaluates_as_the_new_one(self, tmp_cwd, retired, digest):
+    def test_checkpoint_of_format_1_is_exit_2_naming_the_version(self, tmp_cwd, capsys):
+        # format 1 had no dtype and widened every value to a <f8 payload; the header rebuilt here is the one
+        # pinned while format 1 was written
         write_small_pairs("pairs.tsv")
         assert run(*self.PINNED_TRAIN) == 0
         header, payload = Path("m.ckpt").read_bytes().split(b"\n", 1)
-        old = header.replace(b'"dim": 4, ', b'"dim": 4, ' + retired)
-        old = old.replace(b']}, "params": ', b'], "max_size": 40}, "params": ')
-        assert hashlib.sha256(old).hexdigest() == digest
-        Path("old.ckpt").write_bytes(old + b"\n" + payload)
+        old = header.replace(b'{"format_version": 2, "dtype": "float32", ', b'{"format_version": 1, ')
+        assert hashlib.sha256(old).hexdigest() == "6ec9b4e3787a84f3be58f326f5e2b336b1e03f0cc10ceea081e7eaac1b366285"
+        Path("old.ckpt").write_bytes(old + b"\n" + np.frombuffer(payload, dtype="<f4").astype("<f8").tobytes())
         write_small_bench("bench.jsonl")
-        reports = []
-        for ckpt in ("m.ckpt", "old.ckpt"):
-            assert run("eval", "--checkpoint", ckpt, "--inputs", "bench.jsonl", "--out-dir", ckpt + ".eval") == 0
-            reports.append(json.loads(Path(ckpt + ".eval", "report_bench.json").read_text()))
-        new, old = reports
-        assert len(new["per_query"]) == 1
-        assert old["meta"].pop("checkpoint") != new["meta"].pop("checkpoint")  # the file's own hash
-        assert old == new
+        assert run("eval", "--checkpoint", "old.ckpt", "--inputs", "bench.jsonl", "--out-dir", "reports") == 2
+        assert "old.ckpt: unsupported checkpoint format version 1, expected 2" in capsys.readouterr().err
+        assert not Path("reports").exists()
 
     def test_report_meta_holds_its_count_and_the_checkpoint(self, tmp_cwd):
         write_small_pairs("pairs.tsv")

@@ -13,6 +13,7 @@ from fdcheck import (
     FD_STEP,
     batch_objective,
     central_diff_grad,
+    dense,
     dense_grads,
     max_rel_error,
     mean_pool_model,
@@ -255,7 +256,6 @@ class TestFloat32Training:
             twin = grads64[name]
             if name == "embedding":
                 assert grad.ids.tolist() == twin.ids.tolist()
-                assert grad.dense(len(model32.vocab)).dtype == np.float32
                 grad, twin = grad.rows, twin.rows
             assert grad.dtype == np.float32, name
             assert np.linalg.norm(grad - twin) <= 1e-5 * np.linalg.norm(twin), name
@@ -408,7 +408,7 @@ class TestBatch:
         # the dense buffer backprop used to fill: padded positions add only zeros to the PAD row
         reference = np.zeros_like(model.params["embedding"])
         np.add.at(reference, ids, values)
-        assert grad.dense(len(model.vocab)).tobytes() == reference.tobytes()
+        assert dense(grad, len(model.vocab)).tobytes() == reference.tobytes()
 
     @settings(max_examples=200)
     @given(st.data())
@@ -641,9 +641,11 @@ class TestBags:
 
 
 class TestCheckpoint:
-    def test_roundtrip_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roundtrip_bitwise(self, tmp_path, dtype):
         vocab = build_vocab(["alpha beta gamma delta"], max_size=20)
         model = init_model(vocab, dim=6, seed=9, max_len=32)
+        model.params = {name: arr.astype(dtype) for name, arr in model.params.items()}
         model.version = 17
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
@@ -652,8 +654,24 @@ class TestCheckpoint:
         assert loaded.max_len == 32
         assert loaded.version == 17
         assert loaded.vocab.tokens == vocab.tokens
+        assert list(loaded.params) == list(model.params)
         for name in model.params:
-            assert np.array_equal(loaded.params[name], model.params[name])
+            assert loaded.params[name].dtype == dtype
+            assert loaded.params[name].tobytes() == model.params[name].tobytes()
+        # the header line, then itemsize bytes per parameter value and nothing else
+        header_line = path.read_bytes().split(b"\n", 1)[0]
+        assert json.loads(header_line)["dtype"] == np.dtype(dtype).name
+        count = sum(arr.size for arr in model.params.values())
+        assert path.stat().st_size == len(header_line) + 1 + np.dtype(dtype).itemsize * count
+
+    @pytest.mark.parametrize("dtypes", [(np.float16,), (np.int64,), (np.float32, np.float64)],
+                             ids=["float16", "int64", "mixed"])
+    def test_parameters_not_all_float32_or_all_float64_are_not_saved(self, tmp_path, dtypes):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
+        model.params = {name: arr.astype(dtypes[i % len(dtypes)]) for i, (name, arr) in enumerate(model.params.items())}
+        with pytest.raises(ValueError, match="all float32 or all float64"):
+            save_checkpoint(model, tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_loaded_model_encodes_identically(self, tmp_path):
         vocab = build_vocab(["alpha beta gamma delta epsilon"], max_size=20)
@@ -677,24 +695,49 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="99"):
             load_checkpoint(path)
 
-    def test_truncated_payload_rejected(self, tmp_path):
-        vocab = build_vocab(["alpha beta"], max_size=10)
-        model = init_model(vocab, dim=4, seed=0)
+    # the payload's length is read from the file, not counted while reading it, and checked against the header's
+    # dtype: 4 x 4 embedding and 112 block parameters are 128 values
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("values", [127, 129], ids=["short", "long"])
+    def test_payload_one_value_short_or_long_rejected(self, tmp_path, dtype, values):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
+        model.params = {name: arr.astype(dtype) for name, arr in model.params.items()}
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(DataError, match="bytes"):
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        size = np.dtype(dtype).itemsize
+        path.write_bytes(header_line + b"\n" + (payload + payload[:size])[: values * size])
+        message = f"parameter payload is {values * size} bytes, header declares {128 * size}$"
+        with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 
-    def test_overlong_payload_rejected(self, tmp_path):
-        # the payload's length is read from the file, not counted while reading it
-        vocab = build_vocab(["alpha beta"], max_size=10)
-        model = init_model(vocab, dim=4, seed=0)  # 4 x 4 embedding and 112 block parameters, 1,024 bytes
+    # a missing dtype is a missing key like any other; a present one names one of the two payloads
+    @pytest.mark.parametrize("value", [None, "float16", "<f8", "Float32", 32, ["float32"], {"name": "float32"}])
+    def test_dtype_other_than_float32_or_float64_rejected(self, tmp_path, value):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
+        path = tmp_path / "model.ckpt"
+        self._write_with_header(path, model, dtype=value)
+        with pytest.raises(DataError, match='checkpoint header: dtype must be "float32" or "float64"; got '):
+            load_checkpoint(path)
+
+    def test_missing_dtype_rejected(self, tmp_path):
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        path.write_bytes(path.read_bytes() + bytes(8))
-        with pytest.raises(DataError, match="parameter payload is 1032 bytes, header declares 1024"):
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        del header["dtype"]
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(DataError, match="malformed checkpoint header: KeyError\\('dtype'\\)"):
+            load_checkpoint(path)
+
+    def test_float64_dtype_over_a_float32_payload_rejected(self, tmp_path):
+        # the payload's length, not its bytes, tells the two apart
+        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
+        model.params = {name: arr.astype(np.float32) for name, arr in model.params.items()}
+        path = tmp_path / "model.ckpt"
+        self._write_with_header(path, model, dtype="float64")
+        with pytest.raises(DataError, match="parameter payload is 512 bytes, header declares 1024$"):
             load_checkpoint(path)
 
     def _write_with_header(self, path, model, **changes):
@@ -704,68 +747,6 @@ class TestCheckpoint:
         header = json.loads(header_line)
         header.update(changes)
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-
-    # checkpoints written while a retired setting existed carry its key; its old default is the model this
-    # encoder runs
-    @pytest.mark.parametrize(
-        "retired", [{"normalize_output": False}, {"use_block": True}, {"use_block": True, "normalize_output": False}],
-        ids=["normalize_output", "use_block", "both"],
-    )
-    def test_older_header_with_retired_settings_at_their_defaults_loads_the_same_model(self, tmp_path, retired):
-        model = init_model(build_vocab(["alpha beta gamma delta"], max_size=10), dim=4, seed=5)
-        model.version = 3
-        save_checkpoint(model, tmp_path / "new.ckpt")
-        self._write_with_header(tmp_path / "old.ckpt", model, **retired)
-        new, old = load_checkpoint(tmp_path / "new.ckpt"), load_checkpoint(tmp_path / "old.ckpt")
-        assert (old.dim, old.max_len, old.version) == (new.dim, new.max_len, 3)
-        assert old.vocab.tokens == new.vocab.tokens
-        for name in new.params:
-            assert old.params[name].tobytes() == new.params[name].tobytes()
-        assert embed_text(old, ["alpha gamma"]).tobytes() == embed_text(new, ["alpha gamma"]).tobytes()
-
-    # checkpoints written while the vocabulary kept its size cap carry it as vocab.max_size; the cap never changed
-    # a model, so whatever it holds, even a value below the token count, is not read
-    def test_older_header_with_vocab_max_size_loads_the_same_model(self, tmp_path):
-        model = init_model(build_vocab(["alpha beta gamma delta"], max_size=10), dim=4, seed=5)
-        save_checkpoint(model, tmp_path / "new.ckpt")
-        self._write_with_header(tmp_path / "old.ckpt", model, vocab={"tokens": model.vocab.tokens, "max_size": 0})
-        new, old = load_checkpoint(tmp_path / "new.ckpt"), load_checkpoint(tmp_path / "old.ckpt")
-        assert old.vocab == new.vocab
-        for name in new.params:
-            assert old.params[name].tobytes() == new.params[name].tobytes()
-        assert embed_text(old, ["alpha gamma"]).tobytes() == embed_text(new, ["alpha gamma"]).tobytes()
-
-    RETIRED_RULES = {"normalize_output": "must be false, as this encoder does not normalize",
-                     "use_block": "must be true, as this encoder always runs its block"}
-
-    # JSON 0 equals false and 1 true in Python, but no checkpoint ever held them: only the old default names the
-    # model this encoder runs
-    @pytest.mark.parametrize(
-        "key, value",
-        [("normalize_output", value) for value in (True, 0, 1, None, "false")]
-        + [("use_block", value) for value in (False, 1, 0, None, "true")],
-        ids=["normalize_output-true", "normalize_output-zero", "normalize_output-one", "normalize_output-null",
-             "normalize_output-string", "use_block-false", "use_block-one", "use_block-zero", "use_block-null",
-             "use_block-string"],
-    )
-    def test_older_header_with_other_retired_value_rejected(self, tmp_path, key, value):
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
-        path = tmp_path / "old.ckpt"
-        self._write_with_header(path, model, **{key: value})
-        with pytest.raises(DataError) as excinfo:
-            load_checkpoint(path)
-        message = str(excinfo.value)
-        assert message.startswith(f"{path}: checkpoint header: ")
-        assert f"{key} {self.RETIRED_RULES[key]}; got {value!r}" in message
-
-    def test_older_blockless_checkpoint_rejected(self, tmp_path):
-        # a checkpoint trained with the block off holds the embedding alone; the error names the setting
-        model = init_model(build_vocab(["alpha beta"], max_size=10), dim=4, seed=0)
-        model.params = {"embedding": model.params["embedding"]}
-        path = tmp_path / "old.ckpt"
-        self._write_with_header(path, model, use_block=False)
-        with pytest.raises(DataError, match=f"use_block {self.RETIRED_RULES['use_block']}; got False$"):
-            load_checkpoint(path)
 
     def test_vocab_longer_than_embedding_rejected(self, tmp_path):
         vocab = build_vocab(["alpha beta"], max_size=10)

@@ -174,10 +174,13 @@ class TestParseStreamFile:
     def test_lone_carriage_return_is_part_of_its_line(self, tmp_path, opener, suffix):
         path = tmp_path / f"a.jsonl{suffix}"
         with opener(path, "wb") as handle:
-            handle.write(b'{"id_str":"1",\r"text":"split by a lone CR","lang":"en"}\r\n{"id_str":"2","text":"next","lang":"en"}\r\n')
+            handle.write(b'{"id_str":"1",\r"text":"split by a lone CR","lang":"en"}\r\n'
+                         b'{"id_str":"2","text":"next","lang":"en"}\r\n'
+                         b'{"id_str":"3","text":"last, its lone CR is JSON space","lang":"en"}\r')
         records, stats = parse_stream_file(path, "en")
-        assert [(r.id, r.text) for r in records] == [("1", "split by a lone CR"), ("2", "next")]
-        assert (stats.lines, stats.parsed, stats.malformed) == (2, 2, 0)
+        assert [(r.id, r.text) for r in records] == [("1", "split by a lone CR"), ("2", "next"),
+                                                     ("3", "last, its lone CR is JSON space")]
+        assert (stats.lines, stats.parsed, stats.malformed) == (3, 3, 0)
 
     def test_line_that_is_not_utf8_is_malformed(self, tmp_path):
         path = tmp_path / "a.jsonl"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fdcheck import dense_grads, max_rel_error, toy_vocab
+from fdcheck import dense, dense_grads, max_rel_error, toy_vocab
 from weakpairs.corpus import PairExample
 from weakpairs.encoder import RowGrad, backprop, encode_with_trace, flat_ids, init_model
 from weakpairs.errors import DataError, NumericError
@@ -292,7 +292,9 @@ class TestAdamW:
     @pytest.mark.parametrize(
         "touched",
         [
-            [0, 3, 511, 512, 513, 1000, 4 * ADAMW_BLOCK_ROWS + 36],  # block edges, the last row, an empty block
+            # block edges, a row inside the second block, the last row, and two empty blocks between them
+            [0, 3, ADAMW_BLOCK_ROWS - 1, ADAMW_BLOCK_ROWS, ADAMW_BLOCK_ROWS + 1, 2 * ADAMW_BLOCK_ROWS - 24,
+             4 * ADAMW_BLOCK_ROWS + 36],
             "all",
             [],
             "random",
@@ -321,8 +323,8 @@ class TestAdamW:
                 "w": rng.normal(size=(5, 7)),
             }
             adamw_step(params, grads, state, lr=0.01, weight_decay=0.1)
-            dense = {name: g.dense(rows) if isinstance(g, RowGrad) else g for name, g in grads.items()}
-            unblocked_adamw_step(reference, dense, ref_state, lr=0.01, weight_decay=0.1)
+            full = {name: dense(g, rows) if isinstance(g, RowGrad) else g for name, g in grads.items()}
+            unblocked_adamw_step(reference, full, ref_state, lr=0.01, weight_decay=0.1)
             for name in params:
                 assert params[name].tobytes() == reference[name].tobytes(), name
                 assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
@@ -340,7 +342,7 @@ class TestAdamW:
             s.v["emb"][0] = 1e-6
         grad = RowGrad(np.array([1]), np.ones((1, 4)))
         adamw_step(params, {"emb": grad}, state, lr=0.01, weight_decay=weight_decay)
-        unblocked_adamw_step(reference, {"emb": grad.dense(2)}, ref_state, lr=0.01, weight_decay=weight_decay)
+        unblocked_adamw_step(reference, {"emb": dense(grad, 2)}, ref_state, lr=0.01, weight_decay=weight_decay)
         assert np.array_equal(params["emb"], reference["emb"])  # equal as numbers everywhere
         assert np.signbit(state.m["emb"][0]).all() and not np.signbit(ref_state.m["emb"][0]).any()
         sign_differs = np.signbit(params["emb"]) != np.signbit(reference["emb"])
