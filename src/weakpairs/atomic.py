@@ -2,8 +2,9 @@
 
 Readers see the old output file or the whole new one, never a part.  An input
 line ends at ``\\n`` or ``\\r\\n`` and line numbers count every line; one
-byte-order mark (U+FEFF) at the start of line 1 is dropped.  A line that is
-not UTF-8, not one JSON object, or has the wrong field count is a
+byte-order mark (U+FEFF) at the start of line 1 is dropped.  ``split_lines``
+splits every line file, and every stream file ``ingest`` reads, into lines.  A
+line that is not UTF-8, not one JSON object, or has the wrong field count is a
 ``DataError`` naming the file and the line.
 
 ``json_object`` is the one decoder of a JSON line: the line readers here, the
@@ -14,10 +15,12 @@ through it what counts as one JSON object, and why a line is not one.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import DataError
 
@@ -26,6 +29,7 @@ _JSON_LINE = json.JSONEncoder(ensure_ascii=False)
 # json.loads is this decoder's decode(), wrapped in checks; json_object makes the same checks around raw_decode
 _RAW_DECODE = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
+BLOCK = 1 << 18  # bytes per read of split_lines: 256 KB
 
 
 @contextlib.contextmanager
@@ -59,9 +63,47 @@ def line_text(raw: bytes, lineno: int) -> str:
     return line.removeprefix("\ufeff") if lineno == 1 else line
 
 
+def split_lines(handle: BinaryIO) -> Iterator[tuple[int, bytes]]:
+    """(line number, raw line) per line of binary ``handle``, as ``enumerate(handle, start=1)`` yields them.
+
+    Each line but a last one without it ends in its ``b"\\n"``.  Reads
+    ``BLOCK`` bytes at a time with ``read1``, which returns every byte a
+    compressed stream decoded before a failing read raises; ``read`` drops
+    what it decoded in the call that fails.  So the lines yielded before an
+    error are all the whole lines of the bytes that could be read.
+    """
+    return enumerate(chain.from_iterable(_block_lines(handle)), start=1)
+
+
+def _block_lines(handle: BinaryIO) -> Iterator[Iterable[bytes]]:
+    """Per block read, an iterable of the lines the block ends, each made only when it is iterated.
+
+    So a reader holds one line at a time, as iterating the handle does.  A
+    list of a block's lines, all alive at once, left the heap such that NumPy
+    work after the read faulted thousands of pages in again.
+    """
+    part: list[bytes] = []  # the pieces of a line that no block so far has ended
+    while block := handle.read1(BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            part.append(block)  # the line goes on; join its pieces once, when it ends
+            continue
+        lines = io.BytesIO(block)  # iterates in C, splitting after each b"\n"
+        if part:
+            part.append(lines.readline())
+            yield (b"".join(part),)
+            part.clear()
+        if cut < len(block):
+            lines.truncate(cut)
+            part.append(block[cut:])
+        yield lines
+    if part:
+        yield (b"".join(part),)
+
+
 def _lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
     with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+        for lineno, raw in split_lines(handle):
             try:
                 line = line_text(raw, lineno)
             except UnicodeDecodeError as exc:
@@ -143,15 +185,16 @@ def read_tsv(path: str | Path, fields: int, what: str) -> Iterator[tuple[int, li
 
 def write_jsonl(path: str | Path, objs: Iterable[object]) -> int:
     """One JSON value per line, non-ASCII kept as UTF-8; returns the line count."""
-    return _write_lines(path, map(_JSON_LINE.encode, objs))
+    return write_lines(path, map(_JSON_LINE.encode, objs))
 
 
 def write_tsv(path: str | Path, rows: Iterable[Sequence[str]]) -> int:
     """One tab-joined row per line; the caller escapes tabs and newlines in fields."""
-    return _write_lines(path, ("\t".join(row) for row in rows))
+    return write_lines(path, ("\t".join(row) for row in rows))
 
 
-def _write_lines(path: str | Path, lines: Iterable[str]) -> int:
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Each line, then ``\\n``, as UTF-8; returns the line count."""
     count = 0
     with atomic_write(path, encoding="utf-8") as handle:
         for line in lines:

@@ -16,10 +16,11 @@ import gzip
 import zlib
 from dataclasses import asdict, dataclass, fields
 from itertools import product
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .atomic import has_lone_surrogate, json_object, line_text, read_jsonl, write_jsonl
+from .atomic import has_lone_surrogate, json_object, line_text, read_jsonl, split_lines, write_lines
 from .errors import DataError
 
 QUOTE = "quote"
@@ -77,12 +78,19 @@ def _stream_lines(path: Path) -> Iterator[tuple[int, bytes]]:
 
     The error names the file and the last line read whole.  A truncated
     ``.gz`` or ``.bz2`` raises EOFError, a corrupt deflate block zlib.error
-    and a bad header, CRC or bzip2 block OSError.
+    and a bad header, CRC or bzip2 block OSError.  Lines come from
+    ``atomic.split_lines``, so after a truncation the line named is the last
+    whole line of the bytes that still decompress.  A corrupt bzip2 block is
+    different: it fails its check at its end, and the decompressor drops
+    what its failing call had decoded.  So when the block decodes in one
+    read, as one of compresslevel 1 or 2 does, the line named is no later
+    than the last whole line before the block; a larger block (compresslevel
+    9 holds 900 KB) may have given some of its lines in earlier reads.
     """
     lineno = 0
     with _open_stream(path) as handle:
         try:
-            for lineno, raw in enumerate(handle, start=1):
+            for lineno, raw in split_lines(handle):
                 yield lineno, raw
         except (EOFError, zlib.error, OSError) as exc:
             raise DataError(f"{path}: stream is damaged after line {lineno}: {exc}") from exc
@@ -138,34 +146,37 @@ def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[T
     """
     path = Path(path)
     records: list[TweetRecord] = []
-    stats = ParseStats()
+    lines = malformed = no_text = filtered_lang = 0
     for lineno, raw in _stream_lines(path):
         try:
             line = line_text(raw, lineno).strip()
         except UnicodeDecodeError:
             # not UTF-8; such a line is never blank
-            stats.lines += 1
-            stats.malformed += 1
+            lines += 1
+            malformed += 1
             continue
         if not line:
             continue
-        stats.lines += 1
+        lines += 1
         try:
             obj = json_object(line)
             record = _record_from_obj(obj)
-            if record is not None and has_lone_surrogate(line, vars(record)):
+            # has_lone_surrogate's own first test, made here to spare the call on lines without an escape
+            if record is not None and "\\u" in line and has_lone_surrogate(line, vars(record)):
                 raise ValueError("record text holds a lone surrogate")
         except ValueError:
-            stats.malformed += 1
+            malformed += 1
             continue
         if record is None:
-            stats.no_text += 1
+            no_text += 1
             continue
         if str(obj.get("lang") or "") != lang_filter:
-            stats.filtered_lang += 1
+            filtered_lang += 1
             continue
-        stats.parsed += 1
         records.append(record)
+    stats = ParseStats(
+        lines=lines, parsed=len(records), filtered_lang=filtered_lang, malformed=malformed, no_text=no_text
+    )
     return records, stats
 
 
@@ -254,9 +265,17 @@ _FIELD_TYPES = tuple({str, type(None)} if f.default is None else {str} for f in 
 _VALID_TYPES = frozenset(product(*_FIELD_TYPES))  # every allowed type tuple: one set lookup checks a whole line
 
 
+# one record store line with a %s for each field's JSON value, null or encode_basestring's string:
+# the bytes json.dumps(vars(record), ensure_ascii=False) writes, without an encoder call per record
+_RECORD_LINE = "{%s}" % ", ".join(f"{encode_basestring(name)}: %s" for name in _RECORD_FIELDS)
+
+
 def write_records(records: Iterable[TweetRecord], path: str | Path) -> int:
     """Write the intermediate record store: JSON-lines with exactly the five record fields."""
-    return write_jsonl(path, (vars(record) for record in records))
+    return write_lines(path, (
+        _RECORD_LINE % tuple(["null" if v is None else encode_basestring(v) for v in vars(record).values()])
+        for record in records
+    ))
 
 
 def read_records(path: str | Path) -> list[TweetRecord]:

@@ -1,12 +1,24 @@
 """Line files: atomic writes keep the old file on failure; readers locate every bad line."""
 
+import bz2
+import gzip
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weakpairs.atomic import atomic_write, json_object, read_jsonl, read_tsv, write_jsonl, write_tsv
+from weakpairs import atomic
+from weakpairs.atomic import (
+    atomic_write,
+    json_object,
+    line_text,
+    read_jsonl,
+    read_tsv,
+    split_lines,
+    write_jsonl,
+    write_tsv,
+)
 from weakpairs.corpus import PairExample, read_pairs, write_pairs
 from weakpairs.errors import DataError
 
@@ -101,6 +113,41 @@ def test_carriage_return_ending_the_last_line_is_part_of_it(tmp_path, content, r
     path = tmp_path / "a.jsonl"
     path.write_bytes(b'{"a": 1}\r\n{"a": 2}\r')
     assert list(read_jsonl(path, "thing")) == [(1, {"a": 1}), (2, {"a": 2})]
+
+
+BOM = "\ufeff".encode("utf-8")
+# files whose line breaks, marks and characters fall across block edges when blocks are 1 to 8 bytes long
+SPLIT_CASES = {
+    "crlf": b"ab\r\ncd\r\n\r\nefg\r\n",
+    "lone-cr-inside": b"a\rb\nc\r\r\nd\n",
+    "lone-cr-ending-last-line": b"abc\ndef\r",
+    "bom": BOM + b"x\n" + BOM + b"y\n",
+    "multibyte": "é€😀\nxé\n€😀".encode("utf-8"),
+    "line-longer-than-a-block": b"0123456789abcdef\r\n\n" + "é".encode("utf-8") * 9 + b"\n",
+    "empty": b"",
+    "only-newline": b"\n",
+}
+OPENERS = {"plain": open, "gz": gzip.open, "bz2": bz2.open}
+
+
+def _numbered_texts(lines):
+    return [(lineno, line_text(raw, lineno)) for lineno, raw in lines]
+
+
+@pytest.mark.parametrize("block", range(1, 9))
+@pytest.mark.parametrize("suffix", sorted(OPENERS))
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_block_splitter_yields_the_lines_a_binary_handle_iterates(tmp_path, monkeypatch, name, suffix, block):
+    path = tmp_path / f"lines.{suffix}"
+    with OPENERS[suffix](path, "wb") as handle:
+        handle.write(SPLIT_CASES[name])
+    with OPENERS[suffix](path, "rb") as handle:
+        expected = list(enumerate(handle, start=1))
+    monkeypatch.setattr(atomic, "BLOCK", block)
+    with OPENERS[suffix](path, "rb") as handle:
+        got = list(split_lines(handle))
+    assert got == expected
+    assert _numbered_texts(got) == _numbered_texts(expected)
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,12 @@ import bz2
 import gzip
 import json
 import random
+import re
+import zlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weakpairs.errors import DataError
 from weakpairs.ingest import (
@@ -226,6 +230,53 @@ class TestParseStreamFile:
         assert sorted(rec_a, key=key) == sorted(rec_b, key=key)
 
 
+@pytest.fixture(scope="module")
+def stream_bytes():
+    """About 490 KB of stream lines: two of the splitter's 256 KB reads, five bzip2 blocks at compresslevel 1."""
+    rng = random.Random(0)
+    words = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(2, 9))) for _ in range(3000)]
+    return b"".join(json.dumps(tweet_obj(i, text=" ".join(rng.choices(words, k=12)))).encode() + b"\n"
+                    for i in range(4000))
+
+
+def damaged_after_line(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=f"{name}: stream is damaged after line") as caught:
+        parse_stream_file(path, "en")
+    return int(re.search(r"after line (\d+):", str(caught.value)).group(1))
+
+
+class TestDamagedStream:
+    """``after line N`` names the last whole line the stream gave before it broke off."""
+
+    FRACTIONS = (0.00002, 0.0003, 0.1, 0.3, 0.5, 0.77, 0.999, 1.0)  # from inside the header to the last byte
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    def test_truncated_gzip_names_the_last_whole_line_that_decompresses(self, tmp_path, stream_bytes, fraction):
+        packed = gzip.compress(stream_bytes, mtime=0)
+        cut = packed[: min(int(len(packed) * fraction), len(packed) - 1)]
+        whole_lines = zlib.decompressobj(wbits=31).decompress(cut).count(b"\n")
+        assert damaged_after_line(tmp_path, "cut.jsonl.gz", cut) == whole_lines
+
+    @pytest.mark.parametrize("fraction", FRACTIONS)
+    def test_truncated_bzip2_names_the_last_whole_line_that_decompresses(self, tmp_path, stream_bytes, fraction):
+        packed = bz2.compress(stream_bytes, 1)
+        cut = packed[: min(int(len(packed) * fraction), len(packed) - 1)]
+        whole_lines = bz2.BZ2Decompressor().decompress(cut).count(b"\n")
+        assert damaged_after_line(tmp_path, "cut.jsonl.bz2", cut) == whole_lines
+
+    # a corrupt bzip2 block fails its check at its end, and the decompressor drops what its failing call decoded:
+    # a block of compresslevel 1 (100 KB) decodes in one read, so no line of it is counted whole
+    @pytest.mark.parametrize("fraction", (0.2, 0.4, 0.6, 0.8, 0.95))
+    def test_corrupt_bzip2_block_names_no_line_past_the_intact_blocks(self, tmp_path, stream_bytes, fraction):
+        packed = bz2.compress(stream_bytes, 1)
+        at = int(len(packed) * fraction)
+        intact_lines = bz2.BZ2Decompressor().decompress(packed[:at]).count(b"\n")
+        damaged = packed[:at] + bytes([packed[at] ^ 0x55]) + packed[at + 1:]
+        assert damaged_after_line(tmp_path, "bad.jsonl.bz2", damaged) <= intact_lines
+
+
 class TestMergeRuns:
     def test_duplicate_ids_first_wins(self, tmp_path):
         first = [TweetRecord(id="1", text="first copy")]
@@ -353,6 +404,19 @@ class TestOnDiskFormats:
         path = tmp_path / "store.jsonl"
         assert write_records(records, path) == 3
         assert read_records(path) == records
+
+    # JSON's escapes (quote, backslash, control characters), the separators JavaScript reads as line breaks,
+    # and text outside the Basic Multilingual Plane, among plain letters
+    STORE_TEXT = st.text(st.sampled_from('ab "\\/\x00\x1f\x7f\t\n\r\u2028\u2029\ufeffé€😀\U0010ffff'), max_size=12)
+
+    @given(rows=st.lists(st.tuples(STORE_TEXT, STORE_TEXT, st.none() | STORE_TEXT, st.none() | STORE_TEXT,
+                                   st.none() | STORE_TEXT), max_size=4))
+    def test_store_lines_are_the_bytes_json_dumps_writes(self, tmp_path_factory, rows):
+        records = [TweetRecord(*row) for row in rows]
+        path = tmp_path_factory.mktemp("store") / "store.jsonl"
+        assert write_records(records, path) == len(records)
+        expected = "".join(json.dumps(vars(record), ensure_ascii=False) + "\n" for record in records)
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_record_store_has_exactly_five_fields(self, tmp_path):
         path = tmp_path / "store.jsonl"
