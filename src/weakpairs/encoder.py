@@ -28,10 +28,12 @@ embedding is a function of its bag of tokens: positions that hold one id
 get the same attention row, ``h1`` and relu.  So eval runs the block over
 one position per distinct id of a text, weighted by the id's count: its
 pool weight is count / length, and as a key it adds log(count) to its
-score, which is the softmax over the positions it stands for.  On the
-benchmark's archive workload the graded texts average 35.5 tokens but 20.7
-distinct ids; on its large-vocabulary workload the benchmark texts average
-29.0 tokens and 7.9 distinct ids, as most of their tokens are UNK.
+score, which is the softmax over the positions it stands for.  Both are
+computed once per call, over the call's bags, and each chunk indexes them
+as it indexes its rows.  On the benchmark's archive workload the graded
+texts average 35.5 tokens but 20.7 distinct ids; on its large-vocabulary
+workload the benchmark texts average 29.0 tokens and 7.9 distinct ids, as
+most of their tokens are UNK.
 
 Training runs per padded position, token layer and all, because a training
 batch repeats few ids.  On the benchmark's large-vocabulary workload a
@@ -46,7 +48,8 @@ move.  Tokenized text reaches the encoder in one form only: both paths lay
 out their texts once per call in one flat id array (``flat_ids``), each
 chunk or batch indexes its rows of a flat layout (``_batch_index``), and
 both share one attention, feed-forward and pool body (``_encode``), whose
-``counts`` are training's 0/1 real-token mask and eval's bag counts.
+pool weights and key bias come from training's 0/1 real-token mask or from
+eval's bag counts.
 
 A training step holds one batch's activations, and of those only what
 backprop reads.  The relu reaches backward only through where it is
@@ -160,8 +163,15 @@ def init_model(vocab: Vocabulary, seed: int = 0, **settings) -> EncoderModel:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place."""
-    scores -= scores.max(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place.
+
+    Each row's max is taken over the middle axis of a key-major copy: NumPy
+    runs a max over a short contiguous last axis row by row, and one over a
+    middle axis as whole-vector maxima, faster at eval's and training's
+    row widths.  The max is exact either way; where it picks -0.0 instead
+    of +0.0, ``s - m`` has the same exp.
+    """
+    scores -= np.ascontiguousarray(scores.swapaxes(-1, -2)).max(axis=-2)[..., None]
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores
@@ -214,30 +224,28 @@ def _batch_index(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _encode(
-    p: dict[str, np.ndarray], counts: np.ndarray, rows: tuple[np.ndarray, ...]
+    p: dict[str, np.ndarray], pool: np.ndarray, key_bias: np.ndarray, rows: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Attention, feed-forward and pool, under parameters ``p``, over padded positions whose token rows are given.
 
-    ``counts`` is the (B, L) number of a text's tokens each position stands
-    for, 0 at padding: training's 0/1 real-token mask, or eval's count of
-    each distinct id in its text (see the module docstring).  ``rows`` is
-    ``_token_rows`` of the padded ids, with (B, L, dim) arrays computed per
-    position or gathered from a table of distinct ids.  Pool weights are
-    ``counts / counts.sum(axis=1)``, and each key's score gets
-    ``log(counts)``: +0.0 at count 1, which can flip the sign of a zero
-    score but not its exp, and -inf at padding, which no query attends to.
+    ``pool`` and ``key_bias`` are (B, L) arrays in the rows' dtype, built by
+    the caller from the number of a text's tokens each position stands for,
+    its count, 0 at padding: training's 0/1 real-token mask, or eval's count
+    of each distinct id in its text (see the module docstring).  ``pool`` is
+    the mean-pool weight count / length, and ``key_bias`` is log(count),
+    added to each key's score: +0.0 at count 1, which can flip the sign of a
+    zero score but not its exp, and -inf at padding, which no query attends
+    to.  ``rows`` is ``_token_rows`` of the padded ids, with (B, L, dim)
+    arrays computed per position or gathered from a table of distinct ids.
     Returns the embeddings and the activations backprop needs, as
     ``ForwardTrace`` fields by name, save that the float ``relu`` stands for
     the trace's ``relu_on`` mask.  The arithmetic runs in the rows' dtype,
-    the model's own in training and float32 in eval; on float64 the casts
-    below are no-ops that copy nothing.
+    the model's own in training and float32 in eval.
     """
     x, q, k, v = rows
-    pool = (counts / counts.sum(axis=1, keepdims=True)).astype(x.dtype, copy=False)
     scores = q @ k.transpose(0, 2, 1)
     scores /= np.sqrt(x.shape[-1], dtype=scores.dtype)
-    with np.errstate(divide="ignore"):
-        scores += np.log(counts, dtype=scores.dtype)[:, None, :]
+    scores += key_bias[:, None, :]
     attn = _softmax_rows(scores)
     h1 = attn @ v
     h1 += x
@@ -265,7 +273,11 @@ def encode_with_trace(
     """
     index, real = _batch_index(starts, lengths)
     ids = flat[index]
-    out, acts = _encode(model.params, real, _token_rows(model.params, ids))
+    rows = _token_rows(model.params, ids)
+    dtype = rows[0].dtype
+    with np.errstate(divide="ignore"):
+        key_bias = np.log(real, dtype=dtype)
+    out, acts = _encode(model.params, (real / lengths[:, None]).astype(dtype, copy=False), key_bias, rows)
     acts["relu_on"] = acts.pop("relu") > 0.0
     return out, ForwardTrace(ids=ids, model_version=model.version, **acts)
 
@@ -317,14 +329,21 @@ def embed_text(model: EncoderModel, texts: Sequence[str]) -> np.ndarray:
     keys += slots[:-1]
     keys, counts = np.unique(keys, return_counts=True)
     widths = np.bincount(keys // size, minlength=len(slot))  # each text's number of distinct ids
-    bag_slots, counts = np.append(keys % size, slots[-1]), np.append(counts, 0)
+    bag_slots = np.append(keys % size, slots[-1])
+    # each bag entry's pool weight and key bias, count / length and log(count), computed once per call; PAD's
+    # are 0 and -inf
+    pool = np.append(counts / np.repeat(lengths, widths), 0.0).astype(np.float32)
+    with np.errstate(divide="ignore"):
+        key_bias = np.log(np.append(counts, 0), dtype=np.float32)
     bag_starts = np.cumsum(widths) - widths
     order = np.argsort(widths, kind="stable")
     distinct = np.empty((len(slot), model.dim), dtype=np.float32)
     for start in range(0, len(order), _EMBED_CHUNK):
         rows = order[start : start + _EMBED_CHUNK]
         index, _ = _batch_index(bag_starts[rows], widths[rows])
-        distinct[rows] = _encode(params, counts[index], tuple(arr.take(bag_slots[index], axis=0) for arr in table))[0]
+        chunk_slots = bag_slots[index]
+        distinct[rows] = _encode(params, pool[index], key_bias[index],
+                                 tuple(arr.take(chunk_slots, axis=0) for arr in table))[0]
     return distinct[[slot[text] for text in texts]]
 
 

@@ -152,6 +152,16 @@ class TestTrace:
             h2 = trace.h1 + relu @ model.params["w_2"]
             np.testing.assert_allclose(h2.mean(axis=1), trace.pooled)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_trace_pool_is_the_real_mask_over_its_sum_in_the_model_dtype(self, dtype):
+        model = init_model(toy_vocab(20), dim=4, seed=14, max_len=16)
+        model.params = {name: arr.astype(dtype) for name, arr in model.params.items()}
+        id_lists = [[2, 3, 3], [5], [7, 8, 9, 10, 11, 2, 2], [4, 4], [6, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21]]
+        _, trace = encode_with_trace(model, *flat_ids(model, id_lists))
+        _, real = _padded(id_lists)
+        assert trace.pool.dtype == dtype
+        assert trace.pool.tobytes() == (real / real.sum(axis=1, keepdims=True)).astype(dtype).tobytes()
+
     def test_stale_trace_rejected(self):
         model = init_model(toy_vocab(5), dim=3, seed=0)
         _, trace = encode_with_trace(model, *flat_ids(model, [[2, 3]]))
@@ -320,12 +330,29 @@ def _padded(id_lists):
 
 
 def _masked_encode(model, id_lists):
-    """The reference: ``_encode`` of the reference padding and its real-token mask.
+    """The reference: ``_encode`` of the reference padding, with the pool weights and key bias of its real-token
+    mask.
 
     Returns the embeddings and the activations by ``ForwardTrace`` field name.
     """
     ids, real = _padded(id_lists)
-    return encoder_mod._encode(model.params, real, encoder_mod._token_rows(model.params, ids))
+    with np.errstate(divide="ignore"):
+        key_bias = np.log(real, dtype=np.float64)
+    return encoder_mod._encode(model.params, real / real.sum(axis=1, keepdims=True), key_bias,
+                               encoder_mod._token_rows(model.params, ids))
+
+
+def _bag_counts(pool, key_bias):
+    """The (B, L) counts a chunk's float32 pool weights and key bias stand for, 0 at padding.
+
+    Each key bias is float32's log(count), so its exp rounds back to the count; the pool weights must then be
+    count / length, to float32.
+    """
+    counts = np.rint(np.exp(key_bias.astype(np.float64))).astype(np.intp)
+    with np.errstate(divide="ignore"):
+        assert np.log(counts, dtype=np.float32).tobytes() == key_bias.tobytes()
+    assert (counts / counts.sum(axis=1, keepdims=True)).astype(np.float32).tobytes() == pool.tobytes()
+    return counts
 
 
 def _per_text_forward(model, texts):
@@ -358,6 +385,54 @@ def _table_texts(seed, one_token_texts):
     texts += ["zz qq zz", "", " ".join(f"w{t}" for t in rng.integers(0, 40, size=70))]
     texts += [f"w{t}" for t in range(one_token_texts)]
     return [texts[i] for i in rng.permutation(len(texts))]
+
+
+def _softmax_reference(scores):
+    """The reference: each row less its max over the last axis, exp, then over its sum."""
+    shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmaxRows:
+    @staticmethod
+    def _scores(rng, width, dtype):
+        """(4, 6, width) scores: plain rows; rows padded with -inf keys; rows of values <= 0 whose max is
+        +0.0 or -0.0, or both; and rows spread so far that most of their exps underflow, with -inf keys."""
+        scores = rng.standard_normal((4, 6, width))
+        scores[1, :, rng.integers(1, width + 1):] = -np.inf  # padding never takes a whole row
+        signed_zero = -np.abs(scores[2])
+        signed_zero[:, 0] = -0.0
+        signed_zero[:, rng.integers(0, width, size=6) * (rng.random(6) < 0.7)] = 0.0
+        signed_zero[rng.random((6, width)) < 0.2] = -np.inf
+        signed_zero[:, 0] = np.where(rng.random(6) < 0.5, -0.0, 0.0)
+        scores[2] = signed_zero
+        scores[3] *= 200.0
+        scores[3, :, 1:][rng.random((6, width - 1)) < 0.3] = -np.inf
+        return scores.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_is_the_last_axis_reference_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(31)
+        for width in range(1, 71):
+            scores = self._scores(rng, width, dtype)
+            expected = _softmax_reference(scores)
+            out = encoder_mod._softmax_rows(scores)
+            assert out is scores  # in place
+            assert out.dtype == dtype
+            assert out.tobytes() == expected.tobytes(), width
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_row_holding_nan_stays_nan(self, dtype):
+        rng = np.random.default_rng(32)
+        for width in range(1, 71):
+            scores = self._scores(rng, width, dtype)
+            scores[0, 2, rng.integers(width)] = np.nan
+            scores[1, 4, 0] = np.nan
+            nan_rows = np.isnan(scores).any(axis=-1)
+            expected = _softmax_reference(scores)
+            out = encoder_mod._softmax_rows(scores)
+            assert np.isnan(out[nan_rows]).all() and np.isnan(expected[nan_rows]).all()
+            assert out[~nan_rows].tobytes() == expected[~nan_rows].tobytes(), width
 
 
 class TestBatch:
@@ -444,10 +519,10 @@ class TestBatch:
         model = init_model(TABLE_VOCAB, seed=8)
         chunks = []
 
-        def recording(params, counts, rows):
-            chunks.append(counts.copy())
-            assert {arr.dtype for arr in (*rows, *params.values())} == {np.dtype(np.float32)}
-            return real_encode(params, counts, rows)
+        def recording(params, pool, key_bias, rows):
+            chunks.append(_bag_counts(pool, key_bias))
+            assert {arr.dtype for arr in (pool, key_bias, *rows, *params.values())} == {np.dtype(np.float32)}
+            return real_encode(params, pool, key_bias, rows)
 
         real_encode = encoder_mod._encode
         widths = []
@@ -576,6 +651,48 @@ def _words(ids):
     return " ".join(f"w{t}" for t in ids)
 
 
+def _per_chunk_embed_text(model, texts):
+    """The reference: ``embed_text`` with its per-chunk bookkeeping, the forward written out.
+
+    Each chunk computes its pool weights and log(counts) from its own (B, L) counts, indexes the bags once per
+    table array, and takes each row's max over the last axis of its scores.
+    """
+    slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    flat, _, lengths = flat_ids(model, (encode_ids(model.vocab, clean(text), model.max_len) for text in slot))
+    seen = np.bincount(flat, minlength=len(model.vocab)) > 0
+    params = {name: (arr[seen] if name == "embedding" else arr).astype(np.float32)
+              for name, arr in model.params.items()}
+    size = len(params["embedding"])
+    table = encoder_mod._token_rows(params, slice(None))
+    slots = (np.cumsum(seen) - 1)[flat]
+    keys = np.repeat(np.arange(len(slot)) * size, lengths)
+    keys += slots[:-1]
+    keys, counts = np.unique(keys, return_counts=True)
+    widths = np.bincount(keys // size, minlength=len(slot))
+    bag_slots, counts = np.append(keys % size, slots[-1]), np.append(counts, 0)
+    bag_starts = np.cumsum(widths) - widths
+    order = np.argsort(widths, kind="stable")
+    distinct = np.empty((len(slot), model.dim), dtype=np.float32)
+    for start in range(0, len(order), encoder_mod._EMBED_CHUNK):
+        rows = order[start : start + encoder_mod._EMBED_CHUNK]
+        index, _ = encoder_mod._batch_index(bag_starts[rows], widths[rows])
+        chunk = counts[index]
+        x, q, k, v = (arr.take(bag_slots[index], axis=0) for arr in table)
+        pool = (chunk / chunk.sum(axis=1, keepdims=True)).astype(np.float32)
+        scores = q @ k.transpose(0, 2, 1)
+        scores /= np.sqrt(model.dim, dtype=np.float32)
+        with np.errstate(divide="ignore"):
+            scores += np.log(chunk, dtype=np.float32)[:, None, :]
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        h1 = scores @ v
+        h1 += x
+        pooled_relu = (pool[:, None, :] @ np.maximum(h1 @ params["w_1"], 0.0))[:, 0]
+        distinct[rows] = (pool[:, None, :] @ h1)[:, 0] + pooled_relu @ params["w_2"]
+    return distinct[[slot[text] for text in texts]]
+
+
 class TestBags:
     """Eval encodes each text as its bag of distinct ids, one position per id, weighted by its count."""
 
@@ -616,7 +733,8 @@ class TestBags:
             vecs = embed_text(model, texts)
         _assert_within_float32_rounding(vecs, _per_text_forward(model, texts))
         # one chunk: bags of count 1, bags with repeats, and padding
-        ((_, counts, _),) = [call.args for call in spy.call_args_list]
+        ((_, pool, key_bias, _),) = [call.args for call in spy.call_args_list]
+        counts = _bag_counts(pool, key_bias)
         assert counts.shape == (len(texts), 4)
         assert any(set(row.tolist()) == {1} for row in counts)
         assert any(set(row.tolist()) == {0, 1} for row in counts)
@@ -632,6 +750,19 @@ class TestBags:
         beside = ["w1 w2 w2", "w40 zz w5 w40", "w3"]
         vecs = embed_text(model, [*beside, " ".join(tokens)])
         assert vecs.tobytes() == embed_text(model, [*beside, " ".join(reordered)]).tobytes()
+
+    @pytest.mark.parametrize("dim, one_token_texts", [(2, 2), (17, encoder_mod._EMBED_CHUNK), (64, 2),
+                                                      (64, encoder_mod._EMBED_CHUNK)])
+    def test_pool_weights_and_key_bias_built_once_per_call_give_the_per_chunk_bits(self, dim, one_token_texts):
+        # ragged texts, one cut at max_len, an empty and an all-UNK one, repeats and one-token texts; with
+        # _EMBED_CHUNK of those, one chunk is one id wide
+        model = init_model(TABLE_VOCAB, dim=dim, seed=27 + dim)
+        texts = _table_texts(dim + one_token_texts, one_token_texts)
+        texts += texts[::7]
+        expected = _per_chunk_embed_text(model, texts)
+        assert embed_text(model, texts).tobytes() == expected.tobytes()
+        model.params = {name: arr.astype(np.float32) for name, arr in model.params.items()}
+        assert embed_text(model, texts).tobytes() == _per_chunk_embed_text(model, texts).tobytes()
 
     def test_empty_call_returns_no_rows(self):
         model = init_model(TABLE_VOCAB, dim=12, seed=26)

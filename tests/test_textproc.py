@@ -54,6 +54,7 @@ TOKEN_FRAGMENTS = (
     + ["\U0001f600", "\U0001f44d\U0001f3fd", "\U0001f1eb\U0001f1f7", "\u2764\ufe0f", "\u200d", "\u0301"]
     + [" ", "  ", "\t", "\u00a0", "\u3000"]
 )
+ALNUM_OR_SPACE_FRAGMENTS = [fragment for fragment in TOKEN_FRAGMENTS if fragment.isalnum() or fragment.isspace()]
 
 
 def _encode_ids_reference(vocab, text, max_len):
@@ -149,6 +150,20 @@ class TestTokenize:
     @given(st.lists(st.sampled_from(TOKEN_FRAGMENTS), max_size=16).map("".join))
     def test_equals_the_regex_on_mixed_text(self, text):
         assert tokenize(text) == TOKEN_RE.findall(text)
+
+    # half the texts are built from alphanumeric fragments and whitespace only, so both of tokenize's paths run
+    @settings(max_examples=500)
+    @given(st.sampled_from([ALNUM_OR_SPACE_FRAGMENTS, TOKEN_FRAGMENTS])
+           .flatmap(lambda fragments: st.lists(st.sampled_from(fragments), max_size=16)).map("".join))
+    def test_one_test_of_the_joined_words_is_the_test_of_each_word(self, text):
+        words = text.split()
+        if words:  # on no words the two tests differ, and both paths return []
+            assert "".join(words).isalnum() == all(map(str.isalnum, words))
+        assert tokenize(text) == TOKEN_RE.findall(text)
+
+    @pytest.mark.parametrize("text", ["", "   ", "\u3000"])
+    def test_no_words_are_no_tokens(self, text):
+        assert tokenize(text) == TOKEN_RE.findall(text) == []
 
 
 class TestVocabulary:
