@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -72,11 +73,18 @@ class RankingBenchmark:
         return ids
 
 
-def index_responses(edges: Iterable[RelationEdge]) -> tuple[ResponseIndex, int]:
-    """Clean every edge text once and group the edges by target; return (index, dropped).
+def _kept_text(text: str) -> str:
+    """``text`` cleaned, or "" where that leaves under ``MIN_CHARS`` characters."""
+    cleaned = clean(text)
+    return cleaned if len(cleaned) >= MIN_CHARS else ""
 
-    Each distinct text goes through ``clean`` exactly once, however many edges
-    share it.  An edge whose response cleans to under ``MIN_CHARS``
+
+def index_responses(edges: Iterable[RelationEdge]) -> tuple[ResponseIndex, int]:
+    """Clean each distinct edge text at most once and group the edges by target; return (index, dropped).
+
+    Each distinct text goes through ``clean`` at most once, however many
+    edges share it: every response text, and a target text only while its
+    target has none.  An edge whose response cleans to under ``MIN_CHARS``
     characters is dropped and counted; a target text that does counts as
     missing.  The index holds, per relation, one entry per target in id
     order: (target id, target text, [(response id, response text)] sorted by
@@ -84,32 +92,32 @@ def index_responses(edges: Iterable[RelationEdge]) -> tuple[ResponseIndex, int]:
     response id counts once per target, with the text of its first edge.
     Every corpus and benchmark of a build reads this one index.
     """
-    memo: dict[str, str | None] = {}
-
-    def valid(text: str) -> str | None:
-        if text not in memo:
-            cleaned = clean(text)
-            memo[text] = cleaned if len(cleaned) >= MIN_CHARS else None
-        return memo[text]
-
-    texts: dict[tuple[str, str], str | None] = {}
-    responses: dict[str, dict[str, dict[str, str]]] = {QUOTE: {}, REPLY: {}}
+    kept: dict[str, str] = {}  # each text seen, cleaned, or "" where that leaves under MIN_CHARS
+    targets: dict[str, dict[str, list]] = {QUOTE: {}, REPLY: {}}  # relation -> target id -> [text, responses]
     dropped = 0
     for edge in edges:
-        response_text = valid(edge.response_text)
+        response_text = kept.get(edge.response_text)
         if response_text is None:
+            response_text = kept[edge.response_text] = _kept_text(edge.response_text)
+        if not response_text:
             dropped += 1
             continue
-        target_text = valid(edge.target_text) if edge.target_text else None
-        if texts.get((edge.kind, edge.target_id)) is None:
-            texts[edge.kind, edge.target_id] = target_text
-        responses[edge.kind].setdefault(edge.target_id, {}).setdefault(edge.response_id, response_text)
+        by_target = targets[edge.kind]
+        target = by_target.get(edge.target_id)
+        if target is None:
+            target = by_target[edge.target_id] = [None, {}]
+        if target[0] is None and edge.target_text:
+            target_text = kept.get(edge.target_text)
+            if target_text is None:
+                target_text = kept[edge.target_text] = _kept_text(edge.target_text)
+            target[0] = target_text or None
+        target[1].setdefault(edge.response_id, response_text)
     index = {
         relation: [
-            (target_id, texts[relation, target_id], sorted(by_target[target_id].items()))
-            for target_id in sorted(by_target)
+            (target_id, text, sorted(responses.items()))
+            for target_id, (text, responses) in sorted(by_target.items())
         ]
-        for relation, by_target in responses.items()
+        for relation, by_target in targets.items()
     }
     return index, dropped
 
@@ -167,13 +175,17 @@ def exclude_ids(pairs: Iterable[PairExample], banned: set[str]) -> list[PairExam
 def _untried_indices(rng: random.Random, n: int) -> Iterator[int]:
     """Indices 0..n-1 in random order: uniform draws, skipping any already tried.
 
-    A consumer that stops early pays only for the draws it took; one that
-    does not stops once every index has been tried.
+    Each draw is ``rng.randrange(n)``'s: ``n.bit_length()`` bits from
+    ``getrandbits``, drawn again while they read ``n`` or more, taken here
+    without its call overhead.  A consumer that stops early pays only for
+    the draws it took; one that does not stops once every index has been
+    tried.
     """
     tried: set[int] = set()
+    bits, k = rng.getrandbits, n.bit_length()
     while len(tried) < n:
-        index = rng.randrange(n)
-        if index not in tried:
+        index = bits(k)
+        if index < n and index not in tried:
             tried.add(index)
             yield index
 
@@ -223,9 +235,9 @@ def build_benchmark(
 
     rng = random.Random(seed)
     chosen = rng.sample(eligible, num_queries)
-    all_candidates = [
-        (target_id, response_id, text) for target_id, pool in pools.items() for response_id, text in pool
-    ]
+    # every pool's responses in pool order, each pool one run of it that starts at starts[target id]
+    all_candidates = list(chain.from_iterable(pools.values()))
+    starts = dict(zip(pools, accumulate(map(len, pools.values()), initial=0)))
 
     queries = []
     for target_id, target_text in chosen:
@@ -242,9 +254,10 @@ def build_benchmark(
 
         used_texts = {text for _, text in positives} | {query_text}
         negatives: list[tuple[str, str]] = []
+        own = range(starts[target_id], starts[target_id] + len(pools[target_id]))  # the target's own responses
         for index in _untried_indices(rng, len(all_candidates)):
-            cand_target, cand_id, cand_text = all_candidates[index]
-            if cand_target == target_id or cand_text in used_texts:
+            cand_id, cand_text = all_candidates[index]
+            if index in own or cand_text in used_texts:
                 continue
             negatives.append((cand_id, cand_text))
             used_texts.add(cand_text)
@@ -276,7 +289,7 @@ _UNESCAPE_MAP = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
 
 
 def escape_field(value: str) -> str:
-    """Escape backslashes, tabs and newlines so text survives a TSV round trip."""
+    """Escape backslashes, tabs, line feeds and carriage returns so a field survives a TSV round trip."""
     return (
         value.replace("\\", "\\\\")
         .replace("\t", "\\t")
@@ -290,22 +303,29 @@ def unescape_field(value: str) -> str:
 
 
 def write_pairs(pairs: Iterable[PairExample], path: str | Path) -> int:
-    """Pair file: TSV of anchor_id, positive_id, dataset, anchor_text, positive_text."""
+    """Pair file: TSV of anchor_id, positive_id, dataset, anchor_text, positive_text; ids and texts escaped."""
     rows = (
-        (p.anchor_id, p.positive_id, p.dataset, escape_field(p.anchor_text), escape_field(p.positive_text))
+        (
+            escape_field(p.anchor_id),
+            escape_field(p.positive_id),
+            p.dataset,
+            escape_field(p.anchor_text),
+            escape_field(p.positive_text),
+        )
         for p in pairs
     )
     return write_tsv(path, rows)
 
 
 def read_pairs(path: str | Path) -> list[PairExample]:
+    """Read a pair file written by ``write_pairs``, unescaping its ids and texts."""
     return [
         PairExample(
             anchor_text=unescape_field(anchor_text),
             positive_text=unescape_field(positive_text),
             dataset=dataset,
-            anchor_id=anchor_id,
-            positive_id=positive_id,
+            anchor_id=unescape_field(anchor_id),
+            positive_id=unescape_field(positive_id),
         )
         for _, (anchor_id, positive_id, dataset, anchor_text, positive_text) in read_tsv(path, 5, "pair")
     ]

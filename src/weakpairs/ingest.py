@@ -15,7 +15,6 @@ import bz2
 import gzip
 import zlib
 from dataclasses import asdict, dataclass, fields
-from itertools import product
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -203,27 +202,13 @@ def extract_relations(records: Iterable[TweetRecord]) -> list[RelationEdge]:
     (target equal to response) are skipped to keep the edge invariant intact.
     """
     edges: list[RelationEdge] = []
+    append = edges.append
     for record in records:
-        if record.quoted_id and record.quoted_id != record.id:
-            edges.append(
-                RelationEdge(
-                    kind=QUOTE,
-                    target_id=record.quoted_id,
-                    response_id=record.id,
-                    target_text=record.quoted_text,
-                    response_text=record.text,
-                )
-            )
-        if record.reply_to and record.reply_to != record.id:
-            edges.append(
-                RelationEdge(
-                    kind=REPLY,
-                    target_id=record.reply_to,
-                    response_id=record.id,
-                    target_text=None,
-                    response_text=record.text,
-                )
-            )
+        response_id = record.id
+        if record.quoted_id and record.quoted_id != response_id:
+            append(RelationEdge(QUOTE, record.quoted_id, response_id, record.quoted_text, record.text))
+        if record.reply_to and record.reply_to != response_id:
+            append(RelationEdge(REPLY, record.reply_to, response_id, None, record.text))
     return edges
 
 
@@ -261,8 +246,8 @@ def join_reply_targets(
 
 _RECORD_FIELDS = tuple(f.name for f in fields(TweetRecord))
 # the value types each field may hold, in field order: a string, or also null where the field defaults to None
-_FIELD_TYPES = tuple({str, type(None)} if f.default is None else {str} for f in fields(TweetRecord))
-_VALID_TYPES = frozenset(product(*_FIELD_TYPES))  # every allowed type tuple: one set lookup checks a whole line
+_OPTIONAL = (str, type(None))
+_FIELD_TYPES = tuple(_OPTIONAL if f.default is None else (str,) for f in fields(TweetRecord))
 
 
 # one record store line with a %s for each field's JSON value, null or encode_basestring's string:
@@ -281,10 +266,18 @@ def write_records(records: Iterable[TweetRecord], path: str | Path) -> int:
 def read_records(path: str | Path) -> list[TweetRecord]:
     """Read a record store; a line not a JSON object of record fields is a DataError; other keys are ignored."""
     records = []
+    append = records.append
     for lineno, obj in read_jsonl(path, "record store"):
-        values = [*map(obj.get, _RECORD_FIELDS)]
-        if tuple(map(type, values)) not in _VALID_TYPES:
-            bad = [k for k, allowed, v in zip(_RECORD_FIELDS, _FIELD_TYPES, values) if type(v) not in allowed]
+        get = obj.get
+        record = TweetRecord(get("id"), get("text"), get("reply_to"), get("quoted_id"), get("quoted_text"))
+        # built first and checked after: one identity test per field, in the rule _FIELD_TYPES states
+        if not (
+            type(record.id) is str is type(record.text)
+            and type(record.reply_to) in _OPTIONAL
+            and type(record.quoted_id) in _OPTIONAL
+            and type(record.quoted_text) in _OPTIONAL
+        ):
+            bad = [k for k, allowed in zip(_RECORD_FIELDS, _FIELD_TYPES) if type(getattr(record, k)) not in allowed]
             raise DataError(f"{path}: record store line {lineno}: {', '.join(bad)} must be strings")
-        records.append(TweetRecord(*values))
+        append(record)
     return records

@@ -16,6 +16,7 @@ from weakpairs.atomic import (
     read_jsonl,
     read_tsv,
     split_lines,
+    stripped_line_text,
     write_jsonl,
     write_tsv,
 )
@@ -148,6 +149,25 @@ def test_block_splitter_yields_the_lines_a_binary_handle_iterates(tmp_path, monk
         got = list(split_lines(handle))
     assert got == expected
     assert _numbered_texts(got) == _numbered_texts(expected)
+
+
+# pieces of a line: text, whitespace, a lone \r, a byte-order mark, a cut multi-byte sequence, a bad byte
+LINE_PIECES = st.sampled_from([b"a", b"{}", b" ", b"\t", b"\r", b"\xef\xbb\xbf", b"\xe2\x82", b"\xac", b"\xff",
+                               b"\xc2\xa0"])
+
+
+@given(body=st.lists(LINE_PIECES, max_size=6).map(b"".join), end=st.sampled_from([b"", b"\n", b"\r\n"]),
+       lineno=st.sampled_from([1, 2]))
+def test_stripped_line_text_is_line_text_stripped(body, end, lineno):
+    raw = body + end
+    try:
+        expected = line_text(raw, lineno).strip()
+    except UnicodeDecodeError as exc:
+        with pytest.raises(UnicodeDecodeError) as caught:
+            stripped_line_text(raw, lineno)
+        assert (caught.value.reason, caught.value.start) == (exc.reason, exc.start)
+        return
+    assert stripped_line_text(raw, lineno) == expected
 
 
 @pytest.mark.parametrize(

@@ -337,6 +337,87 @@ class TestBuild:
             "pairs_rp.tsv": "9033a8eeab08b797",
         }
 
+    def test_drop_rules_output_bytes_pinned(self, store):
+        # the synth store plus records that meet every drop rule; sha256 prefixes computed before
+        # index_responses kept one dict per relation and read_records checked types after building
+        def record(tweet_id, text, reply_to=None, quoted_id=None, quoted_text=None):
+            return {"id": tweet_id, "text": text, "reply_to": reply_to,
+                    "quoted_id": quoted_id, "quoted_text": quoted_text}
+
+        long_text = "a reply long enough to keep number {}".format
+        extra = [
+            record("8000000000000001", "ok thanks", reply_to="3709784000000010"),  # short response
+            record("8000000000000002", "@someone https://t.co/x hi", reply_to="3709784000000028"),
+            record("8000000000000003", long_text(3), reply_to="7999999999999999"),  # unresolved reply
+            # a duplicate record id: the first record's text is the reply target's, the first edge's counts
+            record("8000000000000004", long_text(4), reply_to="3709784000000046"),
+            record("8000000000000004", long_text("four again"), reply_to="3709784000000046"),
+            record("8000000000000005", long_text(5), reply_to="8000000000000004"),
+            record("8000000000000006", long_text(6), quoted_id="8000000000000006",
+                   quoted_text=long_text(6)),  # self-quote
+            record("8000000000000007", long_text(7), reply_to="8000000000000007"),  # self-reply
+            # two response ids with one text under one target
+            record("8000000000000008", "one reply text\tsent twice \\ here", reply_to="3709784000000064"),
+            record("8000000000000009", "one reply text\tsent twice \\ here", reply_to="3709784000000064"),
+            # a target with no valid text: missing, then short
+            record("8000000000000010", long_text(10), quoted_id="7000000000000001"),
+            record("8000000000000011", long_text(11), quoted_id="7000000000000001", quoted_text="tiny"),
+            record("8000000000000012", long_text(12), quoted_id="7000000000000001", quoted_text="short"),
+            # a target whose first text is short and whose second valid one is not used
+            record("8000000000000013", long_text(13), quoted_id="7000000000000002", quoted_text="tiny"),
+            record("8000000000000014", long_text(14), quoted_id="7000000000000002",
+                   quoted_text="a quoted text long enough to be kept"),
+            record("8000000000000015", long_text(15), quoted_id="7000000000000002",
+                   quoted_text="a later quoted text long enough but unused"),
+            record("8000000000000016", "lol", quoted_id="3709784000000019",
+                   quoted_text="a quoted tweet text long enough"),  # short quote
+            # a quote target that is also replied to
+            record("8000000000000017", long_text(17), reply_to="3709784000000001"),
+        ]
+        with open("records.jsonl", "a", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(r) + "\n" for r in extra)
+        counts = {}
+        for queries in (0, 2):
+            assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",
+                       "--bench-queries", queries, "--out-dir", f"built{queries}") == 0
+            counts[queries] = json.loads(Path(f"built{queries}/build_counts.json").read_text())
+        assert counts[2]["dropped_unresolved_replies"] == 1
+        assert counts[2]["dropped_short_text"] == 3
+        for name in ("qt", "rp", "coqt", "corp"):  # the benchmark ban removes training pairs from each
+            assert counts[2][f"{name}_available"] < counts[0][f"{name}_available"]
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                   for path in Path("built2").iterdir() if path.name != "manifest_build.json"}
+        assert digests == {
+            "bench_cq.jsonl": "2cf900fa3a2d6bb4",
+            "bench_cr.jsonl": "cdce8edda3aa6d52",
+            "bench_dq.jsonl": "ebc10c972afc5196",
+            "bench_dr.jsonl": "dd055b335c5c08de",
+            "build_counts.json": "ce54ff0cf034fc05",
+            "pairs_all.tsv": "f48be998dad15129",
+            "pairs_coqt.tsv": "6dce484dcc82cc1b",
+            "pairs_corp.tsv": "4262afb8c39b477c",
+            "pairs_qt.tsv": "2cef4be2fc38bef6",
+            "pairs_rp.tsv": "a08735212882babe",
+        }
+
+    def test_ids_holding_tabs_line_ends_and_backslashes_round_trip(self, tmp_cwd):
+        # an unescaped id once split its pair row, and train then read "pair line 1 has 6 fields"
+        target, responses = "t\t1", ["r\n2", "r\r3", "r\\4", "r\\t5"]
+        records = [{"id": target, "text": "a target tweet long enough to keep"}]
+        records += [{"id": rid, "text": f"a reply long enough to keep number {i}", "reply_to": target}
+                    for i, rid in enumerate(responses)]
+        write_jsonl("records.jsonl", records)
+        assert run("build", "--records", "records.jsonl", "--out-dir", "built") == 0
+        from weakpairs.corpus import read_pairs
+
+        [direct] = read_pairs("built/pairs_rp.tsv")
+        assert direct.anchor_id == target and direct.positive_id in responses
+        [co] = read_pairs("built/pairs_corp.tsv")
+        assert {co.anchor_id, co.positive_id} <= set(responses) and co.anchor_id != co.positive_id
+        assert read_pairs("built/pairs_all.tsv") == [direct, co]  # qt and coqt are empty
+        assert run("train", "--pairs", "built/pairs_all.tsv", "--batch-size", 2, "--dim", 8,
+                   "--out", "model.ckpt") == 0
+
     def test_short_corpus_is_named(self, store, capsys):
         # after the benchmark ban qt and rp keep 8 pairs each, coqt and corp 2
         assert run("--seed", 11, "build", "--records", "records.jsonl", "--dataset", "all",

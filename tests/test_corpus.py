@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from weakpairs.corpus import (
     write_pairs,
 )
 from weakpairs.errors import DataError
+from weakpairs.textproc import clean
 from weakpairs.ingest import (
     QUOTE,
     REPLY,
@@ -101,6 +103,68 @@ class TestCleanEdges:
         edges, _ = join_reply_targets(extract_relations(records), index_records(records))
         distinct = {e.response_text for e in edges} | {e.target_text for e in edges if e.target_text}
         assert clean_calls == Counter({text: 1 for text in distinct})
+
+
+def reference_index_responses(edges):
+    """README's build rules, edge by edge and without a memo: (index, dropped)."""
+
+    def kept(text):  # the cleaned text, or None where it is missing or cleans short
+        cleaned = clean(text) if text else ""
+        return cleaned if len(cleaned) >= MIN_CHARS else None
+
+    dropped = sum(kept(e.response_text) is None for e in edges)
+    edges = [e for e in edges if kept(e.response_text) is not None]
+    index = {}
+    for relation in (QUOTE, REPLY):
+        entries = []
+        for target_id in sorted({e.target_id for e in edges if e.kind == relation}):
+            of_target = [e for e in edges if e.kind == relation and e.target_id == target_id]
+            text = next((kept(e.target_text) for e in of_target if kept(e.target_text)), None)
+            responses = {}
+            for e in of_target:
+                responses.setdefault(e.response_id, kept(e.response_text))
+            entries.append((target_id, text, sorted(responses.items())))
+        index[relation] = entries
+    return index, dropped
+
+
+# target texts: missing, cleaning short, or valid; response texts: short or valid, some shared with targets;
+# on either side one that cleans to MIN_CHARS - 1 characters and one to exactly MIN_CHARS
+TARGET_TEXTS = [None, "", "tiny", "@someone https://t.co/x hi", "a quoted target text long enough",
+                "Another TARGET text,  long enough", "a reply long enough to keep", "just nineteen chars",
+                "Exactly  twenty chars"]
+RESPONSE_TEXTS = ["ok", "lol @who", "a reply long enough to keep", "A Reply  long enough to keep",
+                  "another reply long enough here", "a quoted target text long enough", "just nineteen chars",
+                  "exactly twenty chars"]
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges over few ids, so target ids, response ids and texts repeat; target T0 is under both relations."""
+    def edge(kind=None, target_id=None):
+        return RelationEdge(
+            kind or draw(st.sampled_from([QUOTE, REPLY])),
+            target_id or draw(st.sampled_from(["T0", "T1", "T2", "T3"])),
+            draw(st.sampled_from(["R0", "R1", "R2", "R3", "R4"])),
+            draw(st.sampled_from(TARGET_TEXTS)),
+            draw(st.sampled_from(RESPONSE_TEXTS)),
+        )
+
+    edges = [edge(QUOTE, "T0"), edge(REPLY, "T0")] + [edge() for _ in range(draw(st.integers(0, 30)))]
+    return draw(st.permutations(edges))
+
+
+class TestIndexOracle:
+    @settings(max_examples=300)
+    @given(edges=edge_lists())
+    def test_index_equals_reference(self, edges):
+        with mock.patch.object(corpus_mod, "clean", wraps=corpus_mod.clean) as spy:
+            index, dropped = index_responses(edges)
+        assert (index, dropped) == reference_index_responses(edges)
+        cleaned = Counter(call.args[0] for call in spy.call_args_list)
+        assert set(cleaned.values()) == {1}  # each distinct text once at most
+        assert {e.response_text for e in edges} <= set(cleaned)  # and every response text
+        assert set(cleaned) <= {e.response_text for e in edges} | {e.target_text for e in edges}
 
 
 class TestBuildPairs:
@@ -346,6 +410,21 @@ class TestBuildBenchmark:
 
 
 class TestNegativeDraw:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 100])
+    def test_untried_indices_draw_as_randrange_does(self, n):
+        def reference(rng):
+            tried = set()
+            while len(tried) < n:
+                index = rng.randrange(n)
+                if index not in tried:
+                    tried.add(index)
+                    yield index
+
+        for seed in range(5):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            assert list(corpus_mod._untried_indices(rng, n)) == list(reference(reference_rng))
+            assert rng.getstate() == reference_rng.getstate()  # so every later draw agrees too
+
     def test_pool_with_exactly_25_acceptable_negatives_yields_all(self):
         edges = benchmark_fixture_edges(num_targets=6, responses_each=5)
         bench = build_benchmark(index_responses(edges)[0], "dq", num_queries=6, seed=4)
