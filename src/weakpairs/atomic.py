@@ -65,7 +65,7 @@ def line_text(raw: bytes, lineno: int) -> str:
 
 
 def stripped_line_text(raw: bytes, lineno: int) -> str:
-    """``line_text(raw, lineno).strip()``, the text ``read_jsonl`` decodes, made with one copy fewer.
+    """``line_text(raw, lineno).strip()`` with one copy fewer: a JSON line's text, as every JSON-line reader reads it.
 
     A line's end is whitespace that ``strip`` removes anyway, so past line 1,
     whose byte-order mark goes first, the bytes are decoded whole.  Bytes that

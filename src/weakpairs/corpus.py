@@ -175,17 +175,13 @@ def exclude_ids(pairs: Iterable[PairExample], banned: set[str]) -> list[PairExam
 def _untried_indices(rng: random.Random, n: int) -> Iterator[int]:
     """Indices 0..n-1 in random order: uniform draws, skipping any already tried.
 
-    Each draw is ``rng.randrange(n)``'s: ``n.bit_length()`` bits from
-    ``getrandbits``, drawn again while they read ``n`` or more, taken here
-    without its call overhead.  A consumer that stops early pays only for
-    the draws it took; one that does not stops once every index has been
-    tried.
+    A consumer that stops early pays only for the draws it took; one that
+    does not stops once every index has been tried.
     """
     tried: set[int] = set()
-    bits, k = rng.getrandbits, n.bit_length()
     while len(tried) < n:
-        index = bits(k)
-        if index < n and index not in tried:
+        index = rng.randrange(n)
+        if index not in tried:
             tried.add(index)
             yield index
 

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .atomic import has_lone_surrogate, json_object, line_text, read_jsonl, split_lines, write_lines
+from .atomic import has_lone_surrogate, json_object, read_jsonl, split_lines, stripped_line_text, write_lines
 from .errors import DataError
 
 QUOTE = "quote"
@@ -136,7 +136,7 @@ def _record_from_obj(obj: dict) -> TweetRecord | None:
 def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[TweetRecord], ParseStats]:
     """Parse one stream file, keeping records whose ``lang`` equals the filter.
 
-    Lines end and decode as in ``weakpairs.atomic.line_text``.  A line that
+    A line's text is ``weakpairs.atomic.stripped_line_text``'s.  A line that
     is not UTF-8, not one JSON object, or whose record text a ``\\u`` escape
     leaves as a lone surrogate is counted ``malformed`` in the returned
     stats.  A file that cannot be opened raises the underlying OSError
@@ -148,7 +148,7 @@ def parse_stream_file(path: str | Path, lang_filter: str = "en") -> tuple[list[T
     lines = malformed = no_text = filtered_lang = 0
     for lineno, raw in _stream_lines(path):
         try:
-            line = line_text(raw, lineno).strip()
+            line = stripped_line_text(raw, lineno)
         except UnicodeDecodeError:
             # not UTF-8; such a line is never blank
             lines += 1
@@ -245,9 +245,7 @@ def join_reply_targets(
 # --- on-disk formats ---------------------------------------------------------
 
 _RECORD_FIELDS = tuple(f.name for f in fields(TweetRecord))
-# the value types each field may hold, in field order: a string, or also null where the field defaults to None
-_OPTIONAL = (str, type(None))
-_FIELD_TYPES = tuple(_OPTIONAL if f.default is None else (str,) for f in fields(TweetRecord))
+_OPTIONAL = (str, type(None))  # the types a field that defaults to None may hold; the others hold a string
 
 
 # one record store line with a %s for each field's JSON value, null or encode_basestring's string:
@@ -270,14 +268,15 @@ def read_records(path: str | Path) -> list[TweetRecord]:
     for lineno, obj in read_jsonl(path, "record store"):
         get = obj.get
         record = TweetRecord(get("id"), get("text"), get("reply_to"), get("quoted_id"), get("quoted_text"))
-        # built first and checked after: one identity test per field, in the rule _FIELD_TYPES states
+        # built first and checked after, one identity test per field; a bad line is named by the same tests
         if not (
             type(record.id) is str is type(record.text)
             and type(record.reply_to) in _OPTIONAL
             and type(record.quoted_id) in _OPTIONAL
             and type(record.quoted_text) in _OPTIONAL
         ):
-            bad = [k for k, allowed in zip(_RECORD_FIELDS, _FIELD_TYPES) if type(getattr(record, k)) not in allowed]
+            bad = [k for k in ("id", "text") if type(getattr(record, k)) is not str]
+            bad += [k for k in ("reply_to", "quoted_id", "quoted_text") if type(getattr(record, k)) not in _OPTIONAL]
             raise DataError(f"{path}: record store line {lineno}: {', '.join(bad)} must be strings")
         append(record)
     return records

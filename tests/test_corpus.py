@@ -410,21 +410,6 @@ class TestBuildBenchmark:
 
 
 class TestNegativeDraw:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 100])
-    def test_untried_indices_draw_as_randrange_does(self, n):
-        def reference(rng):
-            tried = set()
-            while len(tried) < n:
-                index = rng.randrange(n)
-                if index not in tried:
-                    tried.add(index)
-                    yield index
-
-        for seed in range(5):
-            rng, reference_rng = random.Random(seed), random.Random(seed)
-            assert list(corpus_mod._untried_indices(rng, n)) == list(reference(reference_rng))
-            assert rng.getstate() == reference_rng.getstate()  # so every later draw agrees too
-
     def test_pool_with_exactly_25_acceptable_negatives_yields_all(self):
         edges = benchmark_fixture_edges(num_targets=6, responses_each=5)
         bench = build_benchmark(index_responses(edges)[0], "dq", num_queries=6, seed=4)

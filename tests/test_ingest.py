@@ -6,6 +6,7 @@ import json
 import random
 import re
 import zlib
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -465,6 +466,24 @@ class TestOnDiskFormats:
         write_jsonl(path, [{"id": "1", "text": "x"}, {"id": "2", "text": "y", **fields}])
         with pytest.raises(DataError, match=rf"store\.jsonl: record store line 2: {bad} must be strings$"):
             read_records(path)
+
+    def test_check_follows_the_record_fields(self, tmp_path):
+        # read_records spells out TweetRecord's fields by hand: each field, in order, is read from its own key,
+        # named alone when it holds a number, and may be null exactly where it defaults to None
+        path = tmp_path / "store.jsonl"
+        names = [f.name for f in fields(TweetRecord)]
+        write_jsonl(path, [{name: f"value {name}" for name in names}])
+        assert read_records(path) == [TweetRecord(*(f"value {name}" for name in names))]
+        for f in fields(TweetRecord):
+            write_jsonl(path, [{name: "v" for name in names} | {f.name: 7}])
+            with pytest.raises(DataError, match=rf"line 1: {f.name} must be strings$"):
+                read_records(path)
+            write_jsonl(path, [{name: "v" for name in names} | {f.name: None}])
+            if f.default is None:
+                assert getattr(read_records(path)[0], f.name) is None
+            else:
+                with pytest.raises(DataError, match=rf"line 1: {f.name} must be strings$"):
+                    read_records(path)
 
     def test_absent_and_null_nullable_fields_read_as_none(self, tmp_path):
         path = tmp_path / "store.jsonl"
